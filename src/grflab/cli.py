@@ -9,8 +9,8 @@ Subcommands:
                                  operator implementations
     grflab report <run-dir>      human-readable summary of a stored run
 
-Exit codes: 0 clean, 1 blow-up or solver abort, 2 identity gap beyond
-tolerance.
+Exit codes: 0 clean; 1 configuration error, blow-up, solver abort or a run
+that stopped short of t_end; 2 energy-identity gap beyond tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import algebra, conjugate, flow, functionals, geometry, oracle, torsion
 from .algebra import LieAlgebra
-from .fields import DomainError, Mesh
+from .fields import DomainError, GridError, Mesh
 from .geometry import GeometryState, TorsionField, derive, min_eig_field
 
 
@@ -91,19 +91,15 @@ class ScenarioConfig:
     preset: str
     mesh_n: int | None = None
     algebra: object = None
-    h3_wave_amp: float = 0.0
     mode: str = "ungauged"
     t_end: float = 0.2
     cfl_sigma: float = 0.1
     fixed_dt: float | None = None
     max_steps: int = 200000
-    save_every: int = 1
     report_stride: int = 50
-    conj_mode: str = "steady"
     n_override: int | None = None
     identity_rel_tol: float = 0.01
     output_dir: str = "run-out"
-    seed: int = 0
 
     def build_state(self) -> GeometryState:
         builder = PRESETS[self.preset]
@@ -115,23 +111,23 @@ class ScenarioConfig:
                     f"/algebra: fiber dimension {alg.k} does not match "
                     f"preset fiber dimension {st.k}")
             st = GeometryState(st.t, st.mesh, alg, st.G, st.g, st.A, st.H)
-        if self.h3_wave_amp:
-            x0 = st.mesh.coords()[0]
-            prof = 1.0 + self.h3_wave_amp * np.sin(
-                2.0 * np.pi * x0 / st.mesh.lengths[0])
-            st.H.H3 = st.H.H3 * prof[(...,) + (None,) * 3]
         return st
 
 
 _KNOWN_KEYS = {
-    "preset", "mesh_n", "algebra", "h3_wave_amp", "mode", "t_end",
-    "cfl_sigma", "fixed_dt", "max_steps", "save_every", "report_stride",
-    "conj_mode", "n_override", "identity_rel_tol", "output_dir", "seed",
+    "preset", "mesh_n", "algebra", "mode", "t_end", "cfl_sigma", "fixed_dt",
+    "max_steps", "report_stride", "n_override", "identity_rel_tol",
+    "output_dir",
 }
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_positive(value, types) -> bool:
+    """A positive value of one of the given types; JSON booleans do not count."""
+    return isinstance(value, types) and not isinstance(value, bool) and value > 0
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -157,28 +153,28 @@ def load_config(path: str) -> ScenarioConfig:
     mode = raw.get("mode", "ungauged")
     if mode not in ("ungauged", "canonical"):
         problems.append(f"/mode: must be ungauged or canonical, got {mode!r}")
-    conj_mode = raw.get("conj_mode", "steady")
-    if conj_mode not in ("steady", "expander"):
-        problems.append(f"/conj_mode: must be steady or expander, got {conj_mode!r}")
     t_end = raw.get("t_end", 0.2)
-    if not (isinstance(t_end, (int, float)) and t_end > 0):
+    if not _is_positive(t_end, (int, float)):
         problems.append("/t_end: must be a positive number")
-    for key in ("mesh_n", "save_every", "report_stride", "max_steps", "seed"):
-        if key in raw and raw[key] is not None and (
-                not isinstance(raw[key], int) or raw[key] <= 0 and key != "seed"):
+    fixed_dt = raw.get("fixed_dt")
+    if fixed_dt is not None and not _is_positive(fixed_dt, (int, float)):
+        problems.append("/fixed_dt: must be a positive number")
+    for key in ("mesh_n", "report_stride", "max_steps"):
+        if raw.get(key) is not None and not _is_positive(raw[key], int):
             problems.append(f"/{key}: must be a positive integer")
     if problems:
         raise ConfigError(f"{path}: " + "; ".join(problems))
-    cfg = ScenarioConfig(preset=preset, mode=mode, conj_mode=conj_mode,
-                         t_end=float(t_end))
-    for key in ("mesh_n", "algebra", "h3_wave_amp", "cfl_sigma", "fixed_dt",
-                "max_steps", "save_every", "report_stride", "n_override",
-                "identity_rel_tol", "output_dir", "seed"):
+    cfg = ScenarioConfig(preset=preset, mode=mode, t_end=float(t_end))
+    for key in ("mesh_n", "algebra", "cfl_sigma", "fixed_dt", "max_steps",
+                "report_stride", "n_override", "identity_rel_tol",
+                "output_dir"):
         if key in raw and raw[key] is not None:
             setattr(cfg, key, raw[key])
     try:
         state = cfg.build_state()
         state.validate()
+    except GridError as exc:
+        raise ConfigError(f"{path}: invalid mesh: {exc}") from exc
     except algebra.AlgebraValidationError as exc:
         raise ConfigError(f"{path}: /algebra: {exc}") from exc
     except DomainError as exc:
@@ -314,10 +310,15 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
                 "stages": [], "status": "started"}
     icfg = flow.IntegratorConfig(
         t_end=cfg.t_end, cfl_sigma=cfg.cfl_sigma, max_steps=cfg.max_steps,
-        save_every=cfg.save_every, mode=cfg.mode, fixed_dt=cfg.fixed_dt)
+        mode=cfg.mode, fixed_dt=cfg.fixed_dt)
     hist = flow.run_flow(state, icfg)
     manifest["stages"].append("forward")
     manifest["steps"] = len(hist.times) - 1
+    if not hist.aborted and hist.times[-1] < cfg.t_end - 1e-14:
+        hist.aborted = True
+        hist.abort_reason = (
+            f"stopped at t = {hist.times[-1]:.6g} short of t_end = {cfg.t_end:.6g} "
+            f"after max_steps = {cfg.max_steps} steps")
     if hist.aborted:
         manifest["status"] = "aborted"
         manifest["abort_reason"] = hist.abort_reason
@@ -325,7 +326,7 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
         return 1
     n = cfg.n_override if cfg.n_override is not None else state.mesh.d
     try:
-        traj = conjugate.solve_backward(hist, mode=cfg.conj_mode, n=n)
+        traj = conjugate.solve_backward(hist, n=n)
     except DomainError as exc:
         manifest["status"] = "aborted"
         manifest["abort_reason"] = f"backward solve: {exc}"

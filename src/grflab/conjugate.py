@@ -10,7 +10,7 @@ canonical gauge the conjugate equation has no transport term at all; carrying
 it back to the ungauged system along the particle flow of q contributes a full
 -<q, grad u>.  That value (-1) is the only choice that keeps the mass exactly
 constant in the continuum, which is the defining property of the density, so
-it is the default here.
+it is the value used here.
 """
 
 from __future__ import annotations
@@ -19,8 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DomainError, Mesh
-from .geometry import DerivedGeometry, GeometryState, derive, laplacian
+from .fields import DomainError, integrate_values
+from .geometry import (
+    DerivedGeometry,
+    GeometryState,
+    _derivs,
+    derive,
+    laplacian,
+    norm_sq_DG,
+    norm_sq_F,
+)
 from . import torsion
 
 Q_COEFF = -1.0
@@ -28,16 +36,13 @@ Q_COEFF = -1.0
 
 @dataclass
 class ConjugateState:
-    """Positive density u at one time, with its mass and potential mode."""
+    """Positive density u at one time, with its mass and the dimension
+    parameter n of the expander potential."""
 
     u: np.ndarray
     t: float
     mass: float
-    mode: str = "steady"
     n: int = 1
-
-    def potential_f(self) -> np.ndarray:
-        return potential(self.u, self.t, self.mode, self.n)
 
 
 def potential(u: np.ndarray, t: float, mode: str, n: int) -> np.ndarray:
@@ -53,37 +58,23 @@ def potential(u: np.ndarray, t: float, mode: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def density_from_potential(f: np.ndarray, t: float, mode: str, n: int) -> np.ndarray:
-    if mode == "steady":
-        return np.exp(-f)
-    if mode == "expander":
-        if t <= 0:
-            raise DomainError("expander density needs t > 0")
-        return np.exp(-f) / (4.0 * np.pi * t) ** (0.5 * n)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def dilaton_potential(state: GeometryState, der: DerivedGeometry,
                       full: np.ndarray | None = None) -> np.ndarray:
     """Zeroth-order coefficient: R_g - |DG|^2/4 - |F|^2/2 - tr_g calH / 4."""
     k = state.k
-    DGsq = np.einsum("...ab,...ij,...lm,...ail,...bjm->...",
-                     der.gi, der.Gi, der.Gi, der.DG, der.DG)
-    Fsq = np.einsum("...ac,...bd,...mn,...abm,...cdn->...",
-                    der.gi, der.gi, state.G, der.F, der.F)
     if full is None:
         full = torsion.pack_full(state.H, state.alg, state.mesh)
     calH, _ = torsion.h_contractions(state, der, full)
     trH_bb = np.einsum("...ab,...ab->...", der.gi, calH[..., k:, k:])
-    return der.R_g - 0.25 * DGsq - 0.5 * Fsq - 0.25 * trH_bb
+    return (der.R_g - 0.25 * norm_sq_DG(state, der)
+            - 0.5 * norm_sq_F(state, der) - 0.25 * trH_bb)
 
 
 def conj_rhs(u: np.ndarray, state: GeometryState,
-             der: DerivedGeometry | None = None,
-             q_coeff: float | None = None) -> np.ndarray:
+             der: DerivedGeometry | None = None) -> np.ndarray:
     """Forward-time rate of the density:
 
-        du/dt = -Lap u + V u + q_coeff * <q, grad u>,
+        du/dt = -Lap u + V u + Q_COEFF * <q, grad u>,
 
     with V the dilaton potential.  The equation is backward-parabolic, so it
     is integrated in reversed time by solve_backward.
@@ -92,39 +83,26 @@ def conj_rhs(u: np.ndarray, state: GeometryState,
         raise DomainError("density must be strictly positive")
     if der is None:
         der = derive(state, validated=True)
-    if q_coeff is None:
-        q_coeff = Q_COEFF
     mesh = state.mesh
     lap = laplacian(u, der.gi, der.Gamma, mesh)
     V = dilaton_potential(state, der)
-    drift = np.einsum("...a,...a->...", der.q, _coord_grad(u, mesh))
-    return -lap + V * u + q_coeff * drift
-
-
-def _coord_grad(u: np.ndarray, mesh: Mesh) -> np.ndarray:
-    from .geometry import _derivs
-
-    return _derivs(u, mesh)
+    drift = np.einsum("...a,...a->...", der.q, _derivs(u, mesh))
+    return -lap + V * u + Q_COEFF * drift
 
 
 def forward_heat_rhs(phi: np.ndarray, state: GeometryState,
-                     der: DerivedGeometry | None = None,
-                     q_coeff: float | None = None) -> np.ndarray:
+                     der: DerivedGeometry | None = None) -> np.ndarray:
     """Forward drift-diffusion paired with the density: d(phi)/dt = Lap phi
-    + q_coeff * <q, grad phi>.  The pairing integral of phi against u with
+    + Q_COEFF * <q, grad phi>.  The pairing integral of phi against u with
     the moving volume form is constant in time."""
     if der is None:
         der = derive(state, validated=True)
-    if q_coeff is None:
-        q_coeff = Q_COEFF
     lap = laplacian(phi, der.gi, der.Gamma, state.mesh)
-    drift = np.einsum("...a,...a->...", der.q, _coord_grad(phi, state.mesh))
-    return lap + q_coeff * drift
+    drift = np.einsum("...a,...a->...", der.q, _derivs(phi, state.mesh))
+    return lap + Q_COEFF * drift
 
 
 def mass_of(u: np.ndarray, state: GeometryState) -> float:
-    from .fields import integrate_values
-
     return integrate_values(u, state.g, state.mesh)
 
 
@@ -164,10 +142,10 @@ def _interp_state(hist, t: float) -> GeometryState:
     return out
 
 
-def solve_backward(hist, T: float | None = None, u_T: np.ndarray | None = None,
-                   mode: str = "steady", n: int | None = None,
-                   q_coeff: float | None = None) -> list[ConjugateState]:
-    """Integrate the density from t = T down to the start of the history.
+def solve_backward(hist, u_T: np.ndarray | None = None,
+                   n: int | None = None) -> list[ConjugateState]:
+    """Integrate the density from the last stored time T down to the start of
+    the history.
 
     The terminal profile defaults to the constant 1/Vol(g(T)).  Reversed time
     s = T - t makes the equation forward-parabolic; each stored interval is
@@ -175,17 +153,15 @@ def solve_backward(hist, T: float | None = None, u_T: np.ndarray | None = None,
     every stored time from T down to the start, in decreasing t order.
     """
     times = np.asarray(hist.times)
-    if T is None:
-        T = float(times[-1])
     if n is None:
         n = hist.states[0].mesh.d
-    iT = int(np.argmin(np.abs(times - T)))
+    iT = len(times) - 1
     sT = hist.states[iT]
     if u_T is None:
         vol = mass_of(np.ones(sT.mesh.shape), sT)
         u_T = np.full(sT.mesh.shape, 1.0 / vol)
     u = np.asarray(u_T, dtype=float).copy()
-    out = [ConjugateState(u.copy(), float(times[iT]), mass_of(u, sT), mode, n)]
+    out = [ConjugateState(u.copy(), float(times[iT]), mass_of(u, sT), n)]
     der_cache: dict = {}
 
     def rate(uu, t):
@@ -199,7 +175,7 @@ def solve_backward(hist, T: float | None = None, u_T: np.ndarray | None = None,
             if len(der_cache) > 8:
                 der_cache.pop(next(iter(der_cache)))
         # reversed-time rate: d u / d s = -(d u / d t)
-        return -conj_rhs(uu, st, der, q_coeff)
+        return -conj_rhs(uu, st, der)
 
     for i in range(iT, 0, -1):
         t1, t0 = float(times[i]), float(times[i - 1])
@@ -213,7 +189,7 @@ def solve_backward(hist, T: float | None = None, u_T: np.ndarray | None = None,
         if np.any(u <= 0) or not np.all(np.isfinite(u)):
             raise DomainError(
                 "density positivity lost in the backward solve; "
-                "the step size or snapshot stride is too large")
+                "the forward step size is too large")
         out.append(ConjugateState(u.copy(), t0, mass_of(u, hist.states[i - 1]),
-                                  mode, n))
+                                  n))
     return out

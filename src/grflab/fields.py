@@ -2,7 +2,7 @@
 
 The base is a flat periodic box (circle or 2-torus) with global coordinates.
 All fields are dense arrays with the grid axes first, followed by one axis per
-tensor slot.  Slots are tagged 'f' (fiber, range k) or 'b' (base, range d).
+tensor slot: a fiber slot has range k, a base slot range d.
 Derivatives are 4th-order central differences with periodic wraparound;
 integrals use the periodic rectangle rule, which is spectrally accurate for
 smooth periodic data.
@@ -10,15 +10,13 @@ smooth periodic data.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class GridError(ValueError):
-    """Structural misuse of meshes or fields."""
+    """Structural misuse of meshes."""
 
 
 class DomainError(ValueError):
@@ -70,59 +68,6 @@ class Mesh:
         return list(np.meshgrid(*axes, indexing="ij"))
 
 
-# symmetry metadata: list of ("sym"|"anti", slot_index, slot_index)
-@dataclass
-class Field:
-    mesh: Mesh
-    slots: str  # e.g. "" (scalar), "bb" (base metric), "aij" style is not used
-    values: np.ndarray
-    sym: list = dc_field(default_factory=list)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expected_grid = self.mesh.shape
-        if self.values.shape[: self.mesh.d] != expected_grid:
-            raise GridError(
-                f"field grid shape {self.values.shape[: self.mesh.d]} != mesh {expected_grid}"
-            )
-        dims = self.values.shape[self.mesh.d :]
-        if len(dims) != len(self.slots):
-            raise GridError(
-                f"slot signature {self.slots!r} does not match value rank {len(dims)}"
-            )
-        for tag, n in zip(self.slots, dims):
-            if tag == "b" and n != self.mesh.d:
-                raise GridError(f"base slot has range {n}, expected {self.mesh.d}")
-            if tag not in ("f", "b"):
-                raise GridError(f"unknown slot tag {tag!r}")
-        self.enforce_symmetries()
-
-    @property
-    def d(self) -> int:
-        return self.mesh.d
-
-    def slot_axis(self, i: int) -> int:
-        return self.mesh.d + i
-
-    def enforce_symmetries(self):
-        for kind, i, j in self.sym:
-            ai, aj = self.slot_axis(i), self.slot_axis(j)
-            swapped = np.swapaxes(self.values, ai, aj)
-            if kind == "sym":
-                self.values = 0.5 * (self.values + swapped)
-            elif kind == "anti":
-                self.values = 0.5 * (self.values - swapped)
-            else:
-                raise GridError(f"unknown symmetry kind {kind!r}")
-
-    def check_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("field contains NaN/Inf")
-
-    def copy(self) -> "Field":
-        return Field(self.mesh, self.slots, self.values.copy(), list(self.sym))
-
-
 # --- discrete calculus -------------------------------------------------------
 
 _D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2
@@ -137,28 +82,10 @@ def deriv_array(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out / h
 
 
-def partial_derivative(field: Field, axis: int) -> Field:
-    """Componentwise base-coordinate derivative; same slot signature."""
-    if not 0 <= axis < field.mesh.d:
-        raise GridError(f"axis {axis} out of range for d={field.mesh.d}")
-    h = field.mesh.spacings[axis]
-    return Field(field.mesh, field.slots, deriv_array(field.values, axis, h), list(field.sym))
-
-
 def metric_det(g: np.ndarray, d: int) -> np.ndarray:
     if d == 1:
         return g[..., 0, 0]
     return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-
-
-def integrate(scalar: Field, g: Field) -> float:
-    """Integral of a scalar field against the volume form of base metric g."""
-    if scalar.slots != "":
-        raise GridError("integrate expects a scalar field")
-    det = metric_det(g.values, g.mesh.d)
-    if np.any(det <= 0):
-        raise DomainError("base metric has nonpositive determinant")
-    return float(np.sum(scalar.values * np.sqrt(det)) * scalar.mesh.cell_volume)
 
 
 def integrate_values(values: np.ndarray, g_values: np.ndarray, mesh: Mesh) -> float:
@@ -166,78 +93,3 @@ def integrate_values(values: np.ndarray, g_values: np.ndarray, mesh: Mesh) -> fl
     if np.any(det <= 0):
         raise DomainError("base metric has nonpositive determinant")
     return float(np.sum(values * np.sqrt(det)) * mesh.cell_volume)
-
-
-def inverse_metric(field: Field) -> Field:
-    """Pointwise inverse of a metric field (slots 'ff' or 'bb')."""
-    vals = field.values
-    det = metric_det(vals, vals.shape[-1]) if vals.shape[-1] <= 2 else None
-    if det is not None and np.any(np.abs(det) < 1e-300):
-        raise DomainError("singular metric")
-    try:
-        inv = np.linalg.inv(vals)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("singular metric") from exc
-    return Field(field.mesh, field.slots, inv, [("sym", 0, 1)])
-
-
-def contract(plan: str, *fields: Field) -> Field:
-    """Pointwise Einstein contraction of fields over their slot axes.
-
-    `plan` is an einsum-style subscript over slot letters only, e.g.
-    "aij,bij->ab"; the grid axes are broadcast.  Repeated letters are summed.
-    Paired slots must have compatible tags; metric inverses are not implicit
-    and must be supplied as explicit factor fields (see inverse_metric).
-    """
-    lhs, _, rhs = plan.partition("->")
-    specs = lhs.split(",")
-    if len(specs) != len(fields):
-        raise GridError(f"plan lists {len(specs)} factors but {len(fields)} fields given")
-    mesh = fields[0].mesh
-    tag_of = {}
-    for spec, f in zip(specs, fields):
-        if f.mesh is not mesh and f.mesh != mesh:
-            raise GridError("all fields must share a mesh")
-        if len(spec) != len(f.slots):
-            raise GridError(f"subscript {spec!r} does not match slots {f.slots!r}")
-        for letter, tag in zip(spec, f.slots):
-            if tag_of.setdefault(letter, tag) != tag:
-                raise GridError(f"index {letter!r} pairs incompatible slot ranges")
-    out_slots = "".join(tag_of[letter] for letter in rhs)
-    sub = ",".join("..." + s for s in specs) + "->..." + rhs
-    vals = np.einsum(sub, *[f.values for f in fields])
-    return Field(mesh, out_slots, vals)
-
-
-# --- serialization -----------------------------------------------------------
-
-def save_field(f: Field, path: Path, fmt: str = "bin"):
-    """Write JSON metadata plus flat little-endian float64 payload (or CSV)."""
-    path = Path(path)
-    meta = {
-        "sizes": list(f.mesh.sizes),
-        "lengths": list(f.mesh.lengths),
-        "slots": f.slots,
-        "shape": list(f.values.shape),
-        "sym": [list(s) for s in f.sym],
-        "format": fmt,
-    }
-    path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
-    if fmt == "bin":
-        f.values.astype("<f8").tofile(path.with_suffix(".bin"))
-    elif fmt == "csv":
-        np.savetxt(path.with_suffix(".csv"), f.values.reshape(-1), delimiter=",")
-    else:
-        raise GridError(f"unknown field format {fmt!r}")
-
-
-def load_field(path: Path) -> Field:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(".json").read_text())
-    mesh = Mesh(tuple(meta["sizes"]), tuple(meta["lengths"]))
-    if meta["format"] == "bin":
-        vals = np.fromfile(path.with_suffix(".bin"), dtype="<f8")
-    else:
-        vals = np.loadtxt(path.with_suffix(".csv"), delimiter=",", ndmin=1)
-    vals = vals.reshape(meta["shape"])
-    return Field(mesh, meta["slots"], vals, [tuple(s) for s in meta["sym"]])

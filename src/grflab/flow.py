@@ -24,7 +24,6 @@ import numpy as np
 from .algebra import require_valid
 from .fields import DomainError, Mesh, deriv_array
 from .geometry import (
-    DerivedGeometry,
     GeometryState,
     TorsionField,
     _derivs,
@@ -38,16 +37,12 @@ from . import torsion
 
 @dataclass
 class FlowRHS:
-    """Time derivatives of the stored fields, plus per-evaluation extras."""
+    """Time derivatives of the stored fields."""
 
     dG: np.ndarray
     dg: np.ndarray
     dA: np.ndarray
     dH: TorsionField
-    der: DerivedGeometry
-    calH: np.ndarray
-    Hsq: np.ndarray
-    scalar: np.ndarray
 
 
 def lie_derivative_base(q: np.ndarray, g: np.ndarray, Gamma: np.ndarray,
@@ -60,17 +55,15 @@ def lie_derivative_base(q: np.ndarray, g: np.ndarray, Gamma: np.ndarray,
 
 
 def evaluate_rhs(state: GeometryState, mode: str = "ungauged",
-                 f: np.ndarray | None = None,
-                 der: DerivedGeometry | None = None) -> FlowRHS:
+                 f: np.ndarray | None = None) -> FlowRHS:
     """Assemble the full system right-hand side in the requested gauge."""
-    if der is None:
-        der = derive(state, validated=True)
+    der = derive(state, validated=True)
     mesh, k = state.mesh, state.k
     Gi, gi, q = der.Gi, der.gi, der.q
 
-    Ric_ff, Ric_fb, Ric_bb, scalar = ricci_blocks(state, der)
+    Ric_ff, Ric_fb, Ric_bb = ricci_blocks(state, der)
     full = torsion.pack_full(state.H, state.alg, mesh)
-    calH, Hsq = torsion.h_contractions(state, der, full)
+    calH, _ = torsion.h_contractions(state, der, full)
 
     dG = -2.0 * Ric_ff + 0.5 * calH[..., :k, :k]
     dg = -2.0 * Ric_bb + 0.5 * calH[..., k:, k:]
@@ -99,19 +92,7 @@ def evaluate_rhs(state: GeometryState, mode: str = "ungauged",
     dH_full = dH_full - torsion.moving_frame_correction(full, dA, k)
     dH = torsion.unpack_full(dH_full, k)
 
-    return FlowRHS(dG, dg, dA, dH, der, calH, Hsq, scalar)
-
-
-def rhs_ungauged(state: GeometryState) -> FlowRHS:
-    return evaluate_rhs(state, "ungauged")
-
-
-def rhs_canonical(state: GeometryState) -> FlowRHS:
-    return evaluate_rhs(state, "canonical")
-
-
-def rhs_general(state: GeometryState, f: np.ndarray) -> FlowRHS:
-    return evaluate_rhs(state, "general", f)
+    return FlowRHS(dG, dg, dA, dH)
 
 
 # --- time stepping -----------------------------------------------------------
@@ -121,8 +102,6 @@ class IntegratorConfig:
     t_end: float
     cfl_sigma: float = 0.1
     max_steps: int = 200000
-    save_every: int = 1
-    spd_floor: float = 1e-10
     mode: str = "ungauged"
     fixed_dt: float | None = None
 
@@ -152,12 +131,11 @@ def _axpy(state: GeometryState, rhs: FlowRHS, dt: float) -> GeometryState:
     )
 
 
-def rk4_step(state: GeometryState, dt: float, mode: str,
-             f: np.ndarray | None = None) -> GeometryState:
-    k1 = evaluate_rhs(state, mode, f)
-    k2 = evaluate_rhs(_axpy(state, k1, 0.5 * dt), mode, f)
-    k3 = evaluate_rhs(_axpy(state, k2, 0.5 * dt), mode, f)
-    k4 = evaluate_rhs(_axpy(state, k3, dt), mode, f)
+def rk4_step(state: GeometryState, dt: float, mode: str) -> GeometryState:
+    k1 = evaluate_rhs(state, mode)
+    k2 = evaluate_rhs(_axpy(state, k1, 0.5 * dt), mode)
+    k3 = evaluate_rhs(_axpy(state, k2, 0.5 * dt), mode)
+    k4 = evaluate_rhs(_axpy(state, k3, dt), mode)
     out = state.copy()
     out.t = state.t + dt
     out.G = state.G + (dt / 6.0) * (k1.dG + 2 * k2.dG + 2 * k3.dG + k4.dG)
@@ -189,13 +167,11 @@ class FlowHistory:
         return self.states[i]
 
 
-def run_flow(state: GeometryState, config: IntegratorConfig,
-             f_of_t=None) -> FlowHistory:
-    """March the system to t_end, recording every save_every-th state.
+def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
+    """March the system to t_end, recording every state.
 
-    f_of_t, if given, maps a state to the scalar potential for the general
-    gauge.  Aborts (history.aborted) when a metric leaves the SPD cone or a
-    field stops being finite.
+    Aborts (history.aborted) when a metric leaves the SPD cone or a field
+    stops being finite.  Stops without aborting after max_steps steps.
     """
     require_valid(state.alg)
     hist = FlowHistory()
@@ -205,10 +181,9 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
     while cur.t < config.t_end - 1e-14 and steps < config.max_steps:
         dt = config.fixed_dt if config.fixed_dt else cfl_dt(cur, config.cfl_sigma)
         dt = min(dt, config.t_end - cur.t)
-        f = f_of_t(cur) if f_of_t is not None else None
         try:
-            nxt = rk4_step(cur, dt, config.mode, f)
-            nxt.validate(config.spd_floor)
+            nxt = rk4_step(cur, dt, config.mode)
+            nxt.validate()
             if not (np.all(np.isfinite(nxt.G)) and np.all(np.isfinite(nxt.g))
                     and np.all(np.isfinite(nxt.A))):
                 raise DomainError("fields are no longer finite")
@@ -218,8 +193,7 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
             break
         cur = nxt
         steps += 1
-        if steps % config.save_every == 0 or cur.t >= config.t_end - 1e-14:
-            hist.append(cur)
+        hist.append(cur)
     return hist
 
 
@@ -351,8 +325,3 @@ def gauge_equivalence_report(hist_ungauged: FlowHistory,
         "H03": float(np.max(np.abs(pulled.H.H03 - fc.H.H03))),
     }
     return gaps
-
-
-def gauge_flow_check(hist_ungauged: FlowHistory, hist_canonical: FlowHistory,
-                     t: float) -> dict:
-    return gauge_equivalence_report(hist_ungauged, hist_canonical, t)

@@ -16,36 +16,22 @@ from .fields import DomainError, integrate_values
 from .geometry import (
     DerivedGeometry,
     GeometryState,
+    _derivs,
     derive,
     gradient,
     hessian,
     laplacian,
+    norm_sq_bracket,
+    norm_sq_DG,
+    norm_sq_F,
 )
 from . import torsion
 
 
 # --- pointwise scalar densities ----------------------------------------------
 
-def norm_sq_DG(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
-    return np.einsum("...ab,...ij,...lm,...ail,...bjm->...",
-                     der.gi, der.Gi, der.Gi, der.DG, der.DG)
-
-
-def norm_sq_F(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
-    return np.einsum("...ac,...bd,...mn,...abm,...cdn->...",
-                     der.gi, der.gi, state.G, der.F, der.F)
-
-
-def norm_sq_bracket(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
-    b = state.alg.beta
-    return np.einsum("...ip,...jq,...mn,mij,npq->...",
-                     der.Gi, der.Gi, state.G, b, b)
-
-
 def grad_norm_sq(f: np.ndarray, state: GeometryState,
                  der: DerivedGeometry) -> np.ndarray:
-    from .geometry import _derivs
-
     df = _derivs(f, state.mesh)
     return np.einsum("...ab,...a,...b->...", der.gi, df, df)
 
@@ -171,11 +157,8 @@ def _norm_sq_Tg(Tg, gi):
     return np.einsum("...ac,...bd,...ab,...cd->...", gi, gi, Tg, Tg)
 
 
-def _norm_sq_TH(TH, Gi, gi, k):
-    gE = np.zeros(TH.shape[:-2] + TH.shape[-2:])
-    gE[..., :k, :k] = Gi
-    gE[..., k:, k:] = gi
-    return np.einsum("...ac,...bd,...ab,...cd->...", gE, gE, TH, TH)
+def _norm_sq_TH(TH, gEi):
+    return np.einsum("...ac,...bd,...ab,...cd->...", gEi, gEi, TH, TH)
 
 
 def residuals_F(state: GeometryState, f: np.ndarray,
@@ -192,11 +175,11 @@ def residuals_F(state: GeometryState, f: np.ndarray,
     if full is None:
         full = torsion.pack_full(state.H, state.alg, state.mesh)
     rt = residual_tensors(state, f, der, full)
-    k = state.k
     R1 = 0.5 * _weighted_integral(_norm_sq_TG(rt.TG, der.Gi), f, state)
     R2 = _weighted_integral(_norm_sq_TA(rt.TA, state.G, der.gi), f, state)
     R3 = 0.5 * _weighted_integral(_norm_sq_Tg(rt.Tg, der.gi), f, state)
-    R4 = 0.5 * _weighted_integral(_norm_sq_TH(rt.TH, der.Gi, der.gi, k), f, state)
+    R4 = 0.5 * _weighted_integral(
+        _norm_sq_TH(rt.TH, torsion.inverse_frame_metric(der)), f, state)
     return R1, R2, R3, R4
 
 
@@ -217,8 +200,8 @@ def residuals_W(state: GeometryState, f: np.ndarray, t: float, n: int,
     R1 = 0.5 * t * w * _weighted_integral(_norm_sq_TG(rt.TG, der.Gi), f, state)
     R2 = t * w * _weighted_integral(_norm_sq_TA(rt.TA, state.G, der.gi), f, state)
     R3 = 0.5 * t * w * _weighted_integral(_norm_sq_Tg(rt.Tg, der.gi), f, state)
-    R4 = 0.5 * t * w * _weighted_integral(_norm_sq_TH(rt.TH, der.Gi, der.gi, k),
-                                          f, state)
+    R4 = 0.5 * t * w * _weighted_integral(
+        _norm_sq_TH(rt.TH, torsion.inverse_frame_metric(der)), f, state)
     calH, Hsq = torsion.h_contractions(state, der, full)
     trG_ff = np.einsum("...ij,...ij->...", der.Gi, calH[..., :k, :k])
     extra_dens = (0.25 * norm_sq_F(state, der)
@@ -248,7 +231,7 @@ def variation_formula_F(state: GeometryState, f: np.ndarray,
     """Closed-form first variation of the energy along the direction."""
     if der is None:
         der = derive(state, validated=True)
-    mesh, k = state.mesh, state.k
+    mesh = state.mesh
     full = torsion.pack_full(state.H, state.alg, mesh)
     rt = residual_tensors(state, f, der, full)
     Gi, gi = der.Gi, der.gi
@@ -263,11 +246,9 @@ def variation_formula_F(state: GeometryState, f: np.ndarray,
     I3 = 0.5 * _weighted_integral(
         np.einsum("...ac,...bd,...ab,...cd->...", gi, gi, direction.dg, rt.Tg),
         f, state)
-    gE = np.zeros(full.shape[:-3] + (k + mesh.d,) * 2)
-    gE[..., :k, :k] = Gi
-    gE[..., k:, k:] = gi
+    gEi = torsion.inverse_frame_metric(der)
     I4 = 0.5 * _weighted_integral(
-        np.einsum("...ac,...bd,...ab,...cd->...", gE, gE, direction.Bdot, rt.TH),
+        np.einsum("...ac,...bd,...ab,...cd->...", gEi, gEi, direction.Bdot, rt.TH),
         f, state)
     _, Hsq = torsion.h_contractions(state, der, full)
     lam = (2.0 * laplacian(f, gi, der.Gamma, mesh)
@@ -280,7 +261,7 @@ def variation_formula_F(state: GeometryState, f: np.ndarray,
 
 
 def perturbed_state(state: GeometryState, direction: VariationDirection,
-                    eps: float) -> tuple[GeometryState, np.ndarray]:
+                    eps: float) -> GeometryState:
     """First-order deformation of the stored fields.  The stored torsion rate
     is the exterior derivative of Bdot corrected for the rotating splitting."""
     der = derive(state, validated=True)
@@ -317,38 +298,6 @@ def variation_check_F(state: GeometryState, f: np.ndarray,
 
 
 # --- soliton detection -------------------------------------------------------
-
-def expander_residuals(state: GeometryState, t: float,
-                       der: DerivedGeometry | None = None) -> dict:
-    """Pointwise residual norms of the expanding rigidity system: stationary
-    fiber metric up to its own quadratic term, and base metric shrinking at
-    rate g/(2t); together with the norms of F, H, and the determinant drift."""
-    if t <= 0:
-        raise DomainError("expander residuals need t > 0")
-    if der is None:
-        der = derive(state, validated=True)
-    mesh = state.mesh
-    Gi, gi, DG, DDG = der.Gi, der.gi, der.DG, der.DDG
-    E1 = (np.einsum("...ab,...abij->...ij", gi, DDG)
-          - np.einsum("...ab,...lm,...ail,...bjm->...ij", gi, Gi, DG, DG))
-    E2 = (der.Ric_g
-          - 0.25 * np.einsum("...ip,...jq,...aij,...bpq->...ab", Gi, Gi, DG, DG)
-          + state.g / (2.0 * t))
-    from .geometry import _derivs
-
-    detG = np.linalg.det(state.G)
-    ddet = _derivs(np.log(detG), mesh)
-    H = state.H
-    Hnorm = max(np.max(np.abs(H.H3)), np.max(np.abs(H.H21)),
-                np.max(np.abs(H.H12)), np.max(np.abs(H.H03)))
-    return {
-        "fiber_stationarity": float(np.max(np.abs(E1))),
-        "base_soliton": float(np.max(np.abs(E2))),
-        "F_norm": float(np.max(np.abs(der.F))),
-        "H_norm": float(Hnorm),
-        "detG_drift": float(np.max(np.abs(ddet))),
-    }
-
 
 def soliton_detect(report_rows: list[dict], threshold: float = 1e-6) -> dict:
     """Scan a report series for steady rigidity: all four dissipation

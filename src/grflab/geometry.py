@@ -280,11 +280,32 @@ def laplacian(f: np.ndarray, gi: np.ndarray, Gamma: np.ndarray, mesh: Mesh) -> n
     return np.einsum("...ab,...ab->...", gi, hessian(f, Gamma, mesh))
 
 
+# --- pointwise squared norms -------------------------------------------------
+
+def norm_sq_DG(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+    """|DG|^2 = g^{ab} G^{ij} G^{lm} DG_{a, il} DG_{b, jm}."""
+    return np.einsum("...ab,...ij,...lm,...ail,...bjm->...",
+                     der.gi, der.Gi, der.Gi, der.DG, der.DG)
+
+
+def norm_sq_F(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+    """|F|^2 = g^{ac} g^{bd} G_mn F^m_ab F^n_cd."""
+    return np.einsum("...ac,...bd,...mn,...abm,...cdn->...",
+                     der.gi, der.gi, state.G, der.F, der.F)
+
+
+def norm_sq_bracket(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+    """|[,]|^2 = G^{ip} G^{jq} G_mn beta^m_ij beta^n_pq."""
+    b = state.alg.beta
+    return np.einsum("...ip,...jq,...mn,mij,npq->...",
+                     der.Gi, der.Gi, state.G, b, b)
+
+
 def ricci_blocks(state: GeometryState, der: DerivedGeometry):
-    """Ricci blocks and scalar curvature of the algebroid connection.
+    """Ricci blocks of the algebroid connection.
 
     Closed forms valid for a nilpotent structure algebra.  Returns
-    (Ric_ff, Ric_fb, Ric_bb, scalar) with Ric_fb[..., i, a].
+    (Ric_ff, Ric_fb, Ric_bb) with Ric_fb[..., i, a].
     """
     b = state.alg.beta
     G = state.G
@@ -312,18 +333,7 @@ def ricci_blocks(state: GeometryState, der: DerivedGeometry):
         + 0.25 * np.einsum("...ik,...jl,...aij,...bkl->...ab", Gi, Gi, DG, DG)
         - 0.5 * np.einsum("...cd,...mn,...acm,...bdn->...ab", gi, G, F, F)
     )
-    DGsq = np.einsum("...ab,...ik,...jl,...aij,...bkl->...", gi, Gi, Gi, DG, DG)
-    Fsq = np.einsum("...ac,...bd,...mn,...abm,...cdn->...", gi, gi, G, F, F)
-    brsq = np.einsum("...ik,...jl,...mn,mij,nkl->...", Gi, Gi, G, b, b)
-    scalar = (
-        der.R_g
-        - np.einsum("...ab,...ij,...abij->...", gi, Gi, DDG)
-        - 0.25 * np.einsum("...ab,...a,...b->...", gi, trDG, trDG)
-        + 0.75 * DGsq
-        - 0.25 * Fsq
-        - 0.25 * brsq
-    )
-    return Ric_ff, Ric_fb, Ric_bb, scalar
+    return Ric_ff, Ric_fb, Ric_bb
 
 
 def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> CurvatureBlocks:
@@ -381,5 +391,14 @@ def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> Curvatu
     y3 = 0.25 * np.einsum("...mn,...acm,...ben->...abce", G, F, F)
     bbbb = RL + y1 + y2 + y3
 
-    Ric_ff, Ric_fb, Ric_bb, scalar = ricci_blocks(state, der)
+    Ric_ff, Ric_fb, Ric_bb = ricci_blocks(state, der)
+    trDG = np.einsum("...kl,...akl->...a", Gi, DG)
+    scalar = (
+        der.R_g
+        - np.einsum("...ab,...ij,...abij->...", gi, Gi, DDG)
+        - 0.25 * np.einsum("...ab,...a,...b->...", gi, trDG, trDG)
+        + 0.75 * norm_sq_DG(state, der)
+        - 0.25 * norm_sq_F(state, der)
+        - 0.25 * norm_sq_bracket(state, der)
+    )
     return CurvatureBlocks(ffff, ffbf, fbbf, fbbb, bbbb, Ric_ff, Ric_fb, Ric_bb, scalar)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import LieAlgebra
 from .fields import Mesh, deriv_array
 from .geometry import GeometryState, TorsionField, compute_F
 from .torsion import pack_full

@@ -71,28 +71,13 @@ def unpack_full(full: np.ndarray, k: int) -> TorsionField:
     )
 
 
-def pack_two_form(ff: np.ndarray, fb: np.ndarray, bb: np.ndarray,
-                  k: int, mesh: Mesh) -> np.ndarray:
-    """Assemble 2-form blocks (ff antisym, fb[..., i, a], bb antisym) into
-    one antisymmetric (..., K, K) array."""
-    d = mesh.d
-    K = k + d
-    full = np.zeros(mesh.shape + (K, K))
-    full[..., :k, :k] = ff
-    full[..., :k, k:] = fb
-    full[..., k:, :k] = -np.swapaxes(fb, -1, -2)
-    full[..., k:, k:] = bb
-    return full
-
-
-def frame_metric(G: np.ndarray, g: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Block-diagonal combined metric (..., K, K), fiber block first."""
-    k = G.shape[-1]
-    d = mesh.d
-    gE = np.zeros(mesh.shape + (k + d, k + d))
-    gE[..., :k, :k] = G
-    gE[..., k:, k:] = g
-    return gE
+def inverse_frame_metric(der: DerivedGeometry) -> np.ndarray:
+    """Block-diagonal inverse of the combined metric (..., K, K), fiber block first."""
+    k, d = der.Gi.shape[-1], der.gi.shape[-1]
+    gEi = np.zeros(der.Gi.shape[:-2] + (k + d, k + d))
+    gEi[..., :k, :k] = der.Gi
+    gEi[..., k:, k:] = der.gi
+    return gEi
 
 
 def structure_functions(state: GeometryState, F: np.ndarray | None = None) -> np.ndarray:
@@ -192,10 +177,7 @@ def h_contractions(state: GeometryState, der: DerivedGeometry,
     """
     if full is None:
         full = pack_full(state.H, state.alg, state.mesh)
-    gEi = np.zeros_like(frame_metric(state.G, state.g, state.mesh))
-    k = state.k
-    gEi[..., :k, :k] = der.Gi
-    gEi[..., k:, k:] = der.gi
+    gEi = inverse_frame_metric(der)
     calH = np.einsum("...acd,...bef,...ce,...df->...ab", full, full, gEi, gEi)
     Hsq = np.einsum("...ab,...ab->...", gEi, calH)
     return calH, Hsq
@@ -298,12 +280,6 @@ def minus_dstar(state: GeometryState, der: DerivedGeometry,
     """-d*H as a full antisymmetric (..., K, K) array (closed-form path)."""
     t1, t2, t3, t4, t5 = minus_dstar_terms(state, der, full)
     return t1 + t2 + t3 + t4 + t5
-
-
-def dstar_H(state: GeometryState, der: DerivedGeometry,
-            full: np.ndarray | None = None) -> np.ndarray:
-    """d*H as a full antisymmetric (..., K, K) array."""
-    return -minus_dstar(state, der, full)
 
 
 def splitting_identity(state: GeometryState, der: DerivedGeometry,

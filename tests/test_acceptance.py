@@ -13,7 +13,8 @@ from conftest import flat_abelian_state, heisenberg_state
 from grflab import algebra, cli, functionals, oracle, torsion
 from grflab.cli import ScenarioConfig, random_state, run_pipeline
 from grflab.fields import Mesh
-from grflab.flow import (IntegratorConfig, gauge_flow_check, run_flow)
+from grflab.flow import (IntegratorConfig, evaluate_rhs,
+                         gauge_equivalence_report, run_flow)
 from grflab.geometry import (GeometryState, TorsionField, curvature_closed_form,
                              derive, ricci_blocks)
 
@@ -147,12 +148,12 @@ def test_splitting_identity_random_samples():
 def test_heisenberg_point_values():
     st = heisenberg_state()
     der = derive(st)
-    Ric_ff, _, _, scalar = ricci_blocks(st, der)
+    Ric_ff, _, _ = ricci_blocks(st, der)
+    scalar = curvature_closed_form(st, der).scalar
     assert np.max(np.abs(Ric_ff - np.diag([-0.5, -0.5, 0.5]))) < 1e-10
     assert np.max(np.abs(scalar + 0.5)) < 1e-10
-    from grflab.flow import rhs_ungauged
 
-    rhs = rhs_ungauged(st)
+    rhs = evaluate_rhs(st, "ungauged")
     assert np.max(np.abs(rhs.dG - np.diag([1.0, 1.0, -1.0]))) < 1e-10
     assert functionals.eval_F(st, np.zeros(st.mesh.shape)) == pytest.approx(
         -0.5, abs=1e-10)
@@ -244,7 +245,7 @@ def gauge_gap(N, t_end=0.05, dt=2e-4):
     assert not hu.aborted and not hc.aborted
     assert torsion.closedness_residual(hu.states[-1]) < 1e-6
     assert torsion.closedness_residual(hc.states[-1]) < 1e-6
-    gaps = gauge_flow_check(hu, hc, t_end)
+    gaps = gauge_equivalence_report(hu, hc, t_end)
     return max(gaps.values())
 
 
@@ -271,8 +272,7 @@ def test_variation_formula_random_directions():
 def test_flat_fixed_point_and_torsion_closedness(heis_run, flat_run, torus_run,
                                        inoue_run):
     st = flat_abelian_state(N=8)
-    hist = run_flow(st, IntegratorConfig(t_end=100.0, max_steps=1000,
-                                         save_every=1000))
+    hist = run_flow(st, IntegratorConfig(t_end=100.0, max_steps=1000))
     assert not hist.aborted
     final = hist.states[-1]
     assert np.max(np.abs(final.G - st.G)) < 1e-12

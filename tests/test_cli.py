@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,10 +55,43 @@ def test_load_config_rejects_non_nilpotent_algebra(tmp_path):
         load_config(path)
 
 
-def test_load_config_rejects_non_closed_torsion(tmp_path):
-    path = write_config(tmp_path, preset="inoue-like", h3_wave_amp=0.5)
+def test_load_config_rejects_non_closed_torsion(tmp_path, monkeypatch):
+    # an x-dependent pure-fiber component over a circle is never closed
+    def modulated_inoue(N=64):
+        st = cli.preset_inoue_like(N)
+        (x,) = st.mesh.coords()
+        prof = 1.0 + 0.5 * np.sin(2.0 * np.pi * x / st.mesh.lengths[0])
+        st.H.H3 = st.H.H3 * prof[..., None, None, None]
+        return st
+
+    monkeypatch.setitem(cli.PRESETS, "inoue-like", modulated_inoue)
+    path = write_config(tmp_path, preset="inoue-like")
     with pytest.raises(ConfigError, match="dH"):
         load_config(path)
+
+
+def test_load_config_rejects_nonpositive_fixed_dt(tmp_path):
+    for bad in (-0.001, 0, True, "0.001"):
+        path = write_config(tmp_path, preset="flat-abelian", fixed_dt=bad)
+        with pytest.raises(ConfigError, match="/fixed_dt"):
+            load_config(path)
+
+
+@pytest.mark.parametrize("mesh_n", [4, True])
+def test_run_rejects_bad_mesh_in_one_line(tmp_path, capsys, mesh_n):
+    path = write_config(tmp_path, preset="flat-abelian", mesh_n=mesh_n)
+    assert cli.main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "mesh" in err
+    assert "Traceback" not in err
+
+
+def test_readme_config_table_matches_loader():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1].split("\n#", 1)[0]
+    keys = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
+    assert keys == cli._KNOWN_KEYS
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -106,6 +141,20 @@ def test_abort_leaves_manifest(tmp_path):
     assert manifest["status"] == "aborted"
     assert manifest["abort_reason"]
     assert manifest["stages"] == ["forward"]
+
+
+def test_truncated_run_is_aborted(tmp_path):
+    # max_steps stops the forward flow at t = 0.005 of t_end = 0.2
+    out = tmp_path / "out"
+    path = write_config(tmp_path, preset="flat-abelian", mesh_n=16,
+                        fixed_dt=0.001, max_steps=5, output_dir=str(out))
+    assert cli.main(["run", path]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "aborted"
+    assert manifest["stages"] == ["forward"]
+    assert manifest["steps"] == 5
+    assert "t = 0.005" in manifest["abort_reason"]
+    assert "max_steps = 5" in manifest["abort_reason"]
 
 
 def test_output_root_env(tmp_path, monkeypatch):

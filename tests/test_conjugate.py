@@ -6,8 +6,7 @@ import pytest
 from conftest import flat_abelian_state
 from grflab import conjugate
 from grflab.cli import preset_flat_abelian, preset_heisenberg_s1
-from grflab.conjugate import (ConjugateState, conj_rhs, density_from_potential,
-                              forward_heat_rhs, mass_of, potential,
+from grflab.conjugate import (conj_rhs, forward_heat_rhs, mass_of, potential,
                               solve_backward)
 from grflab.fields import DomainError
 from grflab.flow import FlowHistory, IntegratorConfig, run_flow
@@ -37,10 +36,11 @@ def test_potential_trivial_and_roundtrip():
     assert np.max(np.abs(potential(u, 0.3, "steady", 1))) == 0.0
     rng = np.random.default_rng(0)
     u = 0.5 + rng.random(8)
-    for mode, t in (("steady", 0.1), ("expander", 0.7)):
-        f = potential(u, t, mode, 2)
-        back = density_from_potential(f, t, mode, 2)
-        assert np.max(np.abs(back - u)) < 1e-13
+    back = np.exp(-potential(u, 0.1, "steady", 2))
+    assert np.max(np.abs(back - u)) < 1e-13
+    t = 0.7
+    back = np.exp(-potential(u, t, "expander", 2)) / (4.0 * np.pi * t)
+    assert np.max(np.abs(back - u)) < 1e-13
 
 
 def test_potential_domain_errors():
@@ -121,9 +121,3 @@ def test_backward_maximum_principle_static():
         assert np.min(c.u) > 0.49
         assert np.max(c.u) < 1.51
         assert c.mass == pytest.approx(traj[0].mass, abs=1e-12)
-
-
-def test_conjugate_state_potential_mode():
-    c = ConjugateState(np.ones(4), 0.25, 1.0, mode="expander", n=2)
-    f = c.potential_f()
-    assert np.max(np.abs(f + np.log(np.pi))) < 1e-12

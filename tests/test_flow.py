@@ -7,16 +7,16 @@ from conftest import flat_abelian_state, heisenberg_state
 from grflab import algebra, flow
 from grflab.cli import preset_heisenberg_s1, random_state
 from grflab.flow import (FlowHistory, IntegratorConfig, blowdown_rescale,
-                         cfl_dt, evaluate_rhs, gauge_flow_check,
-                         pullback_state_1d, rhs_canonical, rhs_general,
-                         rhs_ungauged, rk4_step, run_flow, transport_map_1d)
+                         cfl_dt, evaluate_rhs, gauge_equivalence_report,
+                         pullback_state_1d, rk4_step, run_flow,
+                         transport_map_1d)
 from grflab.geometry import derive
 
 
 def test_flat_abelian_rhs_zero_all_gauges():
     st = flat_abelian_state()
-    for rhs in (rhs_ungauged(st), rhs_canonical(st),
-                rhs_general(st, np.zeros(st.mesh.shape))):
+    for rhs in (evaluate_rhs(st, "ungauged"), evaluate_rhs(st, "canonical"),
+                evaluate_rhs(st, "general", np.zeros(st.mesh.shape))):
         assert np.max(np.abs(rhs.dG)) < 1e-13
         assert np.max(np.abs(rhs.dg)) < 1e-13
         assert np.max(np.abs(rhs.dA)) < 1e-13
@@ -26,7 +26,7 @@ def test_flat_abelian_rhs_zero_all_gauges():
 
 def test_heisenberg_initial_rate():
     st = heisenberg_state()
-    rhs = rhs_ungauged(st)
+    rhs = evaluate_rhs(st, "ungauged")
     assert np.max(np.abs(rhs.dG - np.diag([1.0, 1.0, -1.0]))) < 1e-10
     assert np.max(np.abs(rhs.dg)) < 1e-10
     assert np.max(np.abs(rhs.dA)) < 1e-10
@@ -88,7 +88,7 @@ def test_blowdown_identity_and_flatness():
     assert np.max(np.abs(same.G - st.G)) == 0.0
     flat = flat_abelian_state()
     resc = blowdown_rescale(flat, 4.0)
-    rhs = rhs_ungauged(resc)
+    rhs = evaluate_rhs(resc, "ungauged")
     assert np.max(np.abs(rhs.dG)) < 1e-13
     assert np.max(np.abs(rhs.dg)) < 1e-13
     with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ def test_gauge_check_trivial_on_homogeneous_data():
     st = preset_heisenberg_s1(16)
     hu = run_flow(st, IntegratorConfig(t_end=0.01, mode="ungauged"))
     hc = run_flow(st, IntegratorConfig(t_end=0.01, mode="canonical"))
-    gaps = gauge_flow_check(hu, hc, 0.01)
+    gaps = gauge_equivalence_report(hu, hc, 0.01)
     assert max(gaps.values()) < 1e-10
 
 

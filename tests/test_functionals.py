@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_state, flat_abelian_state, heisenberg_state
-from grflab import algebra, functionals
+from grflab import algebra
 from grflab.cli import preset_inoue_like, random_state
 from grflab.fields import DomainError, integrate_values
 from grflab.flow import blowdown_rescale
@@ -192,14 +192,3 @@ def test_soliton_detect():
     assert not soliton_detect(heis_rows)["steady_rigidity"]
     with pytest.raises(ValueError):
         soliton_detect([])
-
-
-def test_expander_residuals_flat_static():
-    st = flat_abelian_state(N=32)
-    res = functionals.expander_residuals(st, t=1.0)
-    assert res["fiber_stationarity"] < 1e-13
-    assert res["F_norm"] == 0.0
-    assert res["H_norm"] == 0.0
-    assert res["detG_drift"] < 1e-13
-    # a static flat base is not an expanding soliton: residual = g/(2t)
-    assert res["base_soliton"] == pytest.approx(0.5, abs=1e-12)

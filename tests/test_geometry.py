@@ -10,6 +10,7 @@ from grflab.geometry import (GeometryState, TorsionField, check_spd_field,
                              compute_DDG, compute_DG, compute_F, compute_q,
                              curvature_closed_form, derive, gradient, hessian,
                              laplacian, levi_civita, min_eig_field,
+                             norm_sq_bracket, norm_sq_DG, norm_sq_F,
                              ricci_blocks)
 from grflab.cli import random_state
 
@@ -47,12 +48,23 @@ def test_flat_abelian_curvature_zero():
 def test_heisenberg_point_values():
     st = heisenberg_state()
     der = derive(st)
-    Ric_ff, Ric_fb, Ric_bb, scalar = ricci_blocks(st, der)
+    Ric_ff, Ric_fb, Ric_bb = ricci_blocks(st, der)
+    scalar = curvature_closed_form(st, der).scalar
     expected = np.diag([-0.5, -0.5, 0.5])
     assert np.max(np.abs(Ric_ff - expected)) < 1e-10
     assert np.max(np.abs(Ric_fb)) < 1e-10
     assert np.max(np.abs(Ric_bb)) < 1e-10
     assert np.max(np.abs(scalar + 0.5)) < 1e-10
+
+
+def test_norm_sq_densities():
+    # constant Heisenberg fibers, flat connection: only the bracket survives,
+    # |[,]|^2 = 2 from c^2_01 = -c^2_10 = 1 at G = I
+    st = heisenberg_state()
+    der = derive(st)
+    assert np.max(np.abs(norm_sq_DG(st, der))) < 1e-13
+    assert np.max(np.abs(norm_sq_F(st, der))) == 0.0
+    assert np.max(np.abs(norm_sq_bracket(st, der) - 2.0)) < 1e-13
 
 
 def test_heisenberg_oracle_agrees_at_a_point():

@@ -29,20 +29,16 @@ def test_pack_full_antisymmetric():
     assert np.allclose(full, -np.swapaxes(full, -2, -1))
 
 
-def test_pack_two_form():
+def test_inverse_frame_metric():
     st = random_full_state(d=2)
-    rng = np.random.default_rng(1)
-    k, d = st.k, st.d
-    ff = rng.normal(size=st.mesh.shape + (k, k))
-    ff = ff - np.swapaxes(ff, -1, -2)
-    fb = rng.normal(size=st.mesh.shape + (k, d))
-    bb = rng.normal(size=st.mesh.shape + (d, d))
-    bb = bb - np.swapaxes(bb, -1, -2)
-    full = torsion.pack_two_form(ff, fb, bb, k, st.mesh)
-    assert np.allclose(full, -np.swapaxes(full, -1, -2))
-    assert np.allclose(full[..., :k, :k], ff)
-    assert np.allclose(full[..., :k, k:], fb)
-    assert np.allclose(full[..., k:, k:], bb)
+    der = derive(st)
+    k = st.k
+    gEi = torsion.inverse_frame_metric(der)
+    assert gEi.shape == st.mesh.shape + (k + 2, k + 2)
+    assert np.max(np.abs(gEi[..., :k, k:])) == 0.0
+    assert np.max(np.abs(gEi[..., k:, :k])) == 0.0
+    assert np.allclose(gEi[..., :k, :k] @ st.G, np.eye(k))
+    assert np.allclose(gEi[..., k:, k:] @ st.g, np.eye(2))
 
 
 def test_h_contractions_zero_torsion():
@@ -57,7 +53,6 @@ def test_dstar_zero_torsion():
     st = heisenberg_state()
     der = derive(st)
     assert np.max(np.abs(torsion.minus_dstar(st, der))) == 0.0
-    assert np.max(np.abs(torsion.dstar_H(st, der))) == 0.0
 
 
 def test_dstar_constant_data_abelian():
