@@ -156,10 +156,10 @@ def load_config(path: str) -> ScenarioConfig:
     t_end = raw.get("t_end", 0.2)
     if not _is_positive(t_end, (int, float)):
         problems.append("/t_end: must be a positive number")
-    fixed_dt = raw.get("fixed_dt")
-    if fixed_dt is not None and not _is_positive(fixed_dt, (int, float)):
-        problems.append("/fixed_dt: must be a positive number")
-    for key in ("mesh_n", "report_stride", "max_steps"):
+    for key in ("cfl_sigma", "fixed_dt", "identity_rel_tol"):
+        if raw.get(key) is not None and not _is_positive(raw[key], (int, float)):
+            problems.append(f"/{key}: must be a positive number")
+    for key in ("mesh_n", "report_stride", "max_steps", "n_override"):
         if raw.get(key) is not None and not _is_positive(raw[key], int):
             problems.append(f"/{key}: must be a positive integer")
     if problems:
@@ -208,10 +208,9 @@ def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict
             continue
         st = hist.states[i]
         der = derive(st, validated=True)
-        full = torsion.pack_full(st.H, st.alg, st.mesh)
         f_steady = conjugate.potential(c.u, t, "steady", n)
-        Fval = functionals.eval_F(st, f_steady, der, full)
-        R = functionals.residuals_F(st, f_steady, der, full)
+        Fval = functionals.eval_F(st, f_steady, der)
+        R = functionals.residuals_F(st, f_steady, der)
         row = {
             "t": t, "F": Fval,
             "R1": R[0], "R2": R[1], "R3": R[2], "R4": R[3],
@@ -221,8 +220,8 @@ def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict
         }
         if t > 0:
             f_exp = conjugate.potential(c.u, t, "expander", n)
-            row["W"] = functionals.eval_Wplus(st, f_exp, t, n, der, full)
-            RW = functionals.residuals_W(st, f_exp, t, n, der, full)
+            row["W"] = functionals.eval_Wplus(st, f_exp, t, n, der)
+            RW = functionals.residuals_W(st, f_exp, t, n, der)
             row["_sumRW"] = sum(RW[:4]) + RW[4]
             row["W_extra"] = RW[4]
         else:
@@ -461,13 +460,12 @@ def verify_torsion(seed: int, N: int) -> list[tuple[str, float, bool]]:
         n = N if d == 1 else max(16, N // 2)
         st = random_state(rng, algebra.heisenberg3(), n, d)
         der = derive(st, validated=True)
-        full = torsion.pack_full(st.H, st.alg, st.mesh)
-        md = torsion.minus_dstar(st, der, full)
+        md = torsion.minus_dstar(st, der)
         md_o = oracle.codifferential_oracle(st)
         scale = max(float(np.max(np.abs(md_o))), 1e-12)
         err = float(np.max(np.abs(md - md_o))) / scale
         rows.append((f"codifferential d={d}", err, err < 1e-5))
-        err = torsion.splitting_identity(st, der, full)
+        err = torsion.splitting_identity(st, der)
         rows.append((f"splitting identity d={d}", err, err < 1e-10))
     return rows
 

@@ -58,31 +58,26 @@ def potential(u: np.ndarray, t: float, mode: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def dilaton_potential(state: GeometryState, der: DerivedGeometry,
-                      full: np.ndarray | None = None) -> np.ndarray:
+def dilaton_potential(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     """Zeroth-order coefficient: R_g - |DG|^2/4 - |F|^2/2 - tr_g calH / 4."""
     k = state.k
-    if full is None:
-        full = torsion.pack_full(state.H, state.alg, state.mesh)
-    calH, _ = torsion.h_contractions(state, der, full)
+    calH, _ = torsion.h_contractions(state, der)
     trH_bb = np.einsum("...ab,...ab->...", der.gi, calH[..., k:, k:])
     return (der.R_g - 0.25 * norm_sq_DG(state, der)
             - 0.5 * norm_sq_F(state, der) - 0.25 * trH_bb)
 
 
 def conj_rhs(u: np.ndarray, state: GeometryState,
-             der: DerivedGeometry | None = None) -> np.ndarray:
+             der: DerivedGeometry) -> np.ndarray:
     """Forward-time rate of the density:
 
         du/dt = -Lap u + V u + Q_COEFF * <q, grad u>,
 
-    with V the dilaton potential.  The equation is backward-parabolic, so it
-    is integrated in reversed time by solve_backward.
+    with V the dilaton potential (der: the state's derive()).  The equation
+    is backward-parabolic, integrated in reversed time by solve_backward.
     """
     if np.any(u <= 0):
         raise DomainError("density must be strictly positive")
-    if der is None:
-        der = derive(state, validated=True)
     mesh = state.mesh
     lap = laplacian(u, der.gi, der.Gamma, mesh)
     V = dilaton_potential(state, der)
@@ -91,12 +86,10 @@ def conj_rhs(u: np.ndarray, state: GeometryState,
 
 
 def forward_heat_rhs(phi: np.ndarray, state: GeometryState,
-                     der: DerivedGeometry | None = None) -> np.ndarray:
+                     der: DerivedGeometry) -> np.ndarray:
     """Forward drift-diffusion paired with the density: d(phi)/dt = Lap phi
-    + Q_COEFF * <q, grad phi>.  The pairing integral of phi against u with
-    the moving volume form is constant in time."""
-    if der is None:
-        der = derive(state, validated=True)
+    + Q_COEFF * <q, grad phi> (der: the state's derive()).  The pairing
+    integral of phi against u with the moving volume form is constant."""
     lap = laplacian(phi, der.gi, der.Gamma, state.mesh)
     drift = np.einsum("...a,...a->...", der.q, _derivs(phi, state.mesh))
     return lap + Q_COEFF * drift

@@ -1,14 +1,12 @@
 """Time integration of the reduced flow system for (G, g, A, H).
 
 The right-hand side is assembled from the closed-form Ricci blocks plus the
-quadratic torsion contractions.  Three gauges are supported:
+quadratic torsion contractions.  Two gauges are supported:
 
     ungauged   : plain flow; the mixed metric rate feeds dA/dt, H moves by
                  the exterior derivative of the codifferential source.
     canonical  : the divergence-type vector q is absorbed as a Lie-derivative
                  correction, removing the leading transport of the fields.
-    general    : canonical plus gradient-vector terms from a supplied scalar
-                 potential f.
 
 Integration is classical RK4 with a parabolic CFL step size.  The stored
 components of H live in the moving splitting, so their clock rate carries a
@@ -28,8 +26,6 @@ from .geometry import (
     TorsionField,
     _derivs,
     derive,
-    gradient,
-    hessian,
     ricci_blocks,
 )
 from . import torsion
@@ -54,16 +50,17 @@ def lie_derivative_base(q: np.ndarray, g: np.ndarray, Gamma: np.ndarray,
     return low + np.swapaxes(low, -1, -2)
 
 
-def evaluate_rhs(state: GeometryState, mode: str = "ungauged",
-                 f: np.ndarray | None = None) -> FlowRHS:
-    """Assemble the full system right-hand side in the requested gauge."""
+def evaluate_rhs(state: GeometryState, mode: str = "ungauged") -> FlowRHS:
+    """Assemble the full system right-hand side in the requested gauge,
+    "ungauged" or "canonical"."""
+    if mode not in ("ungauged", "canonical"):
+        raise ValueError(f"unknown gauge mode {mode!r}")
     der = derive(state, validated=True)
     mesh, k = state.mesh, state.k
-    Gi, gi, q = der.Gi, der.gi, der.q
+    Gi, q = der.Gi, der.q
 
     Ric_ff, Ric_fb, Ric_bb = ricci_blocks(state, der)
-    full = torsion.pack_full(state.H, state.alg, mesh)
-    calH, _ = torsion.h_contractions(state, der, full)
+    calH, _ = torsion.h_contractions(state, der)
 
     dG = -2.0 * Ric_ff + 0.5 * calH[..., :k, :k]
     dg = -2.0 * Ric_bb + 0.5 * calH[..., k:, k:]
@@ -71,28 +68,13 @@ def evaluate_rhs(state: GeometryState, mode: str = "ungauged",
     mixed = -2.0 * Ric_fb + 0.5 * calH[..., :k, k:]
     dA = np.einsum("...ij,...ja->...ai", Gi, mixed)
 
-    grad_f = None
-    if mode in ("canonical", "general"):
+    if mode == "canonical":
         dG = dG + np.einsum("...a,...aij->...ij", q, der.DG)
         dg = dg + lie_derivative_base(q, state.g, der.Gamma, mesh)
         dA = dA + np.einsum("...b,...bam->...am", q, der.F)
-    if mode == "general":
-        if f is None:
-            raise ValueError("general gauge needs the potential f")
-        grad_f = gradient(f, gi, mesh)
-        dG = dG - np.einsum("...a,...aij->...ij", grad_f, der.DG)
-        dg = dg - 2.0 * hessian(f, der.Gamma, mesh)
-        dA = dA - np.einsum("...b,...bam->...am", grad_f, der.F)
-    elif mode not in ("ungauged", "canonical"):
-        raise ValueError(f"unknown gauge mode {mode!r}")
 
-    B = torsion.b_dot(state, der, mode, grad_f=grad_f, full=full)
-    C = torsion.structure_functions(state, der.F)
-    dH_full = torsion.algebroid_d(B, 2, C, mesh, k)
-    dH_full = dH_full - torsion.moving_frame_correction(full, dA, k)
-    dH = torsion.unpack_full(dH_full, k)
-
-    return FlowRHS(dG, dg, dA, dH)
+    B = torsion.b_dot(state, der, mode)
+    return FlowRHS(dG, dg, dA, torsion.torsion_rate(state, der, B, dA))
 
 
 # --- time stepping -----------------------------------------------------------
@@ -172,8 +154,13 @@ def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
 
     Aborts (history.aborted) when a metric leaves the SPD cone or a field
     stops being finite.  Stops without aborting after max_steps steps.
+    Raises ValueError for a non-positive fixed_dt or cfl_sigma.
     """
     require_valid(state.alg)
+    if config.fixed_dt is not None and not config.fixed_dt > 0:
+        raise ValueError(f"fixed_dt must be positive, got {config.fixed_dt!r}")
+    if config.fixed_dt is None and not config.cfl_sigma > 0:
+        raise ValueError(f"cfl_sigma must be positive, got {config.cfl_sigma!r}")
     hist = FlowHistory()
     cur = state.copy()
     hist.append(cur)

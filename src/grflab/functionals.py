@@ -43,31 +43,30 @@ def _weighted_integral(values: np.ndarray, f: np.ndarray,
 
 # --- functionals -------------------------------------------------------------
 
-def eval_F(state: GeometryState, f: np.ndarray,
-           der: DerivedGeometry | None = None,
-           full: np.ndarray | None = None) -> float:
-    """Energy integral: |grad f|^2 + R_g - |DG|^2/4 - |F|^2/4 - |H|^2/12
-    - |[,]|^2/4, weighted by e^-f dV_g."""
-    if der is None:
-        der = derive(state, validated=True)
-    if full is None:
-        full = torsion.pack_full(state.H, state.alg, state.mesh)
-    _, Hsq = torsion.h_contractions(state, der, full)
-    dens = (grad_norm_sq(f, state, der) + der.R_g
+def _energy_density(state: GeometryState, f: np.ndarray,
+                    der: DerivedGeometry) -> np.ndarray:
+    """The integrand of eval_F before the e^-f weight."""
+    _, Hsq = torsion.h_contractions(state, der)
+    return (grad_norm_sq(f, state, der) + der.R_g
             - 0.25 * norm_sq_DG(state, der)
             - 0.25 * norm_sq_F(state, der)
             - Hsq / 12.0
             - 0.25 * norm_sq_bracket(state, der))
-    return _weighted_integral(dens, f, state)
+
+
+def eval_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry) -> float:
+    """Energy integral: |grad f|^2 + R_g - |DG|^2/4 - |F|^2/4 - |H|^2/12
+    - |[,]|^2/4, weighted by e^-f dV_g (der: the state's derive())."""
+    return _weighted_integral(_energy_density(state, f, der), f, state)
 
 
 def eval_Wplus(state: GeometryState, f: np.ndarray, t: float, n: int,
-               der: DerivedGeometry | None = None,
-               full: np.ndarray | None = None) -> float:
-    """Expander entropy: (4 pi t)^(-n/2) { t * energy + int (-f + n) e^-f dV }."""
+               der: DerivedGeometry) -> float:
+    """Expander entropy: (4 pi t)^(-n/2) { t * energy + int (-f + n) e^-f dV }
+    (der: the state's derive())."""
     if t <= 0:
         raise DomainError("expander entropy needs t > 0")
-    Fval = eval_F(state, f, der, full)
+    Fval = eval_F(state, f, der)
     extra = _weighted_integral(-f + n, f, state)
     return (t * Fval + extra) / (4.0 * np.pi * t) ** (0.5 * n)
 
@@ -97,22 +96,14 @@ def co_differential_F(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
 
 
 def residual_tensors(state: GeometryState, f: np.ndarray,
-                     der: DerivedGeometry | None = None,
-                     full: np.ndarray | None = None,
-                     t: float | None = None) -> ResidualTensors:
-    """Assemble the four stationarity tensors at the given potential f.
-
-    With t provided, the base tensor carries the extra -g/t expander shift.
-    """
-    if der is None:
-        der = derive(state, validated=True)
+                     der: DerivedGeometry) -> ResidualTensors:
+    """Assemble the four stationarity tensors at the given potential f
+    (der: the state's derive())."""
     mesh, k = state.mesh, state.k
     b = state.alg.beta
-    G, g = state.G, state.g
+    G = state.G
     Gi, gi, DG, DDG, F = der.Gi, der.gi, der.DG, der.DDG, der.F
-    if full is None:
-        full = torsion.pack_full(state.H, state.alg, mesh)
-    calH, _ = torsion.h_contractions(state, der, full)
+    calH, _ = torsion.h_contractions(state, der)
     grad_f = gradient(f, gi, mesh)
 
     DDGtr = np.einsum("...ab,...abij->...ij", gi, DDG)
@@ -136,73 +127,54 @@ def residual_tensors(state: GeometryState, f: np.ndarray,
     FFg = np.einsum("...cd,...mn,...acm,...bdn->...ab", gi, G, F, F)
     Tg = (-2.0 * der.Ric_g + 0.5 * DGg + FFg
           + 0.5 * calH[..., k:, k:] - 2.0 * hessian(f, der.Gamma, mesh))
-    if t is not None:
-        if t <= 0:
-            raise DomainError("expander residual needs t > 0")
-        Tg = Tg - g / t
 
-    TH = torsion.b_dot(state, der, "general", grad_f=grad_f, full=full)
+    TH = torsion.b_dot(state, der, "general", grad_f=grad_f)
     return ResidualTensors(TG, TA, Tg, TH)
 
 
-def _norm_sq_TG(TG, Gi):
-    return np.einsum("...ip,...jq,...ij,...pq->...", Gi, Gi, TG, TG)
+def _weighted_pairings(state: GeometryState, f: np.ndarray,
+                       der: DerivedGeometry, x, y, scale: float):
+    """Integrals of the slot-by-slot pairings of two (fiber 2-tensor,
+    connection rate, base 2-tensor, frame 2-form) quadruples, with the
+    G-metric, the connection metric g^{ab} G_mn, the g-metric and the frame
+    metric, weighted 1/2, 1, 1/2, 1/2 and each multiplied by scale."""
+    Gi, gi = der.Gi, der.gi
+    gEi = torsion.inverse_frame_metric(der)
+    dens = (np.einsum("...ip,...jq,...ij,...pq->...", Gi, Gi, x[0], y[0]),
+            np.einsum("...ab,...mn,...am,...bn->...", gi, state.G, x[1], y[1]),
+            np.einsum("...ac,...bd,...ab,...cd->...", gi, gi, x[2], y[2]),
+            np.einsum("...ac,...bd,...ab,...cd->...", gEi, gEi, x[3], y[3]))
+    return tuple(c * scale * _weighted_integral(p, f, state)
+                 for c, p in zip((0.5, 1.0, 0.5, 0.5), dens))
 
 
-def _norm_sq_TA(TA, G, gi):
-    return np.einsum("...ab,...mn,...am,...bn->...", gi, G, TA, TA)
-
-
-def _norm_sq_Tg(Tg, gi):
-    return np.einsum("...ac,...bd,...ab,...cd->...", gi, gi, Tg, Tg)
-
-
-def _norm_sq_TH(TH, gEi):
-    return np.einsum("...ac,...bd,...ab,...cd->...", gEi, gEi, TH, TH)
-
-
-def residuals_F(state: GeometryState, f: np.ndarray,
-                der: DerivedGeometry | None = None,
-                full: np.ndarray | None = None):
+def residuals_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry):
     """The four nonnegative dissipation integrals of the energy identity:
 
         dF/dt = R1 + R2 + R3 + R4
 
-    along the ungauged flow coupled to the conjugate density u = e^-f.
+    along the ungauged flow coupled to the conjugate density u = e^-f
+    (der: the state's derive()).
     """
-    if der is None:
-        der = derive(state, validated=True)
-    if full is None:
-        full = torsion.pack_full(state.H, state.alg, state.mesh)
-    rt = residual_tensors(state, f, der, full)
-    R1 = 0.5 * _weighted_integral(_norm_sq_TG(rt.TG, der.Gi), f, state)
-    R2 = _weighted_integral(_norm_sq_TA(rt.TA, state.G, der.gi), f, state)
-    R3 = 0.5 * _weighted_integral(_norm_sq_Tg(rt.Tg, der.gi), f, state)
-    R4 = 0.5 * _weighted_integral(
-        _norm_sq_TH(rt.TH, torsion.inverse_frame_metric(der)), f, state)
-    return R1, R2, R3, R4
+    rt = residual_tensors(state, f, der)
+    x = (rt.TG, rt.TA, rt.Tg, rt.TH)
+    return _weighted_pairings(state, f, der, x, x, 1.0)
 
 
 def residuals_W(state: GeometryState, f: np.ndarray, t: float, n: int,
-                der: DerivedGeometry | None = None,
-                full: np.ndarray | None = None):
+                der: DerivedGeometry):
     """t-weighted residuals and the mixed-sign extra integral of the entropy
-    identity: dW/dt = R1 + R2 + R3 + R4 + W_extra."""
+    identity: dW/dt = R1 + R2 + R3 + R4 + W_extra.  The base residual
+    carries the expander shift -g/t (der: the state's derive())."""
     if t <= 0:
         raise DomainError("entropy residuals need t > 0")
-    if der is None:
-        der = derive(state, validated=True)
-    if full is None:
-        full = torsion.pack_full(state.H, state.alg, state.mesh)
-    rt = residual_tensors(state, f, der, full, t=t)
+    rt = residual_tensors(state, f, der)
+    rt.Tg = rt.Tg - state.g / t
     k = state.k
     w = (4.0 * np.pi * t) ** (-0.5 * n)
-    R1 = 0.5 * t * w * _weighted_integral(_norm_sq_TG(rt.TG, der.Gi), f, state)
-    R2 = t * w * _weighted_integral(_norm_sq_TA(rt.TA, state.G, der.gi), f, state)
-    R3 = 0.5 * t * w * _weighted_integral(_norm_sq_Tg(rt.Tg, der.gi), f, state)
-    R4 = 0.5 * t * w * _weighted_integral(
-        _norm_sq_TH(rt.TH, torsion.inverse_frame_metric(der)), f, state)
-    calH, Hsq = torsion.h_contractions(state, der, full)
+    x = (rt.TG, rt.TA, rt.Tg, rt.TH)
+    R1, R2, R3, R4 = _weighted_pairings(state, f, der, x, x, t * w)
+    calH, Hsq = torsion.h_contractions(state, der)
     trG_ff = np.einsum("...ij,...ij->...", der.Gi, calH[..., :k, :k])
     extra_dens = (0.25 * norm_sq_F(state, der)
                   - 0.25 * norm_sq_bracket(state, der)
@@ -227,50 +199,27 @@ class VariationDirection:
 
 def variation_formula_F(state: GeometryState, f: np.ndarray,
                         direction: VariationDirection,
-                        der: DerivedGeometry | None = None) -> float:
-    """Closed-form first variation of the energy along the direction."""
-    if der is None:
-        der = derive(state, validated=True)
-    mesh = state.mesh
-    full = torsion.pack_full(state.H, state.alg, mesh)
-    rt = residual_tensors(state, f, der, full)
-    Gi, gi = der.Gi, der.gi
-
-    I1 = 0.5 * _weighted_integral(
-        np.einsum("...ip,...jq,...ij,...pq->...", Gi, Gi, direction.dG, rt.TG),
-        f, state)
-    I2 = _weighted_integral(
-        np.einsum("...ab,...mn,...am,...bn->...", gi, state.G,
-                  direction.dA, rt.TA),
-        f, state)
-    I3 = 0.5 * _weighted_integral(
-        np.einsum("...ac,...bd,...ab,...cd->...", gi, gi, direction.dg, rt.Tg),
-        f, state)
-    gEi = torsion.inverse_frame_metric(der)
-    I4 = 0.5 * _weighted_integral(
-        np.einsum("...ac,...bd,...ab,...cd->...", gEi, gEi, direction.Bdot, rt.TH),
-        f, state)
-    _, Hsq = torsion.h_contractions(state, der, full)
-    lam = (2.0 * laplacian(f, gi, der.Gamma, mesh)
-           - grad_norm_sq(f, state, der) + der.R_g
-           - 0.25 * norm_sq_DG(state, der) - 0.25 * norm_sq_F(state, der)
-           - Hsq / 12.0 - 0.25 * norm_sq_bracket(state, der))
-    trdg = 0.5 * np.einsum("...ab,...ab->...", gi, direction.dg)
+                        der: DerivedGeometry) -> float:
+    """Closed-form first variation of the energy along the direction
+    (der: the state's derive())."""
+    rt = residual_tensors(state, f, der)
+    ints = _weighted_pairings(
+        state, f, der, (direction.dG, direction.dA, direction.dg, direction.Bdot),
+        (rt.TG, rt.TA, rt.Tg, rt.TH), 1.0)
+    lam = (2.0 * (laplacian(f, der.gi, der.Gamma, state.mesh)
+                  - grad_norm_sq(f, state, der))
+           + _energy_density(state, f, der))
+    trdg = 0.5 * np.einsum("...ab,...ab->...", der.gi, direction.dg)
     I5 = _weighted_integral((trdg - direction.df) * lam, f, state)
-    return I1 + I2 + I3 + I4 + I5
+    return ints[0] + ints[1] + ints[2] + ints[3] + I5
 
 
-def perturbed_state(state: GeometryState, direction: VariationDirection,
-                    eps: float) -> GeometryState:
+def perturbed_state(state: GeometryState, der: DerivedGeometry,
+                    direction: VariationDirection, eps: float) -> GeometryState:
     """First-order deformation of the stored fields.  The stored torsion rate
-    is the exterior derivative of Bdot corrected for the rotating splitting."""
-    der = derive(state, validated=True)
-    full = torsion.pack_full(state.H, state.alg, state.mesh)
-    C = torsion.structure_functions(state, der.F)
-    dH_full = torsion.algebroid_d(direction.Bdot, 2, C, state.mesh, state.k)
-    dH_full = dH_full - torsion.moving_frame_correction(full, direction.dA,
-                                                        state.k)
-    dH = torsion.unpack_full(dH_full, state.k)
+    is the exterior derivative of Bdot corrected for the rotating splitting
+    (der: the state's derive())."""
+    dH = torsion.torsion_rate(state, der, direction.Bdot, direction.dA)
     out = state.copy()
     out.G = state.G + eps * direction.dG
     out.g = state.g + eps * direction.dg
@@ -286,11 +235,12 @@ def variation_check_F(state: GeometryState, f: np.ndarray,
                       eps: float = 1e-4) -> dict:
     """Compare the closed-form first variation with a centered finite
     difference of the energy along the deformation path."""
-    formula = variation_formula_F(state, f, direction)
-    plus = perturbed_state(state, direction, eps)
-    minus = perturbed_state(state, direction, -eps)
-    Fp = eval_F(plus, f + eps * direction.df)
-    Fm = eval_F(minus, f - eps * direction.df)
+    der = derive(state, validated=True)
+    formula = variation_formula_F(state, f, direction, der)
+    plus = perturbed_state(state, der, direction, eps)
+    minus = perturbed_state(state, der, direction, -eps)
+    Fp = eval_F(plus, f + eps * direction.df, derive(plus, validated=True))
+    Fm = eval_F(minus, f - eps * direction.df, derive(minus, validated=True))
     fd = (Fp - Fm) / (2.0 * eps)
     scale = max(abs(fd), abs(formula), 1e-14)
     return {"fd": fd, "formula": formula,

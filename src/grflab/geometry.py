@@ -18,7 +18,7 @@ with the convention R(e1, e2, e3, e4) and Ricci the trace over slots 1 and 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -210,7 +210,10 @@ def compute_q(DG: np.ndarray, Gi: np.ndarray, gi: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DerivedGeometry:
-    """First-level derived quantities of a state, computed once per evaluation."""
+    """Derived quantities of one state, computed once; pass it only with that
+    state.  The torsion entries are filled on first use by
+    torsion.packed_torsion (`full`) and torsion.h_contractions (`calH`, `Hsq`).
+    """
 
     Gi: np.ndarray
     gi: np.ndarray
@@ -222,6 +225,9 @@ class DerivedGeometry:
     DG: np.ndarray
     DDG: np.ndarray
     q: np.ndarray
+    full: np.ndarray | None = field(default=None, init=False)
+    calH: np.ndarray | None = field(default=None, init=False)
+    Hsq: np.ndarray | None = field(default=None, init=False)
 
 
 def derive(state: GeometryState, validated: bool = False) -> DerivedGeometry:

@@ -117,14 +117,14 @@ def curvature_oracle(state: GeometryState):
     return R, Ric, scal
 
 
-def cov_deriv_3form(full: np.ndarray, state: GeometryState, Gam: np.ndarray) -> np.ndarray:
+def cov_deriv_3form(full3: np.ndarray, state: GeometryState, Gam: np.ndarray) -> np.ndarray:
     """(nabla_alpha H)(e_beta, e_gamma, e_delta) with the oracle connection."""
     k = state.k
-    dH = _anchor_derivs(full, state.mesh, k)  # [..., alpha, b, c, e]
+    dH = _anchor_derivs(full3, state.mesh, k)  # [..., alpha, b, c, e]
     corr = (
-        np.einsum("...fab,...fce->...abce", Gam, full)
-        + np.einsum("...fac,...bfe->...abce", Gam, full)
-        + np.einsum("...fae,...bcf->...abce", Gam, full)
+        np.einsum("...fab,...fce->...abce", Gam, full3)
+        + np.einsum("...fac,...bfe->...abce", Gam, full3)
+        + np.einsum("...fae,...bcf->...abce", Gam, full3)
     )
     return dH - corr
 

@@ -20,7 +20,6 @@ from .geometry import (
     GeometryState,
     TorsionField,
     _derivs,
-    compute_F,
 )
 
 
@@ -61,14 +60,21 @@ def pack_full(H: TorsionField, alg: LieAlgebra, mesh: Mesh) -> np.ndarray:
     return full
 
 
-def unpack_full(full: np.ndarray, k: int) -> TorsionField:
+def unpack_full(full3: np.ndarray, k: int) -> TorsionField:
     """Split an antisymmetric (..., K, K, K) array back into torsion blocks."""
     return TorsionField(
-        H3=full[..., :k, :k, :k].copy(),
-        H21=full[..., :k, :k, k:].copy(),
-        H12=full[..., :k, k:, k:].copy(),
-        H03=full[..., k:, k:, k:].copy(),
+        H3=full3[..., :k, :k, :k].copy(),
+        H21=full3[..., :k, :k, k:].copy(),
+        H12=full3[..., :k, k:, k:].copy(),
+        H03=full3[..., k:, k:, k:].copy(),
     )
+
+
+def packed_torsion(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+    """The state's torsion as one (..., K, K, K) array, packed once per der."""
+    if der.full is None:
+        der.full = pack_full(state.H, state.alg, state.mesh)
+    return der.full
 
 
 def inverse_frame_metric(der: DerivedGeometry) -> np.ndarray:
@@ -80,12 +86,12 @@ def inverse_frame_metric(der: DerivedGeometry) -> np.ndarray:
     return gEi
 
 
-def structure_functions(state: GeometryState, F: np.ndarray | None = None) -> np.ndarray:
+def structure_functions(state: GeometryState, F: np.ndarray) -> np.ndarray:
     """Frame brackets C[..., gamma, alpha, beta]: [e_alpha, e_beta] = C^gamma e_gamma.
 
     Fiber-fiber entries carry the fiberwise bracket (beta = -c in this frame),
     base-fiber entries come from the connection form, and base-base entries
-    equal -F since coordinate fields commute on the base.
+    equal -F (DerivedGeometry.F) since coordinate fields commute on the base.
     """
     k, d = state.k, state.d
     K = k + d
@@ -95,8 +101,6 @@ def structure_functions(state: GeometryState, F: np.ndarray | None = None) -> np
         mixed = np.einsum("mli,...al->...mai", state.alg.c, state.A)
         C[..., :k, k:, :k] = mixed
         C[..., :k, :k, k:] = -np.swapaxes(mixed, -1, -2)
-        if F is None:
-            F = compute_F(state.A, state.alg, state.mesh)
         C[..., :k, k:, k:] = -np.einsum("...abm->...mab", F)
     return C
 
@@ -157,34 +161,33 @@ def algebroid_d(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh, k: int) ->
     raise ValueError(f"p must be 0..3, got {p}")
 
 
-def closedness_residual(state: GeometryState, der: DerivedGeometry | None = None) -> float:
-    """Max norm of dH; vanishes for torsion fields coming from closed 3-forms."""
-    F = der.F if der is not None else None
-    C = structure_functions(state, F)
-    full = pack_full(state.H, state.alg, state.mesh)
-    dH = algebroid_d(full, 3, C, state.mesh, state.k)
+def closedness_residual(state: GeometryState, der: DerivedGeometry) -> float:
+    """Max norm of dH (der: the state's derive()); vanishes for torsion
+    fields coming from closed 3-forms."""
+    C = structure_functions(state, der.F)
+    dH = algebroid_d(packed_torsion(state, der), 3, C, state.mesh, state.k)
     return float(np.max(np.abs(dH)))
 
 
 # --- quadratic contractions --------------------------------------------------
 
-def h_contractions(state: GeometryState, der: DerivedGeometry,
-                   full: np.ndarray | None = None):
+def h_contractions(state: GeometryState, der: DerivedGeometry):
     """The square contraction calH(e1, e2) = tr H(e1, ., .) H(e2, ., .) and
     the full-contraction norm |H|^2.
 
-    Returns (calH, Hsq) with calH a (..., K, K) symmetric array.
+    Returns (calH, Hsq) with calH a (..., K, K) symmetric array.  Computed on
+    the first call for a der; later calls return the same arrays.
     """
-    if full is None:
-        full = pack_full(state.H, state.alg, state.mesh)
-    gEi = inverse_frame_metric(der)
-    calH = np.einsum("...acd,...bef,...ce,...df->...ab", full, full, gEi, gEi)
-    Hsq = np.einsum("...ab,...ab->...", gEi, calH)
-    return calH, Hsq
+    if der.calH is None:
+        full = packed_torsion(state, der)
+        gEi = inverse_frame_metric(der)
+        der.calH = np.einsum("...acd,...bef,...ce,...df->...ab",
+                             full, full, gEi, gEi)
+        der.Hsq = np.einsum("...ab,...ab->...", gEi, der.calH)
+    return der.calH, der.Hsq
 
 
-def splitting_contractions(state: GeometryState, der: DerivedGeometry,
-                           full: np.ndarray | None = None):
+def splitting_contractions(state: GeometryState, der: DerivedGeometry):
     """Block sums entering the positivity splitting of |H|^2/6 - tr_G calH/4.
 
     Returns (t_fiber, t_mixed, t_base): the all-fiber-traced square, the
@@ -192,8 +195,7 @@ def splitting_contractions(state: GeometryState, der: DerivedGeometry,
     The identity reads
         |H|^2/6 - tr_G calH/4 = -t_fiber/12 + t_mixed/4 + t_base/6.
     """
-    if full is None:
-        full = pack_full(state.H, state.alg, state.mesh)
+    full = packed_torsion(state, der)
     k = state.k
     Gi, gi = der.Gi, der.gi
     Hf = full[..., :k, :k, :k]
@@ -205,9 +207,9 @@ def splitting_contractions(state: GeometryState, der: DerivedGeometry,
     return t_fiber, t_mixed, t_base
 
 
-def interior_product(vec: np.ndarray, full: np.ndarray, k: int) -> np.ndarray:
+def interior_product(vec: np.ndarray, full3: np.ndarray, k: int) -> np.ndarray:
     """i_v H for a base vector field vec[..., a] (upper index)."""
-    return np.einsum("...a,...agd->...gd", vec, full[..., k:, :, :])
+    return np.einsum("...a,...agd->...gd", vec, full3[..., k:, :, :])
 
 
 # --- codifferential ----------------------------------------------------------
@@ -235,8 +237,7 @@ def cov_deriv_3form(T: np.ndarray, M: np.ndarray, mesh: Mesh) -> np.ndarray:
     return dT - corr
 
 
-def minus_dstar_terms(state: GeometryState, der: DerivedGeometry,
-                      full: np.ndarray | None = None):
+def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
     """The five pieces of -d*H in the nilpotent decomposition, as full
     (..., K, K) antisymmetric arrays.
 
@@ -244,8 +245,7 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry,
     -d*H + i_q H directly.
     """
     mesh, k = state.mesh, state.k
-    if full is None:
-        full = pack_full(state.H, state.alg, state.mesh)
+    full = packed_torsion(state, der)
     Gi, gi, DG, F, Gamma, q = der.Gi, der.gi, der.DG, der.F, der.Gamma, der.q
     G = state.G
     b = state.alg.beta
@@ -275,42 +275,35 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry,
     return term1, term2, term3, term4, term5
 
 
-def minus_dstar(state: GeometryState, der: DerivedGeometry,
-                full: np.ndarray | None = None) -> np.ndarray:
+def minus_dstar(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     """-d*H as a full antisymmetric (..., K, K) array (closed-form path)."""
-    t1, t2, t3, t4, t5 = minus_dstar_terms(state, der, full)
+    t1, t2, t3, t4, t5 = minus_dstar_terms(state, der)
     return t1 + t2 + t3 + t4 + t5
 
 
-def splitting_identity(state: GeometryState, der: DerivedGeometry,
-                       full: np.ndarray | None = None) -> float:
+def splitting_identity(state: GeometryState, der: DerivedGeometry) -> float:
     """Max-norm residual of the block decomposition of |H|^2/6 - tr_G calH/4.
 
     Zero up to round-off for every field configuration; the decomposition
     makes the signs of the three blocks explicit.
     """
-    if full is None:
-        full = pack_full(state.H, state.alg, state.mesh)
     k = state.k
-    calH, Hsq = h_contractions(state, der, full)
+    calH, Hsq = h_contractions(state, der)
     trG = np.einsum("...ij,...ij->...", der.Gi, calH[..., :k, :k])
-    tf, tm, tb = splitting_contractions(state, der, full)
+    tf, tm, tb = splitting_contractions(state, der)
     lhs = Hsq / 6.0 - trG / 4.0
     rhs = -tf / 12.0 + tm / 4.0 + tb / 6.0
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def b_dot(state: GeometryState, der: DerivedGeometry, mode: str,
-          grad_f: np.ndarray | None = None,
-          full: np.ndarray | None = None) -> np.ndarray:
+          grad_f: np.ndarray | None = None) -> np.ndarray:
     """Source 2-form B with dH/dt = dB in the chosen gauge.
 
     mode "ungauged": B = -d*H; "canonical": B = -d*H + i_q H; "general":
     canonical plus -i_{grad f} H with grad_f the upper-index gradient.
     """
-    if full is None:
-        full = pack_full(state.H, state.alg, state.mesh)
-    t1, t2, t3, t4, t5 = minus_dstar_terms(state, der, full)
+    t1, t2, t3, t4, t5 = minus_dstar_terms(state, der)
     if mode == "ungauged":
         return t1 + t2 + t3 + t4 + t5
     B = t1 + t3 + t4 + t5
@@ -319,7 +312,7 @@ def b_dot(state: GeometryState, der: DerivedGeometry, mode: str,
     if mode == "general":
         if grad_f is None:
             raise ValueError("general gauge needs grad_f")
-        return B - interior_product(grad_f, full, state.k)
+        return B - interior_product(grad_f, packed_torsion(state, der), state.k)
     raise ValueError(f"unknown gauge mode {mode!r}")
 
 
@@ -340,3 +333,14 @@ def moving_frame_correction(full3: np.ndarray, Adot: np.ndarray, k: int) -> np.n
         grown[..., k:] = contracted
         corr += np.moveaxis(grown, -1, -3 + s)
     return corr
+
+
+def torsion_rate(state: GeometryState, der: DerivedGeometry, B: np.ndarray,
+                 dA: np.ndarray) -> TorsionField:
+    """Rates of the stored torsion blocks when H moves by dB while the
+    connection form moves at rate dA[..., a, m]: the exterior derivative of
+    the source 2-form minus the moving-frame correction."""
+    k = state.k
+    dH = algebroid_d(B, 2, structure_functions(state, der.F), state.mesh, k)
+    dH = dH - moving_frame_correction(packed_torsion(state, der), dA, k)
+    return unpack_full(dH, k)

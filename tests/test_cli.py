@@ -77,13 +77,19 @@ def test_load_config_rejects_nonpositive_fixed_dt(tmp_path):
             load_config(path)
 
 
-@pytest.mark.parametrize("mesh_n", [4, True])
-def test_run_rejects_bad_mesh_in_one_line(tmp_path, capsys, mesh_n):
-    path = write_config(tmp_path, preset="flat-abelian", mesh_n=mesh_n)
+@pytest.mark.parametrize("key, value", [
+    ("mesh_n", 4), ("mesh_n", True),
+    ("cfl_sigma", -1), ("cfl_sigma", 0), ("cfl_sigma", True),
+    ("identity_rel_tol", "x"), ("identity_rel_tol", 0.0),
+    ("n_override", "x"), ("n_override", 0), ("n_override", 1.5),
+    ("n_override", True),
+])
+def test_run_rejects_bad_input_in_one_line(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, preset="flat-abelian", **{key: value})
     assert cli.main(["run", path]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert "mesh" in err
+    assert ("mesh" if key == "mesh_n" else f"/{key}") in err
     assert "Traceback" not in err
 
 

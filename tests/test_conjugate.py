@@ -55,7 +55,7 @@ def test_potential_domain_errors():
 def test_conj_rhs_positivity_guard():
     st = preset_flat_abelian(16)
     with pytest.raises(DomainError):
-        conj_rhs(np.zeros(st.mesh.shape), st)
+        conj_rhs(np.zeros(st.mesh.shape), st, derive(st))
 
 
 def test_forward_heat_rate_flat():
@@ -63,7 +63,7 @@ def test_forward_heat_rate_flat():
     st = preset_flat_abelian(64)
     (x,) = st.mesh.coords()
     phi = np.sin(2 * np.pi * x)
-    rate = forward_heat_rhs(phi, st)
+    rate = forward_heat_rhs(phi, st, derive(st))
     assert np.max(np.abs(rate + (2 * np.pi) ** 2 * phi)) < 2e-2
 
 
@@ -71,8 +71,9 @@ def test_conj_rhs_flat_is_minus_laplacian():
     st = preset_flat_abelian(64)
     (x,) = st.mesh.coords()
     u = 2.0 + np.sin(2 * np.pi * x)
-    rate = conj_rhs(u, st)
-    lap = -forward_heat_rhs(u, st)
+    der = derive(st)
+    rate = conj_rhs(u, st, der)
+    lap = -forward_heat_rhs(u, st, der)
     assert np.max(np.abs(rate - lap)) < 1e-10
 
 

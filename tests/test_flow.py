@@ -15,8 +15,7 @@ from grflab.geometry import derive
 
 def test_flat_abelian_rhs_zero_all_gauges():
     st = flat_abelian_state()
-    for rhs in (evaluate_rhs(st, "ungauged"), evaluate_rhs(st, "canonical"),
-                evaluate_rhs(st, "general", np.zeros(st.mesh.shape))):
+    for rhs in (evaluate_rhs(st, "ungauged"), evaluate_rhs(st, "canonical")):
         assert np.max(np.abs(rhs.dG)) < 1e-13
         assert np.max(np.abs(rhs.dg)) < 1e-13
         assert np.max(np.abs(rhs.dA)) < 1e-13
@@ -80,6 +79,15 @@ def test_abort_on_blowup():
                                          max_steps=50))
     assert hist.aborted
     assert hist.abort_reason
+
+
+def test_run_flow_rejects_nonpositive_step():
+    # a non-positive step would march backward in time until max_steps
+    st = flat_abelian_state()
+    for kw in ({"fixed_dt": -0.001}, {"fixed_dt": 0.0},
+               {"cfl_sigma": 0.0}, {"cfl_sigma": -1.0}):
+        with pytest.raises(ValueError):
+            run_flow(st, IntegratorConfig(t_end=0.2, max_steps=5, **kw))
 
 
 def test_blowdown_identity_and_flatness():

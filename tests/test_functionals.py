@@ -20,45 +20,45 @@ def zeros_f(st):
 
 def test_eval_F_flat_zero():
     st = flat_abelian_state()
-    assert abs(eval_F(st, zeros_f(st))) < 1e-13
+    assert abs(eval_F(st, zeros_f(st), derive(st))) < 1e-13
 
 
 def test_eval_F_heisenberg():
     st = heisenberg_state()
-    assert eval_F(st, zeros_f(st)) == pytest.approx(-0.5, abs=1e-10)
+    assert eval_F(st, zeros_f(st), derive(st)) == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_eval_F_constant_shift():
     st = heisenberg_state()
-    base = eval_F(st, zeros_f(st))
-    shifted = eval_F(st, zeros_f(st) + 0.7)
+    base = eval_F(st, zeros_f(st), derive(st))
+    shifted = eval_F(st, zeros_f(st) + 0.7, derive(st))
     assert shifted == pytest.approx(np.exp(-0.7) * base, rel=1e-12)
 
 
 def test_eval_Wplus_flat_reference_point():
     st = flat_abelian_state()
     t = 1.0 / (4.0 * np.pi)
-    assert eval_Wplus(st, zeros_f(st), t, 1) == pytest.approx(1.0, abs=1e-12)
+    assert eval_Wplus(st, zeros_f(st), t, 1, derive(st)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
-        eval_Wplus(st, zeros_f(st), 0.0, 1)
+        eval_Wplus(st, zeros_f(st), 0.0, 1, derive(st))
 
 
 def test_eval_Wplus_linear_in_n_shift():
     st = flat_abelian_state()
     t = 1.0 / (4.0 * np.pi)  # prefactor is 1 at this t for every n
-    w1 = eval_Wplus(st, zeros_f(st), t, 1)
-    w3 = eval_Wplus(st, zeros_f(st), t, 3)
+    w1 = eval_Wplus(st, zeros_f(st), t, 1, derive(st))
+    w3 = eval_Wplus(st, zeros_f(st), t, 3, derive(st))
     assert w3 - w1 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_residuals_F_flat_zero():
     st = flat_abelian_state()
-    assert max(abs(r) for r in residuals_F(st, zeros_f(st))) < 1e-13
+    assert max(abs(r) for r in residuals_F(st, zeros_f(st), derive(st))) < 1e-13
 
 
 def test_residuals_F_heisenberg():
     st = heisenberg_state()
-    R1, R2, R3, R4 = residuals_F(st, zeros_f(st))
+    R1, R2, R3, R4 = residuals_F(st, zeros_f(st), derive(st))
     assert R1 == pytest.approx(1.5, abs=1e-10)
     assert abs(R2) < 1e-12
     assert abs(R3) < 1e-12
@@ -83,13 +83,13 @@ def test_residuals_F_gradient_only():
 def test_residuals_W_flat_reference():
     st = flat_abelian_state()
     t, n = 0.2, 1
-    R1, R2, R3, R4, W_extra = residuals_W(st, zeros_f(st), t, n)
+    R1, R2, R3, R4, W_extra = residuals_W(st, zeros_f(st), t, n, derive(st))
     expected_R3 = 1.0 / (2.0 * t) * (4.0 * np.pi * t) ** (-0.5 * n)
     assert R3 == pytest.approx(expected_R3, rel=1e-12)
     assert abs(R1) + abs(R2) + abs(R4) < 1e-12
     assert abs(W_extra) < 1e-13
     with pytest.raises(DomainError):
-        residuals_W(st, zeros_f(st), 0.0, n)
+        residuals_W(st, zeros_f(st), 0.0, n, derive(st))
 
 
 def test_W_extra_signs():
@@ -97,12 +97,12 @@ def test_W_extra_signs():
     rng = np.random.default_rng(6)
     st = random_state(rng, algebra.abelian(3), 32, 1)
     st.H.H3[:] = 0.0
-    _, _, _, _, W_extra = residuals_W(st, zeros_f(st), 0.3, 1)
+    _, _, _, _, W_extra = residuals_W(st, zeros_f(st), 0.3, 1, derive(st))
     assert W_extra >= -1e-12
     # the Heisenberg bracket pushes the extra term negative
     sth = heisenberg_state()
     t = 0.3
-    _, _, _, _, W_extra_h = residuals_W(sth, zeros_f(sth), t, 1)
+    _, _, _, _, W_extra_h = residuals_W(sth, zeros_f(sth), t, 1, derive(sth))
     assert W_extra_h == pytest.approx(-0.5 * (4 * np.pi * t) ** -0.5, rel=1e-10)
 
 
@@ -175,13 +175,15 @@ def test_variation_random_directions():
 def test_scaling_of_energy_under_rescale():
     # eval_F picks up the factor s^(1 - d/2) when metrics and torsion divide by s
     sth = heisenberg_state()
-    base = eval_F(sth, zeros_f(sth))
-    resc = eval_F(blowdown_rescale(sth, 2.0), zeros_f(sth))
+    base = eval_F(sth, zeros_f(sth), derive(sth))
+    resc_st = blowdown_rescale(sth, 2.0)
+    resc = eval_F(resc_st, zeros_f(sth), derive(resc_st))
     assert resc == pytest.approx(2.0 ** 0.5 * base, rel=1e-10)
     rng = np.random.default_rng(23)
     st2 = random_state(rng, algebra.heisenberg3(), 16, 2)
-    base2 = eval_F(st2, np.zeros(st2.mesh.shape))
-    resc2 = eval_F(blowdown_rescale(st2, 3.0), np.zeros(st2.mesh.shape))
+    base2 = eval_F(st2, np.zeros(st2.mesh.shape), derive(st2))
+    resc_st2 = blowdown_rescale(st2, 3.0)
+    resc2 = eval_F(resc_st2, np.zeros(st2.mesh.shape), derive(resc_st2))
     assert resc2 == pytest.approx(base2, rel=1e-10)
 
 

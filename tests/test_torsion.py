@@ -49,6 +49,22 @@ def test_h_contractions_zero_torsion():
     assert np.max(np.abs(Hsq)) == 0.0
 
 
+def test_h_contractions_kept_per_derived_geometry():
+    st = random_full_state(seed=50, d=2)
+    der = derive(st)
+    calH, Hsq = torsion.h_contractions(st, der)
+    again = torsion.h_contractions(st, der)
+    assert again[0] is calH and again[1] is Hsq
+    assert np.max(np.abs(calH)) > 0.1
+    fresh = derive(st)
+    full = torsion.pack_full(st.H, st.alg, st.mesh)
+    gEi = torsion.inverse_frame_metric(fresh)
+    expected = np.einsum("...acd,...bef,...ce,...df->...ab", full, full, gEi, gEi)
+    assert np.array_equal(calH, expected)
+    assert np.array_equal(calH, torsion.h_contractions(st, fresh)[0])
+    assert np.array_equal(Hsq, torsion.h_contractions(st, fresh)[1])
+
+
 def test_dstar_zero_torsion():
     st = heisenberg_state()
     der = derive(st)
@@ -97,11 +113,11 @@ def test_algebroid_d_squares_to_zero():
 
 def test_closedness_residual_presets():
     st = preset_inoue_like(16)
-    assert torsion.closedness_residual(st) < 1e-13
+    assert torsion.closedness_residual(st, derive(st)) < 1e-13
     # an x-dependent pure-fiber component is no longer closed
     (x,) = st.mesh.coords()
     st.H.H3 = st.H.H3 * (1.0 + 0.5 * np.sin(2 * np.pi * x))[..., None, None, None]
-    assert torsion.closedness_residual(st) > 1e-2
+    assert torsion.closedness_residual(st, derive(st)) > 1e-2
 
 
 def test_splitting_identity_random():
