@@ -17,6 +17,7 @@ from .geometry import (
     DerivedGeometry,
     GeometryState,
     _derivs,
+    bracket_trace,
     derive,
     gradient,
     hessian,
@@ -108,11 +109,9 @@ def residual_tensors(state: GeometryState, f: np.ndarray,
 
     DDGtr = np.einsum("...ab,...abij->...ij", gi, DDG)
     DG2 = np.einsum("...ab,...lm,...ail,...bjm->...ij", gi, Gi, DG, DG)
-    GF = np.einsum("...im,...abm->...iab", G, F)
-    GFGF = np.einsum("...ac,...bd,...iab,...jcd->...ij", gi, gi, GF, GF)
-    brkt1 = np.einsum("...pq,...mn,mip,njq->...ij", Gi, G, b, b)
-    Gb = np.einsum("...im,mpq->...ipq", G, b)
-    brkt2 = np.einsum("...pr,...qs,...ipq,...jrs->...ij", Gi, Gi, Gb, Gb)
+    GFGF = np.einsum("...icd,...jcd->...ij", der.GF_up, der.GF)
+    brkt1 = bracket_trace(state, der)
+    brkt2 = np.einsum("...ipq,...jpq->...ij", der.Gb_up, der.Gb)
     DfG = np.einsum("...a,...aij->...ij", grad_f, DG)
     TG = (DDGtr - DG2 - 0.5 * GFGF + brkt1 - 0.5 * brkt2
           + 0.5 * calH[..., :k, :k] - DfG)
@@ -231,11 +230,11 @@ def perturbed_state(state: GeometryState, der: DerivedGeometry,
 
 
 def variation_check_F(state: GeometryState, f: np.ndarray,
-                      direction: VariationDirection,
+                      direction: VariationDirection, der: DerivedGeometry,
                       eps: float = 1e-4) -> dict:
     """Compare the closed-form first variation with a centered finite
-    difference of the energy along the deformation path."""
-    der = derive(state, validated=True)
+    difference of the energy along the deformation path (der: the state's
+    derive())."""
     formula = variation_formula_F(state, f, direction, der)
     plus = perturbed_state(state, der, direction, eps)
     minus = perturbed_state(state, der, direction, -eps)

@@ -201,6 +201,13 @@ def compute_DF(F: np.ndarray, A: np.ndarray, Gamma: np.ndarray,
     return dF + fib - b1 - b2
 
 
+def _raise_last_two(T: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """T[..., i, p, q] with both trailing slots raised by the symmetric
+    inverse metric inv."""
+    inv = inv[..., None, :, :]
+    return inv @ T @ inv
+
+
 def compute_q(DG: np.ndarray, Gi: np.ndarray, gi: np.ndarray) -> np.ndarray:
     """q^a = -1/2 g^{ab} G^{ij} DG_{b, ij}."""
     return -0.5 * np.einsum("...ab,...ij,...bij->...a", gi, Gi, DG)
@@ -213,6 +220,13 @@ class DerivedGeometry:
     """Derived quantities of one state, computed once; pass it only with that
     state.  The torsion entries are filled on first use by
     torsion.packed_torsion (`full`) and torsion.h_contractions (`calH`, `Hsq`).
+
+    The lowered bracket and curvature tensors shared by the quadratic
+    contractions:
+        Gb[..., i, k, l]    = G_mi beta^m_kl
+        Gb_up[..., i, p, q] = G^{pk} G^{ql} Gb[..., i, k, l]
+        GF[..., i, a, b]    = G_mi F^m_ab
+        GF_up[..., i, c, d] = g^{ca} g^{db} GF[..., i, a, b]
     """
 
     Gi: np.ndarray
@@ -225,6 +239,10 @@ class DerivedGeometry:
     DG: np.ndarray
     DDG: np.ndarray
     q: np.ndarray
+    Gb: np.ndarray
+    Gb_up: np.ndarray
+    GF: np.ndarray
+    GF_up: np.ndarray
     full: np.ndarray | None = field(default=None, init=False)
     calH: np.ndarray | None = field(default=None, init=False)
     Hsq: np.ndarray | None = field(default=None, init=False)
@@ -242,7 +260,14 @@ def derive(state: GeometryState, validated: bool = False) -> DerivedGeometry:
     DG = compute_DG(state.G, state.A, alg, mesh)
     DDG = compute_DDG(DG, state.A, Gamma, alg, mesh)
     q = compute_q(DG, Gi, gi)
-    return DerivedGeometry(Gi, gi, Gamma, Ric_g, R_g, F, DF, DG, DDG, q)
+    Gb = np.einsum("...im,mkl->...ikl", state.G, alg.beta)
+    # raise beta, then lower: each term is G (G^-1 G^-1 beta), the product
+    # order of the one-call references in tests/test_kernels.py, so states
+    # with diagonal metrics give the same bits as those references
+    Gb_up = np.einsum("...im,...mpq->...ipq", state.G, _raise_last_two(alg.beta, Gi))
+    GF = np.einsum("...im,...abm->...iab", state.G, F)
+    return DerivedGeometry(Gi, gi, Gamma, Ric_g, R_g, F, DF, DG, DDG, q,
+                           Gb, Gb_up, GF, _raise_last_two(GF, gi))
 
 
 # --- closed-form curvature ---------------------------------------------------
@@ -296,15 +321,18 @@ def norm_sq_DG(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
 
 def norm_sq_F(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     """|F|^2 = g^{ac} g^{bd} G_mn F^m_ab F^n_cd."""
-    return np.einsum("...ac,...bd,...mn,...abm,...cdn->...",
-                     der.gi, der.gi, state.G, der.F, der.F)
+    return np.einsum("...abm,...mab->...", der.F, der.GF_up)
 
 
 def norm_sq_bracket(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     """|[,]|^2 = G^{ip} G^{jq} G_mn beta^m_ij beta^n_pq."""
-    b = state.alg.beta
-    return np.einsum("...ip,...jq,...mn,mij,npq->...",
-                     der.Gi, der.Gi, state.G, b, b)
+    return np.einsum("mij,...mij->...", state.alg.beta, der.Gb_up)
+
+
+def bracket_trace(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+    """G^{pq} G_mn beta^m_ip beta^n_jq, a symmetric fiber 2-tensor."""
+    Gb_l = np.einsum("...nip,...pq->...niq", der.Gb, der.Gi)  # last slot raised
+    return np.einsum("...niq,njq->...ij", Gb_l, state.alg.beta)
 
 
 def ricci_blocks(state: GeometryState, der: DerivedGeometry):
@@ -323,9 +351,9 @@ def ricci_blocks(state: GeometryState, der: DerivedGeometry):
         -0.5 * np.einsum("...ab,...abij->...ij", gi, DDG)
         - 0.25 * np.einsum("...ab,...a,...bij->...ij", gi, trDG, DG)
         + 0.5 * np.einsum("...ab,...kl,...aik,...blj->...ij", gi, Gi, DG, DG)
-        + 0.25 * np.einsum("...ac,...bd,...mi,...abm,...nj,...cdn->...ij", gi, gi, G, F, G, F)
-        - 0.5 * np.einsum("...kl,...mn,mki,nlj->...ij", Gi, G, b, b)
-        + 0.25 * np.einsum("...kp,...lq,...mi,mkl,...nj,npq->...ij", Gi, Gi, G, b, G, b)
+        + 0.25 * np.einsum("...icd,...jcd->...ij", der.GF_up, der.GF)
+        - 0.5 * bracket_trace(state, der)
+        + 0.25 * np.einsum("...ipq,...jpq->...ij", der.Gb_up, der.Gb)
     )
     Ric_fb = (
         0.5 * np.einsum("...bc,...mi,...bacm->...ia", gi, G, DF)
@@ -359,16 +387,18 @@ def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> Curvatu
     t2 = -0.25 * np.einsum("...ms,mpn,nqr->...pqrs", G, b, b)
     t3 = -0.25 * np.einsum("...mq,mpn,nsr->...pqrs", G, b, b)
     t4 = -0.25 * np.einsum("...mn,mpr,nsq->...pqrs", G, b, b)
-    t5 = -0.25 * np.einsum("...kl,...ms,mpk,...nr,nql->...pqrs", Gi, G, b, G, b)
-    t6 = -0.25 * np.einsum("...kl,...mp,msk,...nr,nql->...pqrs", Gi, G, b, G, b)
+    Gb_l = np.einsum("...ipk,...kl->...ipl", der.Gb, Gi)  # last bracket slot raised
+    t5 = -0.25 * np.einsum("...spl,...rql->...pqrs", Gb_l, der.Gb)
+    t6 = -0.25 * np.einsum("...psl,...rql->...pqrs", Gb_l, der.Gb)
     tail = t3 + t4 + t5 + t6
     S = t1 + t2 + tail + np.swapaxes(tail, -3, -2)  # add the (2, 3) swap of the tail
     ffff = S - np.swapaxes(S, -4, -3)               # antisymmetrize in (1, 2)
 
     # fiber-fiber-base-fiber, slots (p, q, c, s)
-    u1 = 0.25 * np.einsum("...ab,...aps,...mq,...cbm->...pqcs", gi, DG, G, F)
-    u2 = 0.25 * np.einsum("...kl,...cqk,...ms,mpl->...pqcs", Gi, DG, G, b)
-    u3 = 0.25 * np.einsum("...kl,...cqk,...mp,msl->...pqcs", Gi, DG, G, b)
+    DG_up = np.einsum("...ab,...aps->...bps", gi, DG)  # base slot raised
+    u1 = 0.25 * np.einsum("...bps,...qcb->...pqcs", DG_up, der.GF)
+    u2 = 0.25 * np.einsum("...cqk,...spk->...pqcs", DG, Gb_l)
+    u3 = 0.25 * np.einsum("...cqk,...psk->...pqcs", DG, Gb_l)
     u4 = -0.25 * np.einsum("mpq,...cms->...pqcs", b, DG)
     u5 = -0.25 * np.einsum("mps,...cmq->...pqcs", b, DG)
     U = u1 + u2 + u3 + u4 + u5
@@ -377,7 +407,8 @@ def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> Curvatu
     # fiber-base-base-fiber, slots (p, b, c, s)
     w1 = -0.5 * np.einsum("...bcps->...pbcs", DDG)
     w2 = 0.25 * np.einsum("...kl,...cpk,...bsl->...pbcs", Gi, DG, DG)
-    w3 = 0.25 * np.einsum("...ae,...mp,...cam,...ns,...ben->...pbcs", gi, G, F, G, F)
+    GF_l = np.einsum("...pca,...ae->...pce", der.GF, gi)  # last base slot raised
+    w3 = 0.25 * np.einsum("...pce,...sbe->...pbcs", GF_l, der.GF)
     w4 = -0.25 * np.einsum("...ms,mpn,...bcn->...pbcs", G, b, F)
     w5 = -0.25 * np.einsum("...mp,msn,...bcn->...pbcs", G, b, F)
     w6 = 0.25 * np.einsum("...mn,mps,...bcn->...pbcs", G, b, F)

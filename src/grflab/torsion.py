@@ -181,8 +181,9 @@ def h_contractions(state: GeometryState, der: DerivedGeometry):
     if der.calH is None:
         full = packed_torsion(state, der)
         gEi = inverse_frame_metric(der)
-        der.calH = np.einsum("...acd,...bef,...ce,...df->...ab",
-                             full, full, gEi, gEi)
+        up = np.einsum("...ce,...bef->...bcf", gEi, full)
+        up = np.einsum("...df,...bcf->...bcd", gEi, up)
+        der.calH = np.einsum("...acd,...bcd->...ab", full, up)
         der.Hsq = np.einsum("...ab,...ab->...", gEi, der.calH)
     return der.calH, der.Hsq
 
@@ -246,9 +247,7 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
     """
     mesh, k = state.mesh, state.k
     full = packed_torsion(state, der)
-    Gi, gi, DG, F, Gamma, q = der.Gi, der.gi, der.DG, der.F, der.Gamma, der.q
-    G = state.G
-    b = state.alg.beta
+    Gi, gi, DG, Gamma, q = der.Gi, der.gi, der.DG, der.Gamma, der.q
 
     M = extended_coeffs(state, Gamma)
     covH = cov_deriv_3form(full, M, mesh)  # [..., a, beta, gamma, delta]
@@ -265,10 +264,8 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
         Hbb = full[..., k:, k:, :]   # [..., c, d, eps]
         Hff = full[..., :k, :k, :]   # [..., p, q, eps]
         W[..., :k, :] = np.einsum("...ab,...jl,...aji,...ble->...ie", gi, Gi, DG, Hbf)
-        V[..., :k, :] = 0.5 * np.einsum(
-            "...ac,...bd,...mi,...abm,...cde->...ie", gi, gi, G, F, Hbb)
-        U[..., :k, :] = 0.5 * np.einsum(
-            "...ip,...jq,...mb,mij,...pqe->...be", Gi, Gi, G, b, Hff)
+        V[..., :k, :] = 0.5 * np.einsum("...icd,...cde->...ie", der.GF_up, Hbb)
+        U[..., :k, :] = 0.5 * np.einsum("...bpq,...pqe->...be", der.Gb_up, Hff)
     term3 = -(W - np.swapaxes(W, -2, -1))
     term4 = -(V - np.swapaxes(V, -2, -1))
     term5 = U - np.swapaxes(U, -2, -1)

@@ -144,7 +144,7 @@ def test_variation_zero_direction():
         np.zeros(st.mesh.shape + (3, 3)), np.zeros(st.mesh.shape + (1, 1)),
         np.zeros(st.mesh.shape + (1, 3)), np.zeros(st.mesh.shape + (4, 4)),
         np.zeros(st.mesh.shape))
-    res = variation_check_F(st, zeros_f(st), zero)
+    res = variation_check_F(st, zeros_f(st), zero, derive(st))
     assert abs(res["fd"]) < 1e-10
     assert abs(res["formula"]) < 1e-10
 
@@ -157,7 +157,7 @@ def test_variation_pure_potential_direction():
     direction = VariationDirection(zero(2, 2), zero(1, 1), zero(1, 2),
                                    zero(3, 3), df)
     f = 0.1 * np.sin(2 * np.pi * x) + 0.05 * np.cos(4 * np.pi * x)
-    res = variation_check_F(st, f, direction)
+    res = variation_check_F(st, f, direction, derive(st))
     assert abs(res["fd"]) > 1e-3  # the direction actually moves the energy
     assert res["rel_gap"] < 1e-5
 
@@ -167,8 +167,9 @@ def test_variation_random_directions():
     st = random_state(rng, algebra.heisenberg3(), 64, 1)
     (x,) = st.mesh.coords()
     f = 0.1 * np.sin(x) + 0.05 * np.cos(2 * x)
+    der = derive(st)
     for _ in range(3):
-        res = variation_check_F(st, f, random_direction(rng, st))
+        res = variation_check_F(st, f, random_direction(rng, st), der)
         assert res["rel_gap"] < 1e-4
 
 
