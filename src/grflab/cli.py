@@ -27,7 +27,7 @@ import numpy as np
 from . import algebra, conjugate, flow, functionals, geometry, oracle, torsion
 from .algebra import LieAlgebra
 from .fields import DomainError, GridError, Mesh
-from .geometry import GeometryState, TorsionField, derive, min_eig_field
+from .geometry import GeometryState, derive, min_eig_field
 
 
 # --- presets -----------------------------------------------------------------
@@ -39,7 +39,8 @@ def _constant_state(alg: LieAlgebra, mesh: Mesh, G0, g0) -> GeometryState:
     g = np.broadcast_to(np.asarray(g0, dtype=float),
                         mesh.shape + (d, d)).copy()
     A = np.zeros(mesh.shape + (d, k))
-    return GeometryState(0.0, mesh, alg, G, g, A, TorsionField.zeros(mesh, k))
+    H = np.zeros(mesh.shape + (k + d,) * 3)
+    return GeometryState(0.0, mesh, alg, G, g, A, H)
 
 
 def preset_flat_abelian(N: int = 64) -> GeometryState:
@@ -72,7 +73,7 @@ def preset_inoue_like(N: int = 64) -> GeometryState:
     h = 0.5
     for perm, sgn in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        st.H.H3[..., perm[0], perm[1], perm[2]] = sgn * h
+        st.H[..., perm[0], perm[1], perm[2]] = sgn * h
     return st
 
 
@@ -194,8 +195,8 @@ CSV_COLUMNS = ["t", "F", "W", "R1", "R2", "R3", "R4", "W_extra",
 
 
 def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict]:
-    """Per-report-time functional evaluations along the coupled run."""
-    by_t = {round(c.t, 12): c for c in traj}
+    """Per-report-time functional evaluations along the coupled run; traj
+    holds one density per stored time, newest first."""
     n = traj[0].n
     rows = []
     indices = list(range(0, len(hist.times), cfg.report_stride))
@@ -203,9 +204,7 @@ def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict
         indices.append(len(hist.times) - 1)
     for i in indices:
         t = hist.times[i]
-        c = by_t.get(round(t, 12))
-        if c is None:
-            continue
+        c = traj[len(hist.times) - 1 - i]
         st = hist.states[i]
         der = derive(st, validated=True)
         f_steady = conjugate.potential(c.u, t, "steady", n)
@@ -395,7 +394,7 @@ def random_state(rng: np.random.Generator, alg: LieAlgebra, N: int, d: int,
     for a in range(d):
         for i in range(k):
             A[..., a, i] = wave()
-    H = TorsionField.zeros(mesh, k)
+    H = np.zeros(mesh.shape + (k + d,) * 3)
     if with_H:
         core = rng.normal(size=(k, k, k)) * 0.3
         alt = np.zeros((k, k, k))
@@ -406,18 +405,20 @@ def random_state(rng: np.random.Generator, alg: LieAlgebra, N: int, d: int,
                                       ((p2, p0, p1), 1), ((p0, p2, p1), -1),
                                       ((p2, p1, p0), -1), ((p1, p0, p2), -1)):
                         alt[p0, p1, p2] += sgn * core[perm] / 6.0
-        H.H3 = (1.0 + wave())[..., None, None, None] * alt
+        # fill the canonical fiber-first entries, then every other ordering
+        H[..., :k, :k, :k] = (1.0 + wave())[..., None, None, None] * alt
         for i in range(k):
             for j in range(i):
                 w = wave()
-                for a in range(d):
-                    H.H21[..., j, i, a] = w
-                    H.H21[..., i, j, a] = -w
+                for a in range(k, k + d):
+                    H[..., j, i, a] = w
+                    H[..., i, j, a] = -w
         if d == 2:
             for i in range(k):
                 w = wave()
-                H.H12[..., i, 0, 1] = w
-                H.H12[..., i, 1, 0] = -w
+                H[..., i, k, k + 1] = w
+                H[..., i, k + 1, k] = -w
+        H = torsion.pack_full(H, k)
     return GeometryState(0.0, mesh, alg, G, g, A, H)
 
 
@@ -487,6 +488,7 @@ def verify_variation(seed: int, N: int, count: int = 5) -> list:
 
     f = wave()
     der = derive(st, validated=True)
+    rt = functionals.residual_tensors(st, f, der)
     for trial in range(count):
         dG = np.zeros(mesh.shape + (k, k))
         for i in range(k):
@@ -507,7 +509,7 @@ def verify_variation(seed: int, N: int, count: int = 5) -> list:
                 B[..., j, i] = w
                 B[..., i, j] = -w
         direction = functionals.VariationDirection(dG, dg, dA, B, wave())
-        res = functionals.variation_check_F(st, f, direction, der)
+        res = functionals.variation_check_F(st, f, direction, der, rt)
         tol = 1e-4 * max(1.0, (64.0 / N) ** 4)
         rows.append((f"variation trial {trial}", res["rel_gap"],
                      res["rel_gap"] < tol))

@@ -102,8 +102,8 @@ def mass_of(u: np.ndarray, state: GeometryState) -> float:
 def _interp_state(hist, t: float) -> GeometryState:
     """Cubic Lagrange interpolation of the stored fields in time.
 
-    Falls back to linear when fewer than four snapshots bracket t, and to the
-    nearest snapshot when the history is degenerate.
+    Uses fewer nodes when the history holds fewer than four snapshots; needs
+    at least two.
     """
     times = np.asarray(hist.times)
     n = len(times)
@@ -115,8 +115,6 @@ def _interp_state(hist, t: float) -> GeometryState:
         return hist.states[j - 1]
     lo = max(0, min(j - 2, n - 4))
     idx = list(range(lo, min(lo + 4, n)))
-    if len(idx) < 2:
-        return hist.states[idx[0]]
     ts = times[idx]
     ws = np.ones(len(idx))
     for a in range(len(idx)):
@@ -129,9 +127,7 @@ def _interp_state(hist, t: float) -> GeometryState:
     out.G = sum(w * hist.states[i].G for w, i in zip(ws, idx))
     out.g = sum(w * hist.states[i].g for w, i in zip(ws, idx))
     out.A = sum(w * hist.states[i].A for w, i in zip(ws, idx))
-    for name in ("H3", "H21", "H12", "H03"):
-        setattr(out.H, name,
-                sum(w * getattr(hist.states[i].H, name) for w, i in zip(ws, idx)))
+    out.H = sum(w * hist.states[i].H for w, i in zip(ws, idx))
     return out
 
 
@@ -155,34 +151,25 @@ def solve_backward(hist, u_T: np.ndarray | None = None,
         u_T = np.full(sT.mesh.shape, 1.0 / vol)
     u = np.asarray(u_T, dtype=float).copy()
     out = [ConjugateState(u.copy(), float(times[iT]), mass_of(u, sT), n)]
-    der_cache: dict = {}
-
-    def rate(uu, t):
-        key = round(t, 12)
-        if key in der_cache:
-            st, der = der_cache[key]
-        else:
-            st = _interp_state(hist, t)
-            der = derive(st, validated=True)
-            der_cache[key] = (st, der)
-            if len(der_cache) > 8:
-                der_cache.pop(next(iter(der_cache)))
-        # reversed-time rate: d u / d s = -(d u / d t)
-        return -conj_rhs(uu, st, der)
-
+    # reversed-time rates d u / d s = -(d u / d t); each interval derives its
+    # midpoint and its t0 end, which is the next interval's t1 end
+    st1, der1 = sT, derive(sT, validated=True)
     for i in range(iT, 0, -1):
         t1, t0 = float(times[i]), float(times[i - 1])
         ds = t1 - t0
-        tm = 0.5 * (t0 + t1)
-        k1 = rate(u, t1)
-        k2 = rate(u + 0.5 * ds * k1, tm)
-        k3 = rate(u + 0.5 * ds * k2, tm)
-        k4 = rate(u + ds * k3, t0)
+        stm = _interp_state(hist, 0.5 * (t0 + t1))
+        derm = derive(stm, validated=True)
+        st0 = hist.states[i - 1]
+        der0 = derive(st0, validated=True)
+        k1 = -conj_rhs(u, st1, der1)
+        k2 = -conj_rhs(u + 0.5 * ds * k1, stm, derm)
+        k3 = -conj_rhs(u + 0.5 * ds * k2, stm, derm)
+        k4 = -conj_rhs(u + ds * k3, st0, der0)
         u = u + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if np.any(u <= 0) or not np.all(np.isfinite(u)):
             raise DomainError(
                 "density positivity lost in the backward solve; "
                 "the forward step size is too large")
-        out.append(ConjugateState(u.copy(), t0, mass_of(u, hist.states[i - 1]),
-                                  n))
+        out.append(ConjugateState(u.copy(), t0, mass_of(u, st0), n))
+        st1, der1 = st0, der0
     return out

@@ -21,13 +21,7 @@ import numpy as np
 
 from .algebra import require_valid
 from .fields import DomainError, Mesh, deriv_array
-from .geometry import (
-    GeometryState,
-    TorsionField,
-    _derivs,
-    derive,
-    ricci_blocks,
-)
+from .geometry import GeometryState, _derivs, derive, ricci_blocks
 from . import torsion
 
 
@@ -38,7 +32,7 @@ class FlowRHS:
     dG: np.ndarray
     dg: np.ndarray
     dA: np.ndarray
-    dH: TorsionField
+    dH: np.ndarray
 
 
 def lie_derivative_base(q: np.ndarray, g: np.ndarray, Gamma: np.ndarray,
@@ -98,18 +92,12 @@ def cfl_dt(state: GeometryState, sigma: float) -> float:
 
 
 def _axpy(state: GeometryState, rhs: FlowRHS, dt: float) -> GeometryState:
-    H = TorsionField(
-        state.H.H3 + dt * rhs.dH.H3,
-        state.H.H21 + dt * rhs.dH.H21,
-        state.H.H12 + dt * rhs.dH.H12,
-        state.H.H03 + dt * rhs.dH.H03,
-    )
     return GeometryState(
         state.t + dt, state.mesh, state.alg,
         state.G + dt * rhs.dG,
         state.g + dt * rhs.dg,
         state.A + dt * rhs.dA,
-        H,
+        state.H + dt * rhs.dH,
     )
 
 
@@ -123,10 +111,7 @@ def rk4_step(state: GeometryState, dt: float, mode: str) -> GeometryState:
     out.G = state.G + (dt / 6.0) * (k1.dG + 2 * k2.dG + 2 * k3.dG + k4.dG)
     out.g = state.g + (dt / 6.0) * (k1.dg + 2 * k2.dg + 2 * k3.dg + k4.dg)
     out.A = state.A + (dt / 6.0) * (k1.dA + 2 * k2.dA + 2 * k3.dA + k4.dA)
-    for name in ("H3", "H21", "H12", "H03"):
-        blocks = [getattr(ki.dH, name) for ki in (k1, k2, k3, k4)]
-        setattr(out.H, name, getattr(state.H, name)
-                + (dt / 6.0) * (blocks[0] + 2 * blocks[1] + 2 * blocks[2] + blocks[3]))
+    out.H = state.H + (dt / 6.0) * (k1.dH + 2 * k2.dH + 2 * k3.dH + k4.dH)
     return out
 
 
@@ -195,8 +180,7 @@ def blowdown_rescale(state: GeometryState, s: float) -> GeometryState:
     out.t = state.t / s
     out.G = state.G / s
     out.g = state.g / s
-    out.H = TorsionField(state.H.H3 / s, state.H.H21 / s,
-                         state.H.H12 / s, state.H.H03 / s)
+    out.H = state.H / s
     return out
 
 
@@ -277,12 +261,9 @@ def pullback_state_1d(state: GeometryState, phi: np.ndarray) -> GeometryState:
     out.G = ev(state.G)
     out.g = ev(state.g) * (dphi ** 2)[:, None, None]
     out.A = ev(state.A) * dphi[:, None, None]
-    out.H = TorsionField(
-        ev(state.H.H3),
-        ev(state.H.H21) * dphi[:, None, None, None],
-        ev(state.H.H12),
-        ev(state.H.H03),
-    )
+    base = (np.arange(state.H.shape[-1]) >= state.k).astype(int)
+    n_base = base[:, None, None] + base[:, None] + base
+    out.H = ev(state.H) * dphi[:, None, None, None] ** n_base
     return out
 
 
@@ -306,9 +287,6 @@ def gauge_equivalence_report(hist_ungauged: FlowHistory,
         "G": float(np.max(np.abs(pulled.G - fc.G))),
         "g": float(np.max(np.abs(pulled.g - fc.g))),
         "A_holonomy": float(np.max(np.abs(np.sum(pulled.A - fc.A, axis=0) * h))),
-        "H3": float(np.max(np.abs(pulled.H.H3 - fc.H.H3))),
-        "H21": float(np.max(np.abs(pulled.H.H21 - fc.H.H21))),
-        "H12": float(np.max(np.abs(pulled.H.H12 - fc.H.H12))),
-        "H03": float(np.max(np.abs(pulled.H.H03 - fc.H.H03))),
+        "H": float(np.max(np.abs(pulled.H - fc.H))),
     }
     return gaps

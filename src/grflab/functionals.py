@@ -198,10 +198,9 @@ class VariationDirection:
 
 def variation_formula_F(state: GeometryState, f: np.ndarray,
                         direction: VariationDirection,
-                        der: DerivedGeometry) -> float:
+                        der: DerivedGeometry, rt: ResidualTensors) -> float:
     """Closed-form first variation of the energy along the direction
-    (der: the state's derive())."""
-    rt = residual_tensors(state, f, der)
+    (der: the state's derive(); rt: residual_tensors(state, f, der))."""
     ints = _weighted_pairings(
         state, f, der, (direction.dG, direction.dA, direction.dg, direction.Bdot),
         (rt.TG, rt.TA, rt.Tg, rt.TH), 1.0)
@@ -223,19 +222,18 @@ def perturbed_state(state: GeometryState, der: DerivedGeometry,
     out.G = state.G + eps * direction.dG
     out.g = state.g + eps * direction.dg
     out.A = state.A + eps * direction.dA
-    for name in ("H3", "H21", "H12", "H03"):
-        setattr(out.H, name,
-                getattr(state.H, name) + eps * getattr(dH, name))
+    out.H = state.H + eps * dH
     return out
 
 
 def variation_check_F(state: GeometryState, f: np.ndarray,
                       direction: VariationDirection, der: DerivedGeometry,
-                      eps: float = 1e-4) -> dict:
+                      rt: ResidualTensors, eps: float = 1e-4) -> dict:
     """Compare the closed-form first variation with a centered finite
     difference of the energy along the deformation path (der: the state's
-    derive())."""
-    formula = variation_formula_F(state, f, direction, der)
+    derive(); rt: residual_tensors(state, f, der), shared by every direction
+    at the same state and potential)."""
+    formula = variation_formula_F(state, f, direction, der, rt)
     plus = perturbed_state(state, der, direction, eps)
     minus = perturbed_state(state, der, direction, -eps)
     Fp = eval_F(plus, f + eps * direction.df, derive(plus, validated=True))

@@ -34,15 +34,19 @@ def _derivs(values: np.ndarray, mesh: Mesh) -> np.ndarray:
     return np.stack(outs, axis=mesh.d)
 
 
-def check_spd_field(vals: np.ndarray, name: str, floor: float = EIG_FLOOR):
-    """Abort with the offending grid point if a metric field degenerates."""
+def _pointwise_min_eig(vals: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of a symmetric matrix field at each grid point."""
     n = vals.shape[-1]
     if n == 0:
-        return
+        return np.full(vals.shape[:-2], np.inf)
     if n == 1:
-        mineig = vals[..., 0, 0]
-    else:
-        mineig = np.linalg.eigvalsh(vals)[..., 0]
+        return vals[..., 0, 0]
+    return np.linalg.eigvalsh(vals)[..., 0]
+
+
+def check_spd_field(vals: np.ndarray, name: str, floor: float = EIG_FLOOR):
+    """Abort with the offending grid point if a metric field degenerates."""
+    mineig = _pointwise_min_eig(vals)
     worst = float(np.min(mineig))
     if worst <= floor:
         idx = np.unravel_index(int(np.argmin(mineig)), mineig.shape)
@@ -53,47 +57,18 @@ def check_spd_field(vals: np.ndarray, name: str, floor: float = EIG_FLOOR):
 
 def min_eig_field(vals: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix field over the whole grid."""
-    n = vals.shape[-1]
-    if n == 0:
-        return float("inf")
-    if n == 1:
-        return float(np.min(vals[..., 0, 0]))
-    return float(np.min(np.linalg.eigvalsh(vals)[..., 0]))
-
-
-@dataclass
-class TorsionField:
-    """Block storage of the torsion 3-form.
-
-    Blocks by slot type: H3 holds all-fiber values, H21 two fiber and one
-    base, H12 one fiber and two base, H03 all base (identically zero when the
-    base has dimension at most 2, kept for uniformity).  Fiber slots come
-    first: H21[..., i, j, a], H12[..., i, a, b].
-    """
-
-    H3: np.ndarray   # (..., k, k, k) fully antisymmetric
-    H21: np.ndarray  # (..., k, k, d) antisymmetric in (i, j)
-    H12: np.ndarray  # (..., k, d, d) antisymmetric in (a, b)
-    H03: np.ndarray  # (..., d, d, d) fully antisymmetric
-
-    def copy(self) -> "TorsionField":
-        return TorsionField(self.H3.copy(), self.H21.copy(), self.H12.copy(), self.H03.copy())
-
-    @staticmethod
-    def zeros(mesh: Mesh, k: int) -> "TorsionField":
-        d = mesh.d
-        gs = mesh.shape
-        return TorsionField(
-            np.zeros(gs + (k, k, k)),
-            np.zeros(gs + (k, k, d)),
-            np.zeros(gs + (k, d, d)),
-            np.zeros(gs + (d, d, d)),
-        )
+    return float(np.min(_pointwise_min_eig(vals)))
 
 
 @dataclass
 class GeometryState:
-    """A full field configuration at one instant: (G, g, A, H) on the mesh."""
+    """A full field configuration at one instant: (G, g, A, H) on the mesh.
+
+    H[..., alpha, beta, gamma] is the torsion 3-form on the combined frame,
+    K = k + d slots with the fiber directions first, stored with every slot
+    ordering filled (torsion.pack_full rebuilds them from the canonical
+    fiber-first entries).
+    """
 
     t: float
     mesh: Mesh
@@ -101,7 +76,7 @@ class GeometryState:
     G: np.ndarray
     g: np.ndarray
     A: np.ndarray
-    H: TorsionField
+    H: np.ndarray
 
     @property
     def k(self) -> int:
@@ -127,7 +102,8 @@ class GeometryState:
 def levi_civita(g: np.ndarray, mesh: Mesh):
     """Christoffels, Ricci tensor and scalar curvature of the base metric.
 
-    Returns (Gamma, Ric_g, R_g) with Gamma[..., c, a, b] = Gamma^c_ab.
+    Returns (gi, Gamma, Ric_g, R_g) with gi the inverse metric and
+    Gamma[..., c, a, b] = Gamma^c_ab.
     """
     if np.any(metric_det(g, mesh.d) <= 0):
         raise DomainError("base metric not positive definite")
@@ -148,7 +124,7 @@ def levi_civita(g: np.ndarray, mesh: Mesh):
         - np.einsum("...caf,...fcb->...ab", Gamma, Gamma)
     )
     R = np.einsum("...ab,...ab->...", gi, ric)
-    return Gamma, ric, R
+    return gi, Gamma, ric, R
 
 
 def riemann_base(g: np.ndarray, Gamma: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -218,8 +194,8 @@ def compute_q(DG: np.ndarray, Gi: np.ndarray, gi: np.ndarray) -> np.ndarray:
 @dataclass
 class DerivedGeometry:
     """Derived quantities of one state, computed once; pass it only with that
-    state.  The torsion entries are filled on first use by
-    torsion.packed_torsion (`full`) and torsion.h_contractions (`calH`, `Hsq`).
+    state.  The torsion contractions `calH` and `Hsq` are filled on first
+    use by torsion.h_contractions.
 
     The lowered bracket and curvature tensors shared by the quadratic
     contractions:
@@ -243,7 +219,6 @@ class DerivedGeometry:
     Gb_up: np.ndarray
     GF: np.ndarray
     GF_up: np.ndarray
-    full: np.ndarray | None = field(default=None, init=False)
     calH: np.ndarray | None = field(default=None, init=False)
     Hsq: np.ndarray | None = field(default=None, init=False)
 
@@ -253,8 +228,7 @@ def derive(state: GeometryState, validated: bool = False) -> DerivedGeometry:
         require_valid(state.alg)
     mesh, alg = state.mesh, state.alg
     Gi = np.linalg.inv(state.G)
-    Gamma, Ric_g, R_g = levi_civita(state.g, mesh)
-    gi = np.linalg.inv(state.g)
+    gi, Gamma, Ric_g, R_g = levi_civita(state.g, mesh)
     F = compute_F(state.A, alg, mesh)
     DF = compute_DF(F, state.A, Gamma, alg, mesh)
     DG = compute_DG(state.G, state.A, alg, mesh)

@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Mesh, deriv_array
-from .geometry import GeometryState, TorsionField, compute_F
-from .torsion import pack_full
+from .geometry import GeometryState, compute_F
 
 __all__ = [
     "frame_metric",
@@ -129,13 +128,10 @@ def cov_deriv_3form(full3: np.ndarray, state: GeometryState, Gam: np.ndarray) ->
     return dH - corr
 
 
-def codifferential_oracle(state: GeometryState, H: TorsionField | None = None) -> np.ndarray:
+def codifferential_oracle(state: GeometryState) -> np.ndarray:
     """-d*H as a full (..., K, K) antisymmetric array, from -d*H = tr nabla H."""
-    if H is None:
-        H = state.H
-    full = pack_full(H, state.alg, state.mesh)
     gE = frame_metric(state)
     gEi = np.linalg.inv(gE)
     Gam = koszul_connection(state)
-    covH = cov_deriv_3form(full, state, Gam)
+    covH = cov_deriv_3form(state.H, state, Gam)
     return np.einsum("...ab,...abce->...ce", gEi, covH)

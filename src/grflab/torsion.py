@@ -1,10 +1,11 @@
 """Torsion 3-form machinery on the extension bundle.
 
-Operations here work on "full" antisymmetric arrays over the combined frame
-(K = k + d indices, fiber first), assembled from the block storage of
-TorsionField.  Includes the frame structure functions, the generic exterior
-derivative of the bracket geometry, the quadratic contractions of H, and the
-closed-form codifferential that drives the torsion evolution.
+The torsion is one antisymmetric (..., K, K, K) array over the combined frame
+(K = k + d indices, fiber first), held in GeometryState.H; pack_full is the
+one place that knows its canonical fiber-first entries.  Includes the frame
+structure functions, the generic exterior derivative of the bracket
+geometry, the quadratic contractions of H, and the closed-form
+codifferential that drives the torsion evolution.
 """
 
 from __future__ import annotations
@@ -13,14 +14,8 @@ import math
 
 import numpy as np
 
-from .algebra import LieAlgebra
 from .fields import Mesh, deriv_array
-from .geometry import (
-    DerivedGeometry,
-    GeometryState,
-    TorsionField,
-    _derivs,
-)
+from .geometry import DerivedGeometry, GeometryState, _derivs
 
 
 # --- full-frame packing ------------------------------------------------------
@@ -33,48 +28,35 @@ _PERMS3 = [
 
 
 def _perm_weight(kinds) -> float:
-    # Several permutations land each mixed block; the stored block is already
-    # antisymmetric within equal-kind slots so they contribute identically.
+    # Several permutations land on each entry of a mixed block; averaging them
+    # antisymmetrizes the canonical block within its equal-kind slots, which
+    # leaves an already antisymmetric block unchanged.
     nf = sum(1 for t in kinds if t == 0)
     return 1.0 / (math.factorial(nf) * math.factorial(3 - nf))
 
 
-def pack_full(H: TorsionField, alg: LieAlgebra, mesh: Mesh) -> np.ndarray:
-    """Assemble the torsion blocks into one antisymmetric (..., K, K, K) array."""
-    k, d = alg.k, mesh.d
-    K = k + d
-    full = np.zeros(mesh.shape + (K, K, K))
-    full[..., :k, :k, :k] = H.H3
-    blocks = [
-        (H.H21, (0, 0, 1)),
-        (H.H12, (0, 1, 1)),
-        (H.H03, (1, 1, 1)),
-    ]
-    for arr, kinds in blocks:
+def pack_full(full3: np.ndarray, k: int) -> np.ndarray:
+    """Rebuild every slot ordering of a (..., K, K, K) torsion array from its
+    canonical fiber-first entries.
+
+    The canonical blocks are [:k, :k, :k], [:k, :k, k:], [:k, k:, k:] and
+    [k:, k:, k:].  The all-fiber block is copied; each other block is spread
+    over the orderings of its slot kinds with signs and averaged over the
+    permutations that land on the same entry, so the mixed entries come out
+    exact negatives under every slot swap.
+    """
+    lead = tuple(range(full3.ndim - 3))
+    full = np.zeros_like(full3)
+    full[..., :k, :k, :k] = full3[..., :k, :k, :k]
+    for kinds in ((0, 0, 1), (0, 1, 1), (1, 1, 1)):
+        canon = tuple(slice(None, k) if t == 0 else slice(k, None) for t in kinds)
+        arr = full3[(Ellipsis,) + canon]
         w = _perm_weight(kinds)
         for perm, sign in _PERMS3:
-            src = np.transpose(arr, tuple(range(d)) + tuple(d + p for p in perm))
-            kinds_p = tuple(kinds[p] for p in perm)
-            sl = tuple(slice(None, k) if t == 0 else slice(k, None) for t in kinds_p)
+            src = np.transpose(arr, lead + tuple(len(lead) + p for p in perm))
+            sl = tuple(canon[p] for p in perm)
             full[(Ellipsis,) + sl] += sign * w * src
     return full
-
-
-def unpack_full(full3: np.ndarray, k: int) -> TorsionField:
-    """Split an antisymmetric (..., K, K, K) array back into torsion blocks."""
-    return TorsionField(
-        H3=full3[..., :k, :k, :k].copy(),
-        H21=full3[..., :k, :k, k:].copy(),
-        H12=full3[..., :k, k:, k:].copy(),
-        H03=full3[..., k:, k:, k:].copy(),
-    )
-
-
-def packed_torsion(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
-    """The state's torsion as one (..., K, K, K) array, packed once per der."""
-    if der.full is None:
-        der.full = pack_full(state.H, state.alg, state.mesh)
-    return der.full
 
 
 def inverse_frame_metric(der: DerivedGeometry) -> np.ndarray:
@@ -165,7 +147,7 @@ def closedness_residual(state: GeometryState, der: DerivedGeometry) -> float:
     """Max norm of dH (der: the state's derive()); vanishes for torsion
     fields coming from closed 3-forms."""
     C = structure_functions(state, der.F)
-    dH = algebroid_d(packed_torsion(state, der), 3, C, state.mesh, state.k)
+    dH = algebroid_d(state.H, 3, C, state.mesh, state.k)
     return float(np.max(np.abs(dH)))
 
 
@@ -179,11 +161,10 @@ def h_contractions(state: GeometryState, der: DerivedGeometry):
     the first call for a der; later calls return the same arrays.
     """
     if der.calH is None:
-        full = packed_torsion(state, der)
         gEi = inverse_frame_metric(der)
-        up = np.einsum("...ce,...bef->...bcf", gEi, full)
+        up = np.einsum("...ce,...bef->...bcf", gEi, state.H)
         up = np.einsum("...df,...bcf->...bcd", gEi, up)
-        der.calH = np.einsum("...acd,...bcd->...ab", full, up)
+        der.calH = np.einsum("...acd,...bcd->...ab", state.H, up)
         der.Hsq = np.einsum("...ab,...ab->...", gEi, der.calH)
     return der.calH, der.Hsq
 
@@ -196,12 +177,11 @@ def splitting_contractions(state: GeometryState, der: DerivedGeometry):
     The identity reads
         |H|^2/6 - tr_G calH/4 = -t_fiber/12 + t_mixed/4 + t_base/6.
     """
-    full = packed_torsion(state, der)
-    k = state.k
+    H, k = state.H, state.k
     Gi, gi = der.Gi, der.gi
-    Hf = full[..., :k, :k, :k]
-    Hm = full[..., :k, k:, k:]
-    Hb = full[..., k:, k:, k:]
+    Hf = H[..., :k, :k, :k]
+    Hm = H[..., :k, k:, k:]
+    Hb = H[..., k:, k:, k:]
     t_fiber = np.einsum("...ijk,...lmn,...il,...jm,...kn->...", Hf, Hf, Gi, Gi, Gi)
     t_mixed = np.einsum("...iab,...jcd,...ij,...ac,...bd->...", Hm, Hm, Gi, gi, gi)
     t_base = np.einsum("...abc,...def,...ad,...be,...cf->...", Hb, Hb, gi, gi, gi)
@@ -245,24 +225,23 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
     Term 2 equals -i_q H; dropping it gives the canonical-gauge source
     -d*H + i_q H directly.
     """
-    mesh, k = state.mesh, state.k
-    full = packed_torsion(state, der)
+    mesh, k, H = state.mesh, state.k, state.H
     Gi, gi, DG, Gamma, q = der.Gi, der.gi, der.DG, der.Gamma, der.q
 
     M = extended_coeffs(state, Gamma)
-    covH = cov_deriv_3form(full, M, mesh)  # [..., a, beta, gamma, delta]
+    covH = cov_deriv_3form(H, M, mesh)  # [..., a, beta, gamma, delta]
     # (D_. H)(., *, *) with both dots base slots traced by g:
     term1 = np.einsum("...ab,...abcd->...cd", gi, covH[..., :, k:, :, :])
 
-    term2 = -interior_product(q, full, k)
+    term2 = -interior_product(q, H, k)
 
     W = np.zeros_like(term2)
     V = np.zeros_like(term2)
     U = np.zeros_like(term2)
     if k:
-        Hbf = full[..., k:, :k, :]   # [..., b, l, eps]
-        Hbb = full[..., k:, k:, :]   # [..., c, d, eps]
-        Hff = full[..., :k, :k, :]   # [..., p, q, eps]
+        Hbf = H[..., k:, :k, :]   # [..., b, l, eps]
+        Hbb = H[..., k:, k:, :]   # [..., c, d, eps]
+        Hff = H[..., :k, :k, :]   # [..., p, q, eps]
         W[..., :k, :] = np.einsum("...ab,...jl,...aji,...ble->...ie", gi, Gi, DG, Hbf)
         V[..., :k, :] = 0.5 * np.einsum("...icd,...cde->...ie", der.GF_up, Hbb)
         U[..., :k, :] = 0.5 * np.einsum("...bpq,...pqe->...be", der.Gb_up, Hff)
@@ -309,7 +288,7 @@ def b_dot(state: GeometryState, der: DerivedGeometry, mode: str,
     if mode == "general":
         if grad_f is None:
             raise ValueError("general gauge needs grad_f")
-        return B - interior_product(grad_f, packed_torsion(state, der), state.k)
+        return B - interior_product(grad_f, state.H, state.k)
     raise ValueError(f"unknown gauge mode {mode!r}")
 
 
@@ -333,11 +312,12 @@ def moving_frame_correction(full3: np.ndarray, Adot: np.ndarray, k: int) -> np.n
 
 
 def torsion_rate(state: GeometryState, der: DerivedGeometry, B: np.ndarray,
-                 dA: np.ndarray) -> TorsionField:
-    """Rates of the stored torsion blocks when H moves by dB while the
-    connection form moves at rate dA[..., a, m]: the exterior derivative of
-    the source 2-form minus the moving-frame correction."""
+                 dA: np.ndarray) -> np.ndarray:
+    """Rate of the stored torsion when H moves by dB while the connection
+    form moves at rate dA[..., a, m]: the exterior derivative of the source
+    2-form minus the moving-frame correction, repacked from its canonical
+    entries."""
     k = state.k
     dH = algebroid_d(B, 2, structure_functions(state, der.F), state.mesh, k)
-    dH = dH - moving_frame_correction(packed_torsion(state, der), dA, k)
-    return unpack_full(dH, k)
+    dH = dH - moving_frame_correction(state.H, dA, k)
+    return pack_full(dH, k)

@@ -4,7 +4,7 @@ import numpy as np
 
 from grflab import algebra
 from grflab.fields import Mesh
-from grflab.geometry import GeometryState, TorsionField
+from grflab.geometry import GeometryState
 
 
 def constant_state(alg, N=16, d=1, lengths=None, G0=None, g0=None):
@@ -16,7 +16,8 @@ def constant_state(alg, N=16, d=1, lengths=None, G0=None, g0=None):
     G = np.broadcast_to(G0, mesh.shape + (k, k)).copy()
     g = np.broadcast_to(g0, mesh.shape + (d, d)).copy()
     A = np.zeros(mesh.shape + (d, k))
-    return GeometryState(0.0, mesh, alg, G, g, A, TorsionField.zeros(mesh, k))
+    H = np.zeros(mesh.shape + (k + d,) * 3)
+    return GeometryState(0.0, mesh, alg, G, g, A, H)
 
 
 def heisenberg_state(N=16, **kw):

@@ -15,8 +15,8 @@ from grflab.cli import ScenarioConfig, random_state, run_pipeline
 from grflab.fields import Mesh
 from grflab.flow import (IntegratorConfig, evaluate_rhs,
                          gauge_equivalence_report, run_flow)
-from grflab.geometry import (GeometryState, TorsionField, curvature_closed_form,
-                             derive, ricci_blocks)
+from grflab.geometry import (GeometryState, curvature_closed_form, derive,
+                             ricci_blocks)
 
 
 def run_scenario(tmp_factory, name, **kw):
@@ -225,12 +225,12 @@ def gauge_initial_state(N):
     A = np.zeros(mesh.shape + (1, k))
     A[..., 0, 0] = 0.2 * np.sin(x)
     A[..., 0, 2] = 0.15 * np.cos(x)
-    H = TorsionField.zeros(mesh, k)
+    H = np.zeros(mesh.shape + (k + 1,) * 3)
     # the constant fiber volume form is closed for a nilpotent algebra
     h = 0.4
     for perm, sgn in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        H.H3[..., perm[0], perm[1], perm[2]] = sgn * h
+        H[..., perm[0], perm[1], perm[2]] = sgn * h
     return GeometryState(0.0, mesh, alg, G, g, A, H)
 
 
@@ -277,7 +277,6 @@ def test_flat_fixed_point_and_torsion_closedness(heis_run, flat_run, torus_run,
     assert np.max(np.abs(final.G - st.G)) < 1e-12
     assert np.max(np.abs(final.g - st.g)) < 1e-12
     assert np.max(np.abs(final.A)) < 1e-12
-    for name in ("H3", "H21", "H12", "H03"):
-        assert np.max(np.abs(getattr(final.H, name))) < 1e-12
+    assert np.max(np.abs(final.H)) < 1e-12
     for run in (heis_run, flat_run, torus_run, inoue_run):
         assert run["manifest"]["max_dH_inf"] < 1e-6

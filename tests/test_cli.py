@@ -61,7 +61,7 @@ def test_load_config_rejects_non_closed_torsion(tmp_path, monkeypatch):
         st = cli.preset_inoue_like(N)
         (x,) = st.mesh.coords()
         prof = 1.0 + 0.5 * np.sin(2.0 * np.pi * x / st.mesh.lengths[0])
-        st.H.H3 = st.H.H3 * prof[..., None, None, None]
+        st.H = st.H * prof[..., None, None, None]
         return st
 
     monkeypatch.setitem(cli.PRESETS, "inoue-like", modulated_inoue)

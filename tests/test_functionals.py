@@ -9,8 +9,8 @@ from grflab.cli import preset_inoue_like, random_state
 from grflab.fields import DomainError, integrate_values
 from grflab.flow import blowdown_rescale
 from grflab.functionals import (VariationDirection, eval_F, eval_Wplus,
-                                residuals_F, residuals_W, soliton_detect,
-                                variation_check_F)
+                                residual_tensors, residuals_F, residuals_W,
+                                soliton_detect, variation_check_F)
 from grflab.geometry import derive, hessian
 
 
@@ -96,7 +96,7 @@ def test_W_extra_signs():
     # abelian fibers with vanishing pure-fiber torsion: nonnegative extra term
     rng = np.random.default_rng(6)
     st = random_state(rng, algebra.abelian(3), 32, 1)
-    st.H.H3[:] = 0.0
+    st.H[..., :st.k, :st.k, :st.k] = 0.0
     _, _, _, _, W_extra = residuals_W(st, zeros_f(st), 0.3, 1, derive(st))
     assert W_extra >= -1e-12
     # the Heisenberg bracket pushes the extra term negative
@@ -144,7 +144,8 @@ def test_variation_zero_direction():
         np.zeros(st.mesh.shape + (3, 3)), np.zeros(st.mesh.shape + (1, 1)),
         np.zeros(st.mesh.shape + (1, 3)), np.zeros(st.mesh.shape + (4, 4)),
         np.zeros(st.mesh.shape))
-    res = variation_check_F(st, zeros_f(st), zero, derive(st))
+    f, der = zeros_f(st), derive(st)
+    res = variation_check_F(st, f, zero, der, residual_tensors(st, f, der))
     assert abs(res["fd"]) < 1e-10
     assert abs(res["formula"]) < 1e-10
 
@@ -157,7 +158,8 @@ def test_variation_pure_potential_direction():
     direction = VariationDirection(zero(2, 2), zero(1, 1), zero(1, 2),
                                    zero(3, 3), df)
     f = 0.1 * np.sin(2 * np.pi * x) + 0.05 * np.cos(4 * np.pi * x)
-    res = variation_check_F(st, f, direction, derive(st))
+    der = derive(st)
+    res = variation_check_F(st, f, direction, der, residual_tensors(st, f, der))
     assert abs(res["fd"]) > 1e-3  # the direction actually moves the energy
     assert res["rel_gap"] < 1e-5
 
@@ -168,8 +170,9 @@ def test_variation_random_directions():
     (x,) = st.mesh.coords()
     f = 0.1 * np.sin(x) + 0.05 * np.cos(2 * x)
     der = derive(st)
+    rt = residual_tensors(st, f, der)
     for _ in range(3):
-        res = variation_check_F(st, f, random_direction(rng, st), der)
+        res = variation_check_F(st, f, random_direction(rng, st), der, rt)
         assert res["rel_gap"] < 1e-4
 
 

@@ -79,14 +79,14 @@ def ref_fbbf(state, der):
 
 
 def ref_calH(state, der):
-    full = torsion.pack_full(state.H, state.alg, state.mesh)
+    full = state.H
     gEi = torsion.inverse_frame_metric(der)
     return np.einsum("...acd,...bef,...ce,...df->...ab", full, full, gEi, gEi)
 
 
 def _ref_dstar_VU(state, der):
     k = state.k
-    full = torsion.pack_full(state.H, state.alg, state.mesh)
+    full = state.H
     Gi, gi, F, G, b = der.Gi, der.gi, der.F, state.G, state.alg.beta
     V = np.zeros(full.shape[:-1])
     U = np.zeros(full.shape[:-1])

@@ -1,12 +1,14 @@
-"""Torsion 3-form blocks, the algebroid differential, and the codifferential."""
+"""The torsion 3-form array, the algebroid differential, and the codifferential."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_state, flat_abelian_state, heisenberg_state
-from grflab import algebra, oracle, torsion
+from grflab import algebra, conjugate, flow, functionals, oracle, torsion
 from grflab.cli import preset_inoue_like, random_state
-from grflab.geometry import TorsionField, derive
+from grflab.geometry import derive
 
 
 def random_full_state(seed=0, N=16, d=1):
@@ -14,17 +16,41 @@ def random_full_state(seed=0, N=16, d=1):
     return random_state(rng, algebra.heisenberg3(), N, d)
 
 
-def test_pack_unpack_roundtrip():
-    st = random_full_state()
-    full = torsion.pack_full(st.H, st.alg, st.mesh)
-    back = torsion.unpack_full(full, st.k)
-    for name in ("H3", "H21", "H12", "H03"):
-        assert np.allclose(getattr(back, name), getattr(st.H, name))
+def _swap_negated_on_mixed_entries(H, k):
+    base = (np.arange(H.shape[-1]) >= k).astype(int)
+    n_base = base[:, None, None] + base[:, None] + base
+    mixed = (n_base > 0) & (n_base < 3)
+    return all(np.array_equal(H[..., mixed], -np.swapaxes(H, *axes)[..., mixed])
+               for axes in ((-3, -2), (-2, -1), (-3, -1)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]),
+       mode=st.sampled_from(["ungauged", "canonical"]))
+def test_torsion_of_new_states_is_its_own_pack(seed, d, mode):
+    # states built from packed states by linear combination stay packed
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, algebra.heisenberg3(), 8, d)
+    k, K = state.k, state.k + d
+    hist = flow.FlowHistory()
+    hist.append(state)
+    for _ in range(3):
+        hist.append(flow.rk4_step(hist.states[-1], 1e-3, mode))
+    mid = conjugate._interp_state(hist, 0.5 * (hist.times[1] + hist.times[2]))
+    B = rng.normal(size=state.mesh.shape + (K, K)) * 0.1
+    direction = functionals.VariationDirection(
+        np.zeros_like(state.G), np.zeros_like(state.g),
+        rng.normal(size=state.A.shape) * 0.1, B - np.swapaxes(B, -1, -2),
+        np.zeros(state.mesh.shape))
+    perturbed = functionals.perturbed_state(state, derive(state), direction, 1e-2)
+    for H in (hist.states[-1].H, mid.H, perturbed.H):
+        assert np.array_equal(H, torsion.pack_full(H, k))
+        assert _swap_negated_on_mixed_entries(H, k)
 
 
 def test_pack_full_antisymmetric():
     st = random_full_state(d=2)
-    full = torsion.pack_full(st.H, st.alg, st.mesh)
+    full = torsion.pack_full(st.H, st.k)
     assert np.allclose(full, -np.swapaxes(full, -3, -2))
     assert np.allclose(full, -np.swapaxes(full, -2, -1))
 
@@ -57,7 +83,7 @@ def test_h_contractions_kept_per_derived_geometry():
     assert again[0] is calH and again[1] is Hsq
     assert np.max(np.abs(calH)) > 0.1
     fresh = derive(st)
-    full = torsion.pack_full(st.H, st.alg, st.mesh)
+    full = st.H
     gEi = torsion.inverse_frame_metric(fresh)
     expected = np.einsum("...acd,...bef,...ce,...df->...ab", full, full, gEi, gEi)
     assert np.max(np.abs(calH - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -116,7 +142,7 @@ def test_closedness_residual_presets():
     assert torsion.closedness_residual(st, derive(st)) < 1e-13
     # an x-dependent pure-fiber component is no longer closed
     (x,) = st.mesh.coords()
-    st.H.H3 = st.H.H3 * (1.0 + 0.5 * np.sin(2 * np.pi * x))[..., None, None, None]
+    st.H = st.H * (1.0 + 0.5 * np.sin(2 * np.pi * x))[..., None, None, None]
     assert torsion.closedness_residual(st, derive(st)) > 1e-2
 
 
@@ -160,7 +186,7 @@ def test_b_dot_general_needs_gradient():
 
 def test_interior_product():
     st = random_full_state(seed=40)
-    full = torsion.pack_full(st.H, st.alg, st.mesh)
+    full = st.H
     vec = np.ones(st.mesh.shape + (1,))
     iv = torsion.interior_product(vec, full, st.k)
     assert np.allclose(iv, full[..., st.k, :, :])
@@ -168,7 +194,7 @@ def test_interior_product():
 
 def test_moving_frame_correction_zero_rate():
     st = random_full_state(seed=41)
-    full = torsion.pack_full(st.H, st.alg, st.mesh)
+    full = st.H
     Adot = np.zeros(st.mesh.shape + (1, st.k))
     corr = torsion.moving_frame_correction(full, Adot, st.k)
     assert np.max(np.abs(corr)) == 0.0
