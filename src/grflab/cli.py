@@ -209,7 +209,10 @@ def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict
         der = derive(st, validated=True)
         f_steady = conjugate.potential(c.u, t, "steady", n)
         Fval = functionals.eval_F(st, f_steady, der)
-        R = functionals.residuals_F(st, f_steady, der)
+        # the expander potential differs from f_steady by a constant, so the
+        # residual tensors serve both identities
+        rt = functionals.residual_tensors(st, f_steady, der)
+        R = functionals.residuals_F(st, f_steady, der, rt)
         row = {
             "t": t, "F": Fval,
             "R1": R[0], "R2": R[1], "R3": R[2], "R4": R[3],
@@ -220,7 +223,7 @@ def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict
         if t > 0:
             f_exp = conjugate.potential(c.u, t, "expander", n)
             row["W"] = functionals.eval_Wplus(st, f_exp, t, n, der)
-            RW = functionals.residuals_W(st, f_exp, t, n, der)
+            RW = functionals.residuals_W(st, f_exp, t, n, der, rt)
             row["_sumRW"] = sum(RW[:4]) + RW[4]
             row["W_extra"] = RW[4]
         else:
@@ -462,7 +465,7 @@ def verify_torsion(seed: int, N: int) -> list[tuple[str, float, bool]]:
         n = N if d == 1 else max(16, N // 2)
         st = random_state(rng, algebra.heisenberg3(), n, d)
         der = derive(st, validated=True)
-        md = torsion.minus_dstar(st, der)
+        md = torsion.b_dot(st, der)
         md_o = oracle.codifferential_oracle(st)
         scale = max(float(np.max(np.abs(md_o))), 1e-12)
         err = float(np.max(np.abs(md - md_o))) / scale

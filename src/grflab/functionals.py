@@ -1,6 +1,10 @@
 """Energy and entropy functionals, their dissipation residuals, variation
 checks, and soliton detection.
 
+The residual tensors are the flow's own velocity read in the gauge of
+X = q - grad f: flow.ungauged_rates moved by the Lie derivative along the
+horizontal lift of X.  dF/dt is their e^-f-weighted squared norm.
+
 All squared norms are full contractions with the appropriate metrics, one
 inverse metric factor per slot pair and no combinatorial weights, matching
 the convention used for |H|^2 elsewhere in the package.
@@ -17,7 +21,6 @@ from .geometry import (
     DerivedGeometry,
     GeometryState,
     _derivs,
-    bracket_trace,
     derive,
     gradient,
     hessian,
@@ -26,7 +29,7 @@ from .geometry import (
     norm_sq_DG,
     norm_sq_F,
 )
-from . import torsion
+from . import flow, torsion
 
 
 # --- pointwise scalar densities ----------------------------------------------
@@ -90,45 +93,22 @@ class ResidualTensors:
     TH: np.ndarray
 
 
-def co_differential_F(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
-    """((d^D)* F)^m_b = -g^{ac} (D_a F)^m_{cb}, the adjoint of the covariant
-    exterior derivative on fiber-valued base forms."""
-    return -np.einsum("...ac,...acbm->...bm", der.gi, der.DF)
-
-
 def residual_tensors(state: GeometryState, f: np.ndarray,
                      der: DerivedGeometry) -> ResidualTensors:
-    """Assemble the four stationarity tensors at the given potential f
-    (der: the state's derive())."""
-    mesh, k = state.mesh, state.k
-    b = state.alg.beta
-    G = state.G
-    Gi, gi, DG, DDG, F = der.Gi, der.gi, der.DG, der.DDG, der.F
-    calH, _ = torsion.h_contractions(state, der)
-    grad_f = gradient(f, gi, mesh)
-
-    DDGtr = np.einsum("...ab,...abij->...ij", gi, DDG)
-    DG2 = np.einsum("...ab,...lm,...ail,...bjm->...ij", gi, Gi, DG, DG)
-    GFGF = np.einsum("...icd,...jcd->...ij", der.GF_up, der.GF)
-    brkt1 = bracket_trace(state, der)
-    brkt2 = np.einsum("...ipq,...jpq->...ij", der.Gb_up, der.Gb)
-    DfG = np.einsum("...a,...aij->...ij", grad_f, DG)
-    TG = (DDGtr - DG2 - 0.5 * GFGF + brkt1 - 0.5 * brkt2
-          + 0.5 * calH[..., :k, :k] - DfG)
-
-    TA = -co_differential_F(state, der)  # [..., a, m]
-    TA = TA + np.einsum("...mi,...bc,...bin,...can->...am", Gi, gi, DG, F)
-    TA = TA + np.einsum("...mi,...pq,npi,...anq->...am", Gi, Gi, b, DG)
-    TA = TA + 0.5 * np.einsum("...mi,...ie->...em", Gi, calH[..., :k, k:])
-    TA = TA - np.einsum("...b,...bam->...am", grad_f, F)
-
-    DGg = np.einsum("...ip,...jq,...aij,...bpq->...ab", Gi, Gi, DG, DG)
-    FFg = np.einsum("...cd,...mn,...acm,...bdn->...ab", gi, G, F, F)
-    Tg = (-2.0 * der.Ric_g + 0.5 * DGg + FFg
-          + 0.5 * calH[..., k:, k:] - 2.0 * hessian(f, der.Gamma, mesh))
-
-    TH = torsion.b_dot(state, der, "general", grad_f=grad_f)
-    return ResidualTensors(TG, TA, Tg, TH)
+    """The ungauged flow rates moved along the horizontal lift of
+    X = q - grad f, at the given potential f (der: the state's derive())."""
+    mesh = state.mesh
+    Gi, DG = der.Gi, der.DG
+    dG, dg, dA, B = flow.ungauged_rates(state, der)
+    X = der.q - gradient(f, der.gi, mesh)
+    LG, LA, LB = flow.lift_lie_terms(X, state, der)
+    # L_q g through DG and DDG cancels Ric_bb's DDG term to round-off;
+    # flow.lie_derivative_base would move R3 at truncation level
+    Lg = flow.symmetric_part(
+        np.einsum("...ip,...jq,...aij,...bpq->...ab", Gi, Gi, DG, DG)
+        - np.einsum("...ij,...abij->...ab", Gi, der.DDG)
+        - 2.0 * hessian(f, der.Gamma, mesh))
+    return ResidualTensors(dG + LG, dA + LA, dg + Lg, B + LB)
 
 
 def _weighted_pairings(state: GeometryState, f: np.ndarray,
@@ -147,31 +127,31 @@ def _weighted_pairings(state: GeometryState, f: np.ndarray,
                  for c, p in zip((0.5, 1.0, 0.5, 0.5), dens))
 
 
-def residuals_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry):
+def residuals_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry,
+                rt: ResidualTensors):
     """The four nonnegative dissipation integrals of the energy identity:
 
         dF/dt = R1 + R2 + R3 + R4
 
     along the ungauged flow coupled to the conjugate density u = e^-f
-    (der: the state's derive()).
+    (der: the state's derive(); rt: residual_tensors(state, f, der)).
     """
-    rt = residual_tensors(state, f, der)
     x = (rt.TG, rt.TA, rt.Tg, rt.TH)
     return _weighted_pairings(state, f, der, x, x, 1.0)
 
 
 def residuals_W(state: GeometryState, f: np.ndarray, t: float, n: int,
-                der: DerivedGeometry):
+                der: DerivedGeometry, rt: ResidualTensors):
     """t-weighted residuals and the mixed-sign extra integral of the entropy
     identity: dW/dt = R1 + R2 + R3 + R4 + W_extra.  The base residual
-    carries the expander shift -g/t (der: the state's derive())."""
+    carries the expander shift -g/t (der: the state's derive(); rt:
+    residual_tensors at this state and any potential that differs from f by
+    a constant, such as the steady one)."""
     if t <= 0:
         raise DomainError("entropy residuals need t > 0")
-    rt = residual_tensors(state, f, der)
-    rt.Tg = rt.Tg - state.g / t
     k = state.k
     w = (4.0 * np.pi * t) ** (-0.5 * n)
-    x = (rt.TG, rt.TA, rt.Tg, rt.TH)
+    x = (rt.TG, rt.TA, rt.Tg - state.g / t, rt.TH)
     R1, R2, R3, R4 = _weighted_pairings(state, f, der, x, x, t * w)
     calH, Hsq = torsion.h_contractions(state, der)
     trG_ff = np.einsum("...ij,...ij->...", der.Gi, calH[..., :k, :k])

@@ -222,8 +222,7 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
     """The five pieces of -d*H in the nilpotent decomposition, as full
     (..., K, K) antisymmetric arrays.
 
-    Term 2 equals -i_q H; dropping it gives the canonical-gauge source
-    -d*H + i_q H directly.
+    Term 2 equals -i_q H.
     """
     mesh, k, H = state.mesh, state.k, state.H
     Gi, gi, DG, Gamma, q = der.Gi, der.gi, der.DG, der.Gamma, der.q
@@ -251,12 +250,6 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
     return term1, term2, term3, term4, term5
 
 
-def minus_dstar(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
-    """-d*H as a full antisymmetric (..., K, K) array (closed-form path)."""
-    t1, t2, t3, t4, t5 = minus_dstar_terms(state, der)
-    return t1 + t2 + t3 + t4 + t5
-
-
 def splitting_identity(state: GeometryState, der: DerivedGeometry) -> float:
     """Max-norm residual of the block decomposition of |H|^2/6 - tr_G calH/4.
 
@@ -272,24 +265,11 @@ def splitting_identity(state: GeometryState, der: DerivedGeometry) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def b_dot(state: GeometryState, der: DerivedGeometry, mode: str,
-          grad_f: np.ndarray | None = None) -> np.ndarray:
-    """Source 2-form B with dH/dt = dB in the chosen gauge.
-
-    mode "ungauged": B = -d*H; "canonical": B = -d*H + i_q H; "general":
-    canonical plus -i_{grad f} H with grad_f the upper-index gradient.
-    """
+def b_dot(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+    """Source 2-form B = -d*H of the ungauged flow, dH/dt = dB, as a full
+    antisymmetric (..., K, K) array (der: the state's derive())."""
     t1, t2, t3, t4, t5 = minus_dstar_terms(state, der)
-    if mode == "ungauged":
-        return t1 + t2 + t3 + t4 + t5
-    B = t1 + t3 + t4 + t5
-    if mode == "canonical":
-        return B
-    if mode == "general":
-        if grad_f is None:
-            raise ValueError("general gauge needs grad_f")
-        return B - interior_product(grad_f, state.H, state.k)
-    raise ValueError(f"unknown gauge mode {mode!r}")
+    return t1 + t2 + t3 + t4 + t5
 
 
 def moving_frame_correction(full3: np.ndarray, Adot: np.ndarray, k: int) -> np.ndarray:

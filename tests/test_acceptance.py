@@ -102,7 +102,7 @@ def test_codifferential_matches_oracle():
         rng = np.random.default_rng(202 + d)
         st = random_state(rng, algebra.heisenberg3(), 64, d)
         der = derive(st)
-        md = torsion.minus_dstar(st, der)
+        md = torsion.b_dot(st, der)
         md_o = oracle.codifferential_oracle(st)
         rel = np.max(np.abs(md - md_o)) / max(float(np.max(np.abs(md_o))), 1e-12)
         assert rel < 1e-5

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grflab import cli
+from grflab import cli, functionals
 from grflab.cli import (CSV_COLUMNS, ConfigError, PRESETS, load_config,
                         run_pipeline)
 
@@ -135,6 +135,28 @@ def test_pipeline_determinism(tmp_path):
         assert run_pipeline(cfg) == 0
         blobs.append((out / "report.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_report_builds_residual_tensors_once_per_row(tmp_path, monkeypatch):
+    # the steady and expander potentials differ by a constant, so one set
+    # of residual tensors serves both identities
+    calls = []
+    build = functionals.residual_tensors
+
+    def counted(*args):
+        calls.append(args[0].t)
+        return build(*args)
+
+    monkeypatch.setattr(functionals, "residual_tensors", counted)
+    out = tmp_path / "out"
+    cfg = load_config(write_config(
+        tmp_path, preset="heisenberg-s1", mesh_n=16, t_end=0.005,
+        report_stride=2, output_dir=str(out)))
+    assert run_pipeline(cfg) == 0
+    with open(out / "report.csv") as fh:
+        times = [float(row["t"]) for row in csv.DictReader(fh)]
+    assert len(times) > 2
+    assert calls == times
 
 
 def test_abort_leaves_manifest(tmp_path):

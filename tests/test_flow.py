@@ -6,6 +6,7 @@ import pytest
 from conftest import flat_abelian_state, heisenberg_state
 from grflab import algebra, flow
 from grflab.cli import preset_heisenberg_s1, random_state
+from grflab.fields import DomainError
 from grflab.flow import (FlowHistory, IntegratorConfig, blowdown_rescale,
                          cfl_dt, evaluate_rhs, gauge_equivalence_report,
                          pullback_state_1d, rk4_step, run_flow,
@@ -20,6 +21,8 @@ def test_flat_abelian_rhs_zero_all_gauges():
         assert np.max(np.abs(rhs.dg)) < 1e-13
         assert np.max(np.abs(rhs.dA)) < 1e-13
         assert np.max(np.abs(rhs.dH)) < 1e-13
+    with pytest.raises(ValueError):
+        evaluate_rhs(st, "sideways")
 
 
 def test_heisenberg_initial_rate():
@@ -70,6 +73,21 @@ def test_cfl_scaling():
     st_big = flat_abelian_state(N=16, g0=[[4.0]])
     # larger g means smaller g^{-1}, so a larger stable step
     assert cfl_dt(st_big, 0.1) == pytest.approx(4.0 * cfl_dt(st16, 0.1))
+
+
+@pytest.mark.parametrize("mode", ["ungauged", "canonical"])
+def test_rk4_step_keeps_2d_metrics_symmetric(mode):
+    # the discrete mixed derivatives in the Ricci blocks are not symmetric
+    st = random_state(np.random.default_rng(3), algebra.heisenberg3(), 16, 2)
+    out = rk4_step(st, 1e-3, mode)
+    assert np.array_equal(out.G, np.swapaxes(out.G, -1, -2))
+    assert np.array_equal(out.g, np.swapaxes(out.g, -1, -2))
+
+
+def test_run_flow_rejects_non_spd_initial_state():
+    st = flat_abelian_state(g0=[[-1.0]])
+    with pytest.raises(DomainError):
+        run_flow(st, IntegratorConfig(t_end=0.2, max_steps=5))
 
 
 def test_abort_on_blowup():

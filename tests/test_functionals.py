@@ -18,6 +18,16 @@ def zeros_f(st):
     return np.zeros(st.mesh.shape)
 
 
+def res_F(st, f):
+    der = derive(st)
+    return residuals_F(st, f, der, residual_tensors(st, f, der))
+
+
+def res_W(st, f, t, n):
+    der = derive(st)
+    return residuals_W(st, f, t, n, der, residual_tensors(st, f, der))
+
+
 def test_eval_F_flat_zero():
     st = flat_abelian_state()
     assert abs(eval_F(st, zeros_f(st), derive(st))) < 1e-13
@@ -53,12 +63,12 @@ def test_eval_Wplus_linear_in_n_shift():
 
 def test_residuals_F_flat_zero():
     st = flat_abelian_state()
-    assert max(abs(r) for r in residuals_F(st, zeros_f(st), derive(st))) < 1e-13
+    assert max(abs(r) for r in res_F(st, zeros_f(st))) < 1e-13
 
 
 def test_residuals_F_heisenberg():
     st = heisenberg_state()
-    R1, R2, R3, R4 = residuals_F(st, zeros_f(st), derive(st))
+    R1, R2, R3, R4 = res_F(st, zeros_f(st))
     assert R1 == pytest.approx(1.5, abs=1e-10)
     assert abs(R2) < 1e-12
     assert abs(R3) < 1e-12
@@ -70,7 +80,7 @@ def test_residuals_F_gradient_only():
     (x,) = st.mesh.coords()
     f = 0.05 * np.sin(2 * np.pi * x)
     der = derive(st)
-    R1, R2, R3, R4 = residuals_F(st, f, der)
+    R1, R2, R3, R4 = res_F(st, f)
     hess = hessian(f, der.Gamma, st.mesh)
     direct = 0.5 * integrate_values(
         (2.0 * hess[..., 0, 0]) ** 2 * np.exp(-f), st.g, st.mesh)
@@ -83,13 +93,13 @@ def test_residuals_F_gradient_only():
 def test_residuals_W_flat_reference():
     st = flat_abelian_state()
     t, n = 0.2, 1
-    R1, R2, R3, R4, W_extra = residuals_W(st, zeros_f(st), t, n, derive(st))
+    R1, R2, R3, R4, W_extra = res_W(st, zeros_f(st), t, n)
     expected_R3 = 1.0 / (2.0 * t) * (4.0 * np.pi * t) ** (-0.5 * n)
     assert R3 == pytest.approx(expected_R3, rel=1e-12)
     assert abs(R1) + abs(R2) + abs(R4) < 1e-12
     assert abs(W_extra) < 1e-13
     with pytest.raises(DomainError):
-        residuals_W(st, zeros_f(st), 0.0, n, derive(st))
+        res_W(st, zeros_f(st), 0.0, n)
 
 
 def test_W_extra_signs():
@@ -97,12 +107,12 @@ def test_W_extra_signs():
     rng = np.random.default_rng(6)
     st = random_state(rng, algebra.abelian(3), 32, 1)
     st.H[..., :st.k, :st.k, :st.k] = 0.0
-    _, _, _, _, W_extra = residuals_W(st, zeros_f(st), 0.3, 1, derive(st))
+    _, _, _, _, W_extra = res_W(st, zeros_f(st), 0.3, 1)
     assert W_extra >= -1e-12
     # the Heisenberg bracket pushes the extra term negative
     sth = heisenberg_state()
     t = 0.3
-    _, _, _, _, W_extra_h = residuals_W(sth, zeros_f(sth), t, 1, derive(sth))
+    _, _, _, _, W_extra_h = res_W(sth, zeros_f(sth), t, 1)
     assert W_extra_h == pytest.approx(-0.5 * (4 * np.pi * t) ** -0.5, rel=1e-10)
 
 

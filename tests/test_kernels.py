@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grflab import algebra, geometry, torsion
+from grflab import algebra, functionals, geometry, torsion
 from grflab.cli import random_state
 
 ALGEBRAS = {"heisenberg3": algebra.heisenberg3,
@@ -120,6 +120,50 @@ def ref_norm_sq_F(state, der):
                      der.gi, der.gi, state.G, der.F, der.F)
 
 
+def ref_co_differential_F(state, der):
+    return -np.einsum("...ac,...acbm->...bm", der.gi, der.DF)
+
+
+def ref_b_dot_general(state, der, grad_f):
+    t1, t2, t3, t4, t5 = torsion.minus_dstar_terms(state, der)
+    B = t1 + t3 + t4 + t5
+    return B - torsion.interior_product(grad_f, state.H, state.k)
+
+
+def ref_residual_tensors(state, f, der):
+    """The stationarity tensors with every curvature contraction written out
+    term by term instead of read from the flow rates."""
+    mesh, k = state.mesh, state.k
+    b = state.alg.beta
+    G = state.G
+    Gi, gi, DG, DDG, F = der.Gi, der.gi, der.DG, der.DDG, der.F
+    calH, _ = torsion.h_contractions(state, der)
+    grad_f = geometry.gradient(f, gi, mesh)
+
+    DDGtr = np.einsum("...ab,...abij->...ij", gi, DDG)
+    DG2 = np.einsum("...ab,...lm,...ail,...bjm->...ij", gi, Gi, DG, DG)
+    GFGF = np.einsum("...icd,...jcd->...ij", der.GF_up, der.GF)
+    brkt1 = geometry.bracket_trace(state, der)
+    brkt2 = np.einsum("...ipq,...jpq->...ij", der.Gb_up, der.Gb)
+    DfG = np.einsum("...a,...aij->...ij", grad_f, DG)
+    TG = (DDGtr - DG2 - 0.5 * GFGF + brkt1 - 0.5 * brkt2
+          + 0.5 * calH[..., :k, :k] - DfG)
+
+    TA = -ref_co_differential_F(state, der)  # [..., a, m]
+    TA = TA + np.einsum("...mi,...bc,...bin,...can->...am", Gi, gi, DG, F)
+    TA = TA + np.einsum("...mi,...pq,npi,...anq->...am", Gi, Gi, b, DG)
+    TA = TA + 0.5 * np.einsum("...mi,...ie->...em", Gi, calH[..., :k, k:])
+    TA = TA - np.einsum("...b,...bam->...am", grad_f, F)
+
+    DGg = np.einsum("...ip,...jq,...aij,...bpq->...ab", Gi, Gi, DG, DG)
+    FFg = np.einsum("...cd,...mn,...acm,...bdn->...ab", gi, G, F, F)
+    Tg = (-2.0 * der.Ric_g + 0.5 * DGg + FFg
+          + 0.5 * calH[..., k:, k:] - 2.0 * geometry.hessian(f, der.Gamma, mesh))
+
+    TH = ref_b_dot_general(state, der, grad_f)
+    return {"TG": TG, "TA": TA, "Tg": Tg, "TH": TH}
+
+
 KERNELS = {
     "Ric_ff": (lambda s, d: geometry.ricci_blocks(s, d)[0], ref_Ric_ff),
     "ffff": (lambda s, d: geometry.curvature_closed_form(s, d).ffff, ref_ffff),
@@ -144,3 +188,27 @@ def test_kernel_matches_multi_operand_reference(name, seed, d, alg):
     got, ref = kernel(state, der), reference(state, der)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]),
+       alg=st.sampled_from(sorted(ALGEBRAS)))
+def test_residual_tensors_match_term_by_term_reference(seed, d, alg):
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, ALGEBRAS[alg](), 8, d)
+    phases = [2.0 * np.pi * X / L
+              for X, L in zip(state.mesh.coords(), state.mesh.lengths)]
+    f = sum(a * np.cos(p) + b * np.sin(p)
+            for p, (a, b) in zip(phases, rng.uniform(-0.3, 0.3, (d, 2))))
+    der = geometry.derive(state)
+    rt = functionals.residual_tensors(state, f, der)
+    refs = ref_residual_tensors(state, f, der)
+    # the metric blocks are now symmetrized; on a 2-D base the reference's
+    # Tg carries the antisymmetric truncation error of Ric_g's mixed
+    # derivatives (of order 1e-3 at N = 8)
+    for name in ("TG", "Tg"):
+        refs[name] = 0.5 * (refs[name] + np.swapaxes(refs[name], -1, -2))
+    for name, ref in refs.items():
+        got = getattr(rt, name)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref)), name

@@ -1,7 +1,6 @@
 """The torsion 3-form array, the algebroid differential, and the codifferential."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,21 +93,21 @@ def test_h_contractions_kept_per_derived_geometry():
 def test_dstar_zero_torsion():
     st = heisenberg_state()
     der = derive(st)
-    assert np.max(np.abs(torsion.minus_dstar(st, der))) == 0.0
+    assert np.max(np.abs(torsion.b_dot(st, der))) == 0.0
 
 
 def test_dstar_constant_data_abelian():
     # every codifferential term carries a derivative, a DG, an F, or a bracket
     st = preset_inoue_like(16)
     der = derive(st)
-    assert np.max(np.abs(torsion.minus_dstar(st, der))) < 1e-13
+    assert np.max(np.abs(torsion.b_dot(st, der))) < 1e-13
 
 
 def test_dstar_matches_oracle():
     for d, seed in ((1, 3), (2, 4)):
         st = random_full_state(seed=seed, N=24, d=d)
         der = derive(st)
-        md = torsion.minus_dstar(st, der)
+        md = torsion.b_dot(st, der)
         md_o = oracle.codifferential_oracle(st)
         scale = max(float(np.max(np.abs(md_o))), 1e-12)
         assert np.max(np.abs(md - md_o)) / scale < 1e-10
@@ -162,26 +161,21 @@ def test_splitting_blocks_nonnegative():
     assert np.min(tb) >= -1e-14
 
 
+def canonical_source(st, der):
+    return torsion.b_dot(st, der) + flow.lift_lie_terms(der.q, st, der)[2]
+
+
 def test_b_dot_zero_torsion():
     st = heisenberg_state()
     der = derive(st)
-    for mode in ("ungauged", "canonical"):
-        assert np.max(np.abs(torsion.b_dot(st, der, mode))) == 0.0
+    assert np.max(np.abs(torsion.b_dot(st, der))) == 0.0
+    assert np.max(np.abs(canonical_source(st, der))) == 0.0
 
 
 def test_b_dot_canonical_flat_abelian():
     st = flat_abelian_state()
     der = derive(st)
-    assert np.max(np.abs(torsion.b_dot(st, der, "canonical"))) == 0.0
-
-
-def test_b_dot_general_needs_gradient():
-    st = heisenberg_state()
-    der = derive(st)
-    with pytest.raises(ValueError):
-        torsion.b_dot(st, der, "general")
-    with pytest.raises(ValueError):
-        torsion.b_dot(st, der, "sideways")
+    assert np.max(np.abs(canonical_source(st, der))) == 0.0
 
 
 def test_interior_product():
