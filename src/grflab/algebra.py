@@ -9,6 +9,7 @@ tensors uses +c together with the connection form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +42,6 @@ class LieAlgebra:
     def beta(self) -> np.ndarray:
         """Fiberwise bracket components in the trivialized frame (= -c)."""
         return -self.c
-
-    @property
-    def is_abelian(self) -> bool:
-        return not np.any(self.c)
 
 
 @dataclass
@@ -163,17 +160,6 @@ def ad_traces(alg: LieAlgebra, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def bracket_norm_sq(alg: LieAlgebra, G: np.ndarray) -> float:
-    """Full-contraction squared norm of the fiber bracket,
-    G^{ij} G^{kl} G_{mn} beta^m_{ik} beta^n_{jl}."""
-    G = _check_spd(G, alg.k)
-    if alg.k == 0:
-        return 0.0
-    Gi = np.linalg.inv(G)
-    b = alg.beta
-    return float(np.einsum("ij,kl,mn,mik,njl->", Gi, Gi, G, b, b))
-
-
 # --- presets -----------------------------------------------------------------
 
 def abelian(k: int) -> LieAlgebra:
@@ -191,16 +177,28 @@ def algebra_from_spec(spec) -> LieAlgebra:
     """Build an algebra from a preset name or a dense constants array.
 
     Accepted: "abelian:<k>", "heisenberg3", or {"k": k, "c": nested list,
-    row-major c[m][i][j]}.
+    row-major c[m][i][j]}.  Anything else raises AlgebraValidationError.
     """
     if isinstance(spec, str):
-        if spec.startswith("abelian:"):
-            return abelian(int(spec.split(":", 1)[1]))
+        m = re.fullmatch(r"abelian:([0-9]+)", spec)
+        if m:
+            return abelian(int(m.group(1)))
         if spec == "heisenberg3":
             return heisenberg3()
         raise AlgebraValidationError(f"unknown algebra preset {spec!r}")
-    if isinstance(spec, dict):
-        k = int(spec["k"])
-        c = np.asarray(spec["c"], dtype=float).reshape(k, k, k)
-        return LieAlgebra(k=k, c=c)
-    raise AlgebraValidationError(f"cannot interpret algebra spec {spec!r}")
+    if isinstance(spec, dict) and set(spec) == {"k", "c"}:
+        k = spec["k"]
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise AlgebraValidationError(
+                f"k must be a nonnegative integer, got {k!r}")
+        try:
+            c = np.asarray(spec["c"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise AlgebraValidationError(
+                f"c must be a numeric array: {exc}") from exc
+        if c.size != k ** 3 or not np.all(np.isfinite(c)):
+            raise AlgebraValidationError(
+                f"c must hold {k ** 3} finite numbers for k = {k}")
+        return LieAlgebra(k=k, c=c.reshape(k, k, k))
+    raise AlgebraValidationError(
+        f"expected a preset name or an object with keys k and c, got {spec!r}")

@@ -10,7 +10,8 @@ Subcommands:
     grflab report <run-dir>      human-readable summary of a stored run
 
 Exit codes: 0 clean; 1 configuration error, blow-up, solver abort or a run
-that stopped short of t_end; 2 energy-identity gap beyond tolerance.
+that stopped short of t_end; 2 energy-identity gap beyond tolerance, or a
+report with no interior row, so the energy identity was never evaluated.
 """
 
 from __future__ import annotations
@@ -87,16 +88,14 @@ PRESETS = {
 
 # --- configuration -----------------------------------------------------------
 
-@dataclass
-class ScenarioConfig:
+@dataclass(kw_only=True)
+class ScenarioConfig(flow.IntegratorConfig):
+    """One scenario run: the integrator settings plus what the pipeline
+    around the flow needs."""
+
     preset: str
     mesh_n: int | None = None
     algebra: object = None
-    mode: str = "ungauged"
-    t_end: float = 0.2
-    cfl_sigma: float = 0.1
-    fixed_dt: float | None = None
-    max_steps: int = 200000
     report_stride: int = 50
     n_override: int | None = None
     identity_rel_tol: float = 0.01
@@ -115,62 +114,71 @@ class ScenarioConfig:
         return st
 
 
-_KNOWN_KEYS = {
-    "preset", "mesh_n", "algebra", "mode", "t_end", "cfl_sigma", "fixed_dt",
-    "max_steps", "report_stride", "n_override", "identity_rel_tol",
-    "output_dir",
-}
-
-
 class ConfigError(ValueError):
     pass
 
 
-def _is_positive(value, types) -> bool:
-    """A positive value of one of the given types; JSON booleans do not count."""
-    return isinstance(value, types) and not isinstance(value, bool) and value > 0
+def _positive_number(value) -> bool:
+    """A finite positive JSON number; JSON booleans do not count."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
+
+
+def _positive_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+def _one_of(*choices):
+    return (lambda value: isinstance(value, str) and value in choices,
+            f"one of {', '.join(choices)}")
+
+
+_NUMBER = (_positive_number, "a finite positive number")
+_INTEGER = (_positive_integer, "a positive integer")
+
+# key -> (check of a non-null value, what the error message says it must be)
+CONFIG_KEYS = {
+    "preset": _one_of(*PRESETS),
+    "mesh_n": _INTEGER,
+    "algebra": (lambda value: isinstance(value, (str, dict)),
+                "an algebra name or an object with keys k and c"),
+    "mode": _one_of("ungauged", "canonical"),
+    "t_end": _NUMBER,
+    "cfl_sigma": _NUMBER,
+    "fixed_dt": _NUMBER,
+    "max_steps": _INTEGER,
+    "report_stride": _INTEGER,
+    "n_override": _INTEGER,
+    "identity_rel_tol": _NUMBER,
+    "output_dir": (lambda value: isinstance(value, str) and value != "",
+                   "a non-empty string"),
+}
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate a scenario file, reporting all problems at once."""
+    """Parse and validate a scenario file, reporting all problems at once.
+    A null value takes the key's default; preset has none."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    problems = []
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    for key in raw:
-        if key not in _KNOWN_KEYS:
+    problems = []
+    for key, value in list(raw.items()):
+        if key not in CONFIG_KEYS:
             problems.append(f"/{key}: unknown key")
-    preset = raw.get("preset")
-    if preset is None:
+        elif value is None:
+            del raw[key]
+        elif not CONFIG_KEYS[key][0](value):
+            problems.append(
+                f"/{key}: must be {CONFIG_KEYS[key][1]}, got {value!r}")
+    if "preset" not in raw:
         problems.append("/preset: required")
-    elif preset not in PRESETS:
-        problems.append(
-            f"/preset: unknown preset {preset!r}; "
-            f"choose from {sorted(PRESETS)}")
-    mode = raw.get("mode", "ungauged")
-    if mode not in ("ungauged", "canonical"):
-        problems.append(f"/mode: must be ungauged or canonical, got {mode!r}")
-    t_end = raw.get("t_end", 0.2)
-    if not _is_positive(t_end, (int, float)):
-        problems.append("/t_end: must be a positive number")
-    for key in ("cfl_sigma", "fixed_dt", "identity_rel_tol"):
-        if raw.get(key) is not None and not _is_positive(raw[key], (int, float)):
-            problems.append(f"/{key}: must be a positive number")
-    for key in ("mesh_n", "report_stride", "max_steps", "n_override"):
-        if raw.get(key) is not None and not _is_positive(raw[key], int):
-            problems.append(f"/{key}: must be a positive integer")
     if problems:
         raise ConfigError(f"{path}: " + "; ".join(problems))
-    cfg = ScenarioConfig(preset=preset, mode=mode, t_end=float(t_end))
-    for key in ("mesh_n", "algebra", "cfl_sigma", "fixed_dt", "max_steps",
-                "report_stride", "n_override", "identity_rel_tol",
-                "output_dir"):
-        if key in raw and raw[key] is not None:
-            setattr(cfg, key, raw[key])
+    cfg = ScenarioConfig(**raw)
     try:
         state = cfg.build_state()
         state.validate()
@@ -197,7 +205,7 @@ CSV_COLUMNS = ["t", "F", "W", "R1", "R2", "R3", "R4", "W_extra",
 def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict]:
     """Per-report-time functional evaluations along the coupled run; traj
     holds one density per stored time, newest first."""
-    n = traj[0].n
+    n = cfg.n_override if cfg.n_override is not None else hist.states[0].mesh.d
     rows = []
     indices = list(range(0, len(hist.times), cfg.report_stride))
     if indices[-1] != len(hist.times) - 1:
@@ -251,21 +259,25 @@ def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict
 
 
 def _identity_verdict(rows: list[dict], rel_tol: float) -> dict:
-    worst_F = 0.0
-    worst_W = 0.0
-    for row in rows:
-        gap = row["identity_gap_F"]
-        if np.isfinite(gap):
-            scale = max(abs(row["dF_dt_fd"]),
-                        abs(row["R1"] + row["R2"] + row["R3"] + row["R4"]), 1e-12)
-            worst_F = max(worst_F, gap / scale)
-        gap = row["identity_gap_W"]
-        if np.isfinite(gap):
-            worst_W = max(worst_W, gap / max(abs(row["W"]), 1.0))
+    """Worst relative identity gaps and the run status.  Without an interior
+    row the F identity is never evaluated: its gap is None and the run is
+    not clean."""
+    worst_F = max((row["identity_gap_F"]
+                   / max(abs(row["dF_dt_fd"]),
+                         abs(row["R1"] + row["R2"] + row["R3"] + row["R4"]),
+                         1e-12)
+                   for row in rows if np.isfinite(row["identity_gap_F"])),
+                  default=None)
+    worst_W = max((row["identity_gap_W"] / max(abs(row["W"]), 1.0)
+                   for row in rows if np.isfinite(row["identity_gap_W"])),
+                  default=0.0)
+    status = ("identity-unchecked" if worst_F is None
+              else "clean" if worst_F <= rel_tol else "identity-failure")
     return {
         "identity_rel_gap_F": worst_F,
         "identity_rel_gap_W": worst_W,
-        "identity_ok": worst_F <= rel_tol,
+        "identity_ok": status == "clean",
+        "status": status,
     }
 
 
@@ -296,8 +308,9 @@ def emit_outputs(out_dir: str, rows: list[dict], manifest: dict) -> None:
         lines.append(f"final F: {rows[-1]['F']:.8g}")
         lines.append(f"final W: {rows[-1]['W']:.8g}")
         lines.append(f"F nondecreasing: {manifest.get('F_nondecreasing')}")
-        lines.append(f"identity rel gap F: "
-                     f"{manifest.get('identity_rel_gap_F', float('nan')):.3e}")
+        gap = manifest["identity_rel_gap_F"]
+        lines.append("identity rel gap F: "
+                     + ("unchecked" if gap is None else f"{gap:.3e}"))
         lines.append(f"mass drift: {manifest.get('mass_drift', float('nan')):.3e}")
         lines.append(f"steady rigidity flag: "
                      f"{manifest.get('soliton', {}).get('steady_rigidity')}")
@@ -307,12 +320,9 @@ def emit_outputs(out_dir: str, rows: list[dict], manifest: dict) -> None:
 
 def run_pipeline(cfg: ScenarioConfig) -> int:
     state = cfg.build_state()
-    manifest = {"preset": cfg.preset, "mode": cfg.mode, "t_end": cfg.t_end,
-                "stages": [], "status": "started"}
-    icfg = flow.IntegratorConfig(
-        t_end=cfg.t_end, cfl_sigma=cfg.cfl_sigma, max_steps=cfg.max_steps,
-        mode=cfg.mode, fixed_dt=cfg.fixed_dt)
-    hist = flow.run_flow(state, icfg)
+    manifest = {"preset": cfg.preset, "mode": cfg.mode,
+                "t_end": float(cfg.t_end), "stages": [], "status": "started"}
+    hist = flow.run_flow(state, cfg)
     manifest["stages"].append("forward")
     manifest["steps"] = len(hist.times) - 1
     if not hist.aborted and hist.times[-1] < cfg.t_end - 1e-14:
@@ -325,9 +335,8 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
         manifest["abort_reason"] = hist.abort_reason
         emit_outputs(cfg.output_dir, [], manifest)
         return 1
-    n = cfg.n_override if cfg.n_override is not None else state.mesh.d
     try:
-        traj = conjugate.solve_backward(hist, n=n)
+        traj = conjugate.solve_backward(hist)
     except DomainError as exc:
         manifest["status"] = "aborted"
         manifest["abort_reason"] = f"backward solve: {exc}"
@@ -341,17 +350,15 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     manifest["stages"].append("report")
     Fs = [row["F"] for row in rows]
     manifest["F_nondecreasing"] = bool(np.all(np.diff(Fs) > -1e-8))
-    verdict = _identity_verdict(rows, cfg.identity_rel_tol)
-    manifest.update(verdict)
+    manifest.update(_identity_verdict(rows, cfg.identity_rel_tol))
     manifest["soliton"] = functionals.soliton_detect(rows)
     closed = max(
         torsion.closedness_residual(hist.states[i], derive(hist.states[i],
                                                            validated=True))
         for i in (0, len(hist.states) // 2, len(hist.states) - 1))
     manifest["max_dH_inf"] = float(closed)
-    manifest["status"] = "clean" if verdict["identity_ok"] else "identity-failure"
     emit_outputs(cfg.output_dir, rows, manifest)
-    return 0 if verdict["identity_ok"] else 2
+    return 0 if manifest["status"] == "clean" else 2
 
 
 # --- randomized verification -------------------------------------------------

@@ -36,13 +36,11 @@ Q_COEFF = -1.0
 
 @dataclass
 class ConjugateState:
-    """Positive density u at one time, with its mass and the dimension
-    parameter n of the expander potential."""
+    """Positive density u at one time, with its mass."""
 
     u: np.ndarray
     t: float
     mass: float
-    n: int = 1
 
 
 def potential(u: np.ndarray, t: float, mode: str, n: int) -> np.ndarray:
@@ -99,40 +97,7 @@ def mass_of(u: np.ndarray, state: GeometryState) -> float:
     return integrate_values(u, state.g, state.mesh)
 
 
-def _interp_state(hist, t: float) -> GeometryState:
-    """Cubic Lagrange interpolation of the stored fields in time.
-
-    Uses fewer nodes when the history holds fewer than four snapshots; needs
-    at least two.
-    """
-    times = np.asarray(hist.times)
-    n = len(times)
-    j = int(np.searchsorted(times, t))
-    j = min(max(j, 1), n - 1)
-    if abs(times[j] - t) < 1e-14:
-        return hist.states[j]
-    if abs(times[j - 1] - t) < 1e-14:
-        return hist.states[j - 1]
-    lo = max(0, min(j - 2, n - 4))
-    idx = list(range(lo, min(lo + 4, n)))
-    ts = times[idx]
-    ws = np.ones(len(idx))
-    for a in range(len(idx)):
-        for b in range(len(idx)):
-            if a != b:
-                ws[a] *= (t - ts[b]) / (ts[a] - ts[b])
-    ref = hist.states[idx[0]]
-    out = ref.copy()
-    out.t = t
-    out.G = sum(w * hist.states[i].G for w, i in zip(ws, idx))
-    out.g = sum(w * hist.states[i].g for w, i in zip(ws, idx))
-    out.A = sum(w * hist.states[i].A for w, i in zip(ws, idx))
-    out.H = sum(w * hist.states[i].H for w, i in zip(ws, idx))
-    return out
-
-
-def solve_backward(hist, u_T: np.ndarray | None = None,
-                   n: int | None = None) -> list[ConjugateState]:
+def solve_backward(hist, u_T: np.ndarray | None = None) -> list[ConjugateState]:
     """Integrate the density from the last stored time T down to the start of
     the history.
 
@@ -142,22 +107,20 @@ def solve_backward(hist, u_T: np.ndarray | None = None,
     every stored time from T down to the start, in decreasing t order.
     """
     times = np.asarray(hist.times)
-    if n is None:
-        n = hist.states[0].mesh.d
     iT = len(times) - 1
     sT = hist.states[iT]
     if u_T is None:
         vol = mass_of(np.ones(sT.mesh.shape), sT)
         u_T = np.full(sT.mesh.shape, 1.0 / vol)
     u = np.asarray(u_T, dtype=float).copy()
-    out = [ConjugateState(u.copy(), float(times[iT]), mass_of(u, sT), n)]
+    out = [ConjugateState(u.copy(), float(times[iT]), mass_of(u, sT))]
     # reversed-time rates d u / d s = -(d u / d t); each interval derives its
     # midpoint and its t0 end, which is the next interval's t1 end
     st1, der1 = sT, derive(sT, validated=True)
     for i in range(iT, 0, -1):
         t1, t0 = float(times[i]), float(times[i - 1])
         ds = t1 - t0
-        stm = _interp_state(hist, 0.5 * (t0 + t1))
+        stm = hist.state_at(0.5 * (t0 + t1))
         derm = derive(stm, validated=True)
         st0 = hist.states[i - 1]
         der0 = derive(st0, validated=True)
@@ -170,6 +133,6 @@ def solve_backward(hist, u_T: np.ndarray | None = None,
             raise DomainError(
                 "density positivity lost in the backward solve; "
                 "the forward step size is too large")
-        out.append(ConjugateState(u.copy(), t0, mass_of(u, st0), n))
+        out.append(ConjugateState(u.copy(), t0, mass_of(u, st0)))
         st1, der1 = st0, der0
     return out

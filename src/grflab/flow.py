@@ -96,9 +96,11 @@ def evaluate_rhs(state: GeometryState, mode: str = "ungauged") -> FlowRHS:
 
 # --- time stepping -----------------------------------------------------------
 
-@dataclass
+@dataclass(kw_only=True)
 class IntegratorConfig:
-    t_end: float
+    """Time-stepping settings; a fixed_dt bypasses the CFL rule."""
+
+    t_end: float = 0.2
     cfl_sigma: float = 0.1
     max_steps: int = 200000
     mode: str = "ungauged"
@@ -150,9 +152,34 @@ class FlowHistory:
         self.states.append(state)
 
     def state_at(self, t: float) -> GeometryState:
-        """Nearest stored state; times are dense so this is accurate to dt."""
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        return self.states[i]
+        """The fields at time t by cubic Lagrange interpolation, exact at
+        stored times.
+
+        Uses fewer nodes when the history holds fewer than four snapshots.
+        """
+        times = np.asarray(self.times)
+        n = len(times)
+        j = int(np.searchsorted(times, t))
+        j = min(max(j, 1), n - 1)
+        if abs(times[j] - t) < 1e-14:
+            return self.states[j]
+        if abs(times[j - 1] - t) < 1e-14:
+            return self.states[j - 1]
+        lo = max(0, min(j - 2, n - 4))
+        idx = list(range(lo, min(lo + 4, n)))
+        ts = times[idx]
+        ws = np.ones(len(idx))
+        for a in range(len(idx)):
+            for b in range(len(idx)):
+                if a != b:
+                    ws[a] *= (t - ts[b]) / (ts[a] - ts[b])
+        out = self.states[idx[0]].copy()
+        out.t = t
+        out.G = sum(w * self.states[i].G for w, i in zip(ws, idx))
+        out.g = sum(w * self.states[i].g for w, i in zip(ws, idx))
+        out.A = sum(w * self.states[i].A for w, i in zip(ws, idx))
+        out.H = sum(w * self.states[i].H for w, i in zip(ws, idx))
+        return out
 
 
 def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import constant_state
 from grflab import algebra
 from grflab.algebra import (AlgebraValidationError, LieAlgebra, abelian,
-                            ad_traces, algebra_from_spec, bracket_norm_sq,
-                            heisenberg3, require_valid, validate_algebra)
+                            ad_traces, algebra_from_spec, heisenberg3,
+                            require_valid, validate_algebra)
+from grflab.geometry import derive, norm_sq_bracket
 
 
 def so3():
@@ -38,9 +40,7 @@ def test_heisenberg_valid():
 
 
 def test_abelian_valid_and_flagged():
-    alg = abelian(3)
-    assert alg.is_abelian
-    rep = validate_algebra(alg)
+    rep = validate_algebra(abelian(3))
     assert rep.ok
     assert rep.nilpotency_steps == 1
 
@@ -101,6 +101,12 @@ def test_ad_traces_nonzero_for_non_nilpotent():
     assert np.max(np.abs(t1)) > 0.5
 
 
+def bracket_norm_sq(alg, G):
+    """|[,]|^2 of the algebra in the constant fiber metric G."""
+    st = constant_state(alg, N=8, G0=G)
+    return float(norm_sq_bracket(st, derive(st)).flat[0])
+
+
 def test_bracket_norm_abelian_zero():
     assert bracket_norm_sq(abelian(4), np.eye(4)) == 0.0
 
@@ -122,8 +128,12 @@ def test_algebra_from_spec():
     assert algebra_from_spec("abelian:5").k == 5
     alg = algebra_from_spec({"k": 3, "c": heisenberg3().c.tolist()})
     assert np.array_equal(alg.c, heisenberg3().c)
-    with pytest.raises(AlgebraValidationError):
-        algebra_from_spec("simple:su2")
+    for bad in ("simple:su2", "abelian:x", "abelian:2 ", {"k": 2},
+                {"k": 2, "c": [1, 2]}, {"k": "2", "c": [0] * 8},
+                {"k": 1, "c": [float("inf")]}, {"k": 1, "c": "x"},
+                {"k": 1, "c": [[0], [0, 1]]}, ["heisenberg3"], 3):
+        with pytest.raises(AlgebraValidationError):
+            algebra_from_spec(bad)
 
 
 def test_beta_is_minus_c():

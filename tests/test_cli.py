@@ -1,7 +1,11 @@
 """Configuration loading, pipeline orchestration, and output artifacts."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grflab import cli, functionals
 from grflab.cli import (CSV_COLUMNS, ConfigError, PRESETS, load_config,
@@ -77,27 +82,105 @@ def test_load_config_rejects_nonpositive_fixed_dt(tmp_path):
             load_config(path)
 
 
+def cheap_config(tmp_path, **overrides):
+    """flat-abelian at mesh 8 for at most 5 steps, so that even a value the
+    loader wrongly accepts runs in a fraction of a second."""
+    body = {"preset": "flat-abelian", "mesh_n": 8, "t_end": 0.001,
+            "max_steps": 5, "output_dir": str(tmp_path / "out")}
+    body.update(overrides)
+    return write_config(tmp_path, **body)
+
+
+def run_in_one_line(path):
+    """Exit code and stderr of `grflab run path`."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["run", path])
+    return rc, err.getvalue()
+
+
 @pytest.mark.parametrize("key, value", [
     ("mesh_n", 4), ("mesh_n", True),
     ("cfl_sigma", -1), ("cfl_sigma", 0), ("cfl_sigma", True),
     ("identity_rel_tol", "x"), ("identity_rel_tol", 0.0),
     ("n_override", "x"), ("n_override", 0), ("n_override", 1.5),
     ("n_override", True),
+    ("algebra", "abelian:x"), ("algebra", {"k": 2}),
+    ("algebra", {"k": 2, "c": [1, 2]}), ("preset", ["flat-abelian"]),
+    ("output_dir", 5),
+    ("t_end", math.inf), ("cfl_sigma", math.inf),
+    ("identity_rel_tol", math.inf),
 ])
-def test_run_rejects_bad_input_in_one_line(tmp_path, capsys, key, value):
-    path = write_config(tmp_path, preset="flat-abelian", **{key: value})
-    assert cli.main(["run", path]) == 1
-    err = capsys.readouterr().err
+def test_run_rejects_bad_input_in_one_line(tmp_path, key, value):
+    rc, err = run_in_one_line(cheap_config(tmp_path, **{key: value}))
+    assert rc == 1
     assert len(err.strip().splitlines()) == 1
     assert ("mesh" if key == "mesh_n" else f"/{key}") in err
+    assert "Traceback" not in err
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8))
+_NESTED = (st.lists(_SCALARS, max_size=3)
+           | st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3))
+_NON_STRINGS = st.booleans() | st.integers() | st.floats() | _NESTED
+_NOT_NUMBERS = st.booleans() | st.text(max_size=8) | _NESTED
+_NONPOSITIVE = st.integers(max_value=0) | st.floats(max_value=0.0)
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# any float is invalid where an integer is expected, 2.0 included
+_NUMBERS = [_NOT_NUMBERS, _NONPOSITIVE, _NON_FINITE]
+_INTEGERS = _NUMBERS + [st.floats()]
+
+
+def _unknown_strings(*valid):
+    return st.text(max_size=12).filter(lambda s: s not in valid)
+
+
+# per key, the categories of invalid values; each example draws a category,
+# then a value from it
+INVALID_VALUES = {
+    "preset": [st.none(), _NON_STRINGS, _unknown_strings(*cli.PRESETS)],
+    "mesh_n": _INTEGERS,
+    # flat-abelian has 2 fiber directions, which heisenberg3 and any spec
+    # with k != 2 do not fit
+    "algebra": [_NON_STRINGS, st.text(max_size=12).filter(
+        lambda s: not re.fullmatch(r"abelian:0*2", s))],
+    "mode": [_NON_STRINGS, _unknown_strings("ungauged", "canonical")],
+    "t_end": _NUMBERS,
+    "cfl_sigma": _NUMBERS,
+    "fixed_dt": _NUMBERS,
+    "max_steps": _INTEGERS,
+    "report_stride": _INTEGERS,
+    "n_override": _INTEGERS,
+    "identity_rel_tol": _NUMBERS,
+    "output_dir": [_NON_STRINGS, st.just("")],
+}
+
+
+@pytest.mark.parametrize("key", sorted(INVALID_VALUES))
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_invalid_config_values_end_in_one_line(tmp_path, key, data):
+    category = data.draw(st.sampled_from(INVALID_VALUES[key]))
+    value = data.draw(category, label=key)
+    rc, err = run_in_one_line(cheap_config(tmp_path, **{key: value}))
+    assert rc == 1
+    assert len(err.strip().splitlines()) == 1
+    assert f"/{key}" in err
     assert "Traceback" not in err
 
 
 def test_readme_config_table_matches_loader():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Configuration", 1)[1].split("\n#", 1)[0]
-    keys = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
-    assert keys == cli._KNOWN_KEYS
+    rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, re.M))
+    assert set(rows) == set(cli.CONFIG_KEYS)
+    defaults = {f.name: f.default for f in dataclasses.fields(cli.ScenarioConfig)}
+    assert set(defaults) == set(cli.CONFIG_KEYS)
+    for key, default in defaults.items():
+        if default is not dataclasses.MISSING and default is not None:
+            assert rows[key].strip("` ") == str(default), key
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -157,6 +240,21 @@ def test_report_builds_residual_tensors_once_per_row(tmp_path, monkeypatch):
         times = [float(row["t"]) for row in csv.DictReader(fh)]
     assert len(times) > 2
     assert calls == times
+
+
+def test_run_without_interior_row_is_unchecked(tmp_path):
+    # one CFL step reaches t_end, so the report has two rows, no interior
+    # row, and the energy identity is never evaluated
+    out = tmp_path / "out"
+    path = write_config(tmp_path, preset="heisenberg-s1", mesh_n=16,
+                        t_end=0.005, cfl_sigma=1e6, output_dir=str(out))
+    assert cli.main(["run", path]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["steps"] == 1
+    assert manifest["stages"] == ["forward", "backward", "report"]
+    assert manifest["status"] == "identity-unchecked"
+    assert manifest["identity_rel_gap_F"] is None
+    assert "identity rel gap F: unchecked" in (out / "summary.txt").read_text()
 
 
 def test_abort_leaves_manifest(tmp_path):
@@ -219,9 +317,13 @@ def test_verify_subcommand(capsys):
 
 
 def test_console_entry_point():
+    # the child imports grflab from where this process found it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "grflab.cli", "verify", "--seed", "3",
          "--mesh", "32", "--suite", "curvature"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "overall" in proc.stdout

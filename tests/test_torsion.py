@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_state, flat_abelian_state, heisenberg_state
-from grflab import algebra, conjugate, flow, functionals, oracle, torsion
+from grflab import algebra, flow, functionals, oracle, torsion
 from grflab.cli import preset_inoue_like, random_state
 from grflab.geometry import derive
 
@@ -35,7 +35,7 @@ def test_torsion_of_new_states_is_its_own_pack(seed, d, mode):
     hist.append(state)
     for _ in range(3):
         hist.append(flow.rk4_step(hist.states[-1], 1e-3, mode))
-    mid = conjugate._interp_state(hist, 0.5 * (hist.times[1] + hist.times[2]))
+    mid = hist.state_at(0.5 * (hist.times[1] + hist.times[2]))
     B = rng.normal(size=state.mesh.shape + (K, K)) * 0.1
     direction = functionals.VariationDirection(
         np.zeros_like(state.G), np.zeros_like(state.g),
