@@ -168,7 +168,8 @@ def load_config(path: str) -> ScenarioConfig:
     problems = []
     for key, value in list(raw.items()):
         if key not in CONFIG_KEYS:
-            problems.append(f"/{key}: unknown key")
+            # escaped, so a key holding a newline keeps the message on one line
+            problems.append(f"/{repr(key)[1:-1]}: unknown key")
         elif value is None:
             del raw[key]
         elif not CONFIG_KEYS[key][0](value):
@@ -230,7 +231,7 @@ def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict
         }
         if t > 0:
             f_exp = conjugate.potential(c.u, t, "expander", n)
-            row["W"] = functionals.eval_Wplus(st, f_exp, t, n, der)
+            row["W"] = functionals.eval_Wplus(st, f_exp, t, n, der, Fval)
             RW = functionals.residuals_W(st, f_exp, t, n, der, rt)
             row["_sumRW"] = sum(RW[:4]) + RW[4]
             row["W_extra"] = RW[4]
@@ -259,9 +260,9 @@ def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict
 
 
 def _identity_verdict(rows: list[dict], rel_tol: float) -> dict:
-    """Worst relative identity gaps and the run status.  Without an interior
-    row the F identity is never evaluated: its gap is None and the run is
-    not clean."""
+    """Worst relative identity gaps and the run status.  A gap no row
+    evaluated is None; without an interior row the F identity is never
+    evaluated and the run is not clean."""
     worst_F = max((row["identity_gap_F"]
                    / max(abs(row["dF_dt_fd"]),
                          abs(row["R1"] + row["R2"] + row["R3"] + row["R4"]),
@@ -270,7 +271,7 @@ def _identity_verdict(rows: list[dict], rel_tol: float) -> dict:
                   default=None)
     worst_W = max((row["identity_gap_W"] / max(abs(row["W"]), 1.0)
                    for row in rows if np.isfinite(row["identity_gap_W"])),
-                  default=0.0)
+                  default=None)
     status = ("identity-unchecked" if worst_F is None
               else "clean" if worst_F <= rel_tol else "identity-failure")
     return {
@@ -308,9 +309,10 @@ def emit_outputs(out_dir: str, rows: list[dict], manifest: dict) -> None:
         lines.append(f"final F: {rows[-1]['F']:.8g}")
         lines.append(f"final W: {rows[-1]['W']:.8g}")
         lines.append(f"F nondecreasing: {manifest.get('F_nondecreasing')}")
-        gap = manifest["identity_rel_gap_F"]
-        lines.append("identity rel gap F: "
-                     + ("unchecked" if gap is None else f"{gap:.3e}"))
+        for name in ("F", "W"):
+            gap = manifest[f"identity_rel_gap_{name}"]
+            lines.append(f"identity rel gap {name}: "
+                         + ("unchecked" if gap is None else f"{gap:.3e}"))
         lines.append(f"mass drift: {manifest.get('mass_drift', float('nan')):.3e}")
         lines.append(f"steady rigidity flag: "
                      f"{manifest.get('soliton', {}).get('steady_rigidity')}")
@@ -319,6 +321,15 @@ def emit_outputs(out_dir: str, rows: list[dict], manifest: dict) -> None:
 
 
 def run_pipeline(cfg: ScenarioConfig) -> int:
+    """Forward flow, backward density solve and report, written to the
+    output directory.  Raises ConfigError before the forward stage when that
+    directory cannot be created."""
+    out_dir = resolve_output_dir(cfg.output_dir)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"/output_dir: cannot create {out_dir!r}: "
+                          f"{exc.strerror or exc}") from exc
     state = cfg.build_state()
     manifest = {"preset": cfg.preset, "mode": cfg.mode,
                 "t_end": float(cfg.t_end), "stages": [], "status": "started"}
@@ -574,11 +585,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         try:
-            cfg = load_config(args.config)
+            return run_pipeline(load_config(args.config))
         except (ConfigError, OSError) as exc:
             print(str(exc), file=sys.stderr)
             return 1
-        return run_pipeline(cfg)
     if args.command == "verify":
         return run_verify(args.seed, args.mesh, args.suite)
     return run_report(args.run_dir)

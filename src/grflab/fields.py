@@ -75,10 +75,15 @@ _D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2
 
 def deriv_array(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """4th-order periodic central difference along a grid axis of a raw array."""
+    n = values.shape[axis]
+    # two periodic ghost layers on each side; shifted reads are slices of it
+    ext = np.concatenate([values.take(range(n - 2, n), axis), values,
+                          values.take(range(2), axis)], axis=axis)
+    before = (slice(None),) * axis
     out = np.zeros_like(values)
     for off, w in zip(range(-2, 3), _D1_W):
         if w:
-            out += w * np.roll(values, -off, axis=axis)
+            out += w * ext[before + (slice(2 + off, 2 + off + n),)]
     return out / h
 
 

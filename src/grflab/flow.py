@@ -72,7 +72,7 @@ def ungauged_rates(state: GeometryState, der: DerivedGeometry):
     dg = symmetric_part(-2.0 * Ric_bb + 0.5 * calH[..., k:, k:])
     # G(dA/dt v, eta) block, converted to the connection-form rate
     mixed = -2.0 * Ric_fb + 0.5 * calH[..., :k, k:]
-    dA = np.einsum("...ij,...ja->...ai", der.Gi, mixed)
+    dA = np.swapaxes(der.Gi @ mixed, -1, -2)
     return dG, dg, dA, torsion.b_dot(state, der)
 
 

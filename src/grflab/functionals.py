@@ -22,6 +22,8 @@ from .geometry import (
     GeometryState,
     _derivs,
     derive,
+    fiber_pairing,
+    fiber_trace,
     gradient,
     hessian,
     laplacian,
@@ -65,14 +67,19 @@ def eval_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry) -> float:
 
 
 def eval_Wplus(state: GeometryState, f: np.ndarray, t: float, n: int,
-               der: DerivedGeometry) -> float:
+               der: DerivedGeometry, F_steady: float) -> float:
     """Expander entropy: (4 pi t)^(-n/2) { t * energy + int (-f + n) e^-f dV }
-    (der: the state's derive())."""
+    at the expander potential f (der: the state's derive()).
+
+    F_steady is eval_F at the steady potential f + (n/2) log(4 pi t).  The
+    two potentials differ by a constant, so the energy at f is
+    (4 pi t)^(n/2) F_steady and the energy density is not evaluated again.
+    """
     if t <= 0:
         raise DomainError("expander entropy needs t > 0")
-    Fval = eval_F(state, f, der)
+    vol = (4.0 * np.pi * t) ** (0.5 * n)
     extra = _weighted_integral(-f + n, f, state)
-    return (t * Fval + extra) / (4.0 * np.pi * t) ** (0.5 * n)
+    return (t * (vol * F_steady) + extra) / vol
 
 
 # --- residual tensors --------------------------------------------------------
@@ -105,8 +112,8 @@ def residual_tensors(state: GeometryState, f: np.ndarray,
     # L_q g through DG and DDG cancels Ric_bb's DDG term to round-off;
     # flow.lie_derivative_base would move R3 at truncation level
     Lg = flow.symmetric_part(
-        np.einsum("...ip,...jq,...aij,...bpq->...ab", Gi, Gi, DG, DG)
-        - np.einsum("...ij,...abij->...ab", Gi, der.DDG)
+        fiber_pairing(DG, Gi)
+        - fiber_trace(der.DDG, Gi)
         - 2.0 * hessian(f, der.Gamma, mesh))
     return ResidualTensors(dG + LG, dA + LA, dg + Lg, B + LB)
 
@@ -119,10 +126,10 @@ def _weighted_pairings(state: GeometryState, f: np.ndarray,
     metric, weighted 1/2, 1, 1/2, 1/2 and each multiplied by scale."""
     Gi, gi = der.Gi, der.gi
     gEi = torsion.inverse_frame_metric(der)
-    dens = (np.einsum("...ip,...jq,...ij,...pq->...", Gi, Gi, x[0], y[0]),
-            np.einsum("...ab,...mn,...am,...bn->...", gi, state.G, x[1], y[1]),
-            np.einsum("...ac,...bd,...ab,...cd->...", gi, gi, x[2], y[2]),
-            np.einsum("...ac,...bd,...ab,...cd->...", gEi, gEi, x[3], y[3]))
+    metrics = ((Gi, Gi), (gi, state.G), (gi, gi), (gEi, gEi))
+    # m1^{ac} m2^{bd} x_ab y_cd = sum_cd (m1 x m2)_cd y_cd
+    dens = tuple(np.einsum("...cd,...cd->...", m1 @ xs @ m2, ys)
+                 for (m1, m2), xs, ys in zip(metrics, x, y))
     return tuple(c * scale * _weighted_integral(p, f, state)
                  for c, p in zip((0.5, 1.0, 0.5, 0.5), dens))
 

@@ -18,6 +18,7 @@ with the convention R(e1, e2, e3, e4) and Ricci the trace over slots 1 and 4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,39 @@ class GeometryState:
         check_spd_field(self.g, "base metric g", floor)
 
 
+# --- stacked products --------------------------------------------------------
+# A two-operand einsum whose operands both carry the grid axes runs several
+# times slower than the same contraction as a stacked matmul at these slot
+# sizes, so the hot contractions flatten their summed slots into one matrix
+# axis and multiply.
+
+def as_matrices(T: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """T[..., r_1..r_rows, c_1..c_cols] as a stack of matrices whose row
+    index runs over the r slots and column index over the c slots."""
+    lead = T.shape[:T.ndim - rows - cols]
+    slots = T.shape[T.ndim - rows - cols:]
+    return T.reshape(lead + (math.prod(slots[:rows]), math.prod(slots[rows:])))
+
+
+def pair_trace(X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
+    """out[..., p, q] = sum over the trailing n slots of X[..., p, *] Y[..., q, *]."""
+    return as_matrices(X, 1, n) @ np.swapaxes(as_matrices(Y, 1, n), -1, -2)
+
+
+def metric_trace(m: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum_ab m[..., a, b] T[..., a, b, *], keeping T's trailing slots."""
+    rest = T.ndim - m.ndim
+    out = as_matrices(m, 0, 2) @ as_matrices(T, 2, rest)
+    return out.reshape(T.shape[:m.ndim - 2] + T.shape[m.ndim:])
+
+
+def raise_first(T: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """T[..., a, *] with its first slot raised by the symmetric inverse
+    metric inv[..., a, b]."""
+    rest = T.ndim - inv.ndim + 1
+    return (inv @ as_matrices(T, 1, rest)).reshape(T.shape)
+
+
 # --- Levi-Civita data of the base metric ------------------------------------
 
 def levi_civita(g: np.ndarray, mesh: Mesh):
@@ -114,14 +148,17 @@ def levi_civita(g: np.ndarray, mesh: Mesh):
         + np.swapaxes(dg, mesh.d, mesh.d + 1)
         - np.einsum("...dab->...abd", dg)
     )  # [..., a, b, d] = d_a g_bd + d_b g_ad - d_d g_ab
-    Gamma = 0.5 * np.einsum("...cd,...abd->...cab", gi, sym)
+    Gamma = 0.5 * (gi @ np.swapaxes(as_matrices(sym, 2, 1), -1, -2))
+    Gamma = Gamma.reshape(sym.shape)
 
     dGamma = _derivs(Gamma, mesh)  # [..., e, c, a, b] = d_e Gamma^c_ab
+    trGamma = np.einsum("...ccf->...f", Gamma)
+    Gamma_s = np.swapaxes(Gamma, -3, -2)  # [..., a, c, f] = Gamma^c_af
     ric = (
         np.einsum("...ccab->...ab", dGamma)
         - np.einsum("...accb->...ab", dGamma)
-        + np.einsum("...ccf,...fab->...ab", Gamma, Gamma)
-        - np.einsum("...caf,...fcb->...ab", Gamma, Gamma)
+        + (trGamma[..., None, :] @ as_matrices(Gamma, 1, 2)).reshape(gi.shape)
+        - as_matrices(Gamma_s, 1, 2) @ as_matrices(Gamma_s, 2, 1)
     )
     R = np.einsum("...ab,...ab->...", gi, ric)
     return gi, Gamma, ric, R
@@ -141,18 +178,29 @@ def riemann_base(g: np.ndarray, Gamma: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 # --- connection data ---------------------------------------------------------
 
+def connection_action(A: np.ndarray, alg: LieAlgebra) -> np.ndarray:
+    """cA[..., a, m, i] = c^m_li A^l_a, the connection form's action on a
+    lower fiber index, as one (d, k) x (k, k*k) product per grid point."""
+    k = alg.k
+    c_lmi = np.swapaxes(alg.c, 0, 1).reshape(k, k * k)
+    return (A @ c_lmi).reshape(A.shape + (k,))
+
+
 def compute_F(A: np.ndarray, alg: LieAlgebra, mesh: Mesh) -> np.ndarray:
     """F^m_ab = d_a A^m_b - d_b A^m_a + c^m_jk A^j_a A^k_b."""
     dA = _derivs(A, mesh)  # [..., e, a, m] = d_e A^m_a; read as d_a A^m_b below
     curl = dA - np.swapaxes(dA, mesh.d, mesh.d + 1)
-    quad = np.einsum("mjk,...aj,...bk->...abm", alg.c, A, A)
-    return curl + quad
+    # c^m_jk A^j_a A^k_b = sum_k cA[a, m, k] A^k_b, antisymmetrized in (a, b)
+    # so that it is exactly antisymmetric (and exactly zero on a 1-D base)
+    quad = np.swapaxes(
+        connection_action(A, alg) @ np.swapaxes(A, -1, -2)[..., None, :, :], -1, -2)
+    return curl + 0.5 * (quad - np.swapaxes(quad, -3, -2))
 
 
 def compute_DG(G: np.ndarray, A: np.ndarray, alg: LieAlgebra, mesh: Mesh) -> np.ndarray:
     """DG[..., a, i, j] = d_a G_ij - c^m_li A^l_a G_mj - c^m_lj A^l_a G_im."""
     dG = _derivs(G, mesh)
-    conn = np.einsum("mli,...al,...mj->...aij", alg.c, A, G)
+    conn = np.swapaxes(connection_action(A, alg), -1, -2) @ G[..., None, :, :]
     return dG - conn - np.swapaxes(conn, mesh.d + 1, mesh.d + 2)
 
 
@@ -160,10 +208,11 @@ def compute_DDG(DG: np.ndarray, A: np.ndarray, Gamma: np.ndarray,
                 alg: LieAlgebra, mesh: Mesh) -> np.ndarray:
     """(D_a DG)_{b, ij}: the extended derivative acts on all three slots of DG."""
     dDG = _derivs(DG, mesh)  # [..., a, b, i, j]
-    base = np.einsum("...cab,...cij->...abij", Gamma, DG)
-    f1 = np.einsum("mli,...al,...bmj->...abij", alg.c, A, DG)
-    f2 = np.einsum("mlj,...al,...bim->...abij", alg.c, A, DG)
-    return dDG - base - f1 - f2
+    base = np.swapaxes(as_matrices(Gamma, 1, 2), -1, -2) @ as_matrices(DG, 1, 2)
+    cA = connection_action(A, alg)[..., :, None, :, :]  # [..., a, ., m, i]
+    f1 = np.swapaxes(cA, -1, -2) @ DG[..., None, :, :, :]  # c^m_li A^l_a DG_{b,mj}
+    f2 = DG[..., None, :, :, :] @ cA                       # DG_{b,im} c^m_lj A^l_a
+    return dDG - base.reshape(dDG.shape) - f1 - f2
 
 
 def compute_DF(F: np.ndarray, A: np.ndarray, Gamma: np.ndarray,
@@ -171,10 +220,14 @@ def compute_DF(F: np.ndarray, A: np.ndarray, Gamma: np.ndarray,
     """(D_e F)^m_ab, derivative slot first.  The upper fiber index pairs with
     the opposite structure-constant sign from lower ones."""
     dF = _derivs(F, mesh)  # [..., e, a, b, m]
-    fib = np.einsum("mln,...el,...abn->...eabm", alg.c, A, F)
-    b1 = np.einsum("...cea,...cbm->...eabm", Gamma, F)
-    b2 = np.einsum("...ceb,...acm->...eabm", Gamma, F)
-    return dF + fib - b1 - b2
+    # c^m_ln A^l_e F^n_ab, one (d*d, k) x (k, k) product per derivative slot e
+    fib = as_matrices(F, 2, 1)[..., None, :, :] @ np.swapaxes(
+        connection_action(A, alg), -1, -2)
+    fib = fib.reshape(dF.shape)
+    Gamma_t = np.swapaxes(as_matrices(Gamma, 1, 2), -1, -2)  # [..., ea, c]
+    b1 = (Gamma_t @ as_matrices(F, 1, 2)).reshape(dF.shape)  # Gamma^c_ea F^m_cb
+    b2 = (Gamma_t @ as_matrices(np.swapaxes(F, -3, -2), 1, 2)).reshape(dF.shape)
+    return dF + fib - b1 - np.swapaxes(b2, -3, -2)  # Gamma^c_eb F^m_ac
 
 
 def _raise_last_two(T: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -184,9 +237,20 @@ def _raise_last_two(T: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return inv @ T @ inv
 
 
+def fiber_trace(T: np.ndarray, Gi: np.ndarray) -> np.ndarray:
+    """G^{ij} T[..., *, i, j], keeping T's leading slots."""
+    out = as_matrices(T, T.ndim - Gi.ndim, 2) @ as_matrices(Gi, 2, 0)
+    return out.reshape(T.shape[:-2])
+
+
+def fiber_pairing(DG: np.ndarray, Gi: np.ndarray) -> np.ndarray:
+    """G^{ik} G^{jl} DG_{a, ij} DG_{b, kl}, a base 2-tensor."""
+    return pair_trace(_raise_last_two(DG, Gi), DG, 2)
+
+
 def compute_q(DG: np.ndarray, Gi: np.ndarray, gi: np.ndarray) -> np.ndarray:
     """q^a = -1/2 g^{ab} G^{ij} DG_{b, ij}."""
-    return -0.5 * np.einsum("...ab,...ij,...bij->...a", gi, Gi, DG)
+    return -0.5 * (gi @ fiber_trace(DG, Gi)[..., None])[..., 0]
 
 
 # --- derived-geometry cache --------------------------------------------------
@@ -234,12 +298,15 @@ def derive(state: GeometryState, validated: bool = False) -> DerivedGeometry:
     DG = compute_DG(state.G, state.A, alg, mesh)
     DDG = compute_DDG(DG, state.A, Gamma, alg, mesh)
     q = compute_q(DG, Gi, gi)
-    Gb = np.einsum("...im,mkl->...ikl", state.G, alg.beta)
+    k = alg.k
+    Gb = (state.G @ as_matrices(alg.beta, 1, 2)).reshape(state.G.shape + (k,))
     # raise beta, then lower: each term is G (G^-1 G^-1 beta), the product
     # order of the one-call references in tests/test_kernels.py, so states
     # with diagonal metrics give the same bits as those references
-    Gb_up = np.einsum("...im,...mpq->...ipq", state.G, _raise_last_two(alg.beta, Gi))
-    GF = np.einsum("...im,...abm->...iab", state.G, F)
+    beta_up = _raise_last_two(alg.beta, Gi)
+    Gb_up = (state.G @ as_matrices(beta_up, 1, 2)).reshape(Gb.shape)
+    GF = (state.G @ np.swapaxes(as_matrices(F, 2, 1), -1, -2)).reshape(
+        state.G.shape[:-1] + F.shape[-3:-1])
     return DerivedGeometry(Gi, gi, Gamma, Ric_g, R_g, F, DF, DG, DDG, q,
                            Gb, Gb_up, GF, _raise_last_two(GF, gi))
 
@@ -289,8 +356,7 @@ def laplacian(f: np.ndarray, gi: np.ndarray, Gamma: np.ndarray, mesh: Mesh) -> n
 
 def norm_sq_DG(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     """|DG|^2 = g^{ab} G^{ij} G^{lm} DG_{a, il} DG_{b, jm}."""
-    return np.einsum("...ab,...ij,...lm,...ail,...bjm->...",
-                     der.gi, der.Gi, der.Gi, der.DG, der.DG)
+    return np.einsum("...ab,...ab->...", der.gi, fiber_pairing(der.DG, der.Gi))
 
 
 def norm_sq_F(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
@@ -305,8 +371,9 @@ def norm_sq_bracket(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
 
 def bracket_trace(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     """G^{pq} G_mn beta^m_ip beta^n_jq, a symmetric fiber 2-tensor."""
-    Gb_l = np.einsum("...nip,...pq->...niq", der.Gb, der.Gi)  # last slot raised
-    return np.einsum("...niq,njq->...ij", Gb_l, state.alg.beta)
+    Gb_l = der.Gb @ der.Gi[..., None, :, :]  # [..., n, i, q], last slot raised
+    b_jnq = np.swapaxes(state.alg.beta, 0, 1)
+    return pair_trace(np.swapaxes(Gb_l, -3, -2), b_jnq, 2)
 
 
 def ricci_blocks(state: GeometryState, der: DerivedGeometry):
@@ -320,26 +387,37 @@ def ricci_blocks(state: GeometryState, der: DerivedGeometry):
     Gi, gi = der.Gi, der.gi
     DG, DDG, F, DF = der.DG, der.DDG, der.F, der.DF
 
-    trDG = np.einsum("...kl,...akl->...a", Gi, DG)  # G-trace of DG per base slot
+    trDG = fiber_trace(DG, Gi)         # G^{kl} DG_{a, kl}
+    trDG_up = gi @ trDG[..., None]     # [..., c, 1], base slot raised
+    DG_up = raise_first(DG, gi)        # [..., a, i, j] = g^{ab} DG_{b, ij}
+    DGGi = DG @ Gi[..., None, :, :]    # [..., a, i, l] = DG_{a, ik} G^{kl}
     Ric_ff = (
-        -0.5 * np.einsum("...ab,...abij->...ij", gi, DDG)
-        - 0.25 * np.einsum("...ab,...a,...bij->...ij", gi, trDG, DG)
-        + 0.5 * np.einsum("...ab,...kl,...aik,...blj->...ij", gi, Gi, DG, DG)
-        + 0.25 * np.einsum("...icd,...jcd->...ij", der.GF_up, der.GF)
+        -0.5 * metric_trace(gi, DDG)
+        # g^{ab} trDG_a DG_{b, ij}
+        - 0.25 * (trDG[..., None, :] @ as_matrices(DG_up, 1, 2)).reshape(Gi.shape)
+        # g^{ab} G^{kl} DG_{a, ik} DG_{b, lj}, summed over (a, l) at once
+        + 0.5 * (as_matrices(np.swapaxes(DGGi, -3, -2), 1, 2)
+                 @ as_matrices(DG_up, 2, 1))
+        + 0.25 * pair_trace(der.GF_up, der.GF, 2)
         - 0.5 * bracket_trace(state, der)
-        + 0.25 * np.einsum("...ipq,...jpq->...ij", der.Gb_up, der.Gb)
+        + 0.25 * pair_trace(der.Gb_up, der.Gb, 2)
     )
     Ric_fb = (
-        0.5 * np.einsum("...bc,...mi,...bacm->...ia", gi, G, DF)
-        + 0.5 * np.einsum("...bc,...bim,...acm->...ia", gi, DG, F)
-        + 0.25 * np.einsum("...bc,...mi,...abm,...c->...ia", gi, G, F, trDG)
-        - 0.5 * np.einsum("...kl,...aml,mki->...ia", Gi, DG, b)
+        # G_mi g^{bc} DF_{b, ac}^m
+        0.5 * (G @ np.swapaxes(metric_trace(gi, np.moveaxis(DF, -3, -2)), -1, -2))
+        # g^{bc} DG_{b, im} F^m_ac
+        + 0.5 * pair_trace(np.swapaxes(DG_up, -3, -2), F, 2)
+        # G_mi F^m_ab g^{bc} trDG_c
+        + 0.25 * (der.GF @ trDG_up[..., None, :, :])[..., 0]
+        # G^{kl} DG_{a, ml} beta^m_ki
+        - 0.5 * np.swapaxes(as_matrices(DGGi, 1, 2) @ as_matrices(b, 2, 1), -1, -2)
     )
     Ric_bb = (
         der.Ric_g
-        - 0.5 * np.einsum("...ij,...abij->...ab", Gi, DDG)
-        + 0.25 * np.einsum("...ik,...jl,...aij,...bkl->...ab", Gi, Gi, DG, DG)
-        - 0.5 * np.einsum("...cd,...mn,...acm,...bdn->...ab", gi, G, F, F)
+        - 0.5 * fiber_trace(DDG, Gi)
+        + 0.25 * fiber_pairing(DG, Gi)
+        # g^{cd} G_mn F^m_ac F^n_bd, with GF g^-1 = [..., n, a, d] moved to (a, d, n)
+        - 0.5 * pair_trace(np.moveaxis(der.GF @ gi[..., None, :, :], -3, -1), F, 2)
     )
     return Ric_ff, Ric_fb, Ric_bb
 
@@ -403,7 +481,7 @@ def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> Curvatu
     bbbb = RL + y1 + y2 + y3
 
     Ric_ff, Ric_fb, Ric_bb = ricci_blocks(state, der)
-    trDG = np.einsum("...kl,...akl->...a", Gi, DG)
+    trDG = fiber_trace(DG, Gi)
     scalar = (
         der.R_g
         - np.einsum("...ab,...ij,...abij->...", gi, Gi, DDG)

@@ -15,7 +15,9 @@ import math
 import numpy as np
 
 from .fields import Mesh, deriv_array
-from .geometry import DerivedGeometry, GeometryState, _derivs
+from .geometry import (DerivedGeometry, GeometryState, _derivs,
+                       _raise_last_two, as_matrices, connection_action,
+                       metric_trace, pair_trace, raise_first)
 
 
 # --- full-frame packing ------------------------------------------------------
@@ -46,16 +48,22 @@ def pack_full(full3: np.ndarray, k: int) -> np.ndarray:
     exact negatives under every slot swap.
     """
     lead = tuple(range(full3.ndim - 3))
-    full = np.zeros_like(full3)
-    full[..., :k, :k, :k] = full3[..., :k, :k, :k]
+    # the weighted canonical mixed blocks; each permutation of the whole array
+    # moves every block onto one ordering of its slot kinds, and the blocks
+    # of different kinds never land on the same entry
+    canonical = np.zeros_like(full3)
     for kinds in ((0, 0, 1), (0, 1, 1), (1, 1, 1)):
-        canon = tuple(slice(None, k) if t == 0 else slice(k, None) for t in kinds)
-        arr = full3[(Ellipsis,) + canon]
-        w = _perm_weight(kinds)
-        for perm, sign in _PERMS3:
-            src = np.transpose(arr, lead + tuple(len(lead) + p for p in perm))
-            sl = tuple(canon[p] for p in perm)
-            full[(Ellipsis,) + sl] += sign * w * src
+        canon = (Ellipsis,) + tuple(
+            slice(None, k) if t == 0 else slice(k, None) for t in kinds)
+        canonical[canon] = _perm_weight(kinds) * full3[canon]
+    full = canonical.copy()
+    for perm, sign in _PERMS3[1:]:
+        moved = np.transpose(canonical, lead + tuple(len(lead) + p for p in perm))
+        if sign > 0:
+            full += moved
+        else:
+            full -= moved
+    full[..., :k, :k, :k] = full3[..., :k, :k, :k]
     return full
 
 
@@ -80,7 +88,7 @@ def structure_functions(state: GeometryState, F: np.ndarray) -> np.ndarray:
     C = np.zeros(state.mesh.shape + (K, K, K))
     if k:
         C[..., :k, :k, :k] = state.alg.beta
-        mixed = np.einsum("mli,...al->...mai", state.alg.c, state.A)
+        mixed = np.swapaxes(connection_action(state.A, state.alg), -3, -2)
         C[..., :k, k:, :k] = mixed
         C[..., :k, :k, k:] = -np.swapaxes(mixed, -1, -2)
         C[..., :k, k:, k:] = -np.einsum("...abm->...mab", F)
@@ -111,35 +119,34 @@ def algebroid_d(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh, k: int) ->
     T = anchor_derivs(sigma, mesh, k)  # derivative slot first
     if p == 0:
         return T
+    # every bracket term is a slot permutation of P = C^d_{ab} sigma_{d...}
+    K = C.shape[-1]
+    P = np.swapaxes(as_matrices(C, 1, 2), -1, -2) @ as_matrices(sigma, 1, p - 1)
+    P = P.reshape(C.shape[:-3] + (K,) * (p + 1))  # [..., a, b, rest of sigma]
     if p == 1:
-        return (
-            T - np.swapaxes(T, -2, -1)
-            - np.einsum("...gab,...g->...ab", C, sigma)
-        )
+        return T - np.swapaxes(T, -2, -1) - P
     if p == 2:
-        out = (
+        return (
             T
             - np.einsum("...bag->...abg", T)
             + np.einsum("...gab->...abg", T)
-            - np.einsum("...dab,...dg->...abg", C, sigma)
-            + np.einsum("...dag,...db->...abg", C, sigma)
-            - np.einsum("...dbg,...da->...abg", C, sigma)
+            - P                                    # C^d_ab sigma_dg
+            + np.einsum("...agb->...abg", P)       # C^d_ag sigma_db
+            - np.einsum("...bga->...abg", P)       # C^d_bg sigma_da
         )
-        return out
     if p == 3:
-        out = (
+        return (
             T
             - np.einsum("...bagE->...abgE", T)
             + np.einsum("...gabE->...abgE", T)
             - np.einsum("...Eabg->...abgE", T)
-            - np.einsum("...dab,...dgE->...abgE", C, sigma)
-            + np.einsum("...dag,...dbE->...abgE", C, sigma)
-            - np.einsum("...daE,...dbg->...abgE", C, sigma)
-            - np.einsum("...dbg,...daE->...abgE", C, sigma)
-            + np.einsum("...dbE,...dag->...abgE", C, sigma)
-            - np.einsum("...dgE,...dab->...abgE", C, sigma)
+            - P                                    # C^d_ab sigma_dgE
+            + np.einsum("...agbE->...abgE", P)     # C^d_ag sigma_dbE
+            - np.einsum("...aEbg->...abgE", P)     # C^d_aE sigma_dbg
+            - np.einsum("...bgaE->...abgE", P)     # C^d_bg sigma_daE
+            + np.einsum("...bEag->...abgE", P)     # C^d_bE sigma_dag
+            - np.einsum("...gEab->...abgE", P)     # C^d_gE sigma_dab
         )
-        return out
     raise ValueError(f"p must be 0..3, got {p}")
 
 
@@ -162,9 +169,7 @@ def h_contractions(state: GeometryState, der: DerivedGeometry):
     """
     if der.calH is None:
         gEi = inverse_frame_metric(der)
-        up = np.einsum("...ce,...bef->...bcf", gEi, state.H)
-        up = np.einsum("...df,...bcf->...bcd", gEi, up)
-        der.calH = np.einsum("...acd,...bcd->...ab", state.H, up)
+        der.calH = pair_trace(state.H, _raise_last_two(state.H, gEi), 2)
         der.Hsq = np.einsum("...ab,...ab->...", gEi, der.calH)
     return der.calH, der.Hsq
 
@@ -202,19 +207,24 @@ def extended_coeffs(state: GeometryState, Gamma: np.ndarray) -> np.ndarray:
     K = k + d
     M = np.zeros(state.mesh.shape + (d, K, K))
     if k:
-        M[..., :, :k, :k] = np.einsum("mli,...al->...ami", state.alg.c, state.A)
+        M[..., :, :k, :k] = connection_action(state.A, state.alg)
     M[..., :, k:, k:] = np.einsum("...cab->...acb", Gamma)
     return M
 
 
 def cov_deriv_3form(T: np.ndarray, M: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """(D_a T)_{bcd} for a full-frame 3-tensor, derivative axis first."""
+    """(D_a T)_{bcd} for an antisymmetric full-frame 3-form T, derivative
+    axis first.
+
+    The connection acts on each slot; for antisymmetric T the three slot
+    terms are the one product X[a, b, c, d] = M^e_{ab} T_{ecd} with its
+    slots permuted, so the result is wrong for a T that is not antisymmetric.
+    """
     dT = _derivs(T, mesh)
-    corr = (
-        np.einsum("...aeb,...ecd->...abcd", M, T)
-        + np.einsum("...aec,...bed->...abcd", M, T)
-        + np.einsum("...aed,...bce->...abcd", M, T)
-    )
+    X = np.swapaxes(M, -1, -2) @ as_matrices(T, 1, 2)[..., None, :, :]
+    X = X.reshape(dT.shape)
+    # M^e_{ac} T_{bed} = -X[a, c, b, d] and M^e_{ad} T_{bce} = X[a, d, b, c]
+    corr = X - np.swapaxes(X, -3, -2) + np.moveaxis(X, -3, -1)
     return dT - corr
 
 
@@ -230,7 +240,7 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
     M = extended_coeffs(state, Gamma)
     covH = cov_deriv_3form(H, M, mesh)  # [..., a, beta, gamma, delta]
     # (D_. H)(., *, *) with both dots base slots traced by g:
-    term1 = np.einsum("...ab,...abcd->...cd", gi, covH[..., :, k:, :, :])
+    term1 = metric_trace(gi, covH[..., :, k:, :, :])
 
     term2 = -interior_product(q, H, k)
 
@@ -241,9 +251,12 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
         Hbf = H[..., k:, :k, :]   # [..., b, l, eps]
         Hbb = H[..., k:, k:, :]   # [..., c, d, eps]
         Hff = H[..., :k, :k, :]   # [..., p, q, eps]
-        W[..., :k, :] = np.einsum("...ab,...jl,...aji,...ble->...ie", gi, Gi, DG, Hbf)
-        V[..., :k, :] = 0.5 * np.einsum("...icd,...cde->...ie", der.GF_up, Hbb)
-        U[..., :k, :] = 0.5 * np.einsum("...bpq,...pqe->...be", der.Gb_up, Hff)
+        # g^{ab} G^{jl} DG_{a, ji}: both slots raised, then one (d*k) sum
+        DG_up = raise_first(np.swapaxes(DG, -1, -2) @ Gi[..., None, :, :], gi)
+        W[..., :k, :] = (as_matrices(np.swapaxes(DG_up, -3, -2), 1, 2)
+                         @ as_matrices(Hbf, 2, 1))
+        V[..., :k, :] = 0.5 * (as_matrices(der.GF_up, 1, 2) @ as_matrices(Hbb, 2, 1))
+        U[..., :k, :] = 0.5 * (as_matrices(der.Gb_up, 1, 2) @ as_matrices(Hff, 2, 1))
     term3 = -(W - np.swapaxes(W, -2, -1))
     term4 = -(V - np.swapaxes(V, -2, -1))
     term5 = U - np.swapaxes(U, -2, -1)
@@ -278,16 +291,20 @@ def moving_frame_correction(full3: np.ndarray, Adot: np.ndarray, k: int) -> np.n
     The stored base-slot components are evaluated on horizontal lifts that
     rotate as A evolves: d/dt of a stored component equals the covariant rate
     minus H with each base slot fed the fiber vector (dA/dt) v.  Returns the
-    array to subtract from the covariant rate, given Adot[..., a, m].
+    array to subtract from the covariant rate, given Adot[..., a, m].  full3
+    must be an antisymmetric 3-form: the three slot terms are one product
+    placed in each slot, which holds only under that symmetry.
     """
     K = full3.shape[-1]
+    d = Adot.shape[-2]
+    # P[a, beta, gamma] = (dA/dt)^m_a H_{m beta gamma}; with H antisymmetric
+    # the middle and last slots see -P and P moved into place
+    P = (Adot @ as_matrices(full3[..., :k, :, :], 1, 2)).reshape(
+        full3.shape[:-3] + (d, K, K))
     corr = np.zeros_like(full3)
-    for s in range(3):
-        Hm = np.moveaxis(full3, -3 + s, -1)  # slot s last
-        contracted = np.einsum("...am,...uvm->...uva", Adot, Hm[..., :k])
-        grown = np.zeros(Hm.shape[:-1] + (K,))
-        grown[..., k:] = contracted
-        corr += np.moveaxis(grown, -1, -3 + s)
+    corr[..., k:, :, :] += P
+    corr[..., :, k:, :] -= np.swapaxes(P, -3, -2)
+    corr[..., :, :, k:] += np.moveaxis(P, -3, -1)
     return corr
 
 

@@ -110,12 +110,33 @@ def run_in_one_line(path):
     ("output_dir", 5),
     ("t_end", math.inf), ("cfl_sigma", math.inf),
     ("identity_rel_tol", math.inf),
+    ("a\nb", 1),
 ])
 def test_run_rejects_bad_input_in_one_line(tmp_path, key, value):
     rc, err = run_in_one_line(cheap_config(tmp_path, **{key: value}))
     assert rc == 1
     assert len(err.strip().splitlines()) == 1
-    assert ("mesh" if key == "mesh_n" else f"/{key}") in err
+    # an unknown key is printed escaped
+    assert ("mesh" if key == "mesh_n"
+            else "/" + key.replace("\n", "\\n")) in err
+    assert "Traceback" not in err
+
+
+def test_uncreatable_output_dir_fails_before_the_forward_stage(
+        tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+
+    def no_flow(*args):
+        raise AssertionError("the forward stage ran")
+
+    monkeypatch.setattr(cli.flow, "run_flow", no_flow)
+    rc, err = run_in_one_line(write_config(
+        tmp_path, preset="flat-abelian", mesh_n=8, t_end=0.001,
+        output_dir=str(blocker / "out")))
+    assert rc == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "/output_dir" in err
     assert "Traceback" not in err
 
 
@@ -255,6 +276,42 @@ def test_run_without_interior_row_is_unchecked(tmp_path):
     assert manifest["status"] == "identity-unchecked"
     assert manifest["identity_rel_gap_F"] is None
     assert "identity rel gap F: unchecked" in (out / "summary.txt").read_text()
+
+
+def test_unchecked_entropy_identity_is_null(tmp_path):
+    # the W gap needs a previous row with t > 0, so three rows check none
+    out = tmp_path / "out"
+    path = write_config(tmp_path, preset="heisenberg-s1", mesh_n=16,
+                        t_end=0.005, report_stride=7, output_dir=str(out))
+    assert cli.main(["run", path]) == 0
+    with open(out / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(math.isnan(float(row["identity_gap_W"])) for row in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["identity_rel_gap_W"] is None
+    assert manifest["identity_rel_gap_F"] is not None
+    assert "identity rel gap W: unchecked" in (out / "summary.txt").read_text()
+
+
+def test_report_evaluates_energy_density_once_per_row(tmp_path, monkeypatch):
+    calls = []
+    density = functionals._energy_density
+
+    def counted(*args):
+        calls.append(args[0].t)
+        return density(*args)
+
+    monkeypatch.setattr(functionals, "_energy_density", counted)
+    out = tmp_path / "out"
+    cfg = load_config(write_config(
+        tmp_path, preset="heisenberg-s1", mesh_n=16, t_end=0.005,
+        report_stride=2, output_dir=str(out)))
+    assert run_pipeline(cfg) == 0
+    with open(out / "report.csv") as fh:
+        times = [float(row["t"]) for row in csv.DictReader(fh)]
+    assert len(times) > 2
+    assert calls == times
 
 
 def test_abort_leaves_manifest(tmp_path):

@@ -45,20 +45,43 @@ def test_eval_F_constant_shift():
     assert shifted == pytest.approx(np.exp(-0.7) * base, rel=1e-12)
 
 
+def Wplus(st, f, t, n):
+    """eval_Wplus with the steady energy it takes evaluated here."""
+    der = derive(st)
+    f_steady = f + 0.5 * n * np.log(4.0 * np.pi * t)
+    return eval_Wplus(st, f, t, n, der, eval_F(st, f_steady, der))
+
+
 def test_eval_Wplus_flat_reference_point():
     st = flat_abelian_state()
     t = 1.0 / (4.0 * np.pi)
-    assert eval_Wplus(st, zeros_f(st), t, 1, derive(st)) == pytest.approx(1.0, abs=1e-12)
+    assert Wplus(st, zeros_f(st), t, 1) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
-        eval_Wplus(st, zeros_f(st), 0.0, 1, derive(st))
+        eval_Wplus(st, zeros_f(st), 0.0, 1, derive(st), 0.0)
 
 
 def test_eval_Wplus_linear_in_n_shift():
     st = flat_abelian_state()
     t = 1.0 / (4.0 * np.pi)  # prefactor is 1 at this t for every n
-    w1 = eval_Wplus(st, zeros_f(st), t, 1, derive(st))
-    w3 = eval_Wplus(st, zeros_f(st), t, 3, derive(st))
+    w1 = Wplus(st, zeros_f(st), t, 1)
+    w3 = Wplus(st, zeros_f(st), t, 3)
     assert w3 - w1 == pytest.approx(2.0, abs=1e-12)
+
+
+def test_eval_Wplus_from_steady_energy():
+    # the expander potential is the steady one shifted by a constant, so the
+    # steady energy gives the energy term of W; the reference evaluates the
+    # energy at the expander potential itself
+    st = random_state(np.random.default_rng(5), algebra.heisenberg3(), 16, 2)
+    der = derive(st)
+    X, Y = st.mesh.coords()
+    f_steady = 0.2 * np.cos(X) + 0.1 * np.sin(Y)
+    t, n = 0.03, 2
+    f_exp = f_steady - 0.5 * n * np.log(4.0 * np.pi * t)
+    extra = integrate_values((n - f_exp) * np.exp(-f_exp), st.g, st.mesh)
+    ref = (t * eval_F(st, f_exp, der) + extra) / (4.0 * np.pi * t) ** (0.5 * n)
+    W = eval_Wplus(st, f_exp, t, n, der, eval_F(st, f_steady, der))
+    assert W == pytest.approx(ref, rel=1e-12)
 
 
 def test_residuals_F_flat_zero():

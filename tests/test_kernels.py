@@ -1,9 +1,10 @@
-"""Pairwise contraction kernels against the one-call einsums they replace.
+"""Contraction kernels against the one-call einsums they replace.
 
-Each reference below is the multi-operand einsum the kernel was written as
-before it became a chain of two-operand contractions over the shared
-DerivedGeometry tensors.  The chains sum in a different order, so the two
-agree to a few ulps of the largest entry, not bit for bit.
+Each reference below is the einsum the kernel was written as before it
+became a chain of stacked matmuls over the shared DerivedGeometry tensors,
+or, for an antisymmetric torsion argument, one product with its slots
+permuted.  The kernels sum in a different order, so the two agree to a few
+ulps of the largest entry, not bit for bit.
 """
 
 import numpy as np
@@ -35,6 +36,197 @@ def ref_Ric_ff(state, der):
         - 0.5 * np.einsum("...kl,...mn,mki,nlj->...ij", Gi, G, b, b)
         + 0.25 * np.einsum("...kp,...lq,...mi,mkl,...nj,npq->...ij", Gi, Gi, G, b, G, b)
     )
+
+
+def ref_Ric_fb(state, der):
+    b = state.alg.beta
+    G = state.G
+    Gi, gi = der.Gi, der.gi
+    DG, F, DF = der.DG, der.F, der.DF
+    trDG = np.einsum("...kl,...akl->...a", Gi, DG)
+    return (
+        0.5 * np.einsum("...bc,...mi,...bacm->...ia", gi, G, DF)
+        + 0.5 * np.einsum("...bc,...bim,...acm->...ia", gi, DG, F)
+        + 0.25 * np.einsum("...bc,...mi,...abm,...c->...ia", gi, G, F, trDG)
+        - 0.5 * np.einsum("...kl,...aml,mki->...ia", Gi, DG, b)
+    )
+
+
+def ref_Ric_bb(state, der):
+    G = state.G
+    Gi, gi = der.Gi, der.gi
+    DG, DDG, F = der.DG, der.DDG, der.F
+    return (
+        der.Ric_g
+        - 0.5 * np.einsum("...ij,...abij->...ab", Gi, DDG)
+        + 0.25 * np.einsum("...ik,...jl,...aij,...bkl->...ab", Gi, Gi, DG, DG)
+        - 0.5 * np.einsum("...cd,...mn,...acm,...bdn->...ab", gi, G, F, F)
+    )
+
+
+def ref_F(state, der):
+    A, alg, mesh = state.A, state.alg, state.mesh
+    dA = geometry._derivs(A, mesh)
+    curl = dA - np.swapaxes(dA, mesh.d, mesh.d + 1)
+    quad = np.einsum("mjk,...aj,...bk->...abm", alg.c, A, A)
+    return curl + quad
+
+
+def _ref_levi_civita(state):
+    g, mesh = state.g, state.mesh
+    gi = np.linalg.inv(g)
+    dg = geometry._derivs(g, mesh)
+    sym = dg + np.swapaxes(dg, mesh.d, mesh.d + 1) - np.einsum("...dab->...abd", dg)
+    Gamma = 0.5 * np.einsum("...cd,...abd->...cab", gi, sym)
+    dGamma = geometry._derivs(Gamma, mesh)
+    ric = (
+        np.einsum("...ccab->...ab", dGamma)
+        - np.einsum("...accb->...ab", dGamma)
+        + np.einsum("...ccf,...fab->...ab", Gamma, Gamma)
+        - np.einsum("...caf,...fcb->...ab", Gamma, Gamma)
+    )
+    return Gamma, ric
+
+
+def ref_norm_sq_DG(state, der):
+    return np.einsum("...ab,...ij,...lm,...ail,...bjm->...",
+                     der.gi, der.Gi, der.Gi, der.DG, der.DG)
+
+
+def _zero_f_residuals(state, der):
+    f = np.zeros(state.mesh.shape)
+    return f, functionals.residual_tensors(state, f, der)
+
+
+def _residuals_F(state, der):
+    f, rt = _zero_f_residuals(state, der)
+    return np.array(functionals.residuals_F(state, f, der, rt))
+
+
+def ref_residuals_F(state, der):
+    f, rt = _zero_f_residuals(state, der)
+    Gi, gi = der.Gi, der.gi
+    gEi = torsion.inverse_frame_metric(der)
+    x = (rt.TG, rt.TA, rt.Tg, rt.TH)
+    dens = (np.einsum("...ip,...jq,...ij,...pq->...", Gi, Gi, x[0], x[0]),
+            np.einsum("...ab,...mn,...am,...bn->...", gi, state.G, x[1], x[1]),
+            np.einsum("...ac,...bd,...ab,...cd->...", gi, gi, x[2], x[2]),
+            np.einsum("...ac,...bd,...ab,...cd->...", gEi, gEi, x[3], x[3]))
+    return np.array([c * functionals._weighted_integral(p, f, state)
+                     for c, p in zip((0.5, 1.0, 0.5, 0.5), dens)])
+
+
+def ref_DG(state, der):
+    dG = geometry._derivs(state.G, state.mesh)
+    conn = np.einsum("mli,...al,...mj->...aij", state.alg.c, state.A, state.G)
+    return dG - conn - np.swapaxes(conn, state.d + 1, state.d + 2)
+
+
+def ref_DDG(state, der):
+    DG, A, Gamma, alg = der.DG, state.A, der.Gamma, state.alg
+    dDG = geometry._derivs(DG, state.mesh)  # [..., a, b, i, j]
+    base = np.einsum("...cab,...cij->...abij", Gamma, DG)
+    f1 = np.einsum("mli,...al,...bmj->...abij", alg.c, A, DG)
+    f2 = np.einsum("mlj,...al,...bim->...abij", alg.c, A, DG)
+    return dDG - base - f1 - f2
+
+
+def ref_DF(state, der):
+    F, A, Gamma, alg = der.F, state.A, der.Gamma, state.alg
+    dF = geometry._derivs(F, state.mesh)  # [..., e, a, b, m]
+    fib = np.einsum("mln,...el,...abn->...eabm", alg.c, A, F)
+    b1 = np.einsum("...cea,...cbm->...eabm", Gamma, F)
+    b2 = np.einsum("...ceb,...acm->...eabm", Gamma, F)
+    return dF + fib - b1 - b2
+
+
+def ref_extended_coeffs(state, der):
+    k, d = state.k, state.d
+    K = k + d
+    M = np.zeros(state.mesh.shape + (d, K, K))
+    if k:
+        M[..., :, :k, :k] = np.einsum("mli,...al->...ami", state.alg.c, state.A)
+    M[..., :, k:, k:] = np.einsum("...cab->...acb", der.Gamma)
+    return M
+
+
+def ref_cov_deriv_3form(state, der):
+    T, M = state.H, ref_extended_coeffs(state, der)
+    dT = geometry._derivs(T, state.mesh)
+    corr = (
+        np.einsum("...aeb,...ecd->...abcd", M, T)
+        + np.einsum("...aec,...bed->...abcd", M, T)
+        + np.einsum("...aed,...bce->...abcd", M, T)
+    )
+    return dT - corr
+
+
+def ref_moving_frame_correction(state, der):
+    full3, Adot, k = state.H, state.A, state.k
+    K = full3.shape[-1]
+    corr = np.zeros_like(full3)
+    for s in range(3):
+        Hm = np.moveaxis(full3, -3 + s, -1)  # slot s last
+        contracted = np.einsum("...am,...uvm->...uva", Adot, Hm[..., :k])
+        grown = np.zeros(Hm.shape[:-1] + (K,))
+        grown[..., k:] = contracted
+        corr += np.moveaxis(grown, -1, -3 + s)
+    return corr
+
+
+def _ref_algebroid_d(sigma, p, C, mesh, k):
+    T = torsion.anchor_derivs(sigma, mesh, k)  # derivative slot first
+    if p == 2:
+        out = (
+            T
+            - np.einsum("...bag->...abg", T)
+            + np.einsum("...gab->...abg", T)
+            - np.einsum("...dab,...dg->...abg", C, sigma)
+            + np.einsum("...dag,...db->...abg", C, sigma)
+            - np.einsum("...dbg,...da->...abg", C, sigma)
+        )
+        return out
+    if p == 3:
+        out = (
+            T
+            - np.einsum("...bagE->...abgE", T)
+            + np.einsum("...gabE->...abgE", T)
+            - np.einsum("...Eabg->...abgE", T)
+            - np.einsum("...dab,...dgE->...abgE", C, sigma)
+            + np.einsum("...dag,...dbE->...abgE", C, sigma)
+            - np.einsum("...daE,...dbg->...abgE", C, sigma)
+            - np.einsum("...dbg,...daE->...abgE", C, sigma)
+            + np.einsum("...dbE,...dag->...abgE", C, sigma)
+            - np.einsum("...dgE,...dab->...abgE", C, sigma)
+        )
+        return out
+
+
+def ref_structure_functions(state, der):
+    k, d = state.k, state.d
+    K = k + d
+    C = np.zeros(state.mesh.shape + (K, K, K))
+    C[..., :k, :k, :k] = state.alg.beta
+    mixed = np.einsum("mli,...al->...mai", state.alg.c, state.A)
+    C[..., :k, k:, :k] = mixed
+    C[..., :k, :k, k:] = -np.swapaxes(mixed, -1, -2)
+    C[..., :k, k:, k:] = -np.einsum("...abm->...mab", der.F)
+    return C
+
+
+def ref_algebroid_d2(state, der):
+    return _ref_algebroid_d(torsion.b_dot(state, der), 2,
+                            ref_structure_functions(state, der), state.mesh, state.k)
+
+
+def ref_algebroid_d3(state, der):
+    return _ref_algebroid_d(state.H, 3, ref_structure_functions(state, der),
+                            state.mesh, state.k)
+
+
+def _algebroid_d(sigma, p, state, der):
+    C = torsion.structure_functions(state, der.F)
+    return torsion.algebroid_d(sigma, p, C, state.mesh, state.k)
 
 
 def ref_ffff(state, der):
@@ -97,6 +289,16 @@ def _ref_dstar_VU(state, der):
     U[..., :k, :] = 0.5 * np.einsum(
         "...ip,...jq,...mb,mij,...pqe->...be", Gi, Gi, G, b, Hff)
     return V, U
+
+
+def ref_dstar_term3(state, der):
+    k = state.k
+    full = state.H
+    Gi, gi, DG = der.Gi, der.gi, der.DG
+    W = np.zeros(full.shape[:-1])
+    Hbf = full[..., k:, :k, :]
+    W[..., :k, :] = np.einsum("...ab,...jl,...aji,...ble->...ie", gi, Gi, DG, Hbf)
+    return -(W - np.swapaxes(W, -2, -1))
 
 
 def ref_dstar_term4(state, der):
@@ -166,6 +368,29 @@ def ref_residual_tensors(state, f, der):
 
 KERNELS = {
     "Ric_ff": (lambda s, d: geometry.ricci_blocks(s, d)[0], ref_Ric_ff),
+    "Ric_fb": (lambda s, d: geometry.ricci_blocks(s, d)[1], ref_Ric_fb),
+    "Ric_bb": (lambda s, d: geometry.ricci_blocks(s, d)[2], ref_Ric_bb),
+    "F": (lambda s, d: d.F, ref_F),
+    "Gamma": (lambda s, d: d.Gamma, lambda s, d: _ref_levi_civita(s)[0]),
+    "Ric_g": (lambda s, d: d.Ric_g, lambda s, d: _ref_levi_civita(s)[1]),
+    "norm_sq_DG": (geometry.norm_sq_DG, ref_norm_sq_DG),
+    "residuals_F": (_residuals_F, ref_residuals_F),
+    "DG": (lambda s, d: d.DG, ref_DG),
+    "DDG": (lambda s, d: d.DDG, ref_DDG),
+    "DF": (lambda s, d: d.DF, ref_DF),
+    "extended_coeffs": (lambda s, d: torsion.extended_coeffs(s, d.Gamma),
+                        ref_extended_coeffs),
+    "cov_deriv_3form": (lambda s, d: torsion.cov_deriv_3form(
+        s.H, torsion.extended_coeffs(s, d.Gamma), s.mesh), ref_cov_deriv_3form),
+    "moving_frame_correction": (
+        lambda s, d: torsion.moving_frame_correction(s.H, s.A, s.k),
+        ref_moving_frame_correction),
+    "structure_functions": (lambda s, d: torsion.structure_functions(s, d.F),
+                            ref_structure_functions),
+    "algebroid_d2": (lambda s, d: _algebroid_d(torsion.b_dot(s, d), 2, s, d),
+                     ref_algebroid_d2),
+    "algebroid_d3": (lambda s, d: _algebroid_d(s.H, 3, s, d), ref_algebroid_d3),
+    "dstar_term3": (lambda s, d: torsion.minus_dstar_terms(s, d)[2], ref_dstar_term3),
     "ffff": (lambda s, d: geometry.curvature_closed_form(s, d).ffff, ref_ffff),
     "ffbf": (lambda s, d: geometry.curvature_closed_form(s, d).ffbf, ref_ffbf),
     "fbbf": (lambda s, d: geometry.curvature_closed_form(s, d).fbbf, ref_fbbf),
