@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DomainError, integrate_values
+from .flow import rk4
 from .geometry import (
     DerivedGeometry,
     GeometryState,
@@ -103,8 +104,10 @@ def solve_backward(hist, u_T: np.ndarray | None = None) -> list[ConjugateState]:
 
     The terminal profile defaults to the constant 1/Vol(g(T)).  Reversed time
     s = T - t makes the equation forward-parabolic; each stored interval is
-    one RK4 step with the background interpolated in time.  Returns states at
-    every stored time from T down to the start, in decreasing t order.
+    one flow.rk4 step whose stages read the background at the interval's
+    ends and at its midpoint, interpolated by FlowHistory.state_at.  Returns
+    states at every stored time from T down to the start, in decreasing t
+    order.
     """
     times = np.asarray(hist.times)
     iT = len(times) - 1
@@ -124,11 +127,12 @@ def solve_backward(hist, u_T: np.ndarray | None = None) -> list[ConjugateState]:
         derm = derive(stm, validated=True)
         st0 = hist.states[i - 1]
         der0 = derive(st0, validated=True)
-        k1 = -conj_rhs(u, st1, der1)
-        k2 = -conj_rhs(u + 0.5 * ds * k1, stm, derm)
-        k3 = -conj_rhs(u + 0.5 * ds * k2, stm, derm)
-        k4 = -conj_rhs(u + ds * k3, st0, der0)
-        u = u + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        background = {0.0: (st1, der1), 0.5: (stm, derm), 1.0: (st0, der0)}
+
+        def rate(y, c):
+            return (-conj_rhs(y[0], *background[c]),)
+
+        (u,) = rk4((u,), ds, rate)
         if np.any(u <= 0) or not np.all(np.isfinite(u)):
             raise DomainError(
                 "density positivity lost in the backward solve; "

@@ -7,14 +7,17 @@ horizontal lift of the divergence-type vector q, removing the leading
 transport of the fields; functionals.residual_tensors moves them along
 q - grad f.
 
-Integration is classical RK4 with a parabolic CFL step size.  The stored
-components of H live in the moving splitting, so their clock rate carries a
-correction whenever dA/dt is nonzero.
+Integration is classical RK4 with a parabolic CFL step size.  rk4 is the
+one RK4 step for every time march: the forward flow here, the backward
+density solve in conjugate and the particle transport of the gauge check.
+The stored components of H live in the moving splitting, so their clock rate
+carries a correction whenever dA/dt is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +28,8 @@ from .geometry import (DerivedGeometry, GeometryState, _derivs, derive,
 from . import torsion
 
 
-@dataclass
-class FlowRHS:
-    """Time derivatives of the stored fields."""
+class FlowRHS(NamedTuple):
+    """Time derivatives of the stored fields, in GeometryState.fields order."""
 
     dG: np.ndarray
     dg: np.ndarray
@@ -114,28 +116,28 @@ def cfl_dt(state: GeometryState, sigma: float) -> float:
     return sigma * h2 * min_eig_field(state.g)
 
 
-def _axpy(state: GeometryState, rhs: FlowRHS, dt: float) -> GeometryState:
-    return GeometryState(
-        state.t + dt, state.mesh, state.alg,
-        state.G + dt * rhs.dG,
-        state.g + dt * rhs.dg,
-        state.A + dt * rhs.dA,
-        state.H + dt * rhs.dH,
-    )
+def rk4(y: tuple, h: float, rate) -> tuple:
+    """One classical RK4 step of size h for a tuple of arrays y.
+
+    rate(y, c) returns the rates of y, a tuple in the same order, at the
+    stage a fraction c in {0, 1/2, 1} of the way through the step.
+    """
+    def stage(k, c):
+        return tuple(a + (c * h) * r for a, r in zip(y, k))
+
+    k1 = rate(y, 0.0)
+    k2 = rate(stage(k1, 0.5), 0.5)
+    k3 = rate(stage(k2, 0.5), 0.5)
+    k4 = rate(stage(k3, 1.0), 1.0)
+    return tuple(a + (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
+                 for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4))
 
 
 def rk4_step(state: GeometryState, dt: float, mode: str) -> GeometryState:
-    k1 = evaluate_rhs(state, mode)
-    k2 = evaluate_rhs(_axpy(state, k1, 0.5 * dt), mode)
-    k3 = evaluate_rhs(_axpy(state, k2, 0.5 * dt), mode)
-    k4 = evaluate_rhs(_axpy(state, k3, dt), mode)
-    out = state.copy()
-    out.t = state.t + dt
-    out.G = state.G + (dt / 6.0) * (k1.dG + 2 * k2.dG + 2 * k3.dG + k4.dG)
-    out.g = state.g + (dt / 6.0) * (k1.dg + 2 * k2.dg + 2 * k3.dg + k4.dg)
-    out.A = state.A + (dt / 6.0) * (k1.dA + 2 * k2.dA + 2 * k3.dA + k4.dA)
-    out.H = state.H + (dt / 6.0) * (k1.dH + 2 * k2.dH + 2 * k3.dH + k4.dH)
-    return out
+    def rate(fields, c):
+        return evaluate_rhs(state.with_fields(state.t + c * dt, fields), mode)
+
+    return state.with_fields(state.t + dt, rk4(state.fields, dt, rate))
 
 
 @dataclass
@@ -173,20 +175,17 @@ class FlowHistory:
             for b in range(len(idx)):
                 if a != b:
                     ws[a] *= (t - ts[b]) / (ts[a] - ts[b])
-        out = self.states[idx[0]].copy()
-        out.t = t
-        out.G = sum(w * self.states[i].G for w, i in zip(ws, idx))
-        out.g = sum(w * self.states[i].g for w, i in zip(ws, idx))
-        out.A = sum(w * self.states[i].A for w, i in zip(ws, idx))
-        out.H = sum(w * self.states[i].H for w, i in zip(ws, idx))
-        return out
+        nodes = zip(*(self.states[i].fields for i in idx))
+        return self.states[idx[0]].with_fields(
+            t, [sum(w * f for w, f in zip(ws, node)) for node in nodes])
 
 
 def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
     """March the system to t_end, recording every state.
 
-    Aborts (history.aborted) when a metric leaves the SPD cone or a field
-    stops being finite.  Stops without aborting after max_steps steps.
+    Aborts (history.aborted) when a field stops being finite, naming the
+    field and the time, or when a metric leaves the SPD cone.  Stops without
+    aborting after max_steps steps.
     Raises ValueError for a non-positive fixed_dt or cfl_sigma, and
     DomainError for an initial state whose metrics are not SPD.
     """
@@ -205,10 +204,12 @@ def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
         dt = min(dt, config.t_end - cur.t)
         try:
             nxt = rk4_step(cur, dt, config.mode)
+            # before validate: eigvalsh can return finite eigenvalues for a
+            # matrix holding NaN, so the SPD check does not catch it
+            for name, values in zip(GeometryState.FIELDS, nxt.fields):
+                if not np.all(np.isfinite(values)):
+                    raise DomainError(f"{name} is no longer finite at t = {nxt.t!r}")
             nxt.validate()
-            if not (np.all(np.isfinite(nxt.G)) and np.all(np.isfinite(nxt.g))
-                    and np.all(np.isfinite(nxt.A))):
-                raise DomainError("fields are no longer finite")
         except DomainError as exc:
             hist.aborted = True
             hist.abort_reason = str(exc)
@@ -264,30 +265,22 @@ def transport_map_1d(hist: FlowHistory, t_end: float) -> np.ndarray:
     L = mesh.lengths[0]
     x = np.arange(mesh.sizes[0]) * mesh.spacings[0]
     times = np.asarray(hist.times)
-    qcache: dict = {}
 
     def qfield(i):
-        if i not in qcache:
-            qcache[i] = derive(hist.states[i], validated=True).q[:, 0]
-        return qcache[i]
+        return derive(hist.states[i], validated=True).q[:, 0]
 
+    q1 = qfield(0)
     for i in range(len(times) - 1):
         if times[i] >= t_end - 1e-14:
             break
-        dt = min(times[i + 1], t_end) - times[i]
-        if dt <= 0:
-            continue
-        q0, q1 = qfield(i), qfield(i + 1)
-        qm = 0.5 * (q0 + q1)
+        # q at the stage fractions, linear in time over the stored interval
+        q0, q1 = q1, qfield(i + 1)
+        q_c = {0.0: q0, 0.5: 0.5 * (q0 + q1), 1.0: q1}
 
-        def q_at(positions, qvals):
-            return _fourier_interp_1d(qvals, positions % L, L)
+        def velocity(y, c):
+            return (_fourier_interp_1d(q_c[c], y[0] % L, L),)
 
-        v1 = q_at(x, q0)
-        v2 = q_at(x + 0.5 * dt * v1, qm)
-        v3 = q_at(x + 0.5 * dt * v2, qm)
-        v4 = q_at(x + dt * v3, q1)
-        x = x + (dt / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
+        (x,) = rk4((x,), min(times[i + 1], t_end) - times[i], velocity)
     return x % L
 
 

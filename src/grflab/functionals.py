@@ -204,13 +204,11 @@ def perturbed_state(state: GeometryState, der: DerivedGeometry,
     """First-order deformation of the stored fields.  The stored torsion rate
     is the exterior derivative of Bdot corrected for the rotating splitting
     (der: the state's derive())."""
-    dH = torsion.torsion_rate(state, der, direction.Bdot, direction.dA)
-    out = state.copy()
-    out.G = state.G + eps * direction.dG
-    out.g = state.g + eps * direction.dg
-    out.A = state.A + eps * direction.dA
-    out.H = state.H + eps * dH
-    return out
+    rates = flow.FlowRHS(direction.dG, direction.dg, direction.dA,
+                         torsion.torsion_rate(state, der, direction.Bdot,
+                                              direction.dA))
+    return state.with_fields(
+        state.t, [f + eps * r for f, r in zip(state.fields, rates)])
 
 
 def variation_check_F(state: GeometryState, f: np.ndarray,

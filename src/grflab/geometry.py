@@ -87,11 +87,21 @@ class GeometryState:
     def d(self) -> int:
         return self.mesh.d
 
+    # the stored fields in the order of fields, with_fields and flow.FlowRHS
+    FIELDS = ("G", "g", "A", "H")
+
+    @property
+    def fields(self) -> tuple:
+        """The stored fields (G, g, A, H)."""
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def with_fields(self, t: float, fields) -> "GeometryState":
+        """A state at time t on the same mesh and algebra holding fields,
+        given in the order of GeometryState.fields."""
+        return GeometryState(t, self.mesh, self.alg, *fields)
+
     def copy(self) -> "GeometryState":
-        return GeometryState(
-            self.t, self.mesh, self.alg,
-            self.G.copy(), self.g.copy(), self.A.copy(), self.H.copy(),
-        )
+        return self.with_fields(self.t, [f.copy() for f in self.fields])
 
     def validate(self, floor: float = EIG_FLOOR):
         check_spd_field(self.G, "fiber metric G", floor)
@@ -426,7 +436,8 @@ def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> Curvatu
     """All five curvature components plus Ricci blocks and scalar curvature.
 
     Uses the closed-form expressions valid for a nilpotent structure algebra;
-    the Ricci blocks and the scalar drop trace terms that vanish in that case.
+    the Ricci blocks drop trace terms that vanish in that case, and the
+    scalar is their trace, tr_G Ric_ff + tr_g Ric_bb.
     """
     b = state.alg.beta
     G, g = state.G, state.g
@@ -481,13 +492,6 @@ def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> Curvatu
     bbbb = RL + y1 + y2 + y3
 
     Ric_ff, Ric_fb, Ric_bb = ricci_blocks(state, der)
-    trDG = fiber_trace(DG, Gi)
-    scalar = (
-        der.R_g
-        - np.einsum("...ab,...ij,...abij->...", gi, Gi, DDG)
-        - 0.25 * np.einsum("...ab,...a,...b->...", gi, trDG, trDG)
-        + 0.75 * norm_sq_DG(state, der)
-        - 0.25 * norm_sq_F(state, der)
-        - 0.25 * norm_sq_bracket(state, der)
-    )
+    scalar = (np.einsum("...ij,...ij->...", Gi, Ric_ff)
+              + np.einsum("...ab,...ab->...", gi, Ric_bb))
     return CurvatureBlocks(ffff, ffbf, fbbf, fbbb, bbbb, Ric_ff, Ric_fb, Ric_bb, scalar)

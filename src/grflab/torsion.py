@@ -212,22 +212,6 @@ def extended_coeffs(state: GeometryState, Gamma: np.ndarray) -> np.ndarray:
     return M
 
 
-def cov_deriv_3form(T: np.ndarray, M: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """(D_a T)_{bcd} for an antisymmetric full-frame 3-form T, derivative
-    axis first.
-
-    The connection acts on each slot; for antisymmetric T the three slot
-    terms are the one product X[a, b, c, d] = M^e_{ab} T_{ecd} with its
-    slots permuted, so the result is wrong for a T that is not antisymmetric.
-    """
-    dT = _derivs(T, mesh)
-    X = np.swapaxes(M, -1, -2) @ as_matrices(T, 1, 2)[..., None, :, :]
-    X = X.reshape(dT.shape)
-    # M^e_{ac} T_{bed} = -X[a, c, b, d] and M^e_{ad} T_{bce} = X[a, d, b, c]
-    corr = X - np.swapaxes(X, -3, -2) + np.moveaxis(X, -3, -1)
-    return dT - corr
-
-
 def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
     """The five pieces of -d*H in the nilpotent decomposition, as full
     (..., K, K) antisymmetric arrays.
@@ -237,10 +221,17 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
     mesh, k, H = state.mesh, state.k, state.H
     Gi, gi, DG, Gamma, q = der.Gi, der.gi, der.DG, der.Gamma, der.q
 
+    # g^{ab} (D_a H)_{b..}, a divergence over H's base rows Hb: the
+    # connection acting on the traced slot gives the interior product with
+    # g^{ab} Gamma^e_ab, and on the two free slots Y - Y^t with
+    # Y[g, d] = g^{ab} M^e_{ag} H_{bed}, valid for an antisymmetric H
+    Hb = H[..., k:, :, :]
     M = extended_coeffs(state, Gamma)
-    covH = cov_deriv_3form(H, M, mesh)  # [..., a, beta, gamma, delta]
-    # (D_. H)(., *, *) with both dots base slots traced by g:
-    term1 = metric_trace(gi, covH[..., :, k:, :, :])
+    Y = (np.swapaxes(as_matrices(M, 2, 1), -1, -2)
+         @ as_matrices(raise_first(Hb, gi), 2, 1))
+    term1 = (metric_trace(gi, _derivs(Hb, mesh))
+             - interior_product(metric_trace(gi, np.moveaxis(Gamma, -3, -1)), H, k)
+             - (Y - np.swapaxes(Y, -1, -2)))
 
     term2 = -interior_product(q, H, k)
 

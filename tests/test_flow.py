@@ -66,6 +66,21 @@ def test_rk4_zero_rhs_fixed_point():
     assert np.max(np.abs(out.A)) < 1e-14
 
 
+def test_rk4_tableau():
+    # y' = lam y: one step is the degree-4 Taylor polynomial of exp(lam h)
+    lam, h = -1.3, 0.2
+    y0 = (np.array([1.0, -2.0]), np.array([[0.5]]))
+    got = flow.rk4(y0, h, lambda y, c: tuple(lam * a for a in y))
+    growth = sum((lam * h) ** j / np.prod(np.arange(1, j + 1)) for j in range(5))
+    for a, b in zip(got, y0):
+        np.testing.assert_allclose(a, growth * b, rtol=1e-15, atol=0)
+    # y' = (t0 + c h)^3: the stage fractions and weights integrate a cubic exactly
+    t0, h = 0.7, 0.3
+    (got,) = flow.rk4((np.array(2.0),), h, lambda y, c: ((t0 + c * h) ** 3,))
+    assert got == pytest.approx(2.0 + ((t0 + h) ** 4 - t0 ** 4) / 4.0,
+                                rel=1e-15, abs=0)
+
+
 def test_cfl_scaling():
     st16 = flat_abelian_state(N=16)
     st32 = flat_abelian_state(N=32)
@@ -96,6 +111,26 @@ def test_abort_on_blowup():
                                          max_steps=50))
     assert hist.aborted
     assert hist.abort_reason
+
+
+def test_abort_names_the_nonfinite_field(monkeypatch):
+    # eigvalsh of a metric holding NaN can return finite eigenvalues, so a
+    # non-finite field must be caught before the SPD check and never stored
+    calls = []
+
+    def nan_last_stage(state, mode="ungauged"):
+        rhs = evaluate_rhs(state, mode)
+        calls.append(mode)
+        if len(calls) % 4 == 0:
+            rhs.dH[0, 0, 0, 0] = np.nan
+        return rhs
+
+    monkeypatch.setattr(flow, "evaluate_rhs", nan_last_stage)
+    hist = run_flow(flat_abelian_state(), IntegratorConfig(
+        t_end=0.2, fixed_dt=0.01, max_steps=5))
+    assert hist.aborted
+    assert len(hist.states) == 1
+    assert hist.abort_reason == "H is no longer finite at t = 0.01"
 
 
 def test_run_flow_rejects_nonpositive_step():

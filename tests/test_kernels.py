@@ -161,6 +161,13 @@ def ref_cov_deriv_3form(state, der):
     return dT - corr
 
 
+def ref_dstar_term1(state, der):
+    # the full covariant derivative of H, traced over its base rows by g
+    k = state.k
+    return np.einsum("...ab,...abcd->...cd", der.gi,
+                     ref_cov_deriv_3form(state, der)[..., :, k:, :, :])
+
+
 def ref_moving_frame_correction(state, der):
     full3, Adot, k = state.H, state.A, state.k
     K = full3.shape[-1]
@@ -380,8 +387,7 @@ KERNELS = {
     "DF": (lambda s, d: d.DF, ref_DF),
     "extended_coeffs": (lambda s, d: torsion.extended_coeffs(s, d.Gamma),
                         ref_extended_coeffs),
-    "cov_deriv_3form": (lambda s, d: torsion.cov_deriv_3form(
-        s.H, torsion.extended_coeffs(s, d.Gamma), s.mesh), ref_cov_deriv_3form),
+    "dstar_term1": (lambda s, d: torsion.minus_dstar_terms(s, d)[0], ref_dstar_term1),
     "moving_frame_correction": (
         lambda s, d: torsion.moving_frame_correction(s.H, s.A, s.k),
         ref_moving_frame_correction),
