@@ -97,7 +97,6 @@ class ScenarioConfig(flow.IntegratorConfig):
     mesh_n: int | None = None
     algebra: object = None
     report_stride: int = 50
-    n_override: int | None = None
     identity_rel_tol: float = 0.01
     output_dir: str = "run-out"
 
@@ -148,7 +147,6 @@ CONFIG_KEYS = {
     "fixed_dt": _NUMBER,
     "max_steps": _INTEGER,
     "report_stride": _INTEGER,
-    "n_override": _INTEGER,
     "identity_rel_tol": _NUMBER,
     "output_dir": (lambda value: isinstance(value, str) and value != "",
                    "a non-empty string"),
@@ -206,7 +204,7 @@ CSV_COLUMNS = ["t", "F", "W", "R1", "R2", "R3", "R4", "W_extra",
 def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict]:
     """Per-report-time functional evaluations along the coupled run; traj
     holds one density per stored time, newest first."""
-    n = cfg.n_override if cfg.n_override is not None else hist.states[0].mesh.d
+    n = hist.states[0].mesh.d
     rows = []
     indices = list(range(0, len(hist.times), cfg.report_stride))
     if indices[-1] != len(hist.times) - 1:
@@ -236,9 +234,7 @@ def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict
             row["_sumRW"] = sum(RW[:4]) + RW[4]
             row["W_extra"] = RW[4]
         else:
-            row["W"] = float("nan")
-            row["W_extra"] = float("nan")
-            row["_sumRW"] = float("nan")
+            row.update(W=float("nan"), W_extra=float("nan"), _sumRW=float("nan"))
         rows.append(row)
     for j, row in enumerate(rows):
         if 0 < j < len(rows) - 1:
@@ -252,9 +248,8 @@ def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict
             else:
                 row["identity_gap_W"] = float("nan")
         else:
-            row["dF_dt_fd"] = float("nan")
-            row["identity_gap_F"] = float("nan")
-            row["identity_gap_W"] = float("nan")
+            row.update(dF_dt_fd=float("nan"), identity_gap_F=float("nan"),
+                       identity_gap_W=float("nan"))
         row.pop("_sumRW", None)
     return rows
 

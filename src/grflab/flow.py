@@ -208,11 +208,11 @@ def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
             # matrix holding NaN, so the SPD check does not catch it
             for name, values in zip(GeometryState.FIELDS, nxt.fields):
                 if not np.all(np.isfinite(values)):
-                    raise DomainError(f"{name} is no longer finite at t = {nxt.t!r}")
+                    raise DomainError(f"{name} is no longer finite")
             nxt.validate()
         except DomainError as exc:
             hist.aborted = True
-            hist.abort_reason = str(exc)
+            hist.abort_reason = f"{exc} at t = {cur.t + dt!r}"  # the rejected state's t
             break
         cur = nxt
         steps += 1
@@ -227,12 +227,8 @@ def blowdown_rescale(state: GeometryState, s: float) -> GeometryState:
     form is untouched, and the clock reads t/s."""
     if s <= 0:
         raise ValueError("rescale factor must be positive")
-    out = state.copy()
-    out.t = state.t / s
-    out.G = state.G / s
-    out.g = state.g / s
-    out.H = state.H / s
-    return out
+    return state.with_fields(state.t / s,
+                             (state.G / s, state.g / s, state.A.copy(), state.H / s))
 
 
 def _fourier_interp_1d(values: np.ndarray, x: np.ndarray, L: float) -> np.ndarray:
@@ -300,14 +296,12 @@ def pullback_state_1d(state: GeometryState, phi: np.ndarray) -> GeometryState:
     def ev(arr):
         return _fourier_interp_1d(arr, phi % L, L)
 
-    out = state.copy()
-    out.G = ev(state.G)
-    out.g = ev(state.g) * (dphi ** 2)[:, None, None]
-    out.A = ev(state.A) * dphi[:, None, None]
     base = (np.arange(state.H.shape[-1]) >= state.k).astype(int)
     n_base = base[:, None, None] + base[:, None] + base
-    out.H = ev(state.H) * dphi[:, None, None, None] ** n_base
-    return out
+    return state.with_fields(state.t, (
+        ev(state.G), ev(state.g) * (dphi ** 2)[:, None, None],
+        ev(state.A) * dphi[:, None, None],
+        ev(state.H) * dphi[:, None, None, None] ** n_base))
 
 
 def gauge_equivalence_report(hist_ungauged: FlowHistory,

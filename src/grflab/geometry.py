@@ -50,10 +50,9 @@ def check_spd_field(vals: np.ndarray, name: str, floor: float = EIG_FLOOR):
     mineig = _pointwise_min_eig(vals)
     worst = float(np.min(mineig))
     if worst <= floor:
-        idx = np.unravel_index(int(np.argmin(mineig)), mineig.shape)
-        raise DomainError(
-            f"{name} loses positivity at grid point {idx}: min eigenvalue {worst:.3e}"
-        )
+        idx = tuple(map(int, np.unravel_index(int(np.argmin(mineig)), mineig.shape)))
+        raise DomainError(f"{name} loses positivity at grid point {idx}: "
+                          f"min eigenvalue {worst:.3e}")
 
 
 def min_eig_field(vals: np.ndarray) -> float:
@@ -172,18 +171,6 @@ def levi_civita(g: np.ndarray, mesh: Mesh):
     )
     R = np.einsum("...ab,...ab->...", gi, ric)
     return gi, Gamma, ric, R
-
-
-def riemann_base(g: np.ndarray, Gamma: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Lowered Riemann tensor of g: R[..., a, b, c, e] = g(R(v_a, v_b) v_c, v_e)."""
-    dGamma = _derivs(Gamma, mesh)  # [..., e, f, a, b] = d_e Gamma^f_ab
-    Rup = (
-        np.einsum("...afbc->...abcf", dGamma)
-        - np.einsum("...bfac->...abcf", dGamma)
-        + np.einsum("...fam,...mbc->...abcf", Gamma, Gamma)
-        - np.einsum("...fbm,...mac->...abcf", Gamma, Gamma)
-    )
-    return np.einsum("...abcf,...fe->...abce", Rup, g)
 
 
 # --- connection data ---------------------------------------------------------
@@ -432,66 +419,89 @@ def ricci_blocks(state: GeometryState, der: DerivedGeometry):
     return Ric_ff, Ric_fb, Ric_bb
 
 
+def _product(X: np.ndarray, xs: int, Y: np.ndarray, ys: int) -> np.ndarray:
+    """sum_m X[..., *, m] Y[..., m, *] for X with xs slots and Y with ys slots,
+    as one stacked matmul; a constant operand such as beta broadcasts."""
+    out = as_matrices(X, xs - 1, 1) @ as_matrices(Y, 1, ys - 1)
+    return out.reshape(out.shape[:-2] + X.shape[X.ndim - xs:-1]
+                       + Y.shape[Y.ndim - ys + 1:])
+
+
+def _permuted_sum(out: str, terms) -> np.ndarray:
+    """sum of c * T[..., slots] with its slots put in the order out, over the
+    (c, slots, T) in terms."""
+    return sum(c * np.einsum(f"...{slots}->...{out}", T) for c, slots, T in terms)
+
+
+def _ffff(state: GeometryState, der: DerivedGeometry, DG_up, Gb_l) -> np.ndarray:
+    """All-fiber component, slots (p, q, r, s)."""
+    b = state.alg.beta
+    Y = _product(state.G, 2, _product(b, 3, b, 3), 4)        # G_sm b^m_pn b^n_qr
+    t1 = _product(np.moveaxis(DG_up, -3, -1), 3, der.DG, 3)  # [..., p, s, q, r]
+    t4 = _product(np.moveaxis(b, 0, -1), 3, der.Gb, 3)       # [..., p, r, s, q]
+    P = _product(Gb_l, 3, np.moveaxis(der.Gb, -1, -3), 3)    # Gb_l[s,p,l] Gb[r,q,l]
+    tail = _permuted_sum("pqrs", [(-0.25, "qpsr", Y), (-0.25, "prsq", t4),
+                                  (-0.25, "sprq", P), (-0.25, "psrq", P)])
+    S = (_permuted_sum("pqrs", [(-0.25, "psqr", t1), (-0.25, "spqr", Y)])
+         + tail + np.swapaxes(tail, -3, -2))  # add the (2, 3) swap of the tail
+    return S - np.swapaxes(S, -4, -3)           # antisymmetrize in (1, 2)
+
+
+def _ffbf(state: GeometryState, der: DerivedGeometry, DG_up, Gb_l) -> np.ndarray:
+    """Fiber-fiber-base-fiber component, slots (p, q, c, s)."""
+    u1 = _product(der.GF, 3, DG_up, 3)                       # [..., q, c, p, s]
+    u23 = _product(der.DG, 3, np.moveaxis(Gb_l, -1, -3), 3)  # DG[c,q,k] Gb_l[.,.,k]
+    u45 = _product(np.swapaxes(der.DG, -1, -2), 3, state.alg.beta, 3)  # DG[c,m,.] b^m
+    U = _permuted_sum("pqcs", [(0.25, "qcps", u1), (0.25, "cqsp", u23),
+                               (0.25, "cqps", u23), (-0.25, "cspq", u45),
+                               (-0.25, "cqps", u45)])
+    return U - np.swapaxes(U, -4, -3)
+
+
+def _fbbf(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+    """Fiber-base-base-fiber component, slots (p, b, c, s)."""
+    w2 = _product(der.DG @ der.Gi[..., None, :, :], 3, np.moveaxis(der.DG, -1, -3), 3)
+    w3 = _product(der.GF @ der.gi[..., None, :, :], 3, np.moveaxis(der.GF, -1, -3), 3)
+    w45 = _product(der.Gb, 3, np.moveaxis(der.F, -1, -3), 3)          # Gb[.,.,n] F^n_bc
+    w6 = _product(np.moveaxis(state.alg.beta, 0, -1), 3, der.GF, 3)  # [..., p, s, b, c]
+    return _permuted_sum("pbcs", [(-0.5, "bcps", der.DDG), (0.25, "cpbs", w2),
+                                  (0.25, "pcsb", w3), (-0.25, "spbc", w45),
+                                  (-0.25, "psbc", w45), (0.25, "psbc", w6)])
+
+
+def _fbbb(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+    """Fiber-base-base-base component, slots (p, b, c, e)."""
+    x13 = _product(der.DG, 3, np.moveaxis(der.F, -1, -3), 3)  # DG[.,p,m] F^m_..
+    x4 = _product(der.DF, 4, state.G, 2)                       # [..., b, c, e, p]
+    return _permuted_sum("pbce", [(0.25, "epbc", x13), (-0.25, "cpbe", x13),
+                                  (-0.5, "bpce", x13), (-0.5, "bcep", x4)])
+
+
+def _bbbb(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+    """All-base component: the lowered Riemann tensor of g plus F terms."""
+    dGamma = _derivs(der.Gamma, state.mesh)  # [..., e, f, a, b] = d_e Gamma^f_ab
+    GG = _product(der.Gamma, 3, der.Gamma, 3)  # Gamma^f_am Gamma^m_bc, slots fabc
+    Rup = _permuted_sum("abcf", [(1, "afbc", dGamma), (-1, "bfac", dGamma),
+                                 (1, "fabc", GG), (-1, "fbac", GG)])
+    y = _product(der.F, 3, der.GF, 3)  # [..., a, b, c, e] = G_mn F^m_ab F^n_ce
+    return _product(Rup, 4, state.g, 2) + _permuted_sum(
+        "abce", [(0.5, "abce", y), (-0.25, "aebc", y), (0.25, "acbe", y)])
+
+
 def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> CurvatureBlocks:
     """All five curvature components plus Ricci blocks and scalar curvature.
 
     Uses the closed-form expressions valid for a nilpotent structure algebra;
     the Ricci blocks drop trace terms that vanish in that case, and the
-    scalar is their trace, tr_G Ric_ff + tr_g Ric_bb.
+    scalar is their trace, tr_G Ric_ff + tr_g Ric_bb.  Each block permutes
+    the slots of a few shared products in its own function, whose
+    temporaries are freed before the next block is built.
     """
-    b = state.alg.beta
-    G, g = state.G, state.g
-    Gi, gi = der.Gi, der.gi
-    DG, DDG, F, DF = der.DG, der.DDG, der.F, der.DF
-    mesh = state.mesh
-
-    # all-fiber component, slots (p, q, r, s)
-    t1 = -0.25 * np.einsum("...ab,...aps,...bqr->...pqrs", gi, DG, DG)
-    t2 = -0.25 * np.einsum("...ms,mpn,nqr->...pqrs", G, b, b)
-    t3 = -0.25 * np.einsum("...mq,mpn,nsr->...pqrs", G, b, b)
-    t4 = -0.25 * np.einsum("...mn,mpr,nsq->...pqrs", G, b, b)
-    Gb_l = np.einsum("...ipk,...kl->...ipl", der.Gb, Gi)  # last bracket slot raised
-    t5 = -0.25 * np.einsum("...spl,...rql->...pqrs", Gb_l, der.Gb)
-    t6 = -0.25 * np.einsum("...psl,...rql->...pqrs", Gb_l, der.Gb)
-    tail = t3 + t4 + t5 + t6
-    S = t1 + t2 + tail + np.swapaxes(tail, -3, -2)  # add the (2, 3) swap of the tail
-    ffff = S - np.swapaxes(S, -4, -3)               # antisymmetrize in (1, 2)
-
-    # fiber-fiber-base-fiber, slots (p, q, c, s)
-    DG_up = np.einsum("...ab,...aps->...bps", gi, DG)  # base slot raised
-    u1 = 0.25 * np.einsum("...bps,...qcb->...pqcs", DG_up, der.GF)
-    u2 = 0.25 * np.einsum("...cqk,...spk->...pqcs", DG, Gb_l)
-    u3 = 0.25 * np.einsum("...cqk,...psk->...pqcs", DG, Gb_l)
-    u4 = -0.25 * np.einsum("mpq,...cms->...pqcs", b, DG)
-    u5 = -0.25 * np.einsum("mps,...cmq->...pqcs", b, DG)
-    U = u1 + u2 + u3 + u4 + u5
-    ffbf = U - np.swapaxes(U, -4, -3)
-
-    # fiber-base-base-fiber, slots (p, b, c, s)
-    w1 = -0.5 * np.einsum("...bcps->...pbcs", DDG)
-    w2 = 0.25 * np.einsum("...kl,...cpk,...bsl->...pbcs", Gi, DG, DG)
-    GF_l = np.einsum("...pca,...ae->...pce", der.GF, gi)  # last base slot raised
-    w3 = 0.25 * np.einsum("...pce,...sbe->...pbcs", GF_l, der.GF)
-    w4 = -0.25 * np.einsum("...ms,mpn,...bcn->...pbcs", G, b, F)
-    w5 = -0.25 * np.einsum("...mp,msn,...bcn->...pbcs", G, b, F)
-    w6 = 0.25 * np.einsum("...mn,mps,...bcn->...pbcs", G, b, F)
-    fbbf = w1 + w2 + w3 + w4 + w5 + w6
-
-    # fiber-base-base-base, slots (p, b, c, e)
-    x1 = 0.25 * np.einsum("...epm,...bcm->...pbce", DG, F)
-    x2 = -0.25 * np.einsum("...cpm,...bem->...pbce", DG, F)
-    x3 = -0.5 * np.einsum("...bpm,...cem->...pbce", DG, F)
-    x4 = -0.5 * np.einsum("...mp,...bcem->...pbce", G, DF)
-    fbbb = x1 + x2 + x3 + x4
-
-    # all-base component
-    RL = riemann_base(g, der.Gamma, mesh)
-    y1 = 0.5 * np.einsum("...mn,...abm,...cen->...abce", G, F, F)
-    y2 = -0.25 * np.einsum("...mn,...aem,...bcn->...abce", G, F, F)
-    y3 = 0.25 * np.einsum("...mn,...acm,...ben->...abce", G, F, F)
-    bbbb = RL + y1 + y2 + y3
-
+    DG_up = raise_first(der.DG, der.gi)      # base slot raised
+    Gb_l = der.Gb @ der.Gi[..., None, :, :]  # last bracket slot raised
+    ffff, ffbf = _ffff(state, der, DG_up, Gb_l), _ffbf(state, der, DG_up, Gb_l)
     Ric_ff, Ric_fb, Ric_bb = ricci_blocks(state, der)
-    scalar = (np.einsum("...ij,...ij->...", Gi, Ric_ff)
-              + np.einsum("...ab,...ab->...", gi, Ric_bb))
-    return CurvatureBlocks(ffff, ffbf, fbbf, fbbb, bbbb, Ric_ff, Ric_fb, Ric_bb, scalar)
+    scalar = (np.einsum("...ij,...ij->...", der.Gi, Ric_ff)
+              + np.einsum("...ab,...ab->...", der.gi, Ric_bb))
+    return CurvatureBlocks(ffff, ffbf, _fbbf(state, der), _fbbb(state, der),
+                           _bbbb(state, der), Ric_ff, Ric_fb, Ric_bb, scalar)

@@ -99,23 +99,25 @@ def run_in_one_line(path):
     return rc, err.getvalue()
 
 
+# pytest names the dict and list cases by their position in this list
 @pytest.mark.parametrize("key, value", [
     ("mesh_n", 4), ("mesh_n", True),
     ("cfl_sigma", -1), ("cfl_sigma", 0), ("cfl_sigma", True),
     ("identity_rel_tol", "x"), ("identity_rel_tol", 0.0),
-    ("n_override", "x"), ("n_override", 0), ("n_override", 1.5),
-    ("n_override", True),
-    ("algebra", "abelian:x"), ("algebra", {"k": 2}),
-    ("algebra", {"k": 2, "c": [1, 2]}), ("preset", ["flat-abelian"]),
-    ("output_dir", 5),
+    ("algebra", "abelian:x"), ("output_dir", 5),
     ("t_end", math.inf), ("cfl_sigma", math.inf),
     ("identity_rel_tol", math.inf),
+    ("algebra", {"k": 2}), ("algebra", {"k": 2, "c": [1, 2]}),
+    ("preset", ["flat-abelian"]),
     ("a\nb", 1),
+    # not a key: the entropy prefactor's dimension is the base dimension
+    ("n_override", 3),
 ])
 def test_run_rejects_bad_input_in_one_line(tmp_path, key, value):
     rc, err = run_in_one_line(cheap_config(tmp_path, **{key: value}))
     assert rc == 1
     assert len(err.strip().splitlines()) == 1
+    assert err.strip().endswith("unknown key") == (key not in cli.CONFIG_KEYS)
     # an unknown key is printed escaped
     assert ("mesh" if key == "mesh_n"
             else "/" + key.replace("\n", "\\n")) in err
@@ -172,7 +174,6 @@ INVALID_VALUES = {
     "fixed_dt": _NUMBERS,
     "max_steps": _INTEGERS,
     "report_stride": _INTEGERS,
-    "n_override": _INTEGERS,
     "identity_rel_tol": _NUMBERS,
     "output_dir": [_NON_STRINGS, st.just("")],
 }

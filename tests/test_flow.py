@@ -110,7 +110,9 @@ def test_abort_on_blowup():
     hist = run_flow(st, IntegratorConfig(t_end=100.0, fixed_dt=10.0,
                                          max_steps=50))
     assert hist.aborted
-    assert hist.abort_reason
+    # where, as plain integers, and when: the time of the rejected state
+    assert "at grid point (0,):" in hist.abort_reason
+    assert hist.abort_reason.endswith(" at t = 10.0")
 
 
 def test_abort_names_the_nonfinite_field(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from conftest import constant_state, flat_abelian_state, heisenberg_state
 from grflab import algebra, oracle
 from grflab.fields import DomainError, Mesh
+from grflab.flow import blowdown_rescale
 from grflab.geometry import (GeometryState, check_spd_field,
                              compute_DDG, compute_DG, compute_F, compute_q,
                              curvature_closed_form, derive, gradient, hessian,
@@ -104,6 +105,25 @@ def test_closed_form_matches_oracle_1d():
     g64 = curvature_gap(64, 1)
     assert g64 < 2e-5
     assert g64 < g32 / 12.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("alg", [algebra.heisenberg3, lambda: algebra.abelian(3)],
+                         ids=["heisenberg3", "abelian3"])
+def test_curvature_under_blowdown_rescale(d, alg):
+    # metrics scale by 1/s: lowered curvature by 1/s, Ricci not at all, the
+    # scalar by s; a dropped or extra metric factor in any term breaks this
+    s = 2.7
+    for seed in range(3):
+        st = random_state(np.random.default_rng(seed), alg(), 16, d)
+        cb = curvature_closed_form(st, derive(st))
+        resc = blowdown_rescale(st, s)
+        cr = curvature_closed_form(resc, derive(resc))
+        for name, factor in [("ffff", 1 / s), ("ffbf", 1 / s), ("fbbf", 1 / s),
+                             ("fbbb", 1 / s), ("bbbb", 1 / s), ("Ric_ff", 1.0),
+                             ("Ric_fb", 1.0), ("Ric_bb", 1.0), ("scalar", s)]:
+            ref = factor * getattr(cb, name)
+            assert _rel_err(getattr(cr, name), ref) < 1e-12, (seed, name)
 
 
 def test_gradient_hessian_laplacian_flat():

@@ -277,6 +277,35 @@ def ref_fbbf(state, der):
     return w1 + w2 + w3 + w4 + w5 + w6
 
 
+def ref_fbbb(state, der):
+    G, DG, F, DF = state.G, der.DG, der.F, der.DF
+    x1 = 0.25 * np.einsum("...epm,...bcm->...pbce", DG, F)
+    x2 = -0.25 * np.einsum("...cpm,...bem->...pbce", DG, F)
+    x3 = -0.5 * np.einsum("...bpm,...cem->...pbce", DG, F)
+    x4 = -0.5 * np.einsum("...mp,...bcem->...pbce", G, DF)
+    return x1 + x2 + x3 + x4
+
+
+def ref_riemann_base(g, Gamma, mesh):
+    dGamma = geometry._derivs(Gamma, mesh)  # [..., e, f, a, b] = d_e Gamma^f_ab
+    Rup = (
+        np.einsum("...afbc->...abcf", dGamma)
+        - np.einsum("...bfac->...abcf", dGamma)
+        + np.einsum("...fam,...mbc->...abcf", Gamma, Gamma)
+        - np.einsum("...fbm,...mac->...abcf", Gamma, Gamma)
+    )
+    return np.einsum("...abcf,...fe->...abce", Rup, g)
+
+
+def ref_bbbb(state, der):
+    G, F = state.G, der.F
+    RL = ref_riemann_base(state.g, der.Gamma, state.mesh)
+    y1 = 0.5 * np.einsum("...mn,...abm,...cen->...abce", G, F, F)
+    y2 = -0.25 * np.einsum("...mn,...aem,...bcn->...abce", G, F, F)
+    y3 = 0.25 * np.einsum("...mn,...acm,...ben->...abce", G, F, F)
+    return RL + y1 + y2 + y3
+
+
 def ref_calH(state, der):
     full = state.H
     gEi = torsion.inverse_frame_metric(der)
@@ -400,6 +429,8 @@ KERNELS = {
     "ffff": (lambda s, d: geometry.curvature_closed_form(s, d).ffff, ref_ffff),
     "ffbf": (lambda s, d: geometry.curvature_closed_form(s, d).ffbf, ref_ffbf),
     "fbbf": (lambda s, d: geometry.curvature_closed_form(s, d).fbbf, ref_fbbf),
+    "fbbb": (lambda s, d: geometry.curvature_closed_form(s, d).fbbb, ref_fbbb),
+    "bbbb": (lambda s, d: geometry.curvature_closed_form(s, d).bbbb, ref_bbbb),
     "calH": (lambda s, d: torsion.h_contractions(s, d)[0], ref_calH),
     "dstar_term4": (lambda s, d: torsion.minus_dstar_terms(s, d)[3], ref_dstar_term4),
     "dstar_term5": (lambda s, d: torsion.minus_dstar_terms(s, d)[4], ref_dstar_term5),
