@@ -33,6 +33,13 @@ from .geometry import GeometryState, derive, min_eig_field
 
 # --- presets -----------------------------------------------------------------
 
+def alternating_sum3(core: np.ndarray) -> np.ndarray:
+    """sum over the six orderings of core's last three slots, each with the
+    sign of its permutation."""
+    return geometry._permuted_sum("abc", [(sign, slots, core) for sign, slots in (
+        (1, "abc"), (1, "bca"), (1, "cab"), (-1, "acb"), (-1, "cba"), (-1, "bac"))])
+
+
 def _constant_state(alg: LieAlgebra, mesh: Mesh, G0, g0) -> GeometryState:
     k, d = alg.k, mesh.d
     G = np.broadcast_to(np.asarray(G0, dtype=float),
@@ -71,10 +78,9 @@ def preset_inoue_like(N: int = 64) -> GeometryState:
     3-form torsion, so the vertical torsion component is active."""
     st = _constant_state(algebra.abelian(3), Mesh((N,), (1.0,)),
                          np.eye(3), np.eye(1))
-    h = 0.5
-    for perm, sgn in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                      ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        st.H[..., perm[0], perm[1], perm[2]] = sgn * h
+    unit = np.zeros((3, 3, 3))
+    unit[0, 1, 2] = 0.5
+    st.H[..., :3, :3, :3] = alternating_sum3(unit)
     return st
 
 
@@ -156,10 +162,10 @@ CONFIG_KEYS = {
 def load_config(path: str) -> ScenarioConfig:
     """Parse and validate a scenario file, reporting all problems at once.
     A null value takes the key's default; preset has none."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -299,6 +305,8 @@ def emit_outputs(out_dir: str, rows: list[dict], manifest: dict) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     lines = [f"preset: {manifest.get('preset')}",
              f"status: {manifest.get('status')}"]
+    if "abort_reason" in manifest:
+        lines.append(f"abort reason: {manifest['abort_reason']}")
     if rows:
         lines.append(f"final t: {rows[-1]['t']:.6g}")
         lines.append(f"final F: {rows[-1]['F']:.8g}")
@@ -315,10 +323,20 @@ def emit_outputs(out_dir: str, rows: list[dict], manifest: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _abort(cfg: ScenarioConfig, manifest: dict, reason: str) -> int:
+    """Record an aborted run in its outputs and on stderr; exit code 1."""
+    manifest["status"] = "aborted"
+    manifest["abort_reason"] = reason
+    emit_outputs(cfg.output_dir, [], manifest)
+    print(f"aborted: {reason}", file=sys.stderr)
+    return 1
+
+
 def run_pipeline(cfg: ScenarioConfig) -> int:
     """Forward flow, backward density solve and report, written to the
     output directory.  Raises ConfigError before the forward stage when that
-    directory cannot be created."""
+    directory cannot be created; an aborted run prints its reason to
+    stderr."""
     out_dir = resolve_output_dir(cfg.output_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -331,23 +349,16 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     hist = flow.run_flow(state, cfg)
     manifest["stages"].append("forward")
     manifest["steps"] = len(hist.times) - 1
-    if not hist.aborted and hist.times[-1] < cfg.t_end - 1e-14:
-        hist.aborted = True
-        hist.abort_reason = (
-            f"stopped at t = {hist.times[-1]:.6g} short of t_end = {cfg.t_end:.6g} "
-            f"after max_steps = {cfg.max_steps} steps")
     if hist.aborted:
-        manifest["status"] = "aborted"
-        manifest["abort_reason"] = hist.abort_reason
-        emit_outputs(cfg.output_dir, [], manifest)
-        return 1
+        return _abort(cfg, manifest, hist.abort_reason)
+    if hist.times[-1] < cfg.t_end - 1e-14:
+        return _abort(cfg, manifest, (
+            f"stopped at t = {hist.times[-1]:.6g} short of t_end = {cfg.t_end:.6g} "
+            f"after max_steps = {cfg.max_steps} steps"))
     try:
         traj = conjugate.solve_backward(hist)
     except DomainError as exc:
-        manifest["status"] = "aborted"
-        manifest["abort_reason"] = f"backward solve: {exc}"
-        emit_outputs(cfg.output_dir, [], manifest)
-        return 1
+        return _abort(cfg, manifest, f"backward solve: {exc}")
     manifest["stages"].append("backward")
     masses = np.array([c.mass for c in traj])
     manifest["mass_drift"] = float(
@@ -412,15 +423,7 @@ def random_state(rng: np.random.Generator, alg: LieAlgebra, N: int, d: int,
             A[..., a, i] = wave()
     H = np.zeros(mesh.shape + (k + d,) * 3)
     if with_H:
-        core = rng.normal(size=(k, k, k)) * 0.3
-        alt = np.zeros((k, k, k))
-        for p0 in range(k):
-            for p1 in range(k):
-                for p2 in range(k):
-                    for perm, sgn in (((p0, p1, p2), 1), ((p1, p2, p0), 1),
-                                      ((p2, p0, p1), 1), ((p0, p2, p1), -1),
-                                      ((p2, p1, p0), -1), ((p1, p0, p2), -1)):
-                        alt[p0, p1, p2] += sgn * core[perm] / 6.0
+        alt = alternating_sum3(rng.normal(size=(k, k, k)) * 0.3 / 6.0)
         # fill the canonical fiber-first entries, then every other ordering
         H[..., :k, :k, :k] = (1.0 + wave())[..., None, None, None] * alt
         for i in range(k):
@@ -558,10 +561,14 @@ def run_report(run_dir: str) -> int:
     if os.path.exists(summary):
         with open(summary) as fh:
             sys.stdout.write(fh.read())
-    else:
-        with open(manifest) as fh:
+        return 0
+    try:
+        with open(manifest, encoding="utf-8") as fh:
             json.dump(json.load(fh), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    except ValueError as exc:  # not UTF-8, or not JSON
+        print(f"{manifest}: invalid JSON: {exc}", file=sys.stderr)
+        return 1
+    sys.stdout.write("\n")
     return 0
 
 
@@ -585,6 +592,11 @@ def main(argv=None) -> int:
             print(str(exc), file=sys.stderr)
             return 1
     if args.command == "verify":
+        try:
+            Mesh((args.mesh,), (1.0,))  # a mesh size the stencil can use
+        except GridError as exc:
+            print(f"--mesh {args.mesh}: {exc}", file=sys.stderr)
+            return 1
         return run_verify(args.seed, args.mesh, args.suite)
     return run_report(args.run_dir)
 

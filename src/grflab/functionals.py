@@ -231,16 +231,19 @@ def variation_check_F(state: GeometryState, f: np.ndarray,
 
 # --- soliton detection -------------------------------------------------------
 
-def soliton_detect(report_rows: list[dict], threshold: float = 1e-6) -> dict:
+SOLITON_THRESHOLD = 1e-6
+
+
+def soliton_detect(report_rows: list[dict]) -> dict:
     """Scan a report series for steady rigidity: all four dissipation
-    residuals below threshold at the final reported time."""
+    residuals below SOLITON_THRESHOLD at the final reported time."""
     if not report_rows:
         raise ValueError("empty report series")
     last = report_rows[-1]
     res = [last[kk] for kk in ("R1", "R2", "R3", "R4")]
-    steady = all(abs(r) < threshold for r in res)
+    steady = all(abs(r) < SOLITON_THRESHOLD for r in res)
     return {
         "steady_rigidity": steady,
         "final_residuals": res,
-        "threshold": threshold,
+        "threshold": SOLITON_THRESHOLD,
     }

@@ -45,11 +45,11 @@ def _pointwise_min_eig(vals: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(vals)[..., 0]
 
 
-def check_spd_field(vals: np.ndarray, name: str, floor: float = EIG_FLOOR):
+def check_spd_field(vals: np.ndarray, name: str):
     """Abort with the offending grid point if a metric field degenerates."""
     mineig = _pointwise_min_eig(vals)
     worst = float(np.min(mineig))
-    if worst <= floor:
+    if worst <= EIG_FLOOR:
         idx = tuple(map(int, np.unravel_index(int(np.argmin(mineig)), mineig.shape)))
         raise DomainError(f"{name} loses positivity at grid point {idx}: "
                           f"min eigenvalue {worst:.3e}")
@@ -102,9 +102,9 @@ class GeometryState:
     def copy(self) -> "GeometryState":
         return self.with_fields(self.t, [f.copy() for f in self.fields])
 
-    def validate(self, floor: float = EIG_FLOOR):
-        check_spd_field(self.G, "fiber metric G", floor)
-        check_spd_field(self.g, "base metric g", floor)
+    def validate(self):
+        check_spd_field(self.G, "fiber metric G")
+        check_spd_field(self.g, "base metric g")
 
 
 # --- stacked products --------------------------------------------------------
@@ -152,11 +152,8 @@ def levi_civita(g: np.ndarray, mesh: Mesh):
         raise DomainError("base metric not positive definite")
     gi = np.linalg.inv(g)
     dg = _derivs(g, mesh)  # [..., e, a, b] = d_e g_ab
-    sym = (
-        dg
-        + np.swapaxes(dg, mesh.d, mesh.d + 1)
-        - np.einsum("...dab->...abd", dg)
-    )  # [..., a, b, d] = d_a g_bd + d_b g_ad - d_d g_ab
+    # [..., a, b, d] = d_a g_bd + d_b g_ad - d_d g_ab
+    sym = _permuted_sum("abd", [(1, "abd", dg), (1, "bad", dg), (-1, "dab", dg)])
     Gamma = 0.5 * (gi @ np.swapaxes(as_matrices(sym, 2, 1), -1, -2))
     Gamma = Gamma.reshape(sym.shape)
 
@@ -427,10 +424,23 @@ def _product(X: np.ndarray, xs: int, Y: np.ndarray, ys: int) -> np.ndarray:
                        + Y.shape[Y.ndim - ys + 1:])
 
 
-def _permuted_sum(out: str, terms) -> np.ndarray:
+def _permuted_sum(out: str, terms, acc=None) -> np.ndarray:
     """sum of c * T[..., slots] with its slots put in the order out, over the
-    (c, slots, T) in terms."""
-    return sum(c * np.einsum(f"...{slots}->...{out}", T) for c, slots, T in terms)
+    (c, slots, T) in terms, accumulated in place in their order into acc, or
+    without acc into a copy of the first term (which must have the result's
+    shape); a +-1 coefficient adds or subtracts the permuted view without a
+    temporary."""
+    for c, slots, T in terms:
+        X = np.einsum(f"...{slots}->...{out}", T)
+        if acc is None:
+            acc = X.copy() if c == 1 else c * X
+        elif c == 1:
+            acc += X
+        elif c == -1:
+            acc -= X
+        else:
+            acc += c * X
+    return acc
 
 
 def _ffff(state: GeometryState, der: DerivedGeometry, DG_up, Gb_l) -> np.ndarray:

@@ -11,23 +11,18 @@ codifferential that drives the torsion evolution.
 from __future__ import annotations
 
 import math
+import string
 
 import numpy as np
 
 from .fields import Mesh, deriv_array
 from .geometry import (DerivedGeometry, GeometryState, _derivs,
-                       _raise_last_two, as_matrices, connection_action,
-                       metric_trace, pair_trace, raise_first)
+                       _permuted_sum, _raise_last_two, as_matrices,
+                       connection_action, metric_trace, pair_trace,
+                       raise_first)
 
 
 # --- full-frame packing ------------------------------------------------------
-
-# (permutation, parity) pairs for 3 slots; result axis i takes input axis perm[i]
-_PERMS3 = [
-    ((0, 1, 2), 1.0), ((1, 0, 2), -1.0), ((0, 2, 1), -1.0),
-    ((2, 1, 0), -1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-]
-
 
 def _perm_weight(kinds) -> float:
     # Several permutations land on each entry of a mixed block; averaging them
@@ -47,7 +42,6 @@ def pack_full(full3: np.ndarray, k: int) -> np.ndarray:
     permutations that land on the same entry, so the mixed entries come out
     exact negatives under every slot swap.
     """
-    lead = tuple(range(full3.ndim - 3))
     # the weighted canonical mixed blocks; each permutation of the whole array
     # moves every block onto one ordering of its slot kinds, and the blocks
     # of different kinds never land on the same entry
@@ -56,13 +50,8 @@ def pack_full(full3: np.ndarray, k: int) -> np.ndarray:
         canon = (Ellipsis,) + tuple(
             slice(None, k) if t == 0 else slice(k, None) for t in kinds)
         canonical[canon] = _perm_weight(kinds) * full3[canon]
-    full = canonical.copy()
-    for perm, sign in _PERMS3[1:]:
-        moved = np.transpose(canonical, lead + tuple(len(lead) + p for p in perm))
-        if sign > 0:
-            full += moved
-        else:
-            full -= moved
+    full = _permuted_sum("abc", [(sign, slots, canonical) for sign, slots in (
+        (1, "abc"), (-1, "bac"), (-1, "acb"), (-1, "cba"), (1, "cab"), (1, "bca"))])
     full[..., :k, :k, :k] = full3[..., :k, :k, :k]
     return full
 
@@ -110,7 +99,7 @@ def anchor_derivs(values: np.ndarray, mesh: Mesh, k: int) -> np.ndarray:
 # --- exterior derivative -----------------------------------------------------
 
 def algebroid_d(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh, k: int) -> np.ndarray:
-    """Exterior derivative of a full antisymmetric p-form array, p in 0..3.
+    """Exterior derivative of a full antisymmetric p-form array.
 
     d sigma(e_0, ..., e_p) = sum_i (-1)^i tau(e_i)[sigma(..., skip i, ...)]
         + sum_{i<j} (-1)^{i+j} sigma([e_i, e_j], ..., skip i and j, ...),
@@ -119,35 +108,19 @@ def algebroid_d(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh, k: int) ->
     T = anchor_derivs(sigma, mesh, k)  # derivative slot first
     if p == 0:
         return T
+    # T and P hold the slots they act on first, the remaining ones after; T
+    # is freed before P is built, so two full-size arrays are live, not three
+    slots = string.ascii_letters[:p + 1]
+    dsigma = _permuted_sum(slots, [((-1) ** i, a + slots.replace(a, ""), T)
+                                   for i, a in enumerate(slots)])
+    del T
     # every bracket term is a slot permutation of P = C^d_{ab} sigma_{d...}
     K = C.shape[-1]
     P = np.swapaxes(as_matrices(C, 1, 2), -1, -2) @ as_matrices(sigma, 1, p - 1)
     P = P.reshape(C.shape[:-3] + (K,) * (p + 1))  # [..., a, b, rest of sigma]
-    if p == 1:
-        return T - np.swapaxes(T, -2, -1) - P
-    if p == 2:
-        return (
-            T
-            - np.einsum("...bag->...abg", T)
-            + np.einsum("...gab->...abg", T)
-            - P                                    # C^d_ab sigma_dg
-            + np.einsum("...agb->...abg", P)       # C^d_ag sigma_db
-            - np.einsum("...bga->...abg", P)       # C^d_bg sigma_da
-        )
-    if p == 3:
-        return (
-            T
-            - np.einsum("...bagE->...abgE", T)
-            + np.einsum("...gabE->...abgE", T)
-            - np.einsum("...Eabg->...abgE", T)
-            - P                                    # C^d_ab sigma_dgE
-            + np.einsum("...agbE->...abgE", P)     # C^d_ag sigma_dbE
-            - np.einsum("...aEbg->...abgE", P)     # C^d_aE sigma_dbg
-            - np.einsum("...bgaE->...abgE", P)     # C^d_bg sigma_daE
-            + np.einsum("...bEag->...abgE", P)     # C^d_bE sigma_dag
-            - np.einsum("...gEab->...abgE", P)     # C^d_gE sigma_dab
-        )
-    raise ValueError(f"p must be 0..3, got {p}")
+    return _permuted_sum(slots, [
+        ((-1) ** (i + j), a + b + slots.replace(a, "").replace(b, ""), P)
+        for i, a in enumerate(slots) for j, b in enumerate(slots) if i < j], dsigma)
 
 
 def closedness_residual(state: GeometryState, der: DerivedGeometry) -> float:

@@ -227,10 +227,9 @@ def gauge_initial_state(N):
     A[..., 0, 2] = 0.15 * np.cos(x)
     H = np.zeros(mesh.shape + (k + 1,) * 3)
     # the constant fiber volume form is closed for a nilpotent algebra
-    h = 0.4
-    for perm, sgn in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                      ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        H[..., perm[0], perm[1], perm[2]] = sgn * h
+    unit = np.zeros((k, k, k))
+    unit[0, 1, 2] = 0.4
+    H[..., :k, :k, :k] = cli.alternating_sum3(unit)
     return GeometryState(0.0, mesh, alg, G, g, A, H)
 
 

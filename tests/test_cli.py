@@ -207,9 +207,16 @@ def test_readme_config_table_matches_loader():
 
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError):
-        load_config(str(path))
+    # not JSON, and a JSON object in a file that is not UTF-8
+    for content in (b"{not json",
+                    '{"preset": "flat-abelian", "output_dir": "é"}'.encode("latin-1")):
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(str(path))
+        rc, err = run_in_one_line(str(path))
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
 
 def test_flat_abelian_pipeline_clean(tmp_path):
@@ -315,7 +322,7 @@ def test_report_evaluates_energy_density_once_per_row(tmp_path, monkeypatch):
     assert calls == times
 
 
-def test_abort_leaves_manifest(tmp_path):
+def test_abort_leaves_manifest(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = load_config(write_config(
         tmp_path, preset="heisenberg-s1", mesh_n=16, t_end=10.0,
@@ -325,9 +332,13 @@ def test_abort_leaves_manifest(tmp_path):
     assert manifest["status"] == "aborted"
     assert manifest["abort_reason"]
     assert manifest["stages"] == ["forward"]
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 0
+    assert (f"abort reason: {manifest['abort_reason']}\n"
+            in capsys.readouterr().out)
 
 
-def test_truncated_run_is_aborted(tmp_path):
+def test_truncated_run_is_aborted(tmp_path, capsys):
     # max_steps stops the forward flow at t = 0.005 of t_end = 0.2
     out = tmp_path / "out"
     path = write_config(tmp_path, preset="flat-abelian", mesh_n=16,
@@ -339,6 +350,13 @@ def test_truncated_run_is_aborted(tmp_path):
     assert manifest["steps"] == 5
     assert "t = 0.005" in manifest["abort_reason"]
     assert "max_steps = 5" in manifest["abort_reason"]
+    # the run names its reason in one stderr line, and the report repeats it
+    err = capsys.readouterr().err
+    assert err == f"aborted: {manifest['abort_reason']}\n"
+    assert cli.main(["report", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "preset: flat-abelian", "status: aborted",
+        f"abort reason: {manifest['abort_reason']}"]
 
 
 def test_output_root_env(tmp_path, monkeypatch):
@@ -360,6 +378,17 @@ def test_report_subcommand(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "preset: flat-abelian" in captured.out
     assert cli.main(["report", str(tmp_path / "missing")]) == 1
+    # without a summary the report prints the manifest, which must parse
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "manifest.json").write_text("{not json")
+    capsys.readouterr()
+    assert cli.main(["report", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "manifest.json" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_run_subcommand_bad_config(tmp_path, capsys):
@@ -372,6 +401,14 @@ def test_verify_subcommand(capsys):
                      "--suite", "torsion"]) == 0
     captured = capsys.readouterr()
     assert "PASS" in captured.out
+    # a mesh below the stencil's 8 points ends in one line before any suite
+    for mesh in ("4", "0", "-3"):
+        assert cli.main(["verify", "--mesh", mesh]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert f"--mesh {mesh}" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_console_entry_point():

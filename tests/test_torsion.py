@@ -121,19 +121,40 @@ def test_algebroid_d_constant_scalar():
     assert np.max(np.abs(out)) < 1e-13
 
 
+def dd_residuals(st):
+    """max |d(d sigma)| for a smooth form sigma of each degree 0, 1, 2; the
+    degree-2 form runs the degree-3 differential."""
+    C = torsion.structure_functions(st, derive(st).F)
+    x = st.mesh.coords()[0]
+    wave = np.sin(2 * np.pi * x / st.mesh.lengths[0])
+    ramp = 1.0 + np.arange(st.k + st.d)
+    forms = (wave, wave[..., None] * ramp,
+             wave[..., None, None] * np.subtract.outer(ramp, ramp))
+    return [float(np.max(np.abs(torsion.algebroid_d(
+        torsion.algebroid_d(sigma, p, C, st.mesh, st.k), p + 1, C, st.mesh,
+        st.k)))) for p, sigma in enumerate(forms)]
+
+
 def test_algebroid_d_squares_to_zero():
+    # exact in the continuum; discretely limited by the product rule
+    # failing at stencil order
     for d in (1, 2):
-        st = random_full_state(seed=9 + d, N=24, d=d)
-        C = torsion.structure_functions(st, derive(st).F)
-        K = st.k + d
-        x = st.mesh.coords()[0]
-        wave = np.sin(2 * np.pi * x / st.mesh.lengths[0])
-        one = wave[..., None] * (1.0 + np.arange(K))
-        dd = torsion.algebroid_d(
-            torsion.algebroid_d(one, 1, C, st.mesh, st.k), 2, C, st.mesh, st.k)
-        # exact in the continuum; discretely limited by the product rule
-        # failing at stencil order
-        assert np.max(np.abs(dd)) < 5e-3
+        assert max(dd_residuals(random_full_state(seed=9 + d, N=24, d=d))) < 5e-3
+
+    def residuals(N, d):
+        return dd_residuals(random_state(np.random.default_rng(5),
+                                         algebra.heisenberg3(), N, d,
+                                         with_H=False))
+
+    # on a 1-D base, and for functions, the discrete d commutes with itself
+    # up to round-off
+    for N in (32, 64):
+        assert max(residuals(N, 1)) < 1e-12
+    coarse, fine = residuals(16, 2), residuals(32, 2)
+    assert max(coarse[0], fine[0]) < 1e-12
+    # on a 2-D base d∘d of a 1- or 2-form is a 4th-order stencil error
+    for p in (1, 2):
+        assert coarse[p] >= 12.0 * fine[p], (p, coarse[p], fine[p])
 
 
 def test_closedness_residual_presets():
