@@ -5,12 +5,11 @@ flow, so that its mass with respect to the moving volume form stays constant.
 Solving from a uniform terminal profile produces the scalar potential f used
 by the energy and entropy functionals.
 
-The transport coefficient Q_COEFF multiplies the <q, grad log u> term.  In the
-canonical gauge the conjugate equation has no transport term at all; carrying
-it back to the ungauged system along the particle flow of q contributes a full
--<q, grad u>.  That value (-1) is the only choice that keeps the mass exactly
-constant in the continuum, which is the defining property of the density, so
-it is the value used here.
+In the canonical gauge the conjugate equation has no transport term.  The
+ungauged system differs from it by the flow of the divergence vector q, so
+there the density is also carried along q: the term -<q, grad u>, the one
+choice that keeps the mass exactly constant in the continuum.  run_flow
+records the gauge on its FlowHistory, and solve_backward reads it there.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from .geometry import (
 )
 from . import torsion
 
-Q_COEFF = -1.0
-
 
 @dataclass
 class ConjugateState:
@@ -44,17 +41,11 @@ class ConjugateState:
     mass: float
 
 
-def potential(u: np.ndarray, t: float, mode: str, n: int) -> np.ndarray:
-    """Recover f from u: steady u = e^-f, expander u = e^-f / (4 pi t)^(n/2)."""
+def potential(u: np.ndarray) -> np.ndarray:
+    """The potential f = -log u of a density u = e^-f."""
     if np.any(u <= 0):
         raise DomainError("density must be strictly positive")
-    if mode == "steady":
-        return -np.log(u)
-    if mode == "expander":
-        if t <= 0:
-            raise DomainError("expander potential needs t > 0")
-        return -np.log(u) - 0.5 * n * np.log(4.0 * np.pi * t)
-    raise ValueError(f"unknown mode {mode!r}")
+    return -np.log(u)
 
 
 def dilaton_potential(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
@@ -66,32 +57,37 @@ def dilaton_potential(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
             - 0.5 * norm_sq_F(state, der) - 0.25 * trH_bb)
 
 
-def conj_rhs(u: np.ndarray, state: GeometryState,
-             der: DerivedGeometry) -> np.ndarray:
-    """Forward-time rate of the density:
+def _transport(phi: np.ndarray, state: GeometryState,
+               der: DerivedGeometry) -> np.ndarray:
+    """<q, grad phi>, the rate of phi's transport along q."""
+    return np.einsum("...a,...a->...", der.q, _derivs(phi, state.mesh))
 
-        du/dt = -Lap u + V u + Q_COEFF * <q, grad u>,
 
-    with V the dilaton potential (der: the state's derive()).  The equation
-    is backward-parabolic, integrated in reversed time by solve_backward.
+def conj_rhs(u: np.ndarray, state: GeometryState, der: DerivedGeometry,
+             mode: str = "ungauged") -> np.ndarray:
+    """Forward-time rate of the density in the flow's gauge mode:
+
+        du/dt = -Lap u + V u - <q, grad u>,
+
+    with V the dilaton potential (der: the state's derive()); the transport
+    term is only in the ungauged gauge.  The equation is backward-parabolic,
+    integrated in reversed time by solve_backward.
     """
     if np.any(u <= 0):
         raise DomainError("density must be strictly positive")
-    mesh = state.mesh
-    lap = laplacian(u, der.gi, der.Gamma, mesh)
-    V = dilaton_potential(state, der)
-    drift = np.einsum("...a,...a->...", der.q, _derivs(u, mesh))
-    return -lap + V * u + Q_COEFF * drift
+    lap = laplacian(u, der.gi, der.Gamma, state.mesh)
+    rate = -lap + dilaton_potential(state, der) * u
+    return rate - _transport(u, state, der) if mode == "ungauged" else rate
 
 
 def forward_heat_rhs(phi: np.ndarray, state: GeometryState,
-                     der: DerivedGeometry) -> np.ndarray:
+                     der: DerivedGeometry, mode: str = "ungauged") -> np.ndarray:
     """Forward drift-diffusion paired with the density: d(phi)/dt = Lap phi
-    + Q_COEFF * <q, grad phi> (der: the state's derive()).  The pairing
-    integral of phi against u with the moving volume form is constant."""
+    - <q, grad phi>, the transport term again only in the ungauged gauge
+    (der: the state's derive()).  The pairing integral of phi against u with
+    the moving volume form is constant."""
     lap = laplacian(phi, der.gi, der.Gamma, state.mesh)
-    drift = np.einsum("...a,...a->...", der.q, _derivs(phi, state.mesh))
-    return lap + Q_COEFF * drift
+    return lap - _transport(phi, state, der) if mode == "ungauged" else lap
 
 
 def mass_of(u: np.ndarray, state: GeometryState) -> float:
@@ -100,7 +96,7 @@ def mass_of(u: np.ndarray, state: GeometryState) -> float:
 
 def solve_backward(hist, u_T: np.ndarray | None = None) -> list[ConjugateState]:
     """Integrate the density from the last stored time T down to the start of
-    the history.
+    the history, in the gauge the history was run in.
 
     The terminal profile defaults to the constant 1/Vol(g(T)).  Reversed time
     s = T - t makes the equation forward-parabolic; each stored interval is
@@ -130,7 +126,7 @@ def solve_backward(hist, u_T: np.ndarray | None = None) -> list[ConjugateState]:
         background = {0.0: (st1, der1), 0.5: (stm, derm), 1.0: (st0, der0)}
 
         def rate(y, c):
-            return (-conj_rhs(y[0], *background[c]),)
+            return (-conj_rhs(y[0], *background[c], hist.mode),)
 
         (u,) = rk4((u,), ds, rate)
         if np.any(u <= 0) or not np.all(np.isfinite(u)):

@@ -142,10 +142,11 @@ def rk4_step(state: GeometryState, dt: float, mode: str) -> GeometryState:
 
 @dataclass
 class FlowHistory:
-    """Dense in-memory record of a flow run."""
+    """Dense in-memory record of a flow run in one gauge mode."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
+    mode: str = "ungauged"
     aborted: bool = False
     abort_reason: str = ""
 
@@ -195,7 +196,7 @@ def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
         raise ValueError(f"fixed_dt must be positive, got {config.fixed_dt!r}")
     if config.fixed_dt is None and not config.cfl_sigma > 0:
         raise ValueError(f"cfl_sigma must be positive, got {config.cfl_sigma!r}")
-    hist = FlowHistory()
+    hist = FlowHistory(mode=config.mode)
     cur = state.copy()
     hist.append(cur)
     steps = 0

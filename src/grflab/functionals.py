@@ -67,19 +67,15 @@ def eval_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry) -> float:
 
 
 def eval_Wplus(state: GeometryState, f: np.ndarray, t: float, n: int,
-               der: DerivedGeometry, F_steady: float) -> float:
-    """Expander entropy: (4 pi t)^(-n/2) { t * energy + int (-f + n) e^-f dV }
-    at the expander potential f (der: the state's derive()).
-
-    F_steady is eval_F at the steady potential f + (n/2) log(4 pi t).  The
-    two potentials differ by a constant, so the energy at f is
-    (4 pi t)^(n/2) F_steady and the energy density is not evaluated again.
-    """
+               F_steady: float) -> float:
+    """Expander entropy at the steady potential f (F_steady: eval_F at f):
+    W = t F_steady + int (n - f_+) e^-f dV with f_+ = f - (n/2) log(4 pi t),
+    the textbook entropy at the expander potential f_+ rewritten at the
+    steady weight, which differs from e^-f_+ by a constant factor."""
     if t <= 0:
         raise DomainError("expander entropy needs t > 0")
-    vol = (4.0 * np.pi * t) ** (0.5 * n)
-    extra = _weighted_integral(-f + n, f, state)
-    return (t * (vol * F_steady) + extra) / vol
+    f_plus = f - 0.5 * n * np.log(4.0 * np.pi * t)
+    return t * F_steady + _weighted_integral(n - f_plus, f, state)
 
 
 # --- residual tensors --------------------------------------------------------
@@ -147,25 +143,23 @@ def residuals_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry,
     return _weighted_pairings(state, f, der, x, x, 1.0)
 
 
-def residuals_W(state: GeometryState, f: np.ndarray, t: float, n: int,
+def residuals_W(state: GeometryState, f: np.ndarray, t: float,
                 der: DerivedGeometry, rt: ResidualTensors):
     """t-weighted residuals and the mixed-sign extra integral of the entropy
-    identity: dW/dt = R1 + R2 + R3 + R4 + W_extra.  The base residual
-    carries the expander shift -g/t (der: the state's derive(); rt:
-    residual_tensors at this state and any potential that differs from f by
-    a constant, such as the steady one)."""
+    identity dW/dt = R1 + R2 + R3 + R4 + W_extra, at the steady potential f
+    (der: the state's derive(); rt: residual_tensors(state, f, der)).  The
+    base residual carries the expander shift -g/t."""
     if t <= 0:
         raise DomainError("entropy residuals need t > 0")
     k = state.k
-    w = (4.0 * np.pi * t) ** (-0.5 * n)
     x = (rt.TG, rt.TA, rt.Tg - state.g / t, rt.TH)
-    R1, R2, R3, R4 = _weighted_pairings(state, f, der, x, x, t * w)
+    R1, R2, R3, R4 = _weighted_pairings(state, f, der, x, x, t)
     calH, Hsq = torsion.h_contractions(state, der)
     trG_ff = np.einsum("...ij,...ij->...", der.Gi, calH[..., :k, :k])
     extra_dens = (0.25 * norm_sq_F(state, der)
                   - 0.25 * norm_sq_bracket(state, der)
                   + Hsq / 6.0 - 0.25 * trG_ff)
-    W_extra = w * _weighted_integral(extra_dens, f, state)
+    W_extra = _weighted_integral(extra_dens, f, state)
     return R1, R2, R3, R4, W_extra
 
 
@@ -185,9 +179,10 @@ class VariationDirection:
 
 def variation_formula_F(state: GeometryState, f: np.ndarray,
                         direction: VariationDirection,
-                        der: DerivedGeometry, rt: ResidualTensors) -> float:
-    """Closed-form first variation of the energy along the direction
-    (der: the state's derive(); rt: residual_tensors(state, f, der))."""
+                        der: DerivedGeometry, rt: ResidualTensors) -> tuple:
+    """The five integrals that sum to the closed-form first variation of the
+    energy along the direction: four pairings with the residual tensors, and
+    I5 (der: the state's derive(); rt: residual_tensors(state, f, der))."""
     ints = _weighted_pairings(
         state, f, der, (direction.dG, direction.dA, direction.dg, direction.Bdot),
         (rt.TG, rt.TA, rt.Tg, rt.TH), 1.0)
@@ -196,7 +191,7 @@ def variation_formula_F(state: GeometryState, f: np.ndarray,
            + _energy_density(state, f, der))
     trdg = 0.5 * np.einsum("...ab,...ab->...", der.gi, direction.dg)
     I5 = _weighted_integral((trdg - direction.df) * lam, f, state)
-    return ints[0] + ints[1] + ints[2] + ints[3] + I5
+    return ints + (I5,)
 
 
 def perturbed_state(state: GeometryState, der: DerivedGeometry,
@@ -217,14 +212,16 @@ def variation_check_F(state: GeometryState, f: np.ndarray,
     """Compare the closed-form first variation with a centered finite
     difference of the energy along the deformation path (der: the state's
     derive(); rt: residual_tensors(state, f, der), shared by every direction
-    at the same state and potential)."""
-    formula = variation_formula_F(state, f, direction, der, rt)
+    at the same state and potential).  rel_gap is the gap over the sum of
+    the five integrals' absolute values, not small when they cancel."""
+    terms = variation_formula_F(state, f, direction, der, rt)
+    formula = sum(terms)
     plus = perturbed_state(state, der, direction, eps)
     minus = perturbed_state(state, der, direction, -eps)
     Fp = eval_F(plus, f + eps * direction.df, derive(plus, validated=True))
     Fm = eval_F(minus, f - eps * direction.df, derive(minus, validated=True))
     fd = (Fp - Fm) / (2.0 * eps)
-    scale = max(abs(fd), abs(formula), 1e-14)
+    scale = max(sum(abs(x) for x in terms), 1e-14)
     return {"fd": fd, "formula": formula,
             "gap": abs(fd - formula), "rel_gap": abs(fd - formula) / scale}
 

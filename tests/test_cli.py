@@ -409,6 +409,13 @@ def test_verify_subcommand(capsys):
         assert len(captured.err.strip().splitlines()) == 1
         assert f"--mesh {mesh}" in captured.err
         assert "Traceback" not in captured.err
+    # so does a negative seed, whatever the suite
+    for seed, suite in (("-20", "all"), ("-5", "curvature"), ("-5", "torsion")):
+        assert cli.main(["verify", "--seed", seed, "--suite", suite]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert f"--seed {seed}" in captured.err
 
 
 def test_console_entry_point():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import flat_abelian_state
-from grflab import conjugate
+from grflab import conjugate, flow
 from grflab.cli import preset_flat_abelian, preset_heisenberg_s1
 from grflab.conjugate import (conj_rhs, forward_heat_rhs, mass_of, potential,
                               solve_backward)
 from grflab.fields import DomainError
-from grflab.flow import FlowHistory, IntegratorConfig, run_flow
+from grflab.flow import FlowHistory, IntegratorConfig, evaluate_rhs, run_flow
 from grflab.geometry import derive
 
 
@@ -33,23 +33,18 @@ def test_static_flat_density_constant():
 
 def test_potential_trivial_and_roundtrip():
     u = np.ones((8,))
-    assert np.max(np.abs(potential(u, 0.3, "steady", 1))) == 0.0
+    assert np.max(np.abs(potential(u))) == 0.0
     rng = np.random.default_rng(0)
     u = 0.5 + rng.random(8)
-    back = np.exp(-potential(u, 0.1, "steady", 2))
-    assert np.max(np.abs(back - u)) < 1e-13
-    t = 0.7
-    back = np.exp(-potential(u, t, "expander", 2)) / (4.0 * np.pi * t)
+    back = np.exp(-potential(u))
     assert np.max(np.abs(back - u)) < 1e-13
 
 
 def test_potential_domain_errors():
     with pytest.raises(DomainError):
-        potential(np.array([1.0, -1.0]), 0.1, "steady", 1)
+        potential(np.array([1.0, -1.0]))
     with pytest.raises(DomainError):
-        potential(np.ones(4), 0.0, "expander", 1)
-    with pytest.raises(ValueError):
-        potential(np.ones(4), 0.1, "sideways", 1)
+        potential(np.zeros(4))
 
 
 def test_conj_rhs_positivity_guard():
@@ -100,15 +95,53 @@ def test_adjoint_pairing_constant():
         c = by_t[round(hist.times[i], 12)]
         pairings.append(mass_of(cur * c.u, s))
         if i + 1 < len(hist.times):
-            dt = hist.times[i + 1] - hist.times[i]
             der = derive(s, validated=True)
-            k1 = forward_heat_rhs(cur, s, der)
-            k2 = forward_heat_rhs(cur + 0.5 * dt * k1, s, der)
-            k3 = forward_heat_rhs(cur + 0.5 * dt * k2, s, der)
-            k4 = forward_heat_rhs(cur + dt * k3, s, der)
-            cur = cur + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            (cur,) = flow.rk4((cur,), hist.times[i + 1] - hist.times[i],
+                              lambda y, c: (forward_heat_rhs(y[0], s, der),))
     drift = max(abs(p - pairings[0]) for p in pairings) / abs(pairings[0])
     assert drift < 1e-5
+
+
+def modulated_heisenberg_s1(N):
+    """heisenberg-s1 with G_11 and g_11 modulated, so that q does not vanish."""
+    st = preset_heisenberg_s1(N)
+    (x,) = st.mesh.coords()
+    st.G[..., 0, 0] *= 1.0 + 0.2 * np.cos(2 * np.pi * x)
+    st.g[..., 0, 0] *= 1.0 + 0.1 * np.sin(2 * np.pi * x)
+    return st
+
+
+@pytest.mark.parametrize("mode", ["ungauged", "canonical"])
+def test_mass_rate_vanishes_in_either_gauge(mode):
+    # d/dt int u dV = int (du/dt + tr_g(dg/dt) u / 2) dV along the flow of
+    # the same gauge; the other gauge's equation leaves 0.2
+    st = modulated_heisenberg_s1(32)
+    (x,) = st.mesh.coords()
+    u = np.exp(0.1 * np.cos(2 * np.pi * x))
+    der = derive(st, validated=True)
+    assert np.max(np.abs(der.q)) > 0.1
+    dg = evaluate_rhs(st, mode).dg
+    trdg = np.einsum("...ab,...ab->...", der.gi, dg)
+    density_rate = conj_rhs(u, st, der, mode) + 0.5 * trdg * u
+    assert abs(mass_of(density_rate, st)) < 1e-5
+    # so does the rate of its pairing with a forward solution phi, which
+    # the other gauge's forward equation leaves at 7.6e-4
+    phi = 1.0 + 0.3 * np.sin(2 * np.pi * x)
+    rate = mass_of(forward_heat_rhs(phi, st, der, mode) * u
+                   + phi * density_rate, st)
+    assert abs(rate) < 1e-5
+
+
+@pytest.mark.parametrize("mode", ["ungauged", "canonical"])
+def test_backward_solve_runs_in_the_flow_gauge(mode):
+    # solved in the other gauge, this density's mass drifts by 3.7e-4
+    st = modulated_heisenberg_s1(16)
+    (x,) = st.mesh.coords()
+    hist = run_flow(st, IntegratorConfig(t_end=2e-3, mode=mode))
+    assert hist.mode == mode
+    traj = solve_backward(hist, u_T=np.exp(0.1 * np.cos(2 * np.pi * x)))
+    masses = np.array([c.mass for c in traj])
+    assert np.max(np.abs(masses - masses[0])) / masses[0] < 1e-6
 
 
 def test_backward_maximum_principle_static():

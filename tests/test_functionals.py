@@ -23,9 +23,15 @@ def res_F(st, f):
     return residuals_F(st, f, der, residual_tensors(st, f, der))
 
 
-def res_W(st, f, t, n):
+def res_W(st, f, t):
     der = derive(st)
-    return residuals_W(st, f, t, n, der, residual_tensors(st, f, der))
+    return residuals_W(st, f, t, der, residual_tensors(st, f, der))
+
+
+def expander_zero(st, t, n):
+    """The steady potential whose expander potential f - (n/2) log(4 pi t)
+    is zero."""
+    return np.full(st.mesh.shape, 0.5 * n * np.log(4.0 * np.pi * t))
 
 
 def test_eval_F_flat_zero():
@@ -48,8 +54,7 @@ def test_eval_F_constant_shift():
 def Wplus(st, f, t, n):
     """eval_Wplus with the steady energy it takes evaluated here."""
     der = derive(st)
-    f_steady = f + 0.5 * n * np.log(4.0 * np.pi * t)
-    return eval_Wplus(st, f, t, n, der, eval_F(st, f_steady, der))
+    return eval_Wplus(st, f, t, n, eval_F(st, f, der))
 
 
 def test_eval_Wplus_flat_reference_point():
@@ -57,21 +62,21 @@ def test_eval_Wplus_flat_reference_point():
     t = 1.0 / (4.0 * np.pi)
     assert Wplus(st, zeros_f(st), t, 1) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
-        eval_Wplus(st, zeros_f(st), 0.0, 1, derive(st), 0.0)
+        eval_Wplus(st, zeros_f(st), 0.0, 1, 0.0)
 
 
 def test_eval_Wplus_linear_in_n_shift():
     st = flat_abelian_state()
-    t = 1.0 / (4.0 * np.pi)  # prefactor is 1 at this t for every n
+    t = 1.0 / (4.0 * np.pi)  # the two potentials agree at this t for every n
     w1 = Wplus(st, zeros_f(st), t, 1)
     w3 = Wplus(st, zeros_f(st), t, 3)
     assert w3 - w1 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_eval_Wplus_from_steady_energy():
-    # the expander potential is the steady one shifted by a constant, so the
-    # steady energy gives the energy term of W; the reference evaluates the
-    # energy at the expander potential itself
+    # the expander potential is the steady one shifted by a constant; the
+    # reference is the textbook W, with the energy and the weight taken at
+    # the expander potential itself and the (4 pi t)^(-n/2) prefactor
     st = random_state(np.random.default_rng(5), algebra.heisenberg3(), 16, 2)
     der = derive(st)
     X, Y = st.mesh.coords()
@@ -80,7 +85,7 @@ def test_eval_Wplus_from_steady_energy():
     f_exp = f_steady - 0.5 * n * np.log(4.0 * np.pi * t)
     extra = integrate_values((n - f_exp) * np.exp(-f_exp), st.g, st.mesh)
     ref = (t * eval_F(st, f_exp, der) + extra) / (4.0 * np.pi * t) ** (0.5 * n)
-    W = eval_Wplus(st, f_exp, t, n, der, eval_F(st, f_steady, der))
+    W = eval_Wplus(st, f_steady, t, n, eval_F(st, f_steady, der))
     assert W == pytest.approx(ref, rel=1e-12)
 
 
@@ -116,13 +121,13 @@ def test_residuals_F_gradient_only():
 def test_residuals_W_flat_reference():
     st = flat_abelian_state()
     t, n = 0.2, 1
-    R1, R2, R3, R4, W_extra = res_W(st, zeros_f(st), t, n)
+    R1, R2, R3, R4, W_extra = res_W(st, expander_zero(st, t, n), t)
     expected_R3 = 1.0 / (2.0 * t) * (4.0 * np.pi * t) ** (-0.5 * n)
     assert R3 == pytest.approx(expected_R3, rel=1e-12)
     assert abs(R1) + abs(R2) + abs(R4) < 1e-12
     assert abs(W_extra) < 1e-13
     with pytest.raises(DomainError):
-        res_W(st, zeros_f(st), 0.0, n)
+        res_W(st, zeros_f(st), 0.0)
 
 
 def test_W_extra_signs():
@@ -130,12 +135,12 @@ def test_W_extra_signs():
     rng = np.random.default_rng(6)
     st = random_state(rng, algebra.abelian(3), 32, 1)
     st.H[..., :st.k, :st.k, :st.k] = 0.0
-    _, _, _, _, W_extra = res_W(st, zeros_f(st), 0.3, 1)
+    _, _, _, _, W_extra = res_W(st, zeros_f(st), 0.3)
     assert W_extra >= -1e-12
     # the Heisenberg bracket pushes the extra term negative
     sth = heisenberg_state()
     t = 0.3
-    _, _, _, _, W_extra_h = res_W(sth, zeros_f(sth), t, 1)
+    _, _, _, _, W_extra_h = res_W(sth, expander_zero(sth, t, 1), t)
     assert W_extra_h == pytest.approx(-0.5 * (4 * np.pi * t) ** -0.5, rel=1e-10)
 
 
