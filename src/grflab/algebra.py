@@ -50,8 +50,6 @@ class ValidationReport:
     jacobi: bool
     nilpotent: bool
     nilpotency_steps: int
-    max_antisymmetry_defect: float
-    max_jacobi_defect: float
 
     @property
     def ok(self) -> bool:
@@ -113,8 +111,6 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
         jacobi=jacobi,
         nilpotent=nilpotent,
         nilpotency_steps=steps,
-        max_antisymmetry_defect=anti_defect,
-        max_jacobi_defect=jac_defect,
     )
     if not antisymmetric:
         report.failures.append("antisymmetry")

@@ -147,7 +147,7 @@ CONFIG_KEYS = {
     "mesh_n": _INTEGER,
     "algebra": (lambda value: isinstance(value, (str, dict)),
                 "an algebra name or an object with keys k and c"),
-    "mode": _one_of("ungauged", "canonical"),
+    "mode": _one_of(*flow.GAUGES),
     "t_end": _NUMBER,
     "cfl_sigma": _NUMBER,
     "fixed_dt": _NUMBER,
@@ -378,11 +378,10 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
 # --- randomized verification -------------------------------------------------
 
 def random_state(rng: np.random.Generator, alg: LieAlgebra, N: int, d: int,
-                 amp: float = 0.12, lengths=None,
+                 amp: float = 0.12,
                  with_H: bool = True, max_freq: int = 2) -> GeometryState:
-    """Seeded smooth random fields: a few low harmonics on every component."""
-    lengths = lengths or (2.0 * np.pi,) * d
-    mesh = Mesh((N,) * d, lengths)
+    """Seeded smooth random fields on a (2 pi)^d box, a few low harmonics each."""
+    mesh = Mesh((N,) * d, (2.0 * np.pi,) * d)
     Xs = mesh.coords()
     k = alg.k
 
@@ -395,7 +394,7 @@ def random_state(rng: np.random.Generator, alg: LieAlgebra, N: int, d: int,
         for fr in freqs:
             a, b = rng.uniform(-amp, amp, 2)
             phase = sum(2.0 * np.pi * fi * X / L
-                        for fi, X, L in zip(fr, Xs, lengths))
+                        for fi, X, L in zip(fr, Xs, mesh.lengths))
             out += a * np.cos(phase) + b * np.sin(phase)
         return out
 
@@ -555,17 +554,16 @@ def run_report(run_dir: str) -> int:
     if not os.path.exists(manifest):
         print(f"no manifest found in {run_dir}", file=sys.stderr)
         return 1
-    if os.path.exists(summary):
-        with open(summary) as fh:
-            sys.stdout.write(fh.read())
-        return 0
+    # without a summary the report prints the manifest, which must parse
+    path = summary if os.path.exists(summary) else manifest
     try:
-        with open(manifest, encoding="utf-8") as fh:
-            json.dump(json.load(fh), sys.stdout, indent=2)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        print(f"{manifest}: invalid JSON: {exc}", file=sys.stderr)
+        with open(path, encoding="utf-8") as fh:
+            text = (fh.read() if path == summary
+                    else json.dumps(json.load(fh), indent=2) + "\n")
+    except (OSError, ValueError) as exc:  # a directory, not UTF-8, not JSON
+        print(f"{path}: unreadable: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write("\n")
+    sys.stdout.write(text)
     return 0
 
 

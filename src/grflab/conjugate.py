@@ -9,7 +9,8 @@ In the canonical gauge the conjugate equation has no transport term.  The
 ungauged system differs from it by the flow of the divergence vector q, so
 there the density is also carried along q: the term -<q, grad u>, the one
 choice that keeps the mass exactly constant in the continuum.  run_flow
-records the gauge on its FlowHistory, and solve_backward reads it there.
+records the gauge on its FlowHistory, and solve_backward reads it there; a
+mode not in flow.GAUGES raises ValueError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DomainError, integrate_values
-from .flow import rk4
+from .flow import check_gauge, rk4
 from .geometry import (
     DerivedGeometry,
     GeometryState,
@@ -73,6 +74,7 @@ def conj_rhs(u: np.ndarray, state: GeometryState, der: DerivedGeometry,
     term is only in the ungauged gauge.  The equation is backward-parabolic,
     integrated in reversed time by solve_backward.
     """
+    check_gauge(mode)
     if np.any(u <= 0):
         raise DomainError("density must be strictly positive")
     lap = laplacian(u, der.gi, der.Gamma, state.mesh)
@@ -86,6 +88,7 @@ def forward_heat_rhs(phi: np.ndarray, state: GeometryState,
     - <q, grad phi>, the transport term again only in the ungauged gauge
     (der: the state's derive()).  The pairing integral of phi against u with
     the moving volume form is constant."""
+    check_gauge(mode)
     lap = laplacian(phi, der.gi, der.Gamma, state.mesh)
     return lap - _transport(phi, state, der) if mode == "ungauged" else lap
 

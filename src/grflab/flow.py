@@ -1,11 +1,11 @@
 """Time integration of the reduced flow system for (G, g, A, H).
 
-ungauged_rates is the flow velocity: the closed-form Ricci blocks plus the
-quadratic torsion contractions give (dG, dg, dA) and the torsion source
-B = -d*H, and H moves by dB.  The canonical gauge moves these rates along the
-horizontal lift of the divergence-type vector q, removing the leading
-transport of the fields; functionals.residual_tensors moves them along
-q - grad f.
+ungauged_rates is the flow Velocity: the Ricci blocks plus the torsion
+contractions give (dG, dg, dA) and the torsion source B = -d*H, and H moves by
+dB.  along_lift moves a velocity along the horizontal lift of a base field:
+the canonical gauge along the divergence-type vector q, removing the leading
+transport of the fields, functionals.residual_tensors along q - grad f.
+stored_rates turns a velocity into the rates of the stored fields.
 
 Integration is classical RK4 with a parabolic CFL step size.  rk4 is the
 one RK4 step for every time march: the forward flow here, the backward
@@ -26,6 +26,14 @@ from .fields import DomainError, Mesh, deriv_array
 from .geometry import (DerivedGeometry, GeometryState, _derivs, derive,
                        min_eig_field, ricci_blocks)
 from . import torsion
+
+GAUGES = ("ungauged", "canonical")  # the gauge modes of a run
+
+
+def check_gauge(mode: str) -> None:
+    """Raise ValueError unless mode is one of GAUGES."""
+    if mode not in GAUGES:
+        raise ValueError(f"unknown gauge mode {mode!r}")
 
 
 class FlowRHS(NamedTuple):
@@ -51,21 +59,39 @@ def symmetric_part(T: np.ndarray) -> np.ndarray:
     return 0.5 * (T + np.swapaxes(T, -1, -2))
 
 
-def lift_lie_terms(X: np.ndarray, state: GeometryState,
-                   der: DerivedGeometry):
-    """Lie derivative of (G, A, H) along the horizontal lift of an
-    upper-index base field X: returns (X.DG, X-contracted F, i_X H), the
-    shifts of dG/dt, dA/dt and of the torsion source B (closed H moves by
-    d i_X H)."""
-    return (np.einsum("...a,...aij->...ij", X, der.DG),
-            np.einsum("...b,...bam->...am", X, der.F),
-            torsion.interior_product(X, state.H, state.k))
+class Velocity(NamedTuple):
+    """The rates of (G, g, A), dA[..., a, m] with upper fiber index m, and
+    the torsion source 2-form B (lower frame indices), with H moving by dB."""
+
+    dG: np.ndarray
+    dg: np.ndarray
+    dA: np.ndarray
+    B: np.ndarray
 
 
-def ungauged_rates(state: GeometryState, der: DerivedGeometry):
-    """The ungauged flow velocity (dG, dg, dA, B), B = -d*H the torsion
-    source (der: the state's derive()).  dG and dg are symmetrized: on a 2-D
-    base the discrete mixed derivatives in the Ricci blocks are not."""
+def along_lift(v: Velocity, X: np.ndarray, Lg: np.ndarray,
+               state: GeometryState, der: DerivedGeometry) -> Velocity:
+    """v moved by the Lie derivative along the horizontal lift of an
+    upper-index base field X: G by X.DG, A by the X-contracted F, the
+    torsion source by i_X H (closed H moves by d i_X H) and g by Lg, the
+    caller's form of L_X g."""
+    return Velocity(v.dG + np.einsum("...a,...aij->...ij", X, der.DG),
+                    v.dg + Lg,
+                    v.dA + np.einsum("...b,...bam->...am", X, der.F),
+                    v.B + torsion.interior_product(X, state.H, state.k))
+
+
+def stored_rates(state: GeometryState, der: DerivedGeometry,
+                 v: Velocity) -> FlowRHS:
+    """The rates of the stored fields for a velocity: the stored torsion
+    moves by dB corrected for the splitting rotating at rate dA."""
+    return FlowRHS(v.dG, v.dg, v.dA, torsion.torsion_rate(state, der, v.B, v.dA))
+
+
+def ungauged_rates(state: GeometryState, der: DerivedGeometry) -> Velocity:
+    """The ungauged flow velocity, B = -d*H the torsion source (der: the
+    state's derive()).  dG and dg are symmetrized: on a 2-D base the
+    discrete mixed derivatives in the Ricci blocks are not."""
     k = state.k
     Ric_ff, Ric_fb, Ric_bb = ricci_blocks(state, der)
     calH, _ = torsion.h_contractions(state, der)
@@ -75,25 +101,21 @@ def ungauged_rates(state: GeometryState, der: DerivedGeometry):
     # G(dA/dt v, eta) block, converted to the connection-form rate
     mixed = -2.0 * Ric_fb + 0.5 * calH[..., :k, k:]
     dA = np.swapaxes(der.Gi @ mixed, -1, -2)
-    return dG, dg, dA, torsion.b_dot(state, der)
+    return Velocity(dG, dg, dA, torsion.b_dot(state, der))
 
 
 def evaluate_rhs(state: GeometryState, mode: str = "ungauged") -> FlowRHS:
-    """Assemble the full system right-hand side in the requested gauge,
-    "ungauged" or "canonical"."""
-    if mode not in ("ungauged", "canonical"):
-        raise ValueError(f"unknown gauge mode {mode!r}")
+    """Assemble the full system right-hand side in the requested gauge, one
+    of GAUGES."""
+    check_gauge(mode)
     der = derive(state, validated=True)
-    dG, dg, dA, B = ungauged_rates(state, der)
+    v = ungauged_rates(state, der)
     if mode == "canonical":
-        LG, LA, LB = lift_lie_terms(der.q, state, der)
-        dG = dG + LG
         # differentiating q itself keeps the gauge gap ~5x smaller than the
         # DG/DDG form of L_q g that residual_tensors uses
-        dg = dg + lie_derivative_base(der.q, state.g, der.Gamma, state.mesh)
-        dA = dA + LA
-        B = B + LB
-    return FlowRHS(dG, dg, dA, torsion.torsion_rate(state, der, B, dA))
+        Lg = lie_derivative_base(der.q, state.g, der.Gamma, state.mesh)
+        v = along_lift(v, der.q, Lg, state, der)
+    return stored_rates(state, der, v)
 
 
 # --- time stepping -----------------------------------------------------------

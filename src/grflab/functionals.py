@@ -2,8 +2,9 @@
 checks, and soliton detection.
 
 The residual tensors are the flow's own velocity read in the gauge of
-X = q - grad f: flow.ungauged_rates moved by the Lie derivative along the
-horizontal lift of X.  dF/dt is their e^-f-weighted squared norm.
+X = q - grad f: flow.ungauged_rates moved by flow.along_lift along X, a
+flow.Velocity like the first four fields of a VariationDirection.  dF/dt is
+their e^-f-weighted squared norm.
 
 All squared norms are full contractions with the appropriate metrics, one
 inverse metric factor per slot pair and no combinatorial weights, matching
@@ -12,7 +13,7 @@ the convention used for |H|^2 elsewhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,58 +81,40 @@ def eval_Wplus(state: GeometryState, f: np.ndarray, t: float, n: int,
 
 # --- residual tensors --------------------------------------------------------
 
-@dataclass
-class ResidualTensors:
-    """Stationarity tensors whose squared norms feed the dissipation identity.
-
-    TG: symmetric fiber 2-tensor (lower indices)
-    TA: mixed tensor TA[..., a, m] with upper fiber index m
-    Tg: symmetric base 2-tensor (lower indices)
-    TH: 2-form on the extended bundle (lower frame indices)
-    """
-
-    TG: np.ndarray
-    TA: np.ndarray
-    Tg: np.ndarray
-    TH: np.ndarray
-
-
 def residual_tensors(state: GeometryState, f: np.ndarray,
-                     der: DerivedGeometry) -> ResidualTensors:
-    """The ungauged flow rates moved along the horizontal lift of
+                     der: DerivedGeometry) -> flow.Velocity:
+    """The ungauged flow velocity moved along the horizontal lift of
     X = q - grad f, at the given potential f (der: the state's derive())."""
-    mesh = state.mesh
-    Gi, DG = der.Gi, der.DG
-    dG, dg, dA, B = flow.ungauged_rates(state, der)
-    X = der.q - gradient(f, der.gi, mesh)
-    LG, LA, LB = flow.lift_lie_terms(X, state, der)
+    X = der.q - gradient(f, der.gi, state.mesh)
     # L_q g through DG and DDG cancels Ric_bb's DDG term to round-off;
     # flow.lie_derivative_base would move R3 at truncation level
     Lg = flow.symmetric_part(
-        fiber_pairing(DG, Gi)
-        - fiber_trace(der.DDG, Gi)
-        - 2.0 * hessian(f, der.Gamma, mesh))
-    return ResidualTensors(dG + LG, dA + LA, dg + Lg, B + LB)
+        fiber_pairing(der.DG, der.Gi)
+        - fiber_trace(der.DDG, der.Gi)
+        - 2.0 * hessian(f, der.Gamma, state.mesh))
+    return flow.along_lift(flow.ungauged_rates(state, der), X, Lg, state, der)
 
 
 def _weighted_pairings(state: GeometryState, f: np.ndarray,
-                       der: DerivedGeometry, x, y, scale: float):
-    """Integrals of the slot-by-slot pairings of two (fiber 2-tensor,
-    connection rate, base 2-tensor, frame 2-form) quadruples, with the
-    G-metric, the connection metric g^{ab} G_mn, the g-metric and the frame
-    metric, weighted 1/2, 1, 1/2, 1/2 and each multiplied by scale."""
+                       der: DerivedGeometry, x: flow.Velocity,
+                       y: flow.Velocity, scale: float):
+    """Integrals R1..R4 of the slot-by-slot pairings of two velocities, in
+    the slot order (G, A, g, B), with the G-metric, the connection metric
+    g^{ab} G_mn, the g-metric and the frame metric, weighted 1/2, 1, 1/2,
+    1/2 and each multiplied by scale."""
     Gi, gi = der.Gi, der.gi
     gEi = torsion.inverse_frame_metric(der)
     metrics = ((Gi, Gi), (gi, state.G), (gi, gi), (gEi, gEi))
+    slots = (x.dG, x.dA, x.dg, x.B), (y.dG, y.dA, y.dg, y.B)
     # m1^{ac} m2^{bd} x_ab y_cd = sum_cd (m1 x m2)_cd y_cd
     dens = tuple(np.einsum("...cd,...cd->...", m1 @ xs @ m2, ys)
-                 for (m1, m2), xs, ys in zip(metrics, x, y))
+                 for (m1, m2), xs, ys in zip(metrics, *slots))
     return tuple(c * scale * _weighted_integral(p, f, state)
                  for c, p in zip((0.5, 1.0, 0.5, 0.5), dens))
 
 
 def residuals_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry,
-                rt: ResidualTensors):
+                rt: flow.Velocity):
     """The four nonnegative dissipation integrals of the energy identity:
 
         dF/dt = R1 + R2 + R3 + R4
@@ -139,12 +122,11 @@ def residuals_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry,
     along the ungauged flow coupled to the conjugate density u = e^-f
     (der: the state's derive(); rt: residual_tensors(state, f, der)).
     """
-    x = (rt.TG, rt.TA, rt.Tg, rt.TH)
-    return _weighted_pairings(state, f, der, x, x, 1.0)
+    return _weighted_pairings(state, f, der, rt, rt, 1.0)
 
 
 def residuals_W(state: GeometryState, f: np.ndarray, t: float,
-                der: DerivedGeometry, rt: ResidualTensors):
+                der: DerivedGeometry, rt: flow.Velocity):
     """t-weighted residuals and the mixed-sign extra integral of the entropy
     identity dW/dt = R1 + R2 + R3 + R4 + W_extra, at the steady potential f
     (der: the state's derive(); rt: residual_tensors(state, f, der)).  The
@@ -152,7 +134,7 @@ def residuals_W(state: GeometryState, f: np.ndarray, t: float,
     if t <= 0:
         raise DomainError("entropy residuals need t > 0")
     k = state.k
-    x = (rt.TG, rt.TA, rt.Tg - state.g / t, rt.TH)
+    x = rt._replace(dg=rt.dg - state.g / t)
     R1, R2, R3, R4 = _weighted_pairings(state, f, der, x, x, t)
     calH, Hsq = torsion.h_contractions(state, der)
     trG_ff = np.einsum("...ij,...ij->...", der.Gi, calH[..., :k, :k])
@@ -165,27 +147,25 @@ def residuals_W(state: GeometryState, f: np.ndarray, t: float,
 
 # --- variation check ---------------------------------------------------------
 
-@dataclass
-class VariationDirection:
-    """A first-order deformation of (G, g, A, H, f).  The torsion moves by the
-    exterior derivative of the 2-form Bdot, keeping its class fixed."""
+class VariationDirection(NamedTuple):
+    """A first-order deformation of (G, g, A, H, f): a velocity (its first
+    four fields) and the rate of the potential.  The torsion moves by the
+    exterior derivative of the 2-form B, keeping its class fixed."""
 
     dG: np.ndarray
     dg: np.ndarray
     dA: np.ndarray
-    Bdot: np.ndarray
+    B: np.ndarray
     df: np.ndarray
 
 
 def variation_formula_F(state: GeometryState, f: np.ndarray,
                         direction: VariationDirection,
-                        der: DerivedGeometry, rt: ResidualTensors) -> tuple:
+                        der: DerivedGeometry, rt: flow.Velocity) -> tuple:
     """The five integrals that sum to the closed-form first variation of the
     energy along the direction: four pairings with the residual tensors, and
     I5 (der: the state's derive(); rt: residual_tensors(state, f, der))."""
-    ints = _weighted_pairings(
-        state, f, der, (direction.dG, direction.dA, direction.dg, direction.Bdot),
-        (rt.TG, rt.TA, rt.Tg, rt.TH), 1.0)
+    ints = _weighted_pairings(state, f, der, direction, rt, 1.0)
     lam = (2.0 * (laplacian(f, der.gi, der.Gamma, state.mesh)
                   - grad_norm_sq(f, state, der))
            + _energy_density(state, f, der))
@@ -196,19 +176,16 @@ def variation_formula_F(state: GeometryState, f: np.ndarray,
 
 def perturbed_state(state: GeometryState, der: DerivedGeometry,
                     direction: VariationDirection, eps: float) -> GeometryState:
-    """First-order deformation of the stored fields.  The stored torsion rate
-    is the exterior derivative of Bdot corrected for the rotating splitting
-    (der: the state's derive())."""
-    rates = flow.FlowRHS(direction.dG, direction.dg, direction.dA,
-                         torsion.torsion_rate(state, der, direction.Bdot,
-                                              direction.dA))
+    """First-order deformation of the stored fields along the direction's
+    stored-field rates (der: the state's derive())."""
+    rates = flow.stored_rates(state, der, direction)
     return state.with_fields(
         state.t, [f + eps * r for f, r in zip(state.fields, rates)])
 
 
 def variation_check_F(state: GeometryState, f: np.ndarray,
                       direction: VariationDirection, der: DerivedGeometry,
-                      rt: ResidualTensors, eps: float = 1e-4) -> dict:
+                      rt: flow.Velocity, eps: float = 1e-4) -> dict:
     """Compare the closed-form first variation with a centered finite
     difference of the energy along the deformation path (der: the state's
     derive(); rt: residual_tensors(state, f, der), shared by every direction

@@ -1,16 +1,10 @@
-"""Shared builders for test states, and the hypothesis settings of the suite."""
+"""Shared builders for test states."""
 
 import numpy as np
-from hypothesis import settings
 
 from grflab import algebra
 from grflab.fields import Mesh
 from grflab.geometry import GeometryState
-
-# every run of a commit draws the same examples, and no example database
-# is read or written
-settings.register_profile("reproducible", derandomize=True, database=None)
-settings.load_profile("reproducible")
 
 
 def constant_state(alg, N=16, d=1, lengths=None, G0=None, g0=None):

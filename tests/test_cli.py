@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grflab import cli, functionals
 from grflab.cli import (CSV_COLUMNS, ConfigError, PRESETS, load_config,
@@ -142,55 +141,66 @@ def test_uncreatable_output_dir_fails_before_the_forward_stage(
     assert "Traceback" not in err
 
 
-_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
-            | st.text(max_size=8))
-_NESTED = (st.lists(_SCALARS, max_size=3)
-           | st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3))
-_NON_STRINGS = st.booleans() | st.integers() | st.floats() | _NESTED
-_NOT_NUMBERS = st.booleans() | st.text(max_size=8) | _NESTED
-_NONPOSITIVE = st.integers(max_value=0) | st.floats(max_value=0.0)
-_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# Written-out invalid values, one list per category.  The lists are fixed so
+# that every run of every commit checks the same values.
+_BOOLS = [True, False]
+_STRINGS = ["", "x", "1", "2.0", "-1", "inf", "null", "a\nb", "\u00e9", " "]
+_NONPOSITIVE = [0, -1, -7, -(2 ** 63), 0.0, -0.0, -1.5, -1e-308, -5e-324,
+                -1e308]
+_NON_FINITE = [math.inf, -math.inf, math.nan]
 # any float is invalid where an integer is expected, 2.0 included
+_POSITIVE_FLOATS = [2.0, 1.0, 64.0, 1.5, 0.1, 5e-324, 1e308]
+_SCALARS = ([None] + _BOOLS + [1, 8, 2 ** 64] + _NONPOSITIVE + _NON_FINITE
+            + _POSITIVE_FLOATS + _STRINGS)
+# each scalar wrapped in a list and in an object, and deeper nestings
+_NESTED = ([[v] for v in _SCALARS] + [{"v": v} for v in _SCALARS]
+           + [[], {}, [[1]], [[[]]], {"a": {"b": []}}, [1, "x", None],
+              {"k": 2, "c": []}, {"": None}])
+_NON_STRINGS = (_BOOLS + [1, 8] + _NONPOSITIVE + _NON_FINITE + _POSITIVE_FLOATS
+                + _NESTED)
+_NOT_NUMBERS = _BOOLS + _STRINGS + _NESTED
 _NUMBERS = [_NOT_NUMBERS, _NONPOSITIVE, _NON_FINITE]
-_INTEGERS = _NUMBERS + [st.floats()]
+_INTEGERS = _NUMBERS + [_POSITIVE_FLOATS]
 
 
 def _unknown_strings(*valid):
-    return st.text(max_size=12).filter(lambda s: s not in valid)
+    near = [v.upper() for v in valid] + [v + "\n" for v in valid] + [
+        " " + v for v in valid]
+    return [s for s in _STRINGS + near if s not in valid]
 
 
-# per key, the categories of invalid values; each example draws a category,
-# then a value from it
+# per key, the categories of invalid values; the test runs every value of
+# every category
 INVALID_VALUES = {
-    "preset": [st.none(), _NON_STRINGS, _unknown_strings(*cli.PRESETS)],
+    "preset": [[None], _NON_STRINGS, _unknown_strings(*cli.PRESETS)],
     "mesh_n": _INTEGERS,
     # flat-abelian has 2 fiber directions, which heisenberg3 and any spec
     # with k != 2 do not fit
-    "algebra": [_NON_STRINGS, st.text(max_size=12).filter(
-        lambda s: not re.fullmatch(r"abelian:0*2", s))],
-    "mode": [_NON_STRINGS, _unknown_strings("ungauged", "canonical")],
+    "algebra": [_NON_STRINGS, _STRINGS + [
+        "heisenberg3", "abelian:3", "abelian:0", "abelian:", "abelian:x",
+        "abelian:-2", "abelian:2.0", "abelian: 2", "abelian:2\n", "Abelian:2"]],
+    "mode": [_NON_STRINGS, _unknown_strings("ungauged", "canonical")
+             + ["sideways", "general"]],
     "t_end": _NUMBERS,
     "cfl_sigma": _NUMBERS,
     "fixed_dt": _NUMBERS,
     "max_steps": _INTEGERS,
     "report_stride": _INTEGERS,
     "identity_rel_tol": _NUMBERS,
-    "output_dir": [_NON_STRINGS, st.just("")],
+    "output_dir": [_NON_STRINGS, [""]],
 }
 
 
 @pytest.mark.parametrize("key", sorted(INVALID_VALUES))
-@settings(max_examples=50, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_invalid_config_values_end_in_one_line(tmp_path, key, data):
-    category = data.draw(st.sampled_from(INVALID_VALUES[key]))
-    value = data.draw(category, label=key)
-    rc, err = run_in_one_line(cheap_config(tmp_path, **{key: value}))
-    assert rc == 1
-    assert len(err.strip().splitlines()) == 1
-    assert f"/{key}" in err
-    assert "Traceback" not in err
+def test_invalid_config_values_end_in_one_line(tmp_path, key):
+    values = [v for category in INVALID_VALUES[key] for v in category]
+    assert len(values) >= 50
+    for value in values:
+        rc, err = run_in_one_line(cheap_config(tmp_path, **{key: value}))
+        assert rc == 1, value
+        assert len(err.strip().splitlines()) == 1, value
+        assert f"/{key}" in err, value
+        assert "Traceback" not in err, value
 
 
 def test_readme_config_table_matches_loader():
@@ -389,6 +399,22 @@ def test_report_subcommand(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
     assert "manifest.json" in captured.err
     assert "Traceback" not in captured.err
+    # so does a run file that is not UTF-8 or is a directory
+    cases = (("summary.txt", lambda p: p.write_bytes(b"\xff\xfe")),
+             ("summary.txt", lambda p: p.mkdir()),
+             ("manifest.json", lambda p: p.mkdir()))
+    for i, (name, make) in enumerate(cases):
+        run_dir = tmp_path / f"unreadable{i}"
+        run_dir.mkdir()
+        if name == "summary.txt":
+            (run_dir / "manifest.json").write_text("{}")
+        make(run_dir / name)
+        capsys.readouterr()
+        assert cli.main(["report", str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert name in captured.err
 
 
 def test_run_subcommand_bad_config(tmp_path, capsys):

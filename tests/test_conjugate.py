@@ -144,6 +144,22 @@ def test_backward_solve_runs_in_the_flow_gauge(mode):
     assert np.max(np.abs(masses - masses[0])) / masses[0] < 1e-6
 
 
+def test_unknown_gauge_rejected():
+    # every mode but "ungauged" used to run as canonical here
+    st = modulated_heisenberg_s1(16)
+    der = derive(st, validated=True)
+    u = np.ones(st.mesh.shape)
+    for rhs in (conj_rhs, forward_heat_rhs):
+        with pytest.raises(ValueError, match="'sideways'"):
+            rhs(u, st, der, "sideways")
+    hist = static_history(st, t_end=1e-3, n_snaps=3)
+    hist.mode = "Ungauged"
+    with pytest.raises(ValueError, match="'Ungauged'"):
+        solve_backward(hist)
+    with pytest.raises(ValueError, match="'Ungauged'"):
+        evaluate_rhs(st, "Ungauged")
+
+
 def test_backward_maximum_principle_static():
     # pure diffusion in reversed time keeps the density inside its terminal range
     st = preset_flat_abelian(32)

@@ -117,7 +117,7 @@ def ref_residuals_F(state, der):
     f, rt = _zero_f_residuals(state, der)
     Gi, gi = der.Gi, der.gi
     gEi = torsion.inverse_frame_metric(der)
-    x = (rt.TG, rt.TA, rt.Tg, rt.TH)
+    x = (rt.dG, rt.dA, rt.dg, rt.B)
     dens = (np.einsum("...ip,...jq,...ij,...pq->...", Gi, Gi, x[0], x[0]),
             np.einsum("...ab,...mn,...am,...bn->...", gi, state.G, x[1], x[1]),
             np.einsum("...ac,...bd,...ab,...cd->...", gi, gi, x[2], x[2]),
@@ -409,7 +409,7 @@ def ref_residual_tensors(state, f, der):
           + 0.5 * calH[..., k:, k:] - 2.0 * geometry.hessian(f, der.Gamma, mesh))
 
     TH = ref_b_dot_general(state, der, grad_f)
-    return {"TG": TG, "TA": TA, "Tg": Tg, "TH": TH}
+    return {"dG": TG, "dA": TA, "dg": Tg, "B": TH}
 
 
 KERNELS = {
@@ -474,9 +474,9 @@ def test_residual_tensors_match_term_by_term_reference():
         rt = functionals.residual_tensors(state, f, der)
         refs = ref_residual_tensors(state, f, der)
         # the metric blocks are now symmetrized; on a 2-D base the reference's
-        # Tg carries the antisymmetric truncation error of Ric_g's mixed
+        # dg carries the antisymmetric truncation error of Ric_g's mixed
         # derivatives (of order 1e-3 at N = 8)
-        for name in ("TG", "Tg"):
+        for name in ("dG", "dg"):
             refs[name] = 0.5 * (refs[name] + np.swapaxes(refs[name], -1, -2))
         for name, ref in refs.items():
             got = getattr(rt, name)

@@ -195,7 +195,9 @@ def test_splitting_blocks_nonnegative():
 
 
 def canonical_source(st, der):
-    return torsion.b_dot(st, der) + flow.lift_lie_terms(der.q, st, der)[2]
+    # the torsion source of the canonical gauge; only B is read, so L_q g is 0
+    v = flow.along_lift(flow.ungauged_rates(st, der), der.q, 0.0, st, der)
+    return v.B
 
 
 def test_b_dot_zero_torsion():
