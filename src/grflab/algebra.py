@@ -1,4 +1,4 @@
-"""Nilpotent Lie algebra data and the trace identities used by the reduced flow.
+"""Nilpotent Lie algebra data used by the reduced flow.
 
 Conventions: structure constants c[m, i, j] give [x_i, x_j] = c[m, i, j] x_m in
 the chosen basis.  The fiberwise bracket on the adjoint bundle, expressed in the
@@ -128,32 +128,6 @@ def require_valid(alg: LieAlgebra) -> LieAlgebra:
             f"structure constants fail: {', '.join(report.failures)}"
         )
     return alg
-
-
-def _check_spd(G: np.ndarray, k: int) -> np.ndarray:
-    G = np.asarray(G, dtype=float)
-    if G.shape != (k, k):
-        raise ValueError(f"fiber metric must be {k}x{k}, got {G.shape}")
-    if np.max(np.abs(G - G.T)) > 1e-12 * max(1.0, np.max(np.abs(G))):
-        raise ValueError("fiber metric must be symmetric")
-    if k and np.min(np.linalg.eigvalsh(G)) <= 0:
-        raise ValueError("fiber metric must be positive definite")
-    return G
-
-
-def ad_traces(alg: LieAlgebra, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two trace tensors that vanish for nilpotent algebras.
-
-    Returns (t1, t2) with t1[l] = tr_G G([x_l, .], .) and
-    t2[a, b] = tr_G G([x_a, [x_b, .]], .).  Both are identically zero (up to
-    round-off) whenever the algebra is nilpotent, for any SPD G.
-    """
-    G = _check_spd(G, alg.k)
-    Gi = np.linalg.inv(G) if alg.k else G
-    b = alg.beta
-    t1 = np.einsum("ij,mj,mli->l", Gi, G, b)
-    t2 = np.einsum("ij,mj,man,nbi->ab", Gi, G, b, b)
-    return t1, t2
 
 
 # --- presets -----------------------------------------------------------------

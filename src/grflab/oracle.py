@@ -5,8 +5,13 @@ Everything here works in the combined frame of the extension bundle: indices
 connection coefficients come from a pointwise Koszul solve against the frame
 structure functions, and curvature is assembled directly from the commutator
 definition with finite differences of the coefficients.  Nothing is shared
-with the closed-form engine beyond the raw field arrays, so agreement between
-the two paths is a meaningful cross-check.
+with the closed-form engine beyond the raw field arrays, the curvature F of
+the connection and the finite-difference stencil, so agreement between the
+two paths is a meaningful cross-check.
+
+Every contraction is one stacked matmul over the grid axes: the summed slots
+are flattened into one matrix axis of length K or K^2 (K = k + d), with the
+oracle's own reshapes rather than the closed form's product helpers.
 """
 
 from __future__ import annotations
@@ -47,25 +52,41 @@ def structure_functions(state: GeometryState) -> np.ndarray:
     C = np.zeros(state.mesh.shape + (K, K, K))
     if k:
         C[..., :k, :k, :k] = state.alg.beta
-        mixed = np.einsum("mli,...al->...mai", state.alg.c, state.A)
+        # mixed[..., m, a, i] = A^l_a c^m_li, each c^m an (l, i) matrix
+        mixed = state.A[..., None, :, :] @ state.alg.c
         C[..., :k, k:, :k] = mixed
         C[..., :k, :k, k:] = -np.swapaxes(mixed, -1, -2)
         F = compute_F(state.A, state.alg, state.mesh)
-        C[..., :k, k:, k:] = -np.einsum("...abm->...mab", F)
+        C[..., :k, k:, k:] = -np.moveaxis(F, -1, -3)
     return C
 
 
-def _anchor_derivs(values: np.ndarray, mesh: Mesh, k: int) -> np.ndarray:
-    """Derivative along each frame direction; zero for the fiber directions.
+def _slots(T: np.ndarray, mesh: Mesh, *sizes: int) -> np.ndarray:
+    """T with its slot axes regrouped into the given sizes after the grid axes."""
+    return T.reshape(mesh.shape + sizes)
 
-    The new axis (length k + d) sits first among the slot axes.
-    """
-    d = mesh.d
-    shape = values.shape[:d] + (k + d,) + values.shape[d:]
-    out = np.zeros(shape)
-    for a in range(d):
-        out[(slice(None),) * d + (k + a,)] = deriv_array(values, a, mesh.spacings[a])
-    return out
+
+def _frame(state: GeometryState):
+    """(gE, gE^-1, C): the frame data every oracle call starts from."""
+    gE = frame_metric(state)
+    return gE, np.linalg.inv(gE), structure_functions(state)
+
+
+def _koszul(state: GeometryState, gE, gEi, C) -> np.ndarray:
+    mesh, k = state.mesh, state.k
+    K = gE.shape[-1]
+    # L[..., a, b, g] = gE(C_ab, e_g); the three bracket terms of the Koszul
+    # formula are L read in the slot orders (a, b, g), (g, a, b), (g, b, a)
+    L = _slots(np.swapaxes(_slots(C, mesh, K, K * K), -1, -2) @ gE, mesh, K, K, K)
+    Kosz = L + np.moveaxis(L, -3, -1) + np.swapaxes(L, -3, -1)
+    # the anchor of a fiber direction is zero, so only tau_{k+a} = d_a acts
+    for a, h in enumerate(mesh.spacings):
+        dgE = deriv_array(gE, a, h)
+        Kosz[..., k + a, :, :] += dgE
+        Kosz[..., :, k + a, :] += dgE
+        Kosz[..., :, :, k + a] -= dgE
+    up = gEi @ np.swapaxes(_slots(Kosz, mesh, K * K, K), -1, -2)
+    return 0.5 * _slots(up, mesh, K, K, K)
 
 
 def koszul_connection(state: GeometryState) -> np.ndarray:
@@ -75,20 +96,7 @@ def koszul_connection(state: GeometryState) -> np.ndarray:
         - tau_gamma[gE_ab] + gE(C_ab, e_gamma) + gE(C_ga, e_beta)
         + gE(C_gb, e_alpha).
     """
-    k = state.k
-    gE = frame_metric(state)
-    C = structure_functions(state)
-    dgE = _anchor_derivs(gE, state.mesh, k)  # [..., alpha, beta, gamma]
-    Kosz = (
-        dgE
-        + np.swapaxes(dgE, -3, -2)
-        - np.einsum("...gab->...abg", dgE)
-        + np.einsum("...dab,...dg->...abg", C, gE)
-        + np.einsum("...dga,...db->...abg", C, gE)
-        + np.einsum("...dgb,...da->...abg", C, gE)
-    )
-    gEi = np.linalg.inv(gE)
-    return 0.5 * np.einsum("...dg,...abg->...dab", gEi, Kosz)
+    return _koszul(state, *_frame(state))
 
 
 def curvature_oracle(state: GeometryState):
@@ -96,42 +104,55 @@ def curvature_oracle(state: GeometryState):
 
     Returns (R, Ric, scal) with R[..., alpha, beta, gamma, eps] the fully
     lowered tensor R(e_a, e_b, e_c, e_e) and Ric the trace over slots 1, 4.
+
+    R^e_abc = tau_a Gam^e_bc - tau_b Gam^e_ac + Gam^e_ad Gam^d_bc
+        - Gam^e_bd Gam^d_ac - C^d_ab Gam^e_dc.
     """
-    k = state.k
-    gE = frame_metric(state)
-    gEi = np.linalg.inv(gE)
-    C = structure_functions(state)
-    Gam = koszul_connection(state)
-    dGam = _anchor_derivs(Gam, state.mesh, k)  # [..., alpha, eps, beta, gamma]
-    Rup = (
-        np.einsum("...aebc->...abce", dGam)
-        - np.einsum("...beac->...abce", dGam)
-        + np.einsum("...ead,...dbc->...abce", Gam, Gam)
-        - np.einsum("...ebd,...dac->...abce", Gam, Gam)
-        - np.einsum("...dab,...edc->...abce", C, Gam)
-    )
-    R = np.einsum("...abce,...ef->...abcf", Rup, gE)
-    Ric = np.einsum("...ae,...abce->...bc", gEi, R)
-    scal = np.einsum("...bc,...bc->...", gEi, Ric)
+    mesh, k = state.mesh, state.k
+    gE, gEi, C = _frame(state)
+    K = gE.shape[-1]
+    Gam = _koszul(state, gE, gEi, C)
+    Gam_m = np.ascontiguousarray(np.moveaxis(Gam, -3, -1))  # [..., x, y, e] = Gam^e_xy
+    # Q[..., x, (y, z), e] = tau_x Gam^e_yz + Gam^e_xd Gam^d_yz: both Gam.Gam
+    # terms are Q's product part read with (x, y) = (a, b) and (b, a)
+    Q = np.swapaxes(_slots(Gam, mesh, K, K * K), -1, -2)[..., None, :, :] @ Gam_m
+    del Gam
+    for a, h in enumerate(mesh.spacings):
+        Q[..., k + a, :, :] += _slots(deriv_array(Gam_m, a, h), mesh, K * K, K)
+    Q = _slots(Q, mesh, K, K, K, K)
+    # one first slot at a time, so that Q and R are the only K^4 arrays
+    R = np.empty(mesh.shape + (K, K * K, K))
+    Ric = np.zeros_like(gE)
+    Rup = np.empty(mesh.shape + (K, K, K))  # [..., b, c, e] = R^e_abc
+    for a in range(K):
+        np.subtract(Q[..., a, :, :, :], Q[..., :, a, :, :], out=Rup)
+        Rup -= _slots(np.swapaxes(C[..., :, a, :], -1, -2) @ _slots(Gam_m, mesh, K, K * K),
+                      mesh, K, K, K)  # C^d_ab Gam^e_dc
+        Ric += Rup[..., a]  # Ric_bc = R^a_abc, slots 1 and 4 of R traced
+        np.matmul(_slots(Rup, mesh, K * K, K), gE, out=R[..., a, :, :])
+    R = _slots(R, mesh, K, K, K, K)
+    scal = np.sum(gEi * Ric, axis=(-2, -1))
     return R, Ric, scal
 
 
-def cov_deriv_3form(full3: np.ndarray, state: GeometryState, Gam: np.ndarray) -> np.ndarray:
-    """(nabla_alpha H)(e_beta, e_gamma, e_delta) with the oracle connection."""
-    k = state.k
-    dH = _anchor_derivs(full3, state.mesh, k)  # [..., alpha, b, c, e]
-    corr = (
-        np.einsum("...fab,...fce->...abce", Gam, full3)
-        + np.einsum("...fac,...bfe->...abce", Gam, full3)
-        + np.einsum("...fae,...bcf->...abce", Gam, full3)
-    )
-    return dH - corr
-
-
 def codifferential_oracle(state: GeometryState) -> np.ndarray:
-    """-d*H as a full (..., K, K) antisymmetric array, from -d*H = tr nabla H."""
-    gE = frame_metric(state)
-    gEi = np.linalg.inv(gE)
-    Gam = koszul_connection(state)
-    covH = cov_deriv_3form(state.H, state, Gam)
-    return np.einsum("...ab,...abce->...ce", gEi, covH)
+    """-d*H as a full (..., K, K) antisymmetric array, from -d*H = tr nabla H.
+
+    The trace is taken before any product, so every array is K^3:
+    -d*H_ce = g^ab (tau_a H_bce - Gam^f_ab H_fce - Gam^f_ac H_bfe - Gam^f_ae H_bcf).
+    """
+    mesh, k = state.mesh, state.k
+    gE, gEi, C = _frame(state)
+    K = gE.shape[-1]
+    Gam = _koszul(state, gE, gEi, C)
+    H = state.H
+    v = _slots(Gam, mesh, K, K * K) @ _slots(gEi, mesh, K * K, 1)  # g^ab Gam^f_ab
+    out = -(np.swapaxes(v, -1, -2) @ _slots(H, mesh, K, K * K))
+    for a, h in enumerate(mesh.spacings):
+        out += gEi[..., k + a, None, :] @ _slots(deriv_array(H, a, h), mesh, K, K * K)
+    out = _slots(out, mesh, K, K)
+    # M[..., (b, f), c] = g^ba Gam^f_ac
+    M = _slots(gEi @ _slots(np.swapaxes(Gam, -3, -2), mesh, K, K * K), mesh, K * K, K)
+    out -= np.swapaxes(M, -1, -2) @ _slots(H, mesh, K * K, K)
+    out -= _slots(np.swapaxes(H, -3, -2), mesh, K, K * K) @ M
+    return out

@@ -17,6 +17,7 @@ from grflab.flow import (IntegratorConfig, evaluate_rhs,
                          gauge_equivalence_report, run_flow)
 from grflab.geometry import (GeometryState, curvature_closed_form, derive,
                              ricci_blocks)
+from test_algebra import ad_traces
 
 
 def run_scenario(tmp_factory, name, **kw):
@@ -121,7 +122,7 @@ def test_trace_identities_random_samples():
         alg = algebras[i % len(algebras)]
         M = rng.normal(size=(alg.k, alg.k))
         G = M @ M.T + alg.k * np.eye(alg.k)
-        t1, t2 = algebra.ad_traces(alg, G)
+        t1, t2 = ad_traces(alg, G)
         scale = max(1.0, float(np.max(np.abs(G))))
         assert np.max(np.abs(t1)) / scale < 1e-12
         assert np.max(np.abs(t2)) / scale < 1e-12

@@ -6,8 +6,8 @@ import pytest
 from conftest import constant_state
 from grflab import algebra
 from grflab.algebra import (AlgebraValidationError, LieAlgebra, abelian,
-                            ad_traces, algebra_from_spec, heisenberg3,
-                            require_valid, validate_algebra)
+                            algebra_from_spec, heisenberg3, require_valid,
+                            validate_algebra)
 from grflab.geometry import derive, norm_sq_bracket
 
 
@@ -30,6 +30,32 @@ def filiform4():
 def random_spd(rng, k):
     M = rng.normal(size=(k, k))
     return M @ M.T + k * np.eye(k)
+
+
+def _check_spd(G, k):
+    G = np.asarray(G, dtype=float)
+    if G.shape != (k, k):
+        raise ValueError(f"fiber metric must be {k}x{k}, got {G.shape}")
+    if np.max(np.abs(G - G.T)) > 1e-12 * max(1.0, np.max(np.abs(G))):
+        raise ValueError("fiber metric must be symmetric")
+    if k and np.min(np.linalg.eigvalsh(G)) <= 0:
+        raise ValueError("fiber metric must be positive definite")
+    return G
+
+
+def ad_traces(alg, G):
+    """The two trace tensors that vanish for nilpotent algebras.
+
+    Returns (t1, t2) with t1[l] = tr_G G([x_l, .], .) and
+    t2[a, b] = tr_G G([x_a, [x_b, .]], .).  Both are identically zero (up to
+    round-off) whenever the algebra is nilpotent, for any SPD G.
+    """
+    G = _check_spd(G, alg.k)
+    Gi = np.linalg.inv(G) if alg.k else G
+    b = alg.beta
+    t1 = np.einsum("ij,mj,mli->l", Gi, G, b)
+    t2 = np.einsum("ij,mj,man,nbi->ab", Gi, G, b, b)
+    return t1, t2
 
 
 def test_heisenberg_valid():

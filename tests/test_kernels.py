@@ -10,7 +10,7 @@ ulps of the largest entry, not bit for bit.
 import numpy as np
 import pytest
 
-from grflab import algebra, functionals, geometry, torsion
+from grflab import algebra, functionals, geometry, oracle, torsion
 from grflab.cli import random_state
 
 ALGEBRAS = {"heisenberg3": algebra.heisenberg3,
@@ -412,6 +412,79 @@ def ref_residual_tensors(state, f, der):
     return {"dG": TG, "dA": TA, "dg": Tg, "B": TH}
 
 
+# -- the oracle as multi-operand einsums ------------------------------------
+# The oracle's stacked products against the einsum bodies they replaced,
+# which built the curvature from the full K^4 tensors.
+
+# the oracle's widest sum has K^2 = 25 terms (25 eps ~ 5.6e-15)
+ORACLE_REL_TOL = 1e-13
+
+
+def _ref_oracle_frame(state, der):
+    gE = oracle.frame_metric(state)
+    return gE, np.linalg.inv(gE), ref_structure_functions(state, der)
+
+
+def ref_koszul_connection(state, der):
+    k = state.k
+    gE, gEi, C = _ref_oracle_frame(state, der)
+    dgE = torsion.anchor_derivs(gE, state.mesh, k)  # [..., alpha, beta, gamma]
+    Kosz = (
+        dgE
+        + np.swapaxes(dgE, -3, -2)
+        - np.einsum("...gab->...abg", dgE)
+        + np.einsum("...dab,...dg->...abg", C, gE)
+        + np.einsum("...dga,...db->...abg", C, gE)
+        + np.einsum("...dgb,...da->...abg", C, gE)
+    )
+    return 0.5 * np.einsum("...dg,...abg->...dab", gEi, Kosz)
+
+
+def ref_curvature_oracle(state, der):
+    k = state.k
+    gE, gEi, C = _ref_oracle_frame(state, der)
+    Gam = ref_koszul_connection(state, der)
+    dGam = torsion.anchor_derivs(Gam, state.mesh, k)  # [..., alpha, eps, beta, gamma]
+    Rup = (
+        np.einsum("...aebc->...abce", dGam)
+        - np.einsum("...beac->...abce", dGam)
+        + np.einsum("...ead,...dbc->...abce", Gam, Gam)
+        - np.einsum("...ebd,...dac->...abce", Gam, Gam)
+        - np.einsum("...dab,...edc->...abce", C, Gam)
+    )
+    R = np.einsum("...abce,...ef->...abcf", Rup, gE)
+    Ric = np.einsum("...ae,...abce->...bc", gEi, R)
+    scal = np.einsum("...bc,...bc->...", gEi, Ric)
+    return R, Ric, scal
+
+
+def ref_codifferential_oracle(state, der):
+    k, full3 = state.k, state.H
+    _, gEi, _ = _ref_oracle_frame(state, der)
+    Gam = ref_koszul_connection(state, der)
+    dH = torsion.anchor_derivs(full3, state.mesh, k)  # [..., alpha, b, c, e]
+    covH = dH - (
+        np.einsum("...fab,...fce->...abce", Gam, full3)
+        + np.einsum("...fac,...bfe->...abce", Gam, full3)
+        + np.einsum("...fae,...bcf->...abce", Gam, full3)
+    )
+    return np.einsum("...ab,...abce->...ce", gEi, covH)
+
+
+def _oracle_outputs(state):
+    R, Ric, scal = oracle.curvature_oracle(state)
+    return {"koszul_connection": oracle.koszul_connection(state), "R": R,
+            "Ric": Ric, "scal": scal,
+            "codifferential": oracle.codifferential_oracle(state)}
+
+
+def _ref_oracle_outputs(state, der):
+    R, Ric, scal = ref_curvature_oracle(state, der)
+    return {"koszul_connection": ref_koszul_connection(state, der), "R": R,
+            "Ric": Ric, "scal": scal,
+            "codifferential": ref_codifferential_oracle(state, der)}
+
+
 KERNELS = {
     "Ric_ff": (lambda s, d: geometry.ricci_blocks(s, d)[0], ref_Ric_ff),
     "Ric_fb": (lambda s, d: geometry.ricci_blocks(s, d)[1], ref_Ric_fb),
@@ -483,3 +556,15 @@ def test_residual_tensors_match_term_by_term_reference():
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref)), (
                 name, case)
+
+
+def test_oracle_matches_einsum_reference():
+    for case in CASES:
+        seed, d, alg = case
+        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+        der = geometry.derive(state)
+        got, refs = _oracle_outputs(state), _ref_oracle_outputs(state, der)
+        for name, ref in refs.items():
+            assert got[name].shape == ref.shape
+            assert np.max(np.abs(got[name] - ref)) <= (
+                ORACLE_REL_TOL * np.max(np.abs(ref))), (name, case)
