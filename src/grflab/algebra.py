@@ -30,8 +30,8 @@ class LieAlgebra:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        if self.k < 0:
-            raise AlgebraValidationError(f"fiber dimension must be >= 0, got {self.k}")
+        if self.k < 1:
+            raise AlgebraValidationError(f"fiber dimension must be >= 1, got {self.k}")
         if c.shape != (self.k, self.k, self.k):
             raise AlgebraValidationError(
                 f"structure constants must have shape {(self.k,) * 3}, got {c.shape}"
@@ -66,15 +66,13 @@ def _lower_central_series_steps(alg: LieAlgebra) -> tuple[bool, int]:
     float noise in user-supplied constants does not create phantom directions.
     """
     k, c = alg.k, alg.c
-    if k == 0:
-        return True, 0
     # g_1 = [g, g]; columns span the current term of the series.
     basis = np.eye(k)
     steps = 0
     for _ in range(k + 1):
         # images [x_i, v] for all basis x_i and current spanning vectors v
         imgs = np.einsum("mij,jv->miv", c, basis).reshape(k, -1)
-        rank = np.linalg.matrix_rank(imgs, tol=RANK_TOL) if imgs.size else 0
+        rank = np.linalg.matrix_rank(imgs, tol=RANK_TOL)
         steps += 1
         if rank == 0:
             return True, steps
@@ -87,21 +85,21 @@ def _lower_central_series_steps(alg: LieAlgebra) -> tuple[bool, int]:
 
 def _column_span(mat: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    r = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 0.0)))
+    r = int(np.sum(s > RANK_TOL * max(1.0, s[0])))
     return u[:, :r]
 
 
 def validate_algebra(alg: LieAlgebra) -> ValidationReport:
     """Check antisymmetry, Jacobi, and nilpotency of the structure constants."""
     c = alg.c
-    anti_defect = float(np.max(np.abs(c + np.swapaxes(c, 1, 2)))) if c.size else 0.0
+    anti_defect = float(np.max(np.abs(c + np.swapaxes(c, 1, 2))))
     jac = (
         np.einsum("mij,nmk->nijk", c, c)
         + np.einsum("mjk,nmi->nijk", c, c)
         + np.einsum("mki,nmj->nijk", c, c)
     )
-    jac_defect = float(np.max(np.abs(jac))) if c.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
+    jac_defect = float(np.max(np.abs(jac)))
+    scale = max(1.0, float(np.max(np.abs(c))))
     antisymmetric = anti_defect <= 1e-12 * scale
     jacobi = jac_defect <= 1e-10 * scale * scale
     nilpotent, steps = _lower_central_series_steps(alg)
@@ -158,9 +156,9 @@ def algebra_from_spec(spec) -> LieAlgebra:
         raise AlgebraValidationError(f"unknown algebra preset {spec!r}")
     if isinstance(spec, dict) and set(spec) == {"k", "c"}:
         k = spec["k"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise AlgebraValidationError(
-                f"k must be a nonnegative integer, got {k!r}")
+                f"k must be a positive integer, got {k!r}")
         try:
             c = np.asarray(spec["c"], dtype=float)
         except (TypeError, ValueError) as exc:

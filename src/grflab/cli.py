@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -123,6 +124,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _too_large(exc: Exception) -> bool:
+    """Whether numpy refused an array for its size: a MemoryError, or its
+    ValueError about the size of an array or an iterator."""
+    return isinstance(exc, MemoryError) or (
+        isinstance(exc, ValueError)
+        and re.search(r"too (big|large)|Maximum allowed", str(exc)) is not None)
+
+
 def _positive_number(value) -> bool:
     """A finite positive JSON number; JSON booleans do not count."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -193,6 +202,11 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"{path}: /algebra: {exc}") from exc
     except DomainError as exc:
         raise ConfigError(f"{path}: initial state invalid: {exc}") from exc
+    except (MemoryError, ValueError) as exc:
+        if not _too_large(exc):
+            raise
+        raise ConfigError(f"{path}: /mesh_n: a mesh of {cfg.mesh_n} points "
+                          f"per axis is too large to allocate") from exc
     closed = torsion.closedness_residual(state, derive(state, validated=True))
     if closed > 1e-6:
         raise ConfigError(
@@ -595,7 +609,13 @@ def main(argv=None) -> int:
         except GridError as exc:
             print(f"--mesh {args.mesh}: {exc}", file=sys.stderr)
             return 1
-        return run_verify(args.seed, args.mesh, args.suite)
+        try:
+            return run_verify(args.seed, args.mesh, args.suite)
+        except (MemoryError, ValueError) as exc:
+            if not _too_large(exc):
+                raise
+            print(f"--mesh {args.mesh}: too large to allocate", file=sys.stderr)
+            return 1
     return run_report(args.run_dir)
 
 

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DomainError, integrate_values
-from .flow import check_gauge, rk4
+from .flow import check_gauge, march
 from .geometry import (
     DerivedGeometry,
     GeometryState,
     _derivs,
-    derive,
     laplacian,
     norm_sq_DG,
     norm_sq_F,
@@ -102,40 +101,26 @@ def solve_backward(hist, u_T: np.ndarray | None = None) -> list[ConjugateState]:
     the history, in the gauge the history was run in.
 
     The terminal profile defaults to the constant 1/Vol(g(T)).  Reversed time
-    s = T - t makes the equation forward-parabolic; each stored interval is
-    one flow.rk4 step whose stages read the background at the interval's
-    ends and at its midpoint, interpolated by FlowHistory.state_at.  Returns
-    states at every stored time from T down to the start, in decreasing t
-    order.
+    s = T - t makes the equation forward-parabolic; flow.march takes one
+    rk4 step per stored interval.  Returns states at every stored time from
+    T down to the start, in decreasing t order.
     """
-    times = np.asarray(hist.times)
-    iT = len(times) - 1
+    iT = len(hist.times) - 1
     sT = hist.states[iT]
     if u_T is None:
         vol = mass_of(np.ones(sT.mesh.shape), sT)
         u_T = np.full(sT.mesh.shape, 1.0 / vol)
-    u = np.asarray(u_T, dtype=float).copy()
-    out = [ConjugateState(u.copy(), float(times[iT]), mass_of(u, sT))]
-    # reversed-time rates d u / d s = -(d u / d t); each interval derives its
-    # midpoint and its t0 end, which is the next interval's t1 end
-    st1, der1 = sT, derive(sT, validated=True)
-    for i in range(iT, 0, -1):
-        t1, t0 = float(times[i]), float(times[i - 1])
-        ds = t1 - t0
-        stm = hist.state_at(0.5 * (t0 + t1))
-        derm = derive(stm, validated=True)
-        st0 = hist.states[i - 1]
-        der0 = derive(st0, validated=True)
-        background = {0.0: (st1, der1), 0.5: (stm, derm), 1.0: (st0, der0)}
+    u = np.array(u_T, dtype=float)
+    out = [ConjugateState(u, float(hist.times[iT]), mass_of(u, sT))]
 
-        def rate(y, c):
-            return (-conj_rhs(y[0], *background[c], hist.mode),)
+    def rate(y, state, der):  # d u / d s = -(d u / d t)
+        return (-conj_rhs(y[0], state, der, hist.mode),)
 
-        (u,) = rk4((u,), ds, rate)
+    for i, (u,) in march(hist, range(iT, -1, -1), (u,), rate):
         if np.any(u <= 0) or not np.all(np.isfinite(u)):
             raise DomainError(
                 "density positivity lost in the backward solve; "
                 "the forward step size is too large")
-        out.append(ConjugateState(u.copy(), t0, mass_of(u, st0)))
-        st1, der1 = st0, der0
+        out.append(ConjugateState(u, float(hist.times[i]),
+                                  mass_of(u, hist.states[i])))
     return out

@@ -8,8 +8,9 @@ transport of the fields, functionals.residual_tensors along q - grad f.
 stored_rates turns a velocity into the rates of the stored fields.
 
 Integration is classical RK4 with a parabolic CFL step size.  rk4 is the
-one RK4 step for every time march: the forward flow here, the backward
-density solve in conjugate and the particle transport of the gauge check.
+one RK4 step for every time march: the forward flow here, and march, the one
+walk along a stored flow, which the backward density solve in conjugate and
+the particle transport of the gauge check take.
 The stored components of H live in the moving splitting, so their clock rate
 carries a correction whenever dA/dt is nonzero.
 """
@@ -162,6 +163,29 @@ def rk4_step(state: GeometryState, dt: float, mode: str) -> GeometryState:
     return state.with_fields(state.t + dt, rk4(state.fields, dt, rate))
 
 
+def march(hist: FlowHistory, indices, y: tuple, rate):
+    """Walk the tuple y along a stored flow: one rk4 step over each stored
+    interval between consecutive indices, which may run up or down the
+    history.  Yields (index, y) after every step.
+
+    rate(y, state, der) gives y's rates per unit of the walk's own time,
+    which runs backward on a walk down the history.  It is read at the
+    interval's two ends and at its midpoint, FlowHistory.state_at; each
+    stored state is derived once.
+    """
+    indices = iter(indices)
+    i = next(indices)
+    end = hist.states[i], derive(hist.states[i], validated=True)
+    for j in indices:
+        t0, t1 = hist.times[i], hist.times[j]
+        mid = hist.state_at(0.5 * (t0 + t1))
+        background = {0.0: end, 0.5: (mid, derive(mid, validated=True)),
+                      1.0: (hist.states[j], derive(hist.states[j], validated=True))}
+        y = rk4(y, abs(t1 - t0), lambda z, c: rate(z, *background[c]))
+        yield j, y
+        i, end = j, background[1.0]
+
+
 @dataclass
 class FlowHistory:
     """Dense in-memory record of a flow run in one gauge mode."""
@@ -181,8 +205,12 @@ class FlowHistory:
         stored times.
 
         Uses fewer nodes when the history holds fewer than four snapshots.
+        Raises ValueError for a t outside the stored span.
         """
         times = np.asarray(self.times)
+        if not times[0] - 1e-14 <= t <= times[-1] + 1e-14:
+            raise ValueError(f"t = {t!r} is outside the stored span "
+                             f"[{times[0]!r}, {times[-1]!r}]")
         n = len(times)
         j = int(np.searchsorted(times, t))
         j = min(max(j, 1), n - 1)
@@ -273,7 +301,8 @@ def _fourier_interp_1d(values: np.ndarray, x: np.ndarray, L: float) -> np.ndarra
 
 
 def transport_map_1d(hist: FlowHistory, t_end: float) -> np.ndarray:
-    """Integrate particle positions along q from the run's start to t_end.
+    """Integrate particle positions along q from the run's start to t_end,
+    which must be a stored time of the run.
 
     Only for 1-D bases.  Returns the final positions of the grid points,
     giving the diffeomorphism that relates the ungauged and canonical runs.
@@ -281,25 +310,17 @@ def transport_map_1d(hist: FlowHistory, t_end: float) -> np.ndarray:
     mesh = hist.states[0].mesh
     if mesh.d != 1:
         raise ValueError("transport map implemented for 1-D bases only")
+    (stored,) = np.nonzero(np.abs(np.asarray(hist.times) - t_end) < 1e-14)
+    if not stored.size:
+        raise ValueError(f"t_end = {t_end!r} is not a stored time of the run")
     L = mesh.lengths[0]
     x = np.arange(mesh.sizes[0]) * mesh.spacings[0]
-    times = np.asarray(hist.times)
 
-    def qfield(i):
-        return derive(hist.states[i], validated=True).q[:, 0]
+    def velocity(y, state, der):
+        return (_fourier_interp_1d(der.q[:, 0], y[0] % L, L),)
 
-    q1 = qfield(0)
-    for i in range(len(times) - 1):
-        if times[i] >= t_end - 1e-14:
-            break
-        # q at the stage fractions, linear in time over the stored interval
-        q0, q1 = q1, qfield(i + 1)
-        q_c = {0.0: q0, 0.5: 0.5 * (q0 + q1), 1.0: q1}
-
-        def velocity(y, c):
-            return (_fourier_interp_1d(q_c[c], y[0] % L, L),)
-
-        (x,) = rk4((x,), min(times[i + 1], t_end) - times[i], velocity)
+    for _, (x,) in march(hist, range(stored[0] + 1), (x,), velocity):
+        pass
     return x % L
 
 

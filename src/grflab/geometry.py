@@ -38,8 +38,6 @@ def _derivs(values: np.ndarray, mesh: Mesh) -> np.ndarray:
 def _pointwise_min_eig(vals: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of a symmetric matrix field at each grid point."""
     n = vals.shape[-1]
-    if n == 0:
-        return np.full(vals.shape[:-2], np.inf)
     if n == 1:
         return vals[..., 0, 0]
     return np.linalg.eigvalsh(vals)[..., 0]

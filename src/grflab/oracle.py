@@ -50,14 +50,13 @@ def structure_functions(state: GeometryState) -> np.ndarray:
     k, d = state.k, state.d
     K = k + d
     C = np.zeros(state.mesh.shape + (K, K, K))
-    if k:
-        C[..., :k, :k, :k] = state.alg.beta
-        # mixed[..., m, a, i] = A^l_a c^m_li, each c^m an (l, i) matrix
-        mixed = state.A[..., None, :, :] @ state.alg.c
-        C[..., :k, k:, :k] = mixed
-        C[..., :k, :k, k:] = -np.swapaxes(mixed, -1, -2)
-        F = compute_F(state.A, state.alg, state.mesh)
-        C[..., :k, k:, k:] = -np.moveaxis(F, -1, -3)
+    C[..., :k, :k, :k] = state.alg.beta
+    # mixed[..., m, a, i] = A^l_a c^m_li, each c^m an (l, i) matrix
+    mixed = state.A[..., None, :, :] @ state.alg.c
+    C[..., :k, k:, :k] = mixed
+    C[..., :k, :k, k:] = -np.swapaxes(mixed, -1, -2)
+    F = compute_F(state.A, state.alg, state.mesh)
+    C[..., :k, k:, k:] = -np.moveaxis(F, -1, -3)
     return C
 
 

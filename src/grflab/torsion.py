@@ -75,12 +75,11 @@ def structure_functions(state: GeometryState, F: np.ndarray) -> np.ndarray:
     k, d = state.k, state.d
     K = k + d
     C = np.zeros(state.mesh.shape + (K, K, K))
-    if k:
-        C[..., :k, :k, :k] = state.alg.beta
-        mixed = np.swapaxes(connection_action(state.A, state.alg), -3, -2)
-        C[..., :k, k:, :k] = mixed
-        C[..., :k, :k, k:] = -np.swapaxes(mixed, -1, -2)
-        C[..., :k, k:, k:] = -np.einsum("...abm->...mab", F)
+    C[..., :k, :k, :k] = state.alg.beta
+    mixed = np.swapaxes(connection_action(state.A, state.alg), -3, -2)
+    C[..., :k, k:, :k] = mixed
+    C[..., :k, :k, k:] = -np.swapaxes(mixed, -1, -2)
+    C[..., :k, k:, k:] = -np.einsum("...abm->...mab", F)
     return C
 
 
@@ -179,8 +178,7 @@ def extended_coeffs(state: GeometryState, Gamma: np.ndarray) -> np.ndarray:
     k, d = state.k, state.d
     K = k + d
     M = np.zeros(state.mesh.shape + (d, K, K))
-    if k:
-        M[..., :, :k, :k] = connection_action(state.A, state.alg)
+    M[..., :, :k, :k] = connection_action(state.A, state.alg)
     M[..., :, k:, k:] = np.einsum("...cab->...acb", Gamma)
     return M
 
@@ -211,16 +209,15 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
     W = np.zeros_like(term2)
     V = np.zeros_like(term2)
     U = np.zeros_like(term2)
-    if k:
-        Hbf = H[..., k:, :k, :]   # [..., b, l, eps]
-        Hbb = H[..., k:, k:, :]   # [..., c, d, eps]
-        Hff = H[..., :k, :k, :]   # [..., p, q, eps]
-        # g^{ab} G^{jl} DG_{a, ji}: both slots raised, then one (d*k) sum
-        DG_up = raise_first(np.swapaxes(DG, -1, -2) @ Gi[..., None, :, :], gi)
-        W[..., :k, :] = (as_matrices(np.swapaxes(DG_up, -3, -2), 1, 2)
-                         @ as_matrices(Hbf, 2, 1))
-        V[..., :k, :] = 0.5 * (as_matrices(der.GF_up, 1, 2) @ as_matrices(Hbb, 2, 1))
-        U[..., :k, :] = 0.5 * (as_matrices(der.Gb_up, 1, 2) @ as_matrices(Hff, 2, 1))
+    Hbf = H[..., k:, :k, :]   # [..., b, l, eps]
+    Hbb = H[..., k:, k:, :]   # [..., c, d, eps]
+    Hff = H[..., :k, :k, :]   # [..., p, q, eps]
+    # g^{ab} G^{jl} DG_{a, ji}: both slots raised, then one (d*k) sum
+    DG_up = raise_first(np.swapaxes(DG, -1, -2) @ Gi[..., None, :, :], gi)
+    W[..., :k, :] = (as_matrices(np.swapaxes(DG_up, -3, -2), 1, 2)
+                     @ as_matrices(Hbf, 2, 1))
+    V[..., :k, :] = 0.5 * (as_matrices(der.GF_up, 1, 2) @ as_matrices(Hbb, 2, 1))
+    U[..., :k, :] = 0.5 * (as_matrices(der.Gb_up, 1, 2) @ as_matrices(Hff, 2, 1))
     term3 = -(W - np.swapaxes(W, -2, -1))
     term4 = -(V - np.swapaxes(V, -2, -1))
     term5 = U - np.swapaxes(U, -2, -1)

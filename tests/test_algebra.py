@@ -107,6 +107,9 @@ def test_so3_rejected_for_nilpotency():
 def test_bad_shape_rejected():
     with pytest.raises(AlgebraValidationError):
         LieAlgebra(k=3, c=np.zeros((2, 2, 2)))
+    # the fiber is never empty
+    with pytest.raises(AlgebraValidationError, match=">= 1"):
+        LieAlgebra(k=0, c=np.zeros((0, 0, 0)))
 
 
 def test_ad_traces_vanish_for_nilpotent():
@@ -157,7 +160,8 @@ def test_algebra_from_spec():
     for bad in ("simple:su2", "abelian:x", "abelian:2 ", {"k": 2},
                 {"k": 2, "c": [1, 2]}, {"k": "2", "c": [0] * 8},
                 {"k": 1, "c": [float("inf")]}, {"k": 1, "c": "x"},
-                {"k": 1, "c": [[0], [0, 1]]}, ["heisenberg3"], 3):
+                {"k": 1, "c": [[0], [0, 1]]}, ["heisenberg3"], 3,
+                "abelian:0", {"k": 0, "c": []}, {"k": -1, "c": []}):
         with pytest.raises(AlgebraValidationError):
             algebra_from_spec(bad)
 

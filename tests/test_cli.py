@@ -444,6 +444,21 @@ def test_verify_subcommand(capsys):
         assert f"--seed {seed}" in captured.err
 
 
+def test_mesh_too_large_to_allocate_ends_in_one_line(tmp_path, capsys):
+    # numpy refuses these sizes before it allocates anything
+    for preset, n in (("heisenberg-s1", 2 ** 62), ("torus-bundle-t2", 2 ** 32)):
+        rc, err = run_in_one_line(cheap_config(tmp_path, preset=preset, mesh_n=n))
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert f"/mesh_n: a mesh of {n} points" in err
+        assert "Traceback" not in err
+    mesh = str(2 ** 62)
+    assert cli.main(["verify", "--mesh", mesh]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"--mesh {mesh}: too large to allocate"
+
+
 def test_console_entry_point():
     # the child imports grflab from where this process found it
     src = str(Path(cli.__file__).resolve().parents[1])

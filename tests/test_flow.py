@@ -199,3 +199,20 @@ def test_history_state_at():
     hist = run_flow(st, IntegratorConfig(t_end=0.01, fixed_dt=1e-3))
     assert hist.state_at(0.0) is hist.states[0]
     assert abs(hist.state_at(0.005).t - 0.005) < 1e-9
+    assert hist.state_at(hist.times[-1] + 1e-15) is hist.states[-1]
+    # the cubic is not extrapolated past either end
+    for t in (-1e-3, -1e-12, hist.times[-1] + 1e-12, 0.02):
+        with pytest.raises(ValueError, match="outside the stored span"):
+            hist.state_at(t)
+
+
+def test_transport_needs_a_stored_time():
+    st = preset_heisenberg_s1(16)
+    hu = run_flow(st, IntegratorConfig(t_end=0.01, fixed_dt=1e-3))
+    hc = run_flow(st, IntegratorConfig(t_end=0.01, fixed_dt=1e-3,
+                                       mode="canonical"))
+    for t in (0.0055, 0.02, -1e-3):
+        with pytest.raises(ValueError, match="not a stored time"):
+            transport_map_1d(hu, t)
+    with pytest.raises(ValueError, match="not a stored time"):
+        gauge_equivalence_report(hu, hc, 0.0055)
