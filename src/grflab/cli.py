@@ -221,38 +221,35 @@ CSV_COLUMNS = ["t", "F", "W", "R1", "R2", "R3", "R4", "W_extra",
                "min_eig_G", "min_eig_g", "mass_u"]
 
 
-def build_report(hist: flow.FlowHistory, traj, cfg: ScenarioConfig) -> list[dict]:
-    """Per-report-time functional evaluations along the coupled run; traj
-    holds one density per stored time, newest first."""
-    n = hist.states[0].mesh.d
-    rows = []
-    indices = list(range(0, len(hist.times), cfg.report_stride))
-    if indices[-1] != len(hist.times) - 1:
-        indices.append(len(hist.times) - 1)
-    for i in indices:
-        t = hist.times[i]
-        c = traj[len(hist.times) - 1 - i]
-        st = hist.states[i]
-        der = derive(st, validated=True)
-        f = conjugate.potential(c.u)
-        Fval = functionals.eval_F(st, f, der)
-        rt = functionals.residual_tensors(st, f, der)
-        R = functionals.residuals_F(st, f, der, rt)
-        row = {
-            "t": t, "F": Fval,
-            "R1": R[0], "R2": R[1], "R3": R[2], "R4": R[3],
-            "min_eig_G": min_eig_field(st.G),
-            "min_eig_g": min_eig_field(st.g),
-            "mass_u": c.mass,
-        }
-        if t > 0:
-            row["W"] = functionals.eval_Wplus(st, f, t, n, Fval)
-            RW = functionals.residuals_W(st, f, t, der, rt)
-            row["_sumRW"] = sum(RW[:4]) + RW[4]
-            row["W_extra"] = RW[4]
-        else:
-            row.update(W=float("nan"), W_extra=float("nan"), _sumRW=float("nan"))
-        rows.append(row)
+def report_row(t: float, st: GeometryState, der: geometry.DerivedGeometry,
+               c: conjugate.ConjugateState) -> dict:
+    """The functional evaluations of one report row: the stored state st at
+    time t (der: its derive()) and the backward density state c there."""
+    f = conjugate.potential(c.u)
+    Fval = functionals.eval_F(st, f, der)
+    rt = functionals.residual_tensors(st, f, der)
+    R = functionals.residuals_F(st, f, der, rt)
+    row = {
+        "t": t, "F": Fval,
+        "R1": R[0], "R2": R[1], "R3": R[2], "R4": R[3],
+        "min_eig_G": min_eig_field(st.G),
+        "min_eig_g": min_eig_field(st.g),
+        "mass_u": c.mass,
+    }
+    if t > 0:
+        row["W"] = functionals.eval_Wplus(st, f, t, st.mesh.d, Fval)
+        RW = functionals.residuals_W(st, f, t, der, rt)
+        row["_sumRW"] = sum(RW[:4]) + RW[4]
+        row["W_extra"] = RW[4]
+    else:
+        row.update(W=float("nan"), W_extra=float("nan"), _sumRW=float("nan"))
+    return row
+
+
+def build_report(rows: list[dict]) -> list[dict]:
+    """The report from its report_row evaluations in increasing t order:
+    each interior row gains the centred differences of F and W and the
+    identity gaps."""
     for j, row in enumerate(rows):
         if 0 < j < len(rows) - 1:
             dt = rows[j + 1]["t"] - rows[j - 1]["t"]
@@ -366,25 +363,34 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
         return _abort(cfg, manifest, (
             f"stopped at t = {hist.times[-1]:.6g} short of t_end = {cfg.t_end:.6g} "
             f"after max_steps = {cfg.max_steps} steps"))
+    # the report rows and the closedness check read each stored state's
+    # derivation as the backward walk reaches it
+    reported = {*range(0, len(hist.times), cfg.report_stride), len(hist.times) - 1}
+    checked = (0, len(hist.states) // 2, len(hist.states) - 1)
+    rows, closed = [], {}
+
+    def visit(i, c, der):
+        st = hist.states[i]
+        if i in reported:
+            rows.append(report_row(hist.times[i], st, der, c))
+        if i in checked:
+            closed[i] = torsion.closedness_residual(st, der)
+
     try:
-        traj = conjugate.solve_backward(hist)
+        traj = conjugate.solve_backward(hist, visit=visit)
     except DomainError as exc:
         return _abort(cfg, manifest, f"backward solve: {exc}")
     manifest["stages"].append("backward")
     masses = np.array([c.mass for c in traj])
     manifest["mass_drift"] = float(
         np.max(np.abs(masses - masses[0])) / abs(masses[0]))
-    rows = build_report(hist, traj, cfg)
+    rows = build_report(rows[::-1])
     manifest["stages"].append("report")
     Fs = [row["F"] for row in rows]
     manifest["F_nondecreasing"] = bool(np.all(np.diff(Fs) > -1e-8))
     manifest.update(_identity_verdict(rows, cfg.identity_rel_tol))
     manifest["soliton"] = functionals.soliton_detect(rows)
-    closed = max(
-        torsion.closedness_residual(hist.states[i], derive(hist.states[i],
-                                                           validated=True))
-        for i in (0, len(hist.states) // 2, len(hist.states) - 1))
-    manifest["max_dH_inf"] = float(closed)
+    manifest["max_dH_inf"] = float(max(closed[i] for i in checked))
     emit_outputs(cfg.output_dir, rows, manifest)
     return 0 if manifest["status"] == "clean" else 2
 

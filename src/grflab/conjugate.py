@@ -49,12 +49,17 @@ def potential(u: np.ndarray) -> np.ndarray:
 
 
 def dilaton_potential(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
-    """Zeroth-order coefficient: R_g - |DG|^2/4 - |F|^2/2 - tr_g calH / 4."""
-    k = state.k
-    calH, _ = torsion.h_contractions(state, der)
-    trH_bb = np.einsum("...ab,...ab->...", der.gi, calH[..., k:, k:])
-    return (der.R_g - 0.25 * norm_sq_DG(state, der)
-            - 0.5 * norm_sq_F(state, der) - 0.25 * trH_bb)
+    """Zeroth-order coefficient: R_g - |DG|^2/4 - |F|^2/2 - tr_g calH / 4.
+
+    Computed on the first call for a der; later calls return the same array.
+    """
+    if der.V is None:
+        k = state.k
+        calH, _ = torsion.h_contractions(state, der)
+        trH_bb = np.einsum("...ab,...ab->...", der.gi, calH[..., k:, k:])
+        der.V = (der.R_g - 0.25 * norm_sq_DG(state, der)
+                 - 0.5 * norm_sq_F(state, der) - 0.25 * trH_bb)
+    return der.V
 
 
 def _transport(phi: np.ndarray, state: GeometryState,
@@ -96,31 +101,37 @@ def mass_of(u: np.ndarray, state: GeometryState) -> float:
     return integrate_values(u, state.g, state.mesh)
 
 
-def solve_backward(hist, u_T: np.ndarray | None = None) -> list[ConjugateState]:
+def solve_backward(hist, u_T: np.ndarray | None = None,
+                   visit=None) -> list[ConjugateState]:
     """Integrate the density from the last stored time T down to the start of
     the history, in the gauge the history was run in.
 
     The terminal profile defaults to the constant 1/Vol(g(T)).  Reversed time
     s = T - t makes the equation forward-parabolic; flow.march takes one
-    rk4 step per stored interval.  Returns states at every stored time from
-    T down to the start, in decreasing t order.
+    rk4 step per stored interval.  visit(i, c, der), when given, is called
+    at every stored index i from T down, with the density state c there and
+    the stored state's derivation der, which it must not keep.  Returns
+    states at every stored time from T down to the start, in decreasing t
+    order.
     """
     iT = len(hist.times) - 1
-    sT = hist.states[iT]
     if u_T is None:
+        sT = hist.states[iT]
         vol = mass_of(np.ones(sT.mesh.shape), sT)
         u_T = np.full(sT.mesh.shape, 1.0 / vol)
-    u = np.array(u_T, dtype=float)
-    out = [ConjugateState(u, float(hist.times[iT]), mass_of(u, sT))]
+    out = []
 
     def rate(y, state, der):  # d u / d s = -(d u / d t)
         return (-conj_rhs(y[0], state, der, hist.mode),)
 
-    for i, (u,) in march(hist, range(iT, -1, -1), (u,), rate):
-        if np.any(u <= 0) or not np.all(np.isfinite(u)):
+    for i, (u,), der in march(hist, range(iT, -1, -1),
+                              (np.array(u_T, dtype=float),), rate):
+        if i != iT and (np.any(u <= 0) or not np.all(np.isfinite(u))):
             raise DomainError(
                 "density positivity lost in the backward solve; "
                 "the forward step size is too large")
         out.append(ConjugateState(u, float(hist.times[i]),
                                   mass_of(u, hist.states[i])))
+        if visit is not None:
+            visit(i, out[-1], der)
     return out

@@ -166,7 +166,9 @@ def rk4_step(state: GeometryState, dt: float, mode: str) -> GeometryState:
 def march(hist: FlowHistory, indices, y: tuple, rate):
     """Walk the tuple y along a stored flow: one rk4 step over each stored
     interval between consecutive indices, which may run up or down the
-    history.  Yields (index, y) after every step.
+    history.  Yields (index, y, der) at the first index and after every
+    step, with der the stored state's derivation, the only one march holds
+    at a yield.
 
     rate(y, state, der) gives y's rates per unit of the walk's own time,
     which runs backward on a walk down the history.  It is read at the
@@ -176,14 +178,16 @@ def march(hist: FlowHistory, indices, y: tuple, rate):
     indices = iter(indices)
     i = next(indices)
     end = hist.states[i], derive(hist.states[i], validated=True)
+    yield i, y, end[1]
     for j in indices:
         t0, t1 = hist.times[i], hist.times[j]
         mid = hist.state_at(0.5 * (t0 + t1))
         background = {0.0: end, 0.5: (mid, derive(mid, validated=True)),
                       1.0: (hist.states[j], derive(hist.states[j], validated=True))}
         y = rk4(y, abs(t1 - t0), lambda z, c: rate(z, *background[c]))
-        yield j, y
         i, end = j, background[1.0]
+        del mid, background  # only the stored state's derivation outlives the step
+        yield j, y, end[1]
 
 
 @dataclass
@@ -319,7 +323,7 @@ def transport_map_1d(hist: FlowHistory, t_end: float) -> np.ndarray:
     def velocity(y, state, der):
         return (_fourier_interp_1d(der.q[:, 0], y[0] % L, L),)
 
-    for _, (x,) in march(hist, range(stored[0] + 1), (x,), velocity):
+    for _, (x,), _ in march(hist, range(stored[0] + 1), (x,), velocity):
         pass
     return x % L
 

@@ -251,7 +251,8 @@ def compute_q(DG: np.ndarray, Gi: np.ndarray, gi: np.ndarray) -> np.ndarray:
 class DerivedGeometry:
     """Derived quantities of one state, computed once; pass it only with that
     state.  The torsion contractions `calH` and `Hsq` are filled on first
-    use by torsion.h_contractions.
+    use by torsion.h_contractions, the dilaton potential `V` by
+    conjugate.dilaton_potential.
 
     The lowered bracket and curvature tensors shared by the quadratic
     contractions:
@@ -277,6 +278,7 @@ class DerivedGeometry:
     GF_up: np.ndarray
     calH: np.ndarray | None = field(default=None, init=False)
     Hsq: np.ndarray | None = field(default=None, init=False)
+    V: np.ndarray | None = field(default=None, init=False)
 
 
 def derive(state: GeometryState, validated: bool = False) -> DerivedGeometry:

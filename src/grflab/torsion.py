@@ -10,8 +10,10 @@ codifferential that drives the torsion evolution.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import string
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,19 +85,90 @@ def structure_functions(state: GeometryState, F: np.ndarray) -> np.ndarray:
     return C
 
 
-def anchor_derivs(values: np.ndarray, mesh: Mesh, k: int) -> np.ndarray:
-    """Derivative along each frame direction; zero along the fiber directions.
-
-    The new axis (length k + d) sits first among the slot axes.
-    """
-    d = mesh.d
-    out = np.zeros(values.shape[:d] + (k + d,) + values.shape[d:])
-    for a in range(d):
-        out[(slice(None),) * d + (k + a,)] = deriv_array(values, a, mesh.spacings[a])
-    return out
-
-
 # --- exterior derivative -----------------------------------------------------
+
+class _DTables(NamedTuple):
+    """Index tables of the differential of a p-form (see _d_tables)."""
+
+    dsubs: tuple         # per base direction, the sigma entries it differentiates
+    pairs: list          # C's entries at increasing bracket pairs
+    rests: list          # sigma's increasing (p - 1)-tuples of trailing slots
+    terms: np.ndarray    # terms[m, n]: source entry of term m of tuple n
+    signs: tuple         # the sign of each term
+    spread: tuple        # (entry, tuple, sign) over every ordering of every tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _d_tables(K: int, k: int, p: int) -> _DTables:
+    """Index tables of the differential of a p-form over K frame slots, the
+    first k of them fiber; indices are flat over the slot axes.
+
+    The independent components of d sigma are its strictly increasing index
+    tuples.  Each term is read from one source row per grid point: the
+    derivatives along each base direction of the increasing p-tuples of
+    sigma without that direction, a zero (the anchor vanishes on fiber
+    directions), and Q[pair, rest] = C^d_{pair} sigma_{d, rest} over
+    increasing pairs and (p - 1)-tuples.  A term position that reads only
+    the zero is left out.
+    """
+    def flat(idx):
+        return sum(a * K ** (len(idx) - 1 - s) for s, a in enumerate(idx))
+
+    def skip(t, *slots):
+        return tuple(a for s, a in enumerate(t) if s not in slots)
+
+    outs = list(itertools.combinations(range(K), p + 1))
+    subs = list(itertools.combinations(range(K), p))
+    pairs = list(itertools.combinations(range(K), 2))
+    rests = list(itertools.combinations(range(K), p - 1)) if p else []
+    dsubs = tuple([s for s in subs if b not in s] for b in range(k, K))
+    keys = [("D", b, s) for b, ss in zip(range(k, K), dsubs) for s in ss]
+    zero = len(keys)
+    keys += ["zero"] + [("Q", pr, r) for pr in pairs for r in rests]
+    source = {key: n for n, key in enumerate(keys)}  # position in the row
+
+    terms, signs = [], []
+    for i in range(p + 1):  # anchor terms (-1)^i tau(e_i)[sigma(skip i)]
+        row = [source[("D", t[i], skip(t, i))] if t[i] >= k else zero
+               for t in outs]
+        if any(r != zero for r in row):
+            terms.append(row)
+            signs.append((-1) ** i)
+    for i, j in itertools.combinations(range(p + 1), 2):  # brackets, (-1)^(i+j)
+        terms.append([source[("Q", (t[i], t[j]), skip(t, i, j))] for t in outs])
+        signs.append((-1) ** (i + j))
+    spread = [(flat([t[s] for s in perm]), n,
+               (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+              for n, t in enumerate(outs)
+              for perm in itertools.permutations(range(p + 1))]
+    return _DTables(tuple([flat(s) for s in ss] for ss in dsubs),
+                    [flat(pr) for pr in pairs], [flat(r) for r in rests],
+                    np.array(terms, dtype=int).reshape(len(signs), len(outs)),
+                    tuple(signs), tuple(np.array(spread, dtype=int).reshape(-1, 3).T))
+
+
+def _d_components(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh,
+                  tables: _DTables) -> np.ndarray:
+    """d sigma at its strictly increasing index tuples, (..., C(K, p + 1)),
+    each a sum of its terms in algebroid_d's order."""
+    K, grid = C.shape[-1], mesh.shape
+    flat = sigma.reshape(grid + (K ** p,))
+    sources = [deriv_array(flat[..., subs], a, h)
+               for a, (subs, h) in enumerate(zip(tables.dsubs, mesh.spacings))]
+    sources.append(np.zeros(grid + (1,)))
+    if p > 0:
+        Cp = C.reshape(grid + (K, K * K))[..., tables.pairs]
+        rows = sigma.reshape(grid + (K, K ** (p - 1)))[..., tables.rests]
+        sources.append((np.swapaxes(Cp, -1, -2) @ rows).reshape(grid + (-1,)))
+    terms = np.concatenate(sources, axis=-1)[..., tables.terms]
+    acc = terms[..., 0, :] if tables.signs[0] == 1 else -terms[..., 0, :]
+    for m, sign in enumerate(tables.signs[1:], 1):
+        if sign == 1:
+            acc += terms[..., m, :]
+        else:
+            acc -= terms[..., m, :]
+    return acc
+
 
 def algebroid_d(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh, k: int) -> np.ndarray:
     """Exterior derivative of a full antisymmetric p-form array.
@@ -103,31 +176,26 @@ def algebroid_d(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh, k: int) ->
     d sigma(e_0, ..., e_p) = sum_i (-1)^i tau(e_i)[sigma(..., skip i, ...)]
         + sum_{i<j} (-1)^{i+j} sigma([e_i, e_j], ..., skip i and j, ...),
     with tau the anchor (zero on fiber directions) and the frame brackets C.
+    The terms are summed in this order at the strictly increasing index
+    tuples only, reading sigma there, and spread by antisymmetry over the
+    full (..., K, ..., K) result.
     """
-    T = anchor_derivs(sigma, mesh, k)  # derivative slot first
-    if p == 0:
-        return T
-    # T and P hold the slots they act on first, the remaining ones after; T
-    # is freed before P is built, so two full-size arrays are live, not three
-    slots = string.ascii_letters[:p + 1]
-    dsigma = _permuted_sum(slots, [((-1) ** i, a + slots.replace(a, ""), T)
-                                   for i, a in enumerate(slots)])
-    del T
-    # every bracket term is a slot permutation of P = C^d_{ab} sigma_{d...}
     K = C.shape[-1]
-    P = np.swapaxes(as_matrices(C, 1, 2), -1, -2) @ as_matrices(sigma, 1, p - 1)
-    P = P.reshape(C.shape[:-3] + (K,) * (p + 1))  # [..., a, b, rest of sigma]
-    return _permuted_sum(slots, [
-        ((-1) ** (i + j), a + b + slots.replace(a, "").replace(b, ""), P)
-        for i, a in enumerate(slots) for j, b in enumerate(slots) if i < j], dsigma)
+    tables = _d_tables(K, k, p)
+    comps = _d_components(sigma, p, C, mesh, tables)
+    entry, tuple_of, sign = tables.spread
+    out = np.zeros(mesh.shape + (K ** (p + 1),))
+    out[..., entry] = comps[..., tuple_of] * sign
+    return out.reshape(mesh.shape + (K,) * (p + 1))
 
 
 def closedness_residual(state: GeometryState, der: DerivedGeometry) -> float:
-    """Max norm of dH (der: the state's derive()); vanishes for torsion
-    fields coming from closed 3-forms."""
+    """Max norm of dH (der: the state's derive()) over its independent
+    components; vanishes for torsion fields coming from closed 3-forms."""
     C = structure_functions(state, der.F)
-    dH = algebroid_d(state.H, 3, C, state.mesh, state.k)
-    return float(np.max(np.abs(dH)))
+    K = C.shape[-1]
+    dH = _d_components(state.H, 3, C, state.mesh, _d_tables(K, state.k, 3))
+    return float(np.max(np.abs(dH), initial=0.0))  # no components when K < 4
 
 
 # --- quadratic contractions --------------------------------------------------

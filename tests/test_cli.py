@@ -18,6 +18,7 @@ import pytest
 from grflab import cli, functionals
 from grflab.cli import (CSV_COLUMNS, ConfigError, PRESETS, load_config,
                         run_pipeline)
+from grflab.geometry import derive
 
 
 def write_config(tmp_path, name="cfg.json", **body):
@@ -278,7 +279,30 @@ def test_report_builds_residual_tensors_once_per_row(tmp_path, monkeypatch):
     with open(out / "report.csv") as fh:
         times = [float(row["t"]) for row in csv.DictReader(fh)]
     assert len(times) > 2
-    assert calls == times
+    assert calls == times[::-1]  # rows are evaluated on the backward walk
+
+
+def test_pipeline_derives_each_state_once_after_the_forward_flow(
+        tmp_path, monkeypatch):
+    # n steps: 4 derivations a step forward, then the backward walk's
+    # 2n + 1, which the report rows and the closedness check share
+    calls = []
+
+    def counting(state, *args, **kwargs):
+        calls.append(state.t)
+        return derive(state, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("grflab")
+                and getattr(module, "derive", None) is derive):
+            monkeypatch.setattr(module, "derive", counting)
+    out = tmp_path / "out"
+    cfg = cli.ScenarioConfig(preset="inoue-like", mesh_n=16, t_end=0.005,
+                             fixed_dt=1e-3, report_stride=2, output_dir=str(out))
+    assert run_pipeline(cfg) == 0
+    n = json.loads((out / "manifest.json").read_text())["steps"]
+    assert n == 5
+    assert len(calls) == 4 * n + 2 * n + 1
 
 
 def test_run_without_interior_row_is_unchecked(tmp_path):
@@ -329,7 +353,7 @@ def test_report_evaluates_energy_density_once_per_row(tmp_path, monkeypatch):
     with open(out / "report.csv") as fh:
         times = [float(row["t"]) for row in csv.DictReader(fh)]
     assert len(times) > 2
-    assert calls == times
+    assert calls == times[::-1]  # rows are evaluated on the backward walk
 
 
 def test_abort_leaves_manifest(tmp_path, capsys):

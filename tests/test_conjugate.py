@@ -101,14 +101,40 @@ def test_adjoint_pairing_constant():
             def rate(y, state, der):
                 return (forward_heat_rhs(y[0], state, der, mode),)
 
-            pairings = [mass_of(phi * traj[0].u, hist.states[0])]
-            for i, (phi,) in flow.march(hist, range(len(hist.times)), (phi,),
-                                        rate):
-                pairings.append(mass_of(phi * traj[i].u, hist.states[i]))
+            pairings = [mass_of(phi * traj[i].u, hist.states[i]) for i, (phi,), _
+                        in flow.march(hist, range(len(hist.times)), (phi,), rate)]
             drifts.append(max(abs(p - pairings[0]) for p in pairings)
                           / abs(pairings[0]))
         assert drifts[1] < 1e-7, (mode, drifts)
         assert drifts[0] / drifts[1] >= 12, (mode, drifts)
+
+
+def test_walks_are_fourth_order_in_time():
+    # at a fixed mesh the pairing's drift is a spatial floor (6.6e-9
+    # ungauged, 5.4e-9 canonical at N=32) that does not move with the step,
+    # so the time order shows in the walked solutions: their change per
+    # halving of fixed_dt falls about 17x; a midpoint background averaged
+    # from the interval's ends falls only 4x
+    for mode in ("ungauged", "canonical"):
+        ends = []
+        for dt in (1e-3, 5e-4, 2.5e-4):
+            st = modulated_heisenberg_s1(32)
+            (x,) = st.mesh.coords()
+            hist = run_flow(st, IntegratorConfig(t_end=0.01, mode=mode, fixed_dt=dt))
+            u_0 = solve_backward(hist, u_T=np.exp(0.1 * np.cos(2 * np.pi * x)))[-1].u
+
+            def rate(y, state, der):
+                return (forward_heat_rhs(y[0], state, der, mode),)
+
+            phi = 1.0 + 0.3 * np.sin(2 * np.pi * x)
+            for _, (phi,), _ in flow.march(hist, range(len(hist.times)), (phi,),
+                                           rate):
+                pass
+            ends.append((u_0, phi))
+        for j in range(2):  # the backward density, the forward solution
+            coarse, fine = (np.max(np.abs(a[j] - b[j]))
+                            for a, b in zip(ends, ends[1:]))
+            assert coarse >= 12 * fine, (mode, j, coarse, fine)
 
 
 def modulated_heisenberg_s1(N):

@@ -10,7 +10,7 @@ ulps of the largest entry, not bit for bit.
 import numpy as np
 import pytest
 
-from grflab import algebra, functionals, geometry, oracle, torsion
+from grflab import algebra, fields, functionals, geometry, oracle, torsion
 from grflab.cli import random_state
 
 ALGEBRAS = {"heisenberg3": algebra.heisenberg3,
@@ -191,8 +191,19 @@ def ref_moving_frame_correction(state, der):
     return corr
 
 
+def anchor_derivs(values, mesh, k):
+    """Derivative along each frame direction, zero along the fiber
+    directions; the new axis (length k + d) sits first among the slot axes."""
+    d = mesh.d
+    out = np.zeros(values.shape[:d] + (k + d,) + values.shape[d:])
+    for a in range(d):
+        out[(slice(None),) * d + (k + a,)] = fields.deriv_array(
+            values, a, mesh.spacings[a])
+    return out
+
+
 def _ref_algebroid_d(sigma, p, C, mesh, k):
-    T = torsion.anchor_derivs(sigma, mesh, k)  # derivative slot first
+    T = anchor_derivs(sigma, mesh, k)  # derivative slot first
     if p == 2:
         out = (
             T
@@ -428,7 +439,7 @@ def _ref_oracle_frame(state, der):
 def ref_koszul_connection(state, der):
     k = state.k
     gE, gEi, C = _ref_oracle_frame(state, der)
-    dgE = torsion.anchor_derivs(gE, state.mesh, k)  # [..., alpha, beta, gamma]
+    dgE = anchor_derivs(gE, state.mesh, k)  # [..., alpha, beta, gamma]
     Kosz = (
         dgE
         + np.swapaxes(dgE, -3, -2)
@@ -444,7 +455,7 @@ def ref_curvature_oracle(state, der):
     k = state.k
     gE, gEi, C = _ref_oracle_frame(state, der)
     Gam = ref_koszul_connection(state, der)
-    dGam = torsion.anchor_derivs(Gam, state.mesh, k)  # [..., alpha, eps, beta, gamma]
+    dGam = anchor_derivs(Gam, state.mesh, k)  # [..., alpha, eps, beta, gamma]
     Rup = (
         np.einsum("...aebc->...abce", dGam)
         - np.einsum("...beac->...abce", dGam)
@@ -462,7 +473,7 @@ def ref_codifferential_oracle(state, der):
     k, full3 = state.k, state.H
     _, gEi, _ = _ref_oracle_frame(state, der)
     Gam = ref_koszul_connection(state, der)
-    dH = torsion.anchor_derivs(full3, state.mesh, k)  # [..., alpha, b, c, e]
+    dH = anchor_derivs(full3, state.mesh, k)  # [..., alpha, b, c, e]
     covH = dH - (
         np.einsum("...fab,...fce->...abce", Gam, full3)
         + np.einsum("...fac,...bfe->...abce", Gam, full3)
@@ -532,6 +543,26 @@ def test_kernel_matches_multi_operand_reference(name):
         got, ref = kernel(state, der), reference(state, der)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref)), case
+
+
+def test_closedness_residual_is_the_largest_reference_component():
+    # taken over the independent components only, without the K^4 array
+    for case in CASES:
+        seed, d, alg = case
+        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+        der = geometry.derive(state)
+        ref = np.max(np.abs(ref_algebroid_d3(state, der)))
+        assert abs(torsion.closedness_residual(state, der) - ref) <= 1e-13 * ref, case
+
+
+def test_torsion_source_differential_is_its_own_pack():
+    # spread by antisymmetry from its increasing index tuples
+    for case in CASES:
+        seed, d, alg = case
+        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+        der = geometry.derive(state)
+        dB = _algebroid_d(torsion.b_dot(state, der), 2, state, der)
+        assert np.array_equal(torsion.pack_full(dB, state.k), dB), case
 
 
 def test_residual_tensors_match_term_by_term_reference():
