@@ -12,11 +12,14 @@ one RK4 step for every time march: the forward flow here, and march, the one
 walk along a stored flow, which the backward density solve in conjugate and
 the particle transport of the gauge check take.
 The stored components of H live in the moving splitting, so their clock rate
-carries a correction whenever dA/dt is nonzero.
+carries a correction whenever dA/dt is nonzero; torsion.torsion_rate takes
+dB and that correction at the increasing index triples and spreads the rate
+once, so a new state's torsion is exactly antisymmetric.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -211,25 +214,23 @@ class FlowHistory:
         Uses fewer nodes when the history holds fewer than four snapshots.
         Raises ValueError for a t outside the stored span.
         """
-        times = np.asarray(self.times)
+        times = self.times
         if not times[0] - 1e-14 <= t <= times[-1] + 1e-14:
             raise ValueError(f"t = {t!r} is outside the stored span "
                              f"[{times[0]!r}, {times[-1]!r}]")
         n = len(times)
-        j = int(np.searchsorted(times, t))
-        j = min(max(j, 1), n - 1)
+        j = min(max(bisect.bisect_left(times, t), 1), n - 1)
         if abs(times[j] - t) < 1e-14:
             return self.states[j]
         if abs(times[j - 1] - t) < 1e-14:
             return self.states[j - 1]
         lo = max(0, min(j - 2, n - 4))
         idx = list(range(lo, min(lo + 4, n)))
-        ts = times[idx]
         ws = np.ones(len(idx))
-        for a in range(len(idx)):
-            for b in range(len(idx)):
-                if a != b:
-                    ws[a] *= (t - ts[b]) / (ts[a] - ts[b])
+        for a, ia in enumerate(idx):
+            for ib in idx:
+                if ib != ia:
+                    ws[a] *= (t - times[ib]) / (times[ia] - times[ib])
         nodes = zip(*(self.states[i].fields for i in idx))
         return self.states[idx[0]].with_fields(
             t, [sum(w * f for w, f in zip(ws, node)) for node in nodes])

@@ -1,11 +1,14 @@
 """Torsion 3-form machinery on the extension bundle.
 
 The torsion is one antisymmetric (..., K, K, K) array over the combined frame
-(K = k + d indices, fiber first), held in GeometryState.H; pack_full is the
-one place that knows its canonical fiber-first entries.  Includes the frame
-structure functions, the generic exterior derivative of the bracket
-geometry, the quadratic contractions of H, and the closed-form
-codifferential that drives the torsion evolution.
+(K = k + d indices, fiber first), held in GeometryState.H; pack_full rebuilds
+every slot ordering from its canonical fiber-first entries.  Includes the
+frame brackets, the generic exterior derivative of the bracket geometry, the
+quadratic contractions of H, and the closed-form codifferential that drives
+the torsion evolution.  The differential, the codifferential and the torsion
+rate are evaluated at their strictly increasing index tuples only, the
+independent components of a form, and each result is spread once by
+antisymmetry over its full array.
 """
 
 from __future__ import annotations
@@ -67,22 +70,55 @@ def inverse_frame_metric(der: DerivedGeometry) -> np.ndarray:
     return gEi
 
 
-def structure_functions(state: GeometryState, F: np.ndarray) -> np.ndarray:
-    """Frame brackets C[..., gamma, alpha, beta]: [e_alpha, e_beta] = C^gamma e_gamma.
+class _PairTables(NamedTuple):
+    """Index tables of the increasing index pairs over K frame slots, the
+    first k of them fiber (see _pair_tables)."""
 
-    Fiber-fiber entries carry the fiberwise bracket (beta = -c in this frame),
-    base-fiber entries come from the connection form, and base-base entries
+    ij: np.ndarray       # flat index i K + j of each pair i < j
+    ji: np.ndarray       # flat index of its transpose
+    brackets: np.ndarray  # where bracket_pairs reads each pair's bracket
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_tables(K: int, k: int) -> _PairTables:
+    """Index tables of the increasing pairs.  bracket_pairs reads a
+    fiber-fiber pair (i, j) at column i k + j of the bracket, a fiber-base
+    pair (i, a) at column (a - k) k + i of the connection action and a
+    base-base pair (a, b) at column (a - k) d + b - k of F, the three laid
+    end to end."""
+    d = K - k
+
+    def column(i, j):
+        if j < k:
+            return i * k + j
+        if i < k:
+            return k * k + (j - k) * k + i
+        return k * k + d * k + (i - k) * d + j - k
+
+    pairs = list(itertools.combinations(range(K), 2))
+    return _PairTables(*(np.array(col, dtype=int) for col in (
+        [i * K + j for i, j in pairs], [j * K + i for i, j in pairs],
+        [column(i, j) for i, j in pairs])))
+
+
+def bracket_pairs(state: GeometryState, F: np.ndarray) -> np.ndarray:
+    """Frame brackets at the increasing index pairs: Cp[..., m, n] =
+    C^m_{alpha beta} for the n-th pair alpha < beta, [e_alpha, e_beta] =
+    C^gamma e_gamma.
+
+    Every bracket is vertical, so only the k fiber rows m are kept.
+    Fiber-fiber pairs carry the fiberwise bracket (beta = -c in this frame),
+    fiber-base pairs come from the connection form, and base-base pairs
     equal -F (DerivedGeometry.F) since coordinate fields commute on the base.
     """
     k, d = state.k, state.d
-    K = k + d
-    C = np.zeros(state.mesh.shape + (K, K, K))
-    C[..., :k, :k, :k] = state.alg.beta
-    mixed = np.swapaxes(connection_action(state.A, state.alg), -3, -2)
-    C[..., :k, k:, :k] = mixed
-    C[..., :k, :k, k:] = -np.swapaxes(mixed, -1, -2)
-    C[..., :k, k:, k:] = -np.einsum("...abm->...mab", F)
-    return C
+    lead = state.mesh.shape + (k,)
+    cA = connection_action(state.A, state.alg)  # [..., a, m, i]
+    rows = np.concatenate([
+        np.broadcast_to(state.alg.beta.reshape(k, k * k), lead + (k * k,)),
+        -np.swapaxes(cA, -3, -2).reshape(lead + (d * k,)),
+        -np.moveaxis(F, -1, -3).reshape(lead + (d * d,))], axis=-1)
+    return rows[..., _pair_tables(k + d, k).brackets]
 
 
 # --- exterior derivative -----------------------------------------------------
@@ -91,11 +127,11 @@ class _DTables(NamedTuple):
     """Index tables of the differential of a p-form (see _d_tables)."""
 
     dsubs: tuple         # per base direction, the sigma entries it differentiates
-    pairs: list          # C's entries at increasing bracket pairs
     rests: list          # sigma's increasing (p - 1)-tuples of trailing slots
     terms: np.ndarray    # terms[m, n]: source entry of term m of tuple n
     signs: tuple         # the sign of each term
-    spread: tuple        # (entry, tuple, sign) over every ordering of every tuple
+    frame: np.ndarray    # frame[s, n]: entry of P read by slot s of tuple n
+    spread: np.ndarray   # spread[n, entry]: the sign tuple n lands with there
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,9 +143,15 @@ def _d_tables(K: int, k: int, p: int) -> _DTables:
     tuples.  Each term is read from one source row per grid point: the
     derivatives along each base direction of the increasing p-tuples of
     sigma without that direction, a zero (the anchor vanishes on fiber
-    directions), and Q[pair, rest] = C^d_{pair} sigma_{d, rest} over
-    increasing pairs and (p - 1)-tuples.  A term position that reads only
-    the zero is left out.
+    directions), and Q[pair, rest] = C^m_{pair} sigma_{m, rest} over
+    increasing pairs, fiber m and increasing (p - 1)-tuples.  A term
+    position that reads only the zero is left out.
+
+    The moving-frame correction of a stored (p + 1)-form tau is read the
+    same way from P[a, rest] = (dA/dt)^m_a tau_{m, rest} followed by a zero:
+    slot s of a tuple adds (-1)^s P at its base index and the other slots,
+    the zero at a fiber index.  The spread matrix carries each tuple onto
+    every ordering of it, a product with it copies entries exactly.
     """
     def flat(idx):
         return sum(a * K ** (len(idx) - 1 - s) for s, a in enumerate(idx))
@@ -137,32 +179,25 @@ def _d_tables(K: int, k: int, p: int) -> _DTables:
     for i, j in itertools.combinations(range(p + 1), 2):  # brackets, (-1)^(i+j)
         terms.append([source[("Q", (t[i], t[j]), skip(t, i, j))] for t in outs])
         signs.append((-1) ** (i + j))
-    spread = [(flat([t[s] for s in perm]), n,
-               (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
-              for n, t in enumerate(outs)
-              for perm in itertools.permutations(range(p + 1))]
+    frame_zero = (K - k) * K ** p
+    frame = [[(t[s] - k) * K ** p + flat(skip(t, s)) if t[s] >= k else frame_zero
+              for t in outs] for s in range(p + 1)]
+    spread = np.zeros((len(outs), K ** (p + 1)))
+    for n, t in enumerate(outs):
+        for perm in itertools.permutations(range(p + 1)):
+            spread[n, flat([t[s] for s in perm])] = (-1) ** sum(
+                a > b for a, b in itertools.combinations(perm, 2))
     return _DTables(tuple([flat(s) for s in ss] for ss in dsubs),
-                    [flat(pr) for pr in pairs], [flat(r) for r in rests],
+                    [flat(r) for r in rests],
                     np.array(terms, dtype=int).reshape(len(signs), len(outs)),
-                    tuple(signs), tuple(np.array(spread, dtype=int).reshape(-1, 3).T))
+                    tuple(signs),
+                    np.array(frame, dtype=int).reshape(p + 1, len(outs)), spread)
 
 
-def _d_components(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh,
-                  tables: _DTables) -> np.ndarray:
-    """d sigma at its strictly increasing index tuples, (..., C(K, p + 1)),
-    each a sum of its terms in algebroid_d's order."""
-    K, grid = C.shape[-1], mesh.shape
-    flat = sigma.reshape(grid + (K ** p,))
-    sources = [deriv_array(flat[..., subs], a, h)
-               for a, (subs, h) in enumerate(zip(tables.dsubs, mesh.spacings))]
-    sources.append(np.zeros(grid + (1,)))
-    if p > 0:
-        Cp = C.reshape(grid + (K, K * K))[..., tables.pairs]
-        rows = sigma.reshape(grid + (K, K ** (p - 1)))[..., tables.rests]
-        sources.append((np.swapaxes(Cp, -1, -2) @ rows).reshape(grid + (-1,)))
-    terms = np.concatenate(sources, axis=-1)[..., tables.terms]
-    acc = terms[..., 0, :] if tables.signs[0] == 1 else -terms[..., 0, :]
-    for m, sign in enumerate(tables.signs[1:], 1):
+def _signed_sum(terms: np.ndarray, signs) -> np.ndarray:
+    """sum_m signs[m] terms[..., m, :], in order, into a new array."""
+    acc = terms[..., 0, :] if signs[0] == 1 else -terms[..., 0, :]
+    for m, sign in enumerate(signs[1:], 1):
         if sign == 1:
             acc += terms[..., m, :]
         else:
@@ -170,8 +205,35 @@ def _d_components(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh,
     return acc
 
 
-def algebroid_d(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh, k: int) -> np.ndarray:
-    """Exterior derivative of a full antisymmetric p-form array.
+def _spread(comps: np.ndarray, tables: _DTables, K: int, degree: int) -> np.ndarray:
+    """The full antisymmetric (..., K, ..., K) array of a degree-form from its
+    components at the increasing index tuples (tables: _d_tables(K, k,
+    degree - 1), whose outputs are those tuples), as one matrix product."""
+    lead = comps.shape[:-1]
+    flat = comps.reshape(math.prod(lead), comps.shape[-1]) @ tables.spread
+    return flat.reshape(lead + (K,) * degree)
+
+
+def _d_components(sigma: np.ndarray, p: int, Cp: np.ndarray, mesh: Mesh,
+                  tables: _DTables) -> np.ndarray:
+    """d sigma at its strictly increasing index tuples, (..., C(K, p + 1)),
+    each a sum of its terms in algebroid_d's order (Cp: bracket_pairs)."""
+    k, grid = Cp.shape[-2], mesh.shape
+    K = k + mesh.d
+    flat = sigma.reshape(grid + (K ** p,))
+    sources = [deriv_array(flat[..., subs], a, h)
+               for a, (subs, h) in enumerate(zip(tables.dsubs, mesh.spacings))]
+    sources.append(np.zeros(grid + (1,)))
+    if p > 0:
+        rows = sigma.reshape(grid + (K, K ** (p - 1)))[..., :k, tables.rests]
+        sources.append((np.swapaxes(Cp, -1, -2) @ rows).reshape(grid + (-1,)))
+    terms = np.concatenate(sources, axis=-1)[..., tables.terms]
+    return _signed_sum(terms, tables.signs)
+
+
+def algebroid_d(sigma: np.ndarray, p: int, Cp: np.ndarray, mesh: Mesh, k: int) -> np.ndarray:
+    """Exterior derivative of a full antisymmetric p-form array, given the
+    frame brackets at the increasing pairs (bracket_pairs).
 
     d sigma(e_0, ..., e_p) = sum_i (-1)^i tau(e_i)[sigma(..., skip i, ...)]
         + sum_{i<j} (-1)^{i+j} sigma([e_i, e_j], ..., skip i and j, ...),
@@ -180,21 +242,17 @@ def algebroid_d(sigma: np.ndarray, p: int, C: np.ndarray, mesh: Mesh, k: int) ->
     tuples only, reading sigma there, and spread by antisymmetry over the
     full (..., K, ..., K) result.
     """
-    K = C.shape[-1]
+    K = k + mesh.d
     tables = _d_tables(K, k, p)
-    comps = _d_components(sigma, p, C, mesh, tables)
-    entry, tuple_of, sign = tables.spread
-    out = np.zeros(mesh.shape + (K ** (p + 1),))
-    out[..., entry] = comps[..., tuple_of] * sign
-    return out.reshape(mesh.shape + (K,) * (p + 1))
+    return _spread(_d_components(sigma, p, Cp, mesh, tables), tables, K, p + 1)
 
 
 def closedness_residual(state: GeometryState, der: DerivedGeometry) -> float:
     """Max norm of dH (der: the state's derive()) over its independent
     components; vanishes for torsion fields coming from closed 3-forms."""
-    C = structure_functions(state, der.F)
-    K = C.shape[-1]
-    dH = _d_components(state.H, 3, C, state.mesh, _d_tables(K, state.k, 3))
+    k = state.k
+    dH = _d_components(state.H, 3, bracket_pairs(state, der.F), state.mesh,
+                       _d_tables(k + state.d, k, 3))
     return float(np.max(np.abs(dH), initial=0.0))  # no components when K < 4
 
 
@@ -251,45 +309,45 @@ def extended_coeffs(state: GeometryState, Gamma: np.ndarray) -> np.ndarray:
     return M
 
 
-def minus_dstar_terms(state: GeometryState, der: DerivedGeometry):
-    """The five pieces of -d*H in the nilpotent decomposition, as full
-    (..., K, K) antisymmetric arrays.
+def minus_dstar_terms(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+    """-d*H in the nilpotent decomposition at its increasing index pairs,
+    (..., C(K, 2)); b_dot spreads it.
 
-    Term 2 equals -i_q H.
+    The divergence g^{ab} (D_a H)_{b..} over H's base rows differentiates
+    them at the pairs only.  The connection acting on the traced slot gives
+    the interior product with g^{ab} Gamma^e_ab, taken together with the
+    -i_q H term.  On the two free slots it gives -(Z - Z^t), and the DG, F
+    and bracket terms fold into the same Z (valid for an antisymmetric H):
+        Z[g, d] = N[b, e, g] H_{b e d} - 1/2 (G b)^{pq}_g H_{p q d},
+    summed over base rows b and every e, with N the coefficients M of
+    extended_coeffs with their base slot raised by g, plus
+    g^{ab} G^{el} DG_{a, lg} on the fiber block and 1/2 (G F)_g^{b e} on
+    the base-fiber block (e base, g fiber).
     """
     mesh, k, H = state.mesh, state.k, state.H
-    Gi, gi, DG, Gamma, q = der.Gi, der.gi, der.DG, der.Gamma, der.q
+    gi, Gamma = der.gi, der.Gamma
+    K = k + state.d
+    grid = mesh.shape
+    pairs = _pair_tables(K, k)
 
-    # g^{ab} (D_a H)_{b..}, a divergence over H's base rows Hb: the
-    # connection acting on the traced slot gives the interior product with
-    # g^{ab} Gamma^e_ab, and on the two free slots Y - Y^t with
-    # Y[g, d] = g^{ab} M^e_{ag} H_{bed}, valid for an antisymmetric H
-    Hb = H[..., k:, :, :]
-    M = extended_coeffs(state, Gamma)
-    Y = (np.swapaxes(as_matrices(M, 2, 1), -1, -2)
-         @ as_matrices(raise_first(Hb, gi), 2, 1))
-    term1 = (metric_trace(gi, _derivs(Hb, mesh))
-             - interior_product(metric_trace(gi, np.moveaxis(Gamma, -3, -1)), H, k)
-             - (Y - np.swapaxes(Y, -1, -2)))
+    Hb_pairs = H.reshape(grid + (K, K * K))[..., k:, pairs.ij]  # [..., b, n]
+    v = metric_trace(gi, np.moveaxis(Gamma, -3, -1)) + der.q
+    out = (metric_trace(gi, _derivs(Hb_pairs, mesh))
+           - (v[..., None, :] @ Hb_pairs)[..., 0, :])
 
-    term2 = -interior_product(q, H, k)
-
-    W = np.zeros_like(term2)
-    V = np.zeros_like(term2)
-    U = np.zeros_like(term2)
-    Hbf = H[..., k:, :k, :]   # [..., b, l, eps]
-    Hbb = H[..., k:, k:, :]   # [..., c, d, eps]
-    Hff = H[..., :k, :k, :]   # [..., p, q, eps]
-    # g^{ab} G^{jl} DG_{a, ji}: both slots raised, then one (d*k) sum
-    DG_up = raise_first(np.swapaxes(DG, -1, -2) @ Gi[..., None, :, :], gi)
-    W[..., :k, :] = (as_matrices(np.swapaxes(DG_up, -3, -2), 1, 2)
-                     @ as_matrices(Hbf, 2, 1))
-    V[..., :k, :] = 0.5 * (as_matrices(der.GF_up, 1, 2) @ as_matrices(Hbb, 2, 1))
-    U[..., :k, :] = 0.5 * (as_matrices(der.Gb_up, 1, 2) @ as_matrices(Hff, 2, 1))
-    term3 = -(W - np.swapaxes(W, -2, -1))
-    term4 = -(V - np.swapaxes(V, -2, -1))
-    term5 = U - np.swapaxes(U, -2, -1)
-    return term1, term2, term3, term4, term5
+    # g^{ab} G^{jl} DG_{a, ji}: both slots raised, [..., b, i, l]
+    DGt = np.swapaxes(der.DG, -1, -2)
+    DG_up = raise_first((as_matrices(DGt, 2, 1) @ der.Gi).reshape(DGt.shape), gi)
+    N = raise_first(extended_coeffs(state, Gamma), gi)  # [..., b, e, g]
+    N[..., :k, :k] += np.swapaxes(DG_up, -1, -2)
+    N[..., k:, :k] = 0.5 * np.moveaxis(der.GF_up, -3, -1)
+    Z = (np.swapaxes(as_matrices(N, 2, 1), -1, -2)
+         @ as_matrices(H[..., k:, :, :], 2, 1))
+    Z[..., :k, :] -= 0.5 * (as_matrices(der.Gb_up, 1, 2)
+                            @ as_matrices(H[..., :k, :k, :], 2, 1))
+    Z = Z.reshape(grid + (K * K,))
+    out -= Z[..., pairs.ij] - Z[..., pairs.ji]
+    return out
 
 
 def splitting_identity(state: GeometryState, der: DerivedGeometry) -> float:
@@ -309,41 +367,31 @@ def splitting_identity(state: GeometryState, der: DerivedGeometry) -> float:
 
 def b_dot(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     """Source 2-form B = -d*H of the ungauged flow, dH/dt = dB, as a full
-    antisymmetric (..., K, K) array (der: the state's derive())."""
-    t1, t2, t3, t4, t5 = minus_dstar_terms(state, der)
-    return t1 + t2 + t3 + t4 + t5
-
-
-def moving_frame_correction(full3: np.ndarray, Adot: np.ndarray, k: int) -> np.ndarray:
-    """Transport term for stored 3-form components under a changing splitting.
-
-    The stored base-slot components are evaluated on horizontal lifts that
-    rotate as A evolves: d/dt of a stored component equals the covariant rate
-    minus H with each base slot fed the fiber vector (dA/dt) v.  Returns the
-    array to subtract from the covariant rate, given Adot[..., a, m].  full3
-    must be an antisymmetric 3-form: the three slot terms are one product
-    placed in each slot, which holds only under that symmetry.
-    """
-    K = full3.shape[-1]
-    d = Adot.shape[-2]
-    # P[a, beta, gamma] = (dA/dt)^m_a H_{m beta gamma}; with H antisymmetric
-    # the middle and last slots see -P and P moved into place
-    P = (Adot @ as_matrices(full3[..., :k, :, :], 1, 2)).reshape(
-        full3.shape[:-3] + (d, K, K))
-    corr = np.zeros_like(full3)
-    corr[..., k:, :, :] += P
-    corr[..., :, k:, :] -= np.swapaxes(P, -3, -2)
-    corr[..., :, :, k:] += np.moveaxis(P, -3, -1)
-    return corr
+    antisymmetric (..., K, K) array (der: the state's derive()), spread once
+    from minus_dstar_terms."""
+    k = state.k
+    K = k + state.d
+    return _spread(minus_dstar_terms(state, der), _d_tables(K, k, 1), K, 2)
 
 
 def torsion_rate(state: GeometryState, der: DerivedGeometry, B: np.ndarray,
                  dA: np.ndarray) -> np.ndarray:
     """Rate of the stored torsion when H moves by dB while the connection
     form moves at rate dA[..., a, m]: the exterior derivative of the source
-    2-form minus the moving-frame correction, repacked from its canonical
-    entries."""
-    k = state.k
-    dH = algebroid_d(B, 2, structure_functions(state, der.F), state.mesh, k)
-    dH = dH - moving_frame_correction(state.H, dA, k)
-    return pack_full(dH, k)
+    2-form minus the moving-frame correction, both at the increasing index
+    triples, spread once by antisymmetry.
+
+    The stored base-slot components are evaluated on horizontal lifts that
+    rotate as A evolves: d/dt of a stored component equals the covariant
+    rate minus H with each base slot fed the fiber vector (dA/dt) v.  For an
+    antisymmetric H the correction at a triple is a signed sum of
+    P[a, beta, gamma] = (dA/dt)^m_a H_{m beta gamma}, one term per base slot.
+    """
+    k, mesh = state.k, state.mesh
+    K = k + state.d
+    tables = _d_tables(K, k, 2)
+    rate = _d_components(B, 2, bracket_pairs(state, der.F), mesh, tables)
+    P = (dA @ as_matrices(state.H[..., :k, :, :], 1, 2)).reshape(mesh.shape + (-1,))
+    P = np.concatenate([P, np.zeros(mesh.shape + (1,))], axis=-1)
+    rate -= _signed_sum(P[..., tables.frame], (1, -1, 1))
+    return _spread(rate, tables, K, 3)

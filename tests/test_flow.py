@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import flat_abelian_state, heisenberg_state
-from grflab import algebra, flow
+from grflab import algebra, flow, torsion
 from grflab.cli import preset_heisenberg_s1, random_state
 from grflab.fields import DomainError
 from grflab.flow import (FlowHistory, IntegratorConfig, blowdown_rescale,
@@ -204,6 +204,75 @@ def test_history_state_at():
     for t in (-1e-3, -1e-12, hist.times[-1] + 1e-12, 0.02):
         with pytest.raises(ValueError, match="outside the stored span"):
             hist.state_at(t)
+
+
+def searchsorted_state_at(hist, t):
+    """FlowHistory.state_at with the time looked up by np.searchsorted on
+    an array of the stored times: the reference for its bisect lookup."""
+    times = np.asarray(hist.times)
+    n = len(times)
+    j = min(max(int(np.searchsorted(times, t)), 1), n - 1)
+    if abs(times[j] - t) < 1e-14:
+        return hist.states[j]
+    if abs(times[j - 1] - t) < 1e-14:
+        return hist.states[j - 1]
+    lo = max(0, min(j - 2, n - 4))
+    idx = list(range(lo, min(lo + 4, n)))
+    ts = times[idx]
+    ws = np.ones(len(idx))
+    for a in range(len(idx)):
+        for b in range(len(idx)):
+            if a != b:
+                ws[a] *= (t - ts[b]) / (ts[a] - ts[b])
+    nodes = zip(*(hist.states[i].fields for i in idx))
+    return hist.states[idx[0]].with_fields(
+        t, [sum(w * f for w, f in zip(ws, node)) for node in nodes])
+
+
+def test_history_state_at_matches_the_searchsorted_lookup():
+    # a long history with uneven steps, as a CFL-limited run stores
+    rng = np.random.default_rng(0)
+    st = flat_abelian_state()
+    hist = FlowHistory()
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 3e-4, 3000))])
+    for t in times:
+        hist.append(st.with_fields(float(t), [f * (1.0 + t) + t * t
+                                              for f in st.fields]))
+    queries = np.concatenate([
+        times[[0, 1, 2, 1500, -3, -2, -1]], times[:-1] + 0.5 * np.diff(times),
+        rng.uniform(times[0], times[-1], 500), times[::97] + 5e-15,
+        times[1::89] - 5e-15, [times[-1] + 1e-15]])
+    for t in queries:
+        got, ref = hist.state_at(t), searchsorted_state_at(hist, t)
+        assert got.t == ref.t
+        for a, b in zip(got.fields, ref.fields):
+            assert np.array_equal(a, b), t
+    for t in (times[0] - 1e-12, times[-1] + 1e-12):
+        with pytest.raises(ValueError, match="outside the stored span"):
+            hist.state_at(t)
+
+
+def test_rhs_skips_the_full_array_torsion_round_trip(monkeypatch):
+    # the torsion rate and source are built at their increasing index tuples
+    # and spread once; none of the full-array kernels runs on the way
+    st = random_state(np.random.default_rng(4), algebra.heisenberg3(), 8, 2)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("pack_full", "algebroid_d", "moving_frame_correction",
+                 "structure_functions", "b_dot", "torsion_rate"):
+        monkeypatch.setattr(torsion, name,
+                            counted(name, getattr(torsion, name, None)),
+                            raising=False)
+    for mode in flow.GAUGES:
+        calls.clear()
+        evaluate_rhs(st, mode)
+        assert calls == {"b_dot": 1, "torsion_rate": 1}, mode
 
 
 def test_transport_needs_a_stored_time():

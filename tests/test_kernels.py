@@ -10,7 +10,7 @@ ulps of the largest entry, not bit for bit.
 import numpy as np
 import pytest
 
-from grflab import algebra, fields, functionals, geometry, oracle, torsion
+from grflab import algebra, fields, flow, functionals, geometry, oracle, torsion
 from grflab.cli import random_state
 
 ALGEBRAS = {"heisenberg3": algebra.heisenberg3,
@@ -253,8 +253,92 @@ def ref_algebroid_d3(state, der):
 
 
 def _algebroid_d(sigma, p, state, der):
-    C = torsion.structure_functions(state, der.F)
-    return torsion.algebroid_d(sigma, p, C, state.mesh, state.k)
+    Cp = torsion.bracket_pairs(state, der.F)
+    return torsion.algebroid_d(sigma, p, Cp, state.mesh, state.k)
+
+
+def _increasing_pairs(state):
+    """Flat indices over two frame slots of the pairs i < j."""
+    K = state.k + state.d
+    return [i * K + j for i in range(K) for j in range(i + 1, K)]
+
+
+def ref_bracket_pairs(state, der):
+    # the full brackets' fiber rows at the increasing pairs
+    k, K = state.k, state.k + state.d
+    C = ref_structure_functions(state, der)
+    return C.reshape(C.shape[:-2] + (K * K,))[..., :k, _increasing_pairs(state)]
+
+
+# -- the torsion evolution as full (..., K, ..., K) arrays --------------------
+# The torsion source as five full antisymmetric pieces of -d*H, and the rate
+# as pack_full of the reference differential of B less a K^3 moving-frame
+# correction: the composition torsion_rate and b_dot replace by sums at the
+# increasing index tuples.
+
+def full_minus_dstar_terms(state, der):
+    mesh, k, H = state.mesh, state.k, state.H
+    Gi, gi, DG, Gamma, q = der.Gi, der.gi, der.DG, der.Gamma, der.q
+    Hb = H[..., k:, :, :]
+    M = torsion.extended_coeffs(state, Gamma)
+    Y = (np.swapaxes(geometry.as_matrices(M, 2, 1), -1, -2)
+         @ geometry.as_matrices(geometry.raise_first(Hb, gi), 2, 1))
+    term1 = (geometry.metric_trace(gi, geometry._derivs(Hb, mesh))
+             - torsion.interior_product(
+                 geometry.metric_trace(gi, np.moveaxis(Gamma, -3, -1)), H, k)
+             - (Y - np.swapaxes(Y, -1, -2)))
+    term2 = -torsion.interior_product(q, H, k)
+    W = np.zeros_like(term2)
+    V = np.zeros_like(term2)
+    U = np.zeros_like(term2)
+    DG_up = geometry.raise_first(np.swapaxes(DG, -1, -2) @ Gi[..., None, :, :], gi)
+    W[..., :k, :] = (geometry.as_matrices(np.swapaxes(DG_up, -3, -2), 1, 2)
+                     @ geometry.as_matrices(H[..., k:, :k, :], 2, 1))
+    V[..., :k, :] = 0.5 * (geometry.as_matrices(der.GF_up, 1, 2)
+                           @ geometry.as_matrices(H[..., k:, k:, :], 2, 1))
+    U[..., :k, :] = 0.5 * (geometry.as_matrices(der.Gb_up, 1, 2)
+                           @ geometry.as_matrices(H[..., :k, :k, :], 2, 1))
+    return (term1, term2, -(W - np.swapaxes(W, -2, -1)),
+            -(V - np.swapaxes(V, -2, -1)), U - np.swapaxes(U, -2, -1))
+
+
+def full_b_dot(state, der):
+    t1, t2, t3, t4, t5 = full_minus_dstar_terms(state, der)
+    return t1 + t2 + t3 + t4 + t5
+
+
+def full_moving_frame_correction(full3, Adot, k):
+    K, d = full3.shape[-1], Adot.shape[-2]
+    P = (Adot @ geometry.as_matrices(full3[..., :k, :, :], 1, 2)).reshape(
+        full3.shape[:-3] + (d, K, K))
+    corr = np.zeros_like(full3)
+    corr[..., k:, :, :] += P
+    corr[..., :, k:, :] -= np.swapaxes(P, -3, -2)
+    corr[..., :, :, k:] += np.moveaxis(P, -3, -1)
+    return corr
+
+
+def full_torsion_rate(state, der, B, dA):
+    k = state.k
+    dB = _ref_algebroid_d(B, 2, ref_structure_functions(state, der), state.mesh, k)
+    return torsion.pack_full(dB - full_moving_frame_correction(state.H, dA, k), k)
+
+
+def with_reference_piece(n, ref_piece):
+    """-d*H with piece n from its multi-operand reference and the other
+    four from full_minus_dstar_terms."""
+    def reference(state, der):
+        pieces = list(full_minus_dstar_terms(state, der))
+        pieces[n] = ref_piece(state, der)
+        return sum(pieces)
+    return reference
+
+
+def moving_frame_correction(state, der):
+    """The correction torsion_rate subtracts, with dA = A: minus its rate for
+    a vanishing source."""
+    B = np.zeros(state.mesh.shape + (state.k + state.d,) * 2)
+    return -torsion.torsion_rate(state, der, B, state.A)
 
 
 def ref_ffff(state, der):
@@ -384,7 +468,7 @@ def ref_co_differential_F(state, der):
 
 
 def ref_b_dot_general(state, der, grad_f):
-    t1, t2, t3, t4, t5 = torsion.minus_dstar_terms(state, der)
+    t1, t2, t3, t4, t5 = full_minus_dstar_terms(state, der)
     B = t1 + t3 + t4 + t5
     return B - torsion.interior_product(grad_f, state.H, state.k)
 
@@ -510,24 +594,23 @@ KERNELS = {
     "DF": (lambda s, d: d.DF, ref_DF),
     "extended_coeffs": (lambda s, d: torsion.extended_coeffs(s, d.Gamma),
                         ref_extended_coeffs),
-    "dstar_term1": (lambda s, d: torsion.minus_dstar_terms(s, d)[0], ref_dstar_term1),
-    "moving_frame_correction": (
-        lambda s, d: torsion.moving_frame_correction(s.H, s.A, s.k),
-        ref_moving_frame_correction),
-    "structure_functions": (lambda s, d: torsion.structure_functions(s, d.F),
-                            ref_structure_functions),
+    "dstar_term1": (torsion.b_dot, with_reference_piece(0, ref_dstar_term1)),
+    "moving_frame_correction": (moving_frame_correction,
+                                ref_moving_frame_correction),
+    "structure_functions": (lambda s, d: torsion.bracket_pairs(s, d.F),
+                            ref_bracket_pairs),
     "algebroid_d2": (lambda s, d: _algebroid_d(torsion.b_dot(s, d), 2, s, d),
                      ref_algebroid_d2),
     "algebroid_d3": (lambda s, d: _algebroid_d(s.H, 3, s, d), ref_algebroid_d3),
-    "dstar_term3": (lambda s, d: torsion.minus_dstar_terms(s, d)[2], ref_dstar_term3),
+    "dstar_term3": (torsion.b_dot, with_reference_piece(2, ref_dstar_term3)),
     "ffff": (lambda s, d: geometry.curvature_closed_form(s, d).ffff, ref_ffff),
     "ffbf": (lambda s, d: geometry.curvature_closed_form(s, d).ffbf, ref_ffbf),
     "fbbf": (lambda s, d: geometry.curvature_closed_form(s, d).fbbf, ref_fbbf),
     "fbbb": (lambda s, d: geometry.curvature_closed_form(s, d).fbbb, ref_fbbb),
     "bbbb": (lambda s, d: geometry.curvature_closed_form(s, d).bbbb, ref_bbbb),
     "calH": (lambda s, d: torsion.h_contractions(s, d)[0], ref_calH),
-    "dstar_term4": (lambda s, d: torsion.minus_dstar_terms(s, d)[3], ref_dstar_term4),
-    "dstar_term5": (lambda s, d: torsion.minus_dstar_terms(s, d)[4], ref_dstar_term5),
+    "dstar_term4": (torsion.b_dot, with_reference_piece(3, ref_dstar_term4)),
+    "dstar_term5": (torsion.b_dot, with_reference_piece(4, ref_dstar_term5)),
     "norm_sq_bracket": (geometry.norm_sq_bracket, ref_norm_sq_bracket),
     "norm_sq_F": (geometry.norm_sq_F, ref_norm_sq_F),
 }
@@ -563,6 +646,38 @@ def test_torsion_source_differential_is_its_own_pack():
         der = geometry.derive(state)
         dB = _algebroid_d(torsion.b_dot(state, der), 2, state, der)
         assert np.array_equal(torsion.pack_full(dB, state.k), dB), case
+
+
+# sums of up to ~30 products, taken in two orders, agree to a few eps
+FULL_REL_TOL = 1e-14
+
+
+def test_torsion_rate_and_source_match_the_full_array_composition():
+    for case in CASES:
+        seed, d, alg = case
+        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+        der = geometry.derive(state)
+        v = flow.ungauged_rates(state, der)
+        ref_B = full_b_dot(state, der)
+        assert np.max(np.abs(v.B - ref_B)) <= FULL_REL_TOL * np.max(np.abs(ref_B)), case
+        rate = torsion.torsion_rate(state, der, v.B, v.dA)
+        ref = full_torsion_rate(state, der, v.B, v.dA)
+        assert np.max(np.abs(rate - ref)) <= FULL_REL_TOL * np.max(np.abs(ref)), case
+        assert np.array_equal(torsion.pack_full(rate, state.k), rate), case
+
+
+def test_two_dimensional_torsion_run_matches_the_full_array_rates(monkeypatch):
+    # random torsion over a 2-torus, which the preset runs never carry
+    state = random_state(np.random.default_rng(5), algebra.heisenberg3(), 16, 2)
+    config = flow.IntegratorConfig(t_end=2e-3, fixed_dt=1e-3)
+    got = flow.run_flow(state, config)
+    monkeypatch.setattr(torsion, "b_dot", full_b_dot)
+    monkeypatch.setattr(torsion, "torsion_rate", full_torsion_rate)
+    ref = flow.run_flow(state, config)
+    assert len(got.states) == len(ref.states) == 3 and not got.aborted
+    assert np.max(np.abs(got.states[-1].H - state.H)) > 1e-4  # H moves
+    for name, a, b in zip(state.FIELDS, got.states[-1].fields, ref.states[-1].fields):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
 
 
 def test_residual_tensors_match_term_by_term_reference():

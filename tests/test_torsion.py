@@ -127,23 +127,23 @@ def test_dstar_matches_oracle():
 
 def test_algebroid_d_constant_scalar():
     st = random_full_state(d=2)
-    C = torsion.structure_functions(state=st, F=derive(st).F)
+    Cp = torsion.bracket_pairs(st, derive(st).F)
     sigma = np.full(st.mesh.shape, 2.0)
-    out = torsion.algebroid_d(sigma, 0, C, st.mesh, st.k)
+    out = torsion.algebroid_d(sigma, 0, Cp, st.mesh, st.k)
     assert np.max(np.abs(out)) < 1e-13
 
 
 def dd_residuals(st):
     """max |d(d sigma)| for a smooth form sigma of each degree 0, 1, 2; the
     degree-2 form runs the degree-3 differential."""
-    C = torsion.structure_functions(st, derive(st).F)
+    Cp = torsion.bracket_pairs(st, derive(st).F)
     x = st.mesh.coords()[0]
     wave = np.sin(2 * np.pi * x / st.mesh.lengths[0])
     ramp = 1.0 + np.arange(st.k + st.d)
     forms = (wave, wave[..., None] * ramp,
              wave[..., None, None] * np.subtract.outer(ramp, ramp))
     return [float(np.max(np.abs(torsion.algebroid_d(
-        torsion.algebroid_d(sigma, p, C, st.mesh, st.k), p + 1, C, st.mesh,
+        torsion.algebroid_d(sigma, p, Cp, st.mesh, st.k), p + 1, Cp, st.mesh,
         st.k)))) for p, sigma in enumerate(forms)]
 
 
@@ -222,8 +222,9 @@ def test_interior_product():
 
 
 def test_moving_frame_correction_zero_rate():
+    # a splitting at rest adds no correction to a vanishing source
     st = random_full_state(seed=41)
-    full = st.H
+    B = np.zeros(st.mesh.shape + (st.k + st.d,) * 2)
     Adot = np.zeros(st.mesh.shape + (1, st.k))
-    corr = torsion.moving_frame_correction(full, Adot, st.k)
-    assert np.max(np.abs(corr)) == 0.0
+    rate = torsion.torsion_rate(st, derive(st), B, Adot)
+    assert np.max(np.abs(rate)) == 0.0
