@@ -10,7 +10,7 @@ smooth periodic data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,9 @@ class Mesh:
 
     sizes: tuple
     lengths: tuple
+    # set once from sizes and lengths; left out of equality and hashing
+    spacings: tuple = field(init=False, repr=False, compare=False)
+    cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.sizes)
@@ -43,22 +46,17 @@ class Mesh:
             raise GridError("box lengths must be positive")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "lengths", lengths)
+        spacings = tuple(L / n for L, n in zip(lengths, sizes))
+        object.__setattr__(self, "spacings", spacings)
+        object.__setattr__(self, "cell_volume", float(np.prod(spacings)))
 
     @property
     def d(self) -> int:
         return len(self.sizes)
 
     @property
-    def spacings(self) -> tuple:
-        return tuple(L / n for L, n in zip(self.lengths, self.sizes))
-
-    @property
     def shape(self) -> tuple:
         return self.sizes
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
 
     def coords(self) -> list:
         """Coordinate arrays broadcast over the grid shape."""
@@ -70,21 +68,28 @@ class Mesh:
 
 # --- discrete calculus -------------------------------------------------------
 
-_D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2
-
-
 def deriv_array(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """4th-order periodic central difference along a grid axis of a raw array."""
+    """4th-order periodic central difference along a grid axis of a raw array.
+
+    The antisymmetric form (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 h)
+    of the weights (1, -8, 0, 8, -1) / 12 at offsets -2..2, so a constant
+    differentiates to exactly zero.
+    """
     n = values.shape[axis]
-    # two periodic ghost layers on each side; shifted reads are slices of it
-    ext = np.concatenate([values.take(range(n - 2, n), axis), values,
-                          values.take(range(2), axis)], axis=axis)
     before = (slice(None),) * axis
-    out = np.zeros_like(values)
-    for off, w in zip(range(-2, 3), _D1_W):
-        if w:
-            out += w * ext[before + (slice(2 + off, 2 + off + n),)]
-    return out / h
+    # two periodic ghost layers on each side: ext[j] = f[j - 2]
+    ext = np.concatenate([values[before + (slice(n - 2, n),)], values,
+                          values[before + (slice(0, 2),)]], axis=axis)
+
+    def shifted(off):
+        return ext[before + (slice(2 + off, 2 + off + n),)]
+
+    out = np.subtract(shifted(1), shifted(-1))
+    out *= 8.0
+    out -= shifted(2)
+    out += shifted(-2)
+    out *= 1.0 / (12.0 * h)
+    return out
 
 
 def metric_det(g: np.ndarray, d: int) -> np.ndarray:

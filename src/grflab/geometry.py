@@ -31,8 +31,11 @@ EIG_FLOOR = 1e-10
 
 def _derivs(values: np.ndarray, mesh: Mesh) -> np.ndarray:
     """Stack of coordinate derivatives; the new axis sits first among the slots."""
-    outs = [deriv_array(values, a, mesh.spacings[a]) for a in range(mesh.d)]
-    return np.stack(outs, axis=mesh.d)
+    d = mesh.d
+    out = np.empty(values.shape[:d] + (d,) + values.shape[d:])
+    for a, h in enumerate(mesh.spacings):
+        out[(slice(None),) * d + (a,)] = deriv_array(values, a, h)
+    return out
 
 
 def _pointwise_min_eig(vals: np.ndarray) -> np.ndarray:

@@ -27,15 +27,24 @@ def test_mesh_geometry_properties():
     assert mesh.d == 2
     assert mesh.spacings == (0.1, 0.2)
     assert mesh.cell_volume == pytest.approx(0.02)
+    assert mesh.spacings is mesh.spacings  # computed once, not per read
+    same = Mesh([10, 20], [1, 4])
+    assert same == mesh and hash(same) == hash(mesh)
     X, Y = mesh.coords()
     assert X.shape == (10, 20)
     assert Y[0, 3] == pytest.approx(0.6)
 
 
 def test_derivative_constant_is_zero():
+    # the antisymmetric stencil cancels a constant exactly, on every axis
     mesh = unit_mesh()
     f = np.full(mesh.shape, 3.5)
-    assert np.max(np.abs(deriv_array(f, 0, mesh.spacings[0]))) < 1e-13
+    assert np.all(deriv_array(f, 0, mesh.spacings[0]) == 0.0)
+    mesh = Mesh((16, 12), (1.0, 2.0))
+    f = np.broadcast_to(np.arange(18.0).reshape(2, 3, 3) - 4.25,
+                        mesh.shape + (2, 3, 3)).copy()
+    for axis, h in enumerate(mesh.spacings):
+        assert np.all(deriv_array(f, axis, h) == 0.0)
 
 
 def test_derivative_fourth_order_convergence():
@@ -48,6 +57,19 @@ def test_derivative_fourth_order_convergence():
         exact = 2 * np.pi * np.cos(2 * np.pi * x)
         errs.append(np.max(np.abs(d - exact)))
     assert errs[1] < errs[0] / 12.0  # 4th order would give 16
+
+
+def test_derivative_fourth_order_convergence_along_second_axis():
+    # axis 1 of a 2-D grid is the strided one
+    errs = []
+    for N in (32, 64):
+        mesh = Mesh((N, N), (1.0, 2.0))
+        X, Y = mesh.coords()
+        vals = (1.0 + 0.5 * np.cos(2 * np.pi * X)) * np.sin(np.pi * Y)
+        d = deriv_array(vals, 1, mesh.spacings[1])
+        exact = (1.0 + 0.5 * np.cos(2 * np.pi * X)) * np.pi * np.cos(np.pi * Y)
+        errs.append(np.max(np.abs(d - exact)))
+    assert errs[1] < errs[0] / 12.0
 
 
 def test_integrate_unit_box():

@@ -40,6 +40,19 @@ def test_constant_G_zero_DG_DDG_q():
     assert np.max(np.abs(der.q)) < 1e-13
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("alg", [algebra.heisenberg3, lambda: algebra.abelian(3)],
+                         ids=["heisenberg3", "abelian3"])
+def test_constant_state_derives_exactly_zero_derivatives(d, alg):
+    # the stencil cancels constants exactly, so no round-off residue is left
+    G0 = [[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.2]]
+    g0 = [[1.7]] if d == 1 else [[1.3, 0.4], [0.4, 0.9]]
+    st = constant_state(alg(), N=16, d=d, lengths=(1.0, 2.5)[:d], G0=G0, g0=g0)
+    der = derive(st)
+    for name in ("Gamma", "DG", "DDG", "F", "DF"):
+        assert np.all(getattr(der, name) == 0.0), name
+
+
 def test_flat_abelian_curvature_zero():
     st = flat_abelian_state(d=2)
     cb = curvature_closed_form(st, derive(st))

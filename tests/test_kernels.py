@@ -4,7 +4,8 @@ Each reference below is the einsum the kernel was written as before it
 became a chain of stacked matmuls over the shared DerivedGeometry tensors,
 or, for an antisymmetric torsion argument, one product with its slots
 permuted.  The kernels sum in a different order, so the two agree to a few
-ulps of the largest entry, not bit for bit.
+ulps of the largest entry, not bit for bit.  The grid derivative is checked
+the same way against the ghost-layer stencil sum it was first written as.
 """
 
 import numpy as np
@@ -714,3 +715,53 @@ def test_oracle_matches_einsum_reference():
             assert got[name].shape == ref.shape
             assert np.max(np.abs(got[name] - ref)) <= (
                 ORACLE_REL_TOL * np.max(np.abs(ref))), (name, case)
+
+
+_REF_D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2
+
+
+def ref_deriv_array(values, axis, h):
+    """The ghost-layer stencil sum the antisymmetric form replaced."""
+    n = values.shape[axis]
+    ext = np.concatenate([values.take(range(n - 2, n), axis), values,
+                          values.take(range(2), axis)], axis=axis)
+    before = (slice(None),) * axis
+    out = np.zeros_like(values)
+    for off, w in zip(range(-2, 3), _REF_D1_W):
+        if w:
+            out += w * ext[before + (slice(2 + off, 2 + off + n),)]
+    return out / h
+
+
+# the two forms round each entry differently, by a few eps of the largest
+DERIV_REL_TOL = 1e-14
+
+
+def _check_derivatives(values, mesh, label):
+    stacked = []
+    for a, h in enumerate(mesh.spacings):
+        got, ref = fields.deriv_array(values, a, h), ref_deriv_array(values, a, h)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= DERIV_REL_TOL * np.max(np.abs(ref)), (
+            label, a)
+        stacked.append(got)
+    assert np.array_equal(geometry._derivs(values, mesh),
+                          np.stack(stacked, axis=mesh.d)), label
+
+
+@pytest.mark.parametrize("slots", [(), (3, 3), (2, 3, 3), (5, 5, 5)],
+                         ids=["scalar", "3x3", "2x3x3", "5x5x5"])
+@pytest.mark.parametrize("N, d", [(64, 1), (32, 2)])
+def test_deriv_array_matches_ghost_layer_reference(N, d, slots):
+    mesh = fields.Mesh((N,) * d, (1.0, 2.5)[:d])
+    values = np.random.default_rng(N + len(slots)).standard_normal(
+        mesh.shape + slots)
+    _check_derivatives(values, mesh, (N, d, slots))
+
+
+def test_deriv_array_matches_ghost_layer_reference_on_states():
+    for case in CASES:
+        seed, d, alg = case
+        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+        for name in ("G", "g", "A", "H"):
+            _check_derivatives(getattr(state, name), state.mesh, (name, case))
