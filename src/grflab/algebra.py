@@ -141,32 +141,44 @@ def heisenberg3() -> LieAlgebra:
     return LieAlgebra(k=3, c=c)
 
 
-def algebra_from_spec(spec) -> LieAlgebra:
+def algebra_from_spec(spec, k: int | None = None) -> LieAlgebra:
     """Build an algebra from a preset name or a dense constants array.
 
     Accepted: "abelian:<k>", "heisenberg3", or {"k": k, "c": nested list,
-    row-major c[m][i][j]}.  Anything else raises AlgebraValidationError.
+    row-major c[m][i][j]}.  Anything else raises AlgebraValidationError, and
+    so does a spec of another fiber dimension than k, when k is given,
+    before anything of its size is built.
     """
+    def require_dimension(dim) -> None:
+        # compared as decimal digits, which works for a digit string of any
+        # length
+        if k is not None and str(dim) != str(k):
+            raise AlgebraValidationError(
+                f"fiber dimension {dim} where {k} is required")
+
     if isinstance(spec, str):
-        m = re.fullmatch(r"abelian:([0-9]+)", spec)
+        m = re.fullmatch(r"abelian:0*([0-9]+)", spec)
         if m:
+            require_dimension(m.group(1))
             return abelian(int(m.group(1)))
         if spec == "heisenberg3":
+            require_dimension(3)
             return heisenberg3()
         raise AlgebraValidationError(f"unknown algebra preset {spec!r}")
     if isinstance(spec, dict) and set(spec) == {"k", "c"}:
-        k = spec["k"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        dim = spec["k"]
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise AlgebraValidationError(
-                f"k must be a positive integer, got {k!r}")
+                f"k must be a positive integer, got {dim!r}")
+        require_dimension(dim)
         try:
             c = np.asarray(spec["c"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise AlgebraValidationError(
                 f"c must be a numeric array: {exc}") from exc
-        if c.size != k ** 3 or not np.all(np.isfinite(c)):
+        if c.size != dim ** 3 or not np.all(np.isfinite(c)):
             raise AlgebraValidationError(
-                f"c must hold {k ** 3} finite numbers for k = {k}")
-        return LieAlgebra(k=k, c=c.reshape(k, k, k))
+                f"c must hold {dim ** 3} finite numbers for k = {dim}")
+        return LieAlgebra(k=dim, c=c.reshape(dim, dim, dim))
     raise AlgebraValidationError(
         f"expected a preset name or an object with keys k and c, got {spec!r}")

@@ -34,13 +34,6 @@ from .geometry import GeometryState, derive, min_eig_field
 
 # --- presets -----------------------------------------------------------------
 
-def alternating_sum3(core: np.ndarray) -> np.ndarray:
-    """sum over the six orderings of core's last three slots, each with the
-    sign of its permutation."""
-    return geometry._permuted_sum("abc", [(sign, slots, core) for sign, slots in (
-        (1, "abc"), (1, "bca"), (1, "cab"), (-1, "acb"), (-1, "cba"), (-1, "bac"))])
-
-
 def _constant_state(alg: LieAlgebra, mesh: Mesh, G0, g0) -> GeometryState:
     k, d = alg.k, mesh.d
     G = np.broadcast_to(np.asarray(G0, dtype=float),
@@ -79,9 +72,8 @@ def preset_inoue_like(N: int = 64) -> GeometryState:
     3-form torsion, so the vertical torsion component is active."""
     st = _constant_state(algebra.abelian(3), Mesh((N,), (1.0,)),
                          np.eye(3), np.eye(1))
-    unit = np.zeros((3, 3, 3))
-    unit[0, 1, 2] = 0.5
-    st.H[..., :3, :3, :3] = alternating_sum3(unit)
+    st.H[..., 0, 1, 2] = 0.5
+    st.H = torsion.pack_full(st.H, st.k)
     return st
 
 
@@ -111,11 +103,10 @@ class ScenarioConfig(flow.IntegratorConfig):
         builder = PRESETS[self.preset]
         st = builder(self.mesh_n) if self.mesh_n is not None else builder()
         if self.algebra is not None:
-            alg = algebra.require_valid(algebra.algebra_from_spec(self.algebra))
-            if alg.k != st.k:
-                raise ConfigError(
-                    f"/algebra: fiber dimension {alg.k} does not match "
-                    f"preset fiber dimension {st.k}")
+            # the preset fixes the fiber dimension, checked before the
+            # algebra's k^3 constants are built
+            alg = algebra.require_valid(
+                algebra.algebra_from_spec(self.algebra, st.k))
             st = GeometryState(st.t, st.mesh, alg, st.G, st.g, st.A, st.H)
         return st
 
@@ -348,9 +339,9 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     out_dir = resolve_output_dir(cfg.output_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: an embedded null byte
         raise ConfigError(f"/output_dir: cannot create {out_dir!r}: "
-                          f"{exc.strerror or exc}") from exc
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
     state = cfg.build_state()
     manifest = {"preset": cfg.preset, "mode": cfg.mode,
                 "t_end": float(cfg.t_end), "stages": [], "status": "started"}
@@ -439,20 +430,16 @@ def random_state(rng: np.random.Generator, alg: LieAlgebra, N: int, d: int,
             A[..., a, i] = wave()
     H = np.zeros(mesh.shape + (k + d,) * 3)
     if with_H:
-        alt = alternating_sum3(rng.normal(size=(k, k, k)) * 0.3 / 6.0)
-        # fill the canonical fiber-first entries, then every other ordering
+        alt = torsion.alternating_sum(rng.normal(size=(k, k, k)) * 0.3 / 6.0)
+        # pack_full reads each block at its increasing triples and spreads
+        # them over every other ordering
         H[..., :k, :k, :k] = (1.0 + wave())[..., None, None, None] * alt
         for i in range(k):
             for j in range(i):
-                w = wave()
-                for a in range(k, k + d):
-                    H[..., j, i, a] = w
-                    H[..., i, j, a] = -w
+                H[..., j, i, k:] = wave()[..., None]
         if d == 2:
             for i in range(k):
-                w = wave()
-                H[..., i, k, k + 1] = w
-                H[..., i, k + 1, k] = -w
+                H[..., i, k, k + 1] = wave()
         H = torsion.pack_full(H, k)
     return GeometryState(0.0, mesh, alg, G, g, A, H)
 

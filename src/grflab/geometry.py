@@ -66,9 +66,9 @@ class GeometryState:
     """A full field configuration at one instant: (G, g, A, H) on the mesh.
 
     H[..., alpha, beta, gamma] is the torsion 3-form on the combined frame,
-    K = k + d slots with the fiber directions first, stored with every slot
-    ordering filled (torsion.pack_full rebuilds them from the canonical
-    fiber-first entries).
+    K = k + d slots with the fiber directions first, stored exactly
+    antisymmetric with every slot ordering filled (torsion.pack_full spreads
+    them from the entries at the strictly increasing index triples).
     """
 
     t: float

@@ -1,14 +1,14 @@
 """Torsion 3-form machinery on the extension bundle.
 
 The torsion is one antisymmetric (..., K, K, K) array over the combined frame
-(K = k + d indices, fiber first), held in GeometryState.H; pack_full rebuilds
-every slot ordering from its canonical fiber-first entries.  Includes the
-frame brackets, the generic exterior derivative of the bracket geometry, the
-quadratic contractions of H, and the closed-form codifferential that drives
-the torsion evolution.  The differential, the codifferential and the torsion
-rate are evaluated at their strictly increasing index tuples only, the
-independent components of a form, and each result is spread once by
-antisymmetry over its full array.
+(K = k + d indices, fiber first), held in GeometryState.H.  Every full
+antisymmetric array in this module is spread once from its components at the
+strictly increasing index tuples, the independent components of a form:
+pack_full and alternating_sum for the torsion, the differential, the
+codifferential and the torsion rate, which are also evaluated there only.
+Includes the frame brackets, the generic exterior derivative of the bracket
+geometry, the quadratic contractions of H, and the closed-form
+codifferential that drives the torsion evolution.
 """
 
 from __future__ import annotations
@@ -22,43 +22,30 @@ import numpy as np
 
 from .fields import Mesh, deriv_array
 from .geometry import (DerivedGeometry, GeometryState, _derivs,
-                       _permuted_sum, _raise_last_two, as_matrices,
-                       connection_action, metric_trace, pair_trace,
-                       raise_first)
+                       _raise_last_two, as_matrices, connection_action,
+                       metric_trace, pair_trace, raise_first)
 
 
 # --- full-frame packing ------------------------------------------------------
 
-def _perm_weight(kinds) -> float:
-    # Several permutations land on each entry of a mixed block; averaging them
-    # antisymmetrizes the canonical block within its equal-kind slots, which
-    # leaves an already antisymmetric block unchanged.
-    nf = sum(1 for t in kinds if t == 0)
-    return 1.0 / (math.factorial(nf) * math.factorial(3 - nf))
-
-
 def pack_full(full3: np.ndarray, k: int) -> np.ndarray:
-    """Rebuild every slot ordering of a (..., K, K, K) torsion array from its
-    canonical fiber-first entries.
+    """The antisymmetric (..., K, K, K) torsion array with full3's entries at
+    the strictly increasing index triples, spread by antisymmetry over every
+    slot ordering; the identity on an exactly antisymmetric array."""
+    K = full3.shape[-1]
+    tables = _d_tables(K, k, 2)
+    comps = full3.reshape(full3.shape[:-3] + (K ** 3,))[..., tables.tuples]
+    return _spread(comps, tables, K, 3)
 
-    The canonical blocks are [:k, :k, :k], [:k, :k, k:], [:k, k:, k:] and
-    [k:, k:, k:].  The all-fiber block is copied; each other block is spread
-    over the orderings of its slot kinds with signs and averaged over the
-    permutations that land on the same entry, so the mixed entries come out
-    exact negatives under every slot swap.
-    """
-    # the weighted canonical mixed blocks; each permutation of the whole array
-    # moves every block onto one ordering of its slot kinds, and the blocks
-    # of different kinds never land on the same entry
-    canonical = np.zeros_like(full3)
-    for kinds in ((0, 0, 1), (0, 1, 1), (1, 1, 1)):
-        canon = (Ellipsis,) + tuple(
-            slice(None, k) if t == 0 else slice(k, None) for t in kinds)
-        canonical[canon] = _perm_weight(kinds) * full3[canon]
-    full = _permuted_sum("abc", [(sign, slots, canonical) for sign, slots in (
-        (1, "abc"), (-1, "bac"), (-1, "acb"), (-1, "cba"), (1, "cab"), (1, "bca"))])
-    full[..., :k, :k, :k] = full3[..., :k, :k, :k]
-    return full
+
+def alternating_sum(core: np.ndarray) -> np.ndarray:
+    """Sum over the six orderings of core's last three slots, each with the
+    sign of its permutation: the sums at the increasing triples, one
+    contraction with the spread matrix, spread once."""
+    K = core.shape[-1]
+    tables = _d_tables(K, K, 2)
+    comps = core.reshape(core.shape[:-3] + (K ** 3,)) @ tables.spread.T
+    return _spread(comps, tables, K, 3)
 
 
 def inverse_frame_metric(der: DerivedGeometry) -> np.ndarray:
@@ -132,6 +119,7 @@ class _DTables(NamedTuple):
     signs: tuple         # the sign of each term
     frame: np.ndarray    # frame[s, n]: entry of P read by slot s of tuple n
     spread: np.ndarray   # spread[n, entry]: the sign tuple n lands with there
+    tuples: np.ndarray   # the flat index of each increasing (p + 1)-tuple
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,7 +179,8 @@ def _d_tables(K: int, k: int, p: int) -> _DTables:
                     [flat(r) for r in rests],
                     np.array(terms, dtype=int).reshape(len(signs), len(outs)),
                     tuple(signs),
-                    np.array(frame, dtype=int).reshape(p + 1, len(outs)), spread)
+                    np.array(frame, dtype=int).reshape(p + 1, len(outs)), spread,
+                    np.array([flat(t) for t in outs], dtype=int))
 
 
 def _signed_sum(terms: np.ndarray, signs) -> np.ndarray:

@@ -230,7 +230,7 @@ def gauge_initial_state(N):
     # the constant fiber volume form is closed for a nilpotent algebra
     unit = np.zeros((k, k, k))
     unit[0, 1, 2] = 0.4
-    H[..., :k, :k, :k] = cli.alternating_sum3(unit)
+    H[..., :k, :k, :k] = torsion.alternating_sum(unit)
     return GeometryState(0.0, mesh, alg, G, g, A, H)
 
 

@@ -166,6 +166,17 @@ def test_algebra_from_spec():
             algebra_from_spec(bad)
 
 
+def test_algebra_from_spec_checks_the_fiber_dimension_first():
+    assert algebra_from_spec("abelian:003", 3).k == 3
+    assert algebra_from_spec({"k": 3, "c": [0] * 27}, 3).k == 3
+    # refused before the k^3 constants are built, for a digit string of any
+    # length
+    for bad in ("abelian:99999", "abelian:" + "9" * 5000, "heisenberg3",
+                {"k": 99999, "c": []}):
+        with pytest.raises(AlgebraValidationError, match="fiber dimension"):
+            algebra_from_spec(bad, 2)
+
+
 def test_beta_is_minus_c():
     alg = heisenberg3()
     assert np.array_equal(alg.beta, -alg.c)

@@ -179,7 +179,8 @@ INVALID_VALUES = {
     # with k != 2 do not fit
     "algebra": [_NON_STRINGS, _STRINGS + [
         "heisenberg3", "abelian:3", "abelian:0", "abelian:", "abelian:x",
-        "abelian:-2", "abelian:2.0", "abelian: 2", "abelian:2\n", "Abelian:2"]],
+        "abelian:-2", "abelian:2.0", "abelian: 2", "abelian:2\n", "Abelian:2",
+        "abelian:99999"]],
     "mode": [_NON_STRINGS, _unknown_strings("ungauged", "canonical")
              + ["sideways", "general"]],
     "t_end": _NUMBERS,
@@ -188,7 +189,7 @@ INVALID_VALUES = {
     "max_steps": _INTEGERS,
     "report_stride": _INTEGERS,
     "identity_rel_tol": _NUMBERS,
-    "output_dir": [_NON_STRINGS, [""]],
+    "output_dir": [_NON_STRINGS, ["", "a\u0000b"]],
 }
 
 

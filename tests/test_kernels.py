@@ -8,6 +8,8 @@ ulps of the largest entry, not bit for bit.  The grid derivative is checked
 the same way against the ghost-layer stencil sum it was first written as.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -271,9 +273,37 @@ def ref_bracket_pairs(state, der):
     return C.reshape(C.shape[:-2] + (K * K,))[..., :k, _increasing_pairs(state)]
 
 
+# -- the torsion packing as permuted sums -------------------------------------
+# pack_full as it was: each canonical fiber-first block weighted, summed over
+# the six slot permutations and so averaged over the permutations that land on
+# one entry, with the fiber block copied; the alternating sum as six permuted
+# views.
+
+def _ref_perm_weight(kinds):
+    nf = sum(1 for t in kinds if t == 0)
+    return 1.0 / (math.factorial(nf) * math.factorial(3 - nf))
+
+
+def ref_pack_full(full3, k):
+    canonical = np.zeros_like(full3)
+    for kinds in ((0, 0, 1), (0, 1, 1), (1, 1, 1)):
+        canon = (Ellipsis,) + tuple(
+            slice(None, k) if t == 0 else slice(k, None) for t in kinds)
+        canonical[canon] = _ref_perm_weight(kinds) * full3[canon]
+    full = geometry._permuted_sum("abc", [(sign, slots, canonical) for sign, slots in (
+        (1, "abc"), (-1, "bac"), (-1, "acb"), (-1, "cba"), (1, "cab"), (1, "bca"))])
+    full[..., :k, :k, :k] = full3[..., :k, :k, :k]
+    return full
+
+
+def ref_alternating_sum3(core):
+    return geometry._permuted_sum("abc", [(sign, slots, core) for sign, slots in (
+        (1, "abc"), (1, "bca"), (1, "cab"), (-1, "acb"), (-1, "cba"), (-1, "bac"))])
+
+
 # -- the torsion evolution as full (..., K, ..., K) arrays --------------------
 # The torsion source as five full antisymmetric pieces of -d*H, and the rate
-# as pack_full of the reference differential of B less a K^3 moving-frame
+# as ref_pack_full of the reference differential of B less a K^3 moving-frame
 # correction: the composition torsion_rate and b_dot replace by sums at the
 # increasing index tuples.
 
@@ -322,7 +352,7 @@ def full_moving_frame_correction(full3, Adot, k):
 def full_torsion_rate(state, der, B, dA):
     k = state.k
     dB = _ref_algebroid_d(B, 2, ref_structure_functions(state, der), state.mesh, k)
-    return torsion.pack_full(dB - full_moving_frame_correction(state.H, dA, k), k)
+    return ref_pack_full(dB - full_moving_frame_correction(state.H, dA, k), k)
 
 
 def with_reference_piece(n, ref_piece):
@@ -665,6 +695,26 @@ def test_torsion_rate_and_source_match_the_full_array_composition():
         ref = full_torsion_rate(state, der, v.B, v.dA)
         assert np.max(np.abs(rate - ref)) <= FULL_REL_TOL * np.max(np.abs(ref)), case
         assert np.array_equal(torsion.pack_full(rate, state.k), rate), case
+
+
+def test_packing_matches_the_permuted_sum_reference():
+    for case in CASES:
+        seed, d, alg = case
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, ALGEBRAS[alg](), 8, d)
+        k, K = state.k, state.k + d
+        core = rng.normal(size=state.mesh.shape + (K, K, K))
+        got, ref = torsion.alternating_sum(core), ref_alternating_sum3(core)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), case
+        # neither reads an ordering with a base slot before a fiber slot
+        X = state.H.copy()
+        X[..., k:, :k, :] = core[..., k:, :k, :]
+        X[..., :, k:, :k] = core[..., :, k:, :k]
+        base = np.arange(K) >= k
+        n_base = base[:, None, None].astype(int) + base[:, None] + base
+        mixed = (n_base > 0) & (n_base < 3)
+        assert np.array_equal(torsion.pack_full(X, k)[..., mixed],
+                              ref_pack_full(X, k)[..., mixed]), case
 
 
 def test_two_dimensional_torsion_run_matches_the_full_array_rates(monkeypatch):

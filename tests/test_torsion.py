@@ -4,7 +4,7 @@ import numpy as np
 
 from conftest import constant_state, flat_abelian_state, heisenberg_state
 from grflab import algebra, flow, functionals, oracle, torsion
-from grflab.cli import preset_inoue_like, random_state
+from grflab.cli import PRESETS, preset_inoue_like, random_state
 from grflab.geometry import derive
 
 
@@ -13,11 +13,10 @@ def random_full_state(seed=0, N=16, d=1):
     return random_state(rng, algebra.heisenberg3(), N, d)
 
 
-def _swap_negated_on_mixed_entries(H, k):
-    base = (np.arange(H.shape[-1]) >= k).astype(int)
-    n_base = base[:, None, None] + base[:, None] + base
-    mixed = (n_base > 0) & (n_base < 3)
-    return all(np.array_equal(H[..., mixed], -np.swapaxes(H, *axes)[..., mixed])
+def _exactly_antisymmetric(H):
+    """Every entry, the fiber block included, is the exact negative of its
+    image under each of the three slot swaps."""
+    return all(np.array_equal(H, -np.swapaxes(H, *axes))
                for axes in ((-3, -2), (-2, -1), (-3, -1)))
 
 
@@ -37,6 +36,10 @@ PACK_CASES = [
 
 def test_torsion_of_new_states_is_its_own_pack():
     # states built from packed states by linear combination stay packed
+    for name, preset in PRESETS.items():
+        st = preset(8)
+        assert _exactly_antisymmetric(st.H), name
+        assert np.array_equal(st.H, torsion.pack_full(st.H, st.k)), name
     for case in PACK_CASES:
         seed, d, mode = case
         rng = np.random.default_rng(seed)
@@ -54,16 +57,17 @@ def test_torsion_of_new_states_is_its_own_pack():
             np.zeros(state.mesh.shape))
         perturbed = functionals.perturbed_state(state, derive(state),
                                                 direction, 1e-2)
-        for H in (hist.states[-1].H, mid.H, perturbed.H):
+        for H in (state.H, *(s.H for s in hist.states[1:]), mid.H, perturbed.H):
             assert np.array_equal(H, torsion.pack_full(H, k)), case
-            assert _swap_negated_on_mixed_entries(H, k), case
+            assert _exactly_antisymmetric(H), case
 
 
 def test_pack_full_antisymmetric():
     st = random_full_state(d=2)
     full = torsion.pack_full(st.H, st.k)
-    assert np.allclose(full, -np.swapaxes(full, -3, -2))
-    assert np.allclose(full, -np.swapaxes(full, -2, -1))
+    assert _exactly_antisymmetric(full)
+    # the identity on an exactly antisymmetric array
+    assert np.array_equal(torsion.pack_full(full, st.k), full)
 
 
 def test_inverse_frame_metric():
