@@ -388,60 +388,86 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
 
 # --- randomized verification -------------------------------------------------
 
+def random_waves(rng: np.random.Generator, mesh: Mesh, n: int, amp: float,
+                 max_freq: int) -> np.ndarray:
+    """n seeded smooth random fields (..., n) on mesh, each a sum of a few
+    low harmonics (the first max_freq multiples on a circle, up to three
+    modes on a torus) whose cosine and sine coefficients are drawn uniformly
+    in [-amp, amp], wave after wave."""
+    if mesh.d == 1:
+        freqs = [(m,) for m in range(1, max_freq + 1)]
+    else:
+        freqs = [(1, 0), (0, 1), (1, 1)][:max_freq + 1]
+    coeffs = rng.uniform(-amp, amp, (n, len(freqs), 2))
+    Xs = mesh.coords()
+    out = np.zeros(mesh.shape + (n,))
+    for fr, (a, b) in zip(freqs, np.moveaxis(coeffs, (1, 2), (0, 1))):
+        phase = sum(2.0 * np.pi * fi * X / L
+                    for fi, X, L in zip(fr, Xs, mesh.lengths))
+        out += a * np.cos(phase)[..., None] + b * np.sin(phase)[..., None]
+    return out
+
+
+def _mirrored(values: np.ndarray, rows, cols, n: int) -> np.ndarray:
+    """The symmetric (..., n, n) field with values[..., m] at (rows[m],
+    cols[m]) and at its transpose."""
+    out = np.zeros(values.shape[:-1] + (n, n))
+    out[..., rows, cols] = values
+    out[..., cols, rows] = values
+    return out
+
+
+def _random_metric(rng, mesh: Mesh, n: int, amp: float, max_freq: int):
+    """A symmetric field near the identity: its diagonal, then its entries
+    below the diagonal row by row at a third of that size."""
+    w = random_waves(rng, mesh, n * (n + 1) // 2, amp, max_freq)
+    rows, cols = np.tril_indices(n, -1)
+    diag = np.arange(n)
+    return _mirrored(np.concatenate([1.0 + w[..., :n], 0.3 * w[..., n:]], axis=-1),
+                     np.concatenate([diag, rows]), np.concatenate([diag, cols]), n)
+
+
 def random_state(rng: np.random.Generator, alg: LieAlgebra, N: int, d: int,
                  amp: float = 0.12,
                  with_H: bool = True, max_freq: int = 2) -> GeometryState:
     """Seeded smooth random fields on a (2 pi)^d box, a few low harmonics each."""
     mesh = Mesh((N,) * d, (2.0 * np.pi,) * d)
-    Xs = mesh.coords()
     k = alg.k
-
-    def wave():
-        out = np.zeros(mesh.shape)
-        if d == 1:
-            freqs = [(m,) for m in range(1, max_freq + 1)]
-        else:
-            freqs = [(1, 0), (0, 1), (1, 1)][:max_freq + 1]
-        for fr in freqs:
-            a, b = rng.uniform(-amp, amp, 2)
-            phase = sum(2.0 * np.pi * fi * X / L
-                        for fi, X, L in zip(fr, Xs, mesh.lengths))
-            out += a * np.cos(phase) + b * np.sin(phase)
-        return out
-
-    G = np.zeros(mesh.shape + (k, k))
-    for i in range(k):
-        G[..., i, i] = 1.0 + wave()
-    for i in range(k):
-        for j in range(i):
-            w = 0.3 * wave()
-            G[..., i, j] = w
-            G[..., j, i] = w
-    g = np.zeros(mesh.shape + (d, d))
-    for a in range(d):
-        g[..., a, a] = 1.0 + wave()
-    if d == 2:
-        w = 0.3 * wave()
-        g[..., 0, 1] = w
-        g[..., 1, 0] = w
-    A = np.zeros(mesh.shape + (d, k))
-    for a in range(d):
-        for i in range(k):
-            A[..., a, i] = wave()
+    G = _random_metric(rng, mesh, k, amp, max_freq)
+    g = _random_metric(rng, mesh, d, amp, max_freq)
+    A = random_waves(rng, mesh, d * k, amp, max_freq).reshape(mesh.shape + (d, k))
     H = np.zeros(mesh.shape + (k + d,) * 3)
     if with_H:
         alt = torsion.alternating_sum(rng.normal(size=(k, k, k)) * 0.3 / 6.0)
+        w = random_waves(rng, mesh, 1 + k * (k - 1) // 2 + (k if d == 2 else 0),
+                         amp, max_freq)
         # pack_full reads each block at its increasing triples and spreads
         # them over every other ordering
-        H[..., :k, :k, :k] = (1.0 + wave())[..., None, None, None] * alt
-        for i in range(k):
-            for j in range(i):
-                H[..., j, i, k:] = wave()[..., None]
+        H[..., :k, :k, :k] = (1.0 + w[..., 0])[..., None, None, None] * alt
+        rows, cols = np.tril_indices(k, -1)  # pairs j < i, ordered by i
+        H[..., cols, rows, k:] = w[..., 1:1 + rows.size, None]
         if d == 2:
-            for i in range(k):
-                H[..., i, k, k + 1] = wave()
+            H[..., :k, k, k + 1] = w[..., 1 + rows.size:]
         H = torsion.pack_full(H, k)
     return GeometryState(0.0, mesh, alg, G, g, A, H)
+
+
+def random_direction(rng: np.random.Generator, state: GeometryState,
+                     amp: float = 0.12) -> functionals.VariationDirection:
+    """A seeded smooth random variation of state: symmetric dG and dg filled
+    row by row below and on the diagonal, dA, a 2-form B written at its
+    increasing pairs column by column and spread, and the potential's rate."""
+    mesh, k, d = state.mesh, state.k, state.d
+    K = k + d
+    sizes = (k * (k + 1) // 2, d * (d + 1) // 2, d * k, K * (K - 1) // 2, 1)
+    wG, wg, wA, wB, wf = np.split(random_waves(rng, mesh, sum(sizes), amp, 2),
+                                  np.cumsum(sizes)[:-1], axis=-1)
+    rows, cols = np.tril_indices(K, -1)
+    B = np.zeros(mesh.shape + (K, K))
+    B[..., cols, rows] = wB
+    return functionals.VariationDirection(
+        _mirrored(wG, *np.tril_indices(k), k), _mirrored(wg, *np.tril_indices(d), d),
+        wA.reshape(mesh.shape + (d, k)), torsion.pack_full(B, k, 2), wf[..., 0])
 
 
 def verify_curvature(seed: int, N: int) -> list[tuple[str, float, bool]]:
@@ -498,39 +524,11 @@ def verify_variation(seed: int, N: int, count: int = 5) -> list:
     rows = []
     rng = np.random.default_rng(seed + 100)
     st = random_state(rng, algebra.heisenberg3(), N, 1)
-    mesh = st.mesh
-    (X,) = mesh.coords()
-    k, d = st.k, mesh.d
-    K = k + d
-
-    def wave():
-        a1, b1, a2, b2 = rng.uniform(-0.12, 0.12, 4)
-        return (a1 * np.cos(X) + b1 * np.sin(X)
-                + a2 * np.cos(2 * X) + b2 * np.sin(2 * X))
-
-    f = wave()
+    f = random_waves(rng, st.mesh, 1, 0.12, 2)[..., 0]
     der = derive(st, validated=True)
     rt = functionals.residual_tensors(st, f, der)
     for trial in range(count):
-        dG = np.zeros(mesh.shape + (k, k))
-        for i in range(k):
-            for j in range(i + 1):
-                w = wave()
-                dG[..., i, j] = w
-                dG[..., j, i] = w
-        dg = np.zeros(mesh.shape + (d, d))
-        for a in range(d):
-            dg[..., a, a] = wave()
-        dA = np.zeros(mesh.shape + (d, k))
-        for i in range(k):
-            dA[..., 0, i] = wave()
-        B = np.zeros(mesh.shape + (K, K))
-        for i in range(K):
-            for j in range(i):
-                w = wave()
-                B[..., j, i] = w
-                B[..., i, j] = -w
-        direction = functionals.VariationDirection(dG, dg, dA, B, wave())
+        direction = random_direction(rng, st)
         res = functionals.variation_check_F(st, f, direction, der, rt)
         tol = 1e-4 * max(1.0, (64.0 / N) ** 4)
         rows.append((f"variation trial {trial}", res["rel_gap"],

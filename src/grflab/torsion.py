@@ -3,12 +3,14 @@
 The torsion is one antisymmetric (..., K, K, K) array over the combined frame
 (K = k + d indices, fiber first), held in GeometryState.H.  Every full
 antisymmetric array in this module is spread once from its components at the
-strictly increasing index tuples, the independent components of a form:
-pack_full and alternating_sum for the torsion, the differential, the
-codifferential and the torsion rate, which are also evaluated there only.
-Includes the frame brackets, the generic exterior derivative of the bracket
-geometry, the quadratic contractions of H, and the closed-form
-codifferential that drives the torsion evolution.
+strictly increasing index tuples, the independent components of a form, by
+the spread table of _d_tables: pack_full for a form of any degree and
+alternating_sum for the torsion, the differential, the codifferential and
+the torsion rate, which are also evaluated there only.  The increasing pairs
+are declared once, as the tuples of the degree-1 table; the frame brackets
+and the codifferential are read at them.  Includes the generic exterior
+derivative of the bracket geometry, the quadratic contractions of H, and the
+closed-form codifferential that drives the torsion evolution.
 """
 
 from __future__ import annotations
@@ -28,14 +30,15 @@ from .geometry import (DerivedGeometry, GeometryState, _derivs,
 
 # --- full-frame packing ------------------------------------------------------
 
-def pack_full(full3: np.ndarray, k: int) -> np.ndarray:
-    """The antisymmetric (..., K, K, K) torsion array with full3's entries at
-    the strictly increasing index triples, spread by antisymmetry over every
-    slot ordering; the identity on an exactly antisymmetric array."""
-    K = full3.shape[-1]
-    tables = _d_tables(K, k, 2)
-    comps = full3.reshape(full3.shape[:-3] + (K ** 3,))[..., tables.tuples]
-    return _spread(comps, tables, K, 3)
+def pack_full(full: np.ndarray, k: int, degree: int = 3) -> np.ndarray:
+    """The antisymmetric (..., K, ..., K) array of a degree-form with full's
+    entries at the strictly increasing index tuples, spread by antisymmetry
+    over every slot ordering; the identity on an exactly antisymmetric
+    array."""
+    K = full.shape[-1]
+    tables = _d_tables(K, k, degree - 1)
+    comps = full.reshape(full.shape[:-degree] + (K ** degree,))[..., tables.tuples]
+    return _spread(comps, tables, K, degree)
 
 
 def alternating_sum(core: np.ndarray) -> np.ndarray:
@@ -57,37 +60,6 @@ def inverse_frame_metric(der: DerivedGeometry) -> np.ndarray:
     return gEi
 
 
-class _PairTables(NamedTuple):
-    """Index tables of the increasing index pairs over K frame slots, the
-    first k of them fiber (see _pair_tables)."""
-
-    ij: np.ndarray       # flat index i K + j of each pair i < j
-    ji: np.ndarray       # flat index of its transpose
-    brackets: np.ndarray  # where bracket_pairs reads each pair's bracket
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_tables(K: int, k: int) -> _PairTables:
-    """Index tables of the increasing pairs.  bracket_pairs reads a
-    fiber-fiber pair (i, j) at column i k + j of the bracket, a fiber-base
-    pair (i, a) at column (a - k) k + i of the connection action and a
-    base-base pair (a, b) at column (a - k) d + b - k of F, the three laid
-    end to end."""
-    d = K - k
-
-    def column(i, j):
-        if j < k:
-            return i * k + j
-        if i < k:
-            return k * k + (j - k) * k + i
-        return k * k + d * k + (i - k) * d + j - k
-
-    pairs = list(itertools.combinations(range(K), 2))
-    return _PairTables(*(np.array(col, dtype=int) for col in (
-        [i * K + j for i, j in pairs], [j * K + i for i, j in pairs],
-        [column(i, j) for i, j in pairs])))
-
-
 def bracket_pairs(state: GeometryState, F: np.ndarray) -> np.ndarray:
     """Frame brackets at the increasing index pairs: Cp[..., m, n] =
     C^m_{alpha beta} for the n-th pair alpha < beta, [e_alpha, e_beta] =
@@ -97,15 +69,16 @@ def bracket_pairs(state: GeometryState, F: np.ndarray) -> np.ndarray:
     Fiber-fiber pairs carry the fiberwise bracket (beta = -c in this frame),
     fiber-base pairs come from the connection form, and base-base pairs
     equal -F (DerivedGeometry.F) since coordinate fields commute on the base.
+    The brackets are laid out as (..., k, K, K) rows and read at the pairs of
+    _d_tables(K, k, 1); the base-fiber block, below them, is never read.
     """
-    k, d = state.k, state.d
-    lead = state.mesh.shape + (k,)
-    cA = connection_action(state.A, state.alg)  # [..., a, m, i]
-    rows = np.concatenate([
-        np.broadcast_to(state.alg.beta.reshape(k, k * k), lead + (k * k,)),
-        -np.swapaxes(cA, -3, -2).reshape(lead + (d * k,)),
-        -np.moveaxis(F, -1, -3).reshape(lead + (d * d,))], axis=-1)
-    return rows[..., _pair_tables(k + d, k).brackets]
+    k = state.k
+    K = k + state.d
+    C = np.empty(state.mesh.shape + (k, K, K))
+    C[..., :k, :k] = state.alg.beta
+    C[..., :k, k:] = -np.moveaxis(connection_action(state.A, state.alg), -3, -1)
+    C[..., k:, k:] = -np.moveaxis(F, -1, -3)
+    return C.reshape(C.shape[:-2] + (K * K,))[..., _d_tables(K, k, 1).tuples]
 
 
 # --- exterior derivative -----------------------------------------------------
@@ -118,8 +91,11 @@ class _DTables(NamedTuple):
     terms: np.ndarray    # terms[m, n]: source entry of term m of tuple n
     signs: tuple         # the sign of each term
     frame: np.ndarray    # frame[s, n]: entry of P read by slot s of tuple n
-    spread: np.ndarray   # spread[n, entry]: the sign tuple n lands with there
-    tuples: np.ndarray   # the flat index of each increasing (p + 1)-tuple
+    spread: np.ndarray   # spread[n, entry]: the sign tuple n lands with there;
+                         # spreads any (p + 1)-form (pack_full, _spread)
+    tuples: np.ndarray   # the flat index of each increasing (p + 1)-tuple; at
+                         # p = 1 the pairs bracket_pairs and
+                         # minus_dstar_terms are read at, in the order of Q
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,9 +293,9 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     gi, Gamma = der.gi, der.Gamma
     K = k + state.d
     grid = mesh.shape
-    pairs = _pair_tables(K, k)
+    ij = _d_tables(K, k, 1).tuples  # the flat index i K + j of each pair i < j
 
-    Hb_pairs = H.reshape(grid + (K, K * K))[..., k:, pairs.ij]  # [..., b, n]
+    Hb_pairs = H.reshape(grid + (K, K * K))[..., k:, ij]  # [..., b, n]
     v = metric_trace(gi, np.moveaxis(Gamma, -3, -1)) + der.q
     out = (metric_trace(gi, _derivs(Hb_pairs, mesh))
            - (v[..., None, :] @ Hb_pairs)[..., 0, :])
@@ -335,7 +311,7 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     Z[..., :k, :] -= 0.5 * (as_matrices(der.Gb_up, 1, 2)
                             @ as_matrices(H[..., :k, :k, :], 2, 1))
     Z = Z.reshape(grid + (K * K,))
-    out -= Z[..., pairs.ij] - Z[..., pairs.ji]
+    out -= Z[..., ij] - Z[..., ij % K * K + ij // K]
     return out
 
 

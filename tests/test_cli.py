@@ -469,6 +469,17 @@ def test_verify_subcommand(capsys):
         assert f"--seed {seed}" in captured.err
 
 
+def test_verify_variation_suite(capsys):
+    assert cli.main(["verify", "--suite", "variation", "--mesh", "32",
+                     "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    for trial, line in enumerate(lines[:5]):
+        assert line.startswith(f"variation trial {trial} ")
+        assert line.endswith("  PASS")
+    assert lines[5].split() == ["overall", "PASS"]
+
+
 def test_mesh_too_large_to_allocate_ends_in_one_line(tmp_path, capsys):
     # numpy refuses these sizes before it allocates anything
     for preset, n in (("heisenberg-s1", 2 ** 62), ("torus-bundle-t2", 2 ** 32)):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import constant_state, flat_abelian_state, heisenberg_state
 from grflab import algebra
-from grflab.cli import preset_inoue_like, random_state
+from grflab.cli import preset_inoue_like, random_direction, random_state
 from grflab.fields import DomainError, integrate_values
 from grflab.flow import blowdown_rescale
 from grflab.functionals import (VariationDirection, eval_F, eval_Wplus,
@@ -144,38 +144,6 @@ def test_W_extra_signs():
     assert W_extra_h == pytest.approx(-0.5 * (4 * np.pi * t) ** -0.5, rel=1e-10)
 
 
-def random_direction(rng, st):
-    mesh, k, d = st.mesh, st.k, st.d
-    K = k + d
-    (x,) = mesh.coords()
-    L = mesh.lengths[0]
-
-    def wave():
-        a1, b1, a2, b2 = rng.uniform(-0.1, 0.1, 4)
-        arg = 2 * np.pi * x / L
-        return (a1 * np.cos(arg) + b1 * np.sin(arg)
-                + a2 * np.cos(2 * arg) + b2 * np.sin(2 * arg))
-
-    dG = np.zeros(mesh.shape + (k, k))
-    for i in range(k):
-        for j in range(i + 1):
-            w = wave()
-            dG[..., i, j] = w
-            dG[..., j, i] = w
-    dg = np.zeros(mesh.shape + (d, d))
-    dg[..., 0, 0] = wave()
-    dA = np.zeros(mesh.shape + (d, k))
-    for i in range(k):
-        dA[..., 0, i] = wave()
-    B = np.zeros(mesh.shape + (K, K))
-    for i in range(K):
-        for j in range(i):
-            w = wave()
-            B[..., j, i] = w
-            B[..., i, j] = -w
-    return VariationDirection(dG, dg, dA, B, wave())
-
-
 def test_variation_zero_direction():
     st = heisenberg_state(N=32)
     zero = VariationDirection(
@@ -210,7 +178,8 @@ def test_variation_random_directions():
     der = derive(st)
     rt = residual_tensors(st, f, der)
     for _ in range(3):
-        res = variation_check_F(st, f, random_direction(rng, st), der, rt)
+        res = variation_check_F(st, f, random_direction(rng, st, amp=0.1),
+                                der, rt)
         assert res["rel_gap"] < 1e-4
 
 

@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from grflab import algebra, fields, flow, functionals, geometry, oracle, torsion
+from grflab import (algebra, cli, fields, flow, functionals, geometry, oracle,
+                    torsion)
 from grflab.cli import random_state
 
 ALGEBRAS = {"heisenberg3": algebra.heisenberg3,
@@ -815,3 +816,132 @@ def test_deriv_array_matches_ghost_layer_reference_on_states():
         state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
         for name in ("G", "g", "A", "H"):
             _check_derivatives(getattr(state, name), state.mesh, (name, case))
+
+
+# -- the random inputs as they were drawn -------------------------------------
+# random_state and verify_variation's direction builder as they were written
+# before both drew through cli.random_waves: a wave() closure and fill loops
+# each, the 2-form direction by paired writes.
+
+def ref_random_state(rng, alg, N, d, amp=0.12, with_H=True, max_freq=2):
+    mesh = fields.Mesh((N,) * d, (2.0 * np.pi,) * d)
+    Xs = mesh.coords()
+    k = alg.k
+
+    def wave():
+        out = np.zeros(mesh.shape)
+        if d == 1:
+            freqs = [(m,) for m in range(1, max_freq + 1)]
+        else:
+            freqs = [(1, 0), (0, 1), (1, 1)][:max_freq + 1]
+        for fr in freqs:
+            a, b = rng.uniform(-amp, amp, 2)
+            phase = sum(2.0 * np.pi * fi * X / L
+                        for fi, X, L in zip(fr, Xs, mesh.lengths))
+            out += a * np.cos(phase) + b * np.sin(phase)
+        return out
+
+    G = np.zeros(mesh.shape + (k, k))
+    for i in range(k):
+        G[..., i, i] = 1.0 + wave()
+    for i in range(k):
+        for j in range(i):
+            w = 0.3 * wave()
+            G[..., i, j] = w
+            G[..., j, i] = w
+    g = np.zeros(mesh.shape + (d, d))
+    for a in range(d):
+        g[..., a, a] = 1.0 + wave()
+    if d == 2:
+        w = 0.3 * wave()
+        g[..., 0, 1] = w
+        g[..., 1, 0] = w
+    A = np.zeros(mesh.shape + (d, k))
+    for a in range(d):
+        for i in range(k):
+            A[..., a, i] = wave()
+    H = np.zeros(mesh.shape + (k + d,) * 3)
+    if with_H:
+        alt = torsion.alternating_sum(rng.normal(size=(k, k, k)) * 0.3 / 6.0)
+        H[..., :k, :k, :k] = (1.0 + wave())[..., None, None, None] * alt
+        for i in range(k):
+            for j in range(i):
+                H[..., j, i, k:] = wave()[..., None]
+        if d == 2:
+            for i in range(k):
+                H[..., i, k, k + 1] = wave()
+        H = torsion.pack_full(H, k)
+    return geometry.GeometryState(0.0, mesh, alg, G, g, A, H)
+
+
+def ref_variation_waves(rng, state):
+    """The potential and directions of verify_variation on a circle."""
+    (X,) = state.mesh.coords()
+    k, d = state.k, state.d
+    K = k + d
+
+    def wave():
+        a1, b1, a2, b2 = rng.uniform(-0.12, 0.12, 4)
+        return (a1 * np.cos(X) + b1 * np.sin(X)
+                + a2 * np.cos(2 * X) + b2 * np.sin(2 * X))
+
+    def direction():
+        dG = np.zeros(state.mesh.shape + (k, k))
+        for i in range(k):
+            for j in range(i + 1):
+                w = wave()
+                dG[..., i, j] = w
+                dG[..., j, i] = w
+        dg = np.zeros(state.mesh.shape + (d, d))
+        for a in range(d):
+            dg[..., a, a] = wave()
+        dA = np.zeros(state.mesh.shape + (d, k))
+        for i in range(k):
+            dA[..., 0, i] = wave()
+        B = np.zeros(state.mesh.shape + (K, K))
+        for i in range(K):
+            for j in range(i):
+                w = wave()
+                B[..., j, i] = w
+                B[..., i, j] = -w
+        return functionals.VariationDirection(dG, dg, dA, B, wave())
+
+    return wave, direction
+
+
+# (seed, base dimension, algebra, keyword arguments): written out as a
+# product, so every commit draws the same states
+RANDOM_STATE_CASES = [
+    (seed, d, alg, opts)
+    for seed in range(10) for d in (1, 2)
+    for alg in ("heisenberg3", "abelian3", "abelian2")
+    for opts in ((), (("with_H", False), ("max_freq", 1), ("amp", 0.08)))]
+
+
+def test_random_state_matches_its_reference_bit_for_bit():
+    algebras = dict(ALGEBRAS, abelian2=lambda: algebra.abelian(2))
+    for case in RANDOM_STATE_CASES:
+        seed, d, alg, opts = case
+        got = random_state(np.random.default_rng(seed), algebras[alg](), 8, d,
+                           **dict(opts))
+        ref = ref_random_state(np.random.default_rng(seed), algebras[alg](), 8, d,
+                               **dict(opts))
+        assert got.mesh.shape == ref.mesh.shape, case
+        for name, a, b in zip(got.FIELDS, got.fields, ref.fields):
+            assert np.array_equal(a, b), (name, case)
+
+
+def test_variation_directions_match_their_reference():
+    # the phase 2 pi f x / L rounds differently from x and 2 x in the last bit
+    for seed in range(10):
+        rng, ref_rng = (np.random.default_rng(seed + 100) for _ in range(2))
+        state = random_state(rng, algebra.heisenberg3(), 16, 1)
+        random_state(ref_rng, algebra.heisenberg3(), 16, 1)
+        wave, direction = ref_variation_waves(ref_rng, state)
+        pairs = [(cli.random_waves(rng, state.mesh, 1, 0.12, 2)[..., 0], wave())]
+        for _ in range(5):
+            pairs += zip(cli.random_direction(rng, state), direction())
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), seed
+        assert rng.uniform() == ref_rng.uniform(), seed  # as many draws

@@ -4,7 +4,8 @@ import numpy as np
 
 from conftest import constant_state, flat_abelian_state, heisenberg_state
 from grflab import algebra, flow, functionals, oracle, torsion
-from grflab.cli import PRESETS, preset_inoue_like, random_state
+from grflab.cli import (PRESETS, preset_inoue_like, random_direction,
+                        random_state, random_waves)
 from grflab.geometry import derive
 
 
@@ -68,6 +69,21 @@ def test_pack_full_antisymmetric():
     assert _exactly_antisymmetric(full)
     # the identity on an exactly antisymmetric array
     assert np.array_equal(torsion.pack_full(full, st.k), full)
+
+
+def test_variation_direction_2form_is_its_own_pack():
+    # the 2-form twin of the test above: the directions the variation suite
+    # draws on a circle (seeds 0-9), and directions over a 2-torus
+    for seed in range(10):
+        rng = np.random.default_rng(seed + 100)
+        circle = random_state(rng, algebra.heisenberg3(), 8, 1)
+        random_waves(rng, circle.mesh, 1, 0.12, 2)  # the suite's potential
+        torus = random_state(rng, algebra.abelian(3), 8, 2)
+        for st in (circle,) * 5 + (torus,) * 2:
+            B = random_direction(rng, st).B
+            assert B.shape[-1] == st.k + st.d
+            assert np.array_equal(B, -np.swapaxes(B, -1, -2)), seed
+            assert np.array_equal(torsion.pack_full(B, st.k, 2), B), seed
 
 
 def test_inverse_frame_metric():
