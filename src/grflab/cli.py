@@ -228,7 +228,7 @@ def report_row(t: float, st: GeometryState, der: geometry.DerivedGeometry,
         "mass_u": c.mass,
     }
     if t > 0:
-        row["W"] = functionals.eval_Wplus(st, f, t, st.mesh.d, Fval)
+        row["W"] = functionals.eval_Wplus(st, f, t, Fval)
         RW = functionals.residuals_W(st, f, t, der, rt)
         row["_sumRW"] = sum(RW[:4]) + RW[4]
         row["W_extra"] = RW[4]
@@ -291,8 +291,8 @@ def resolve_output_dir(out_dir: str) -> str:
 
 
 def emit_outputs(out_dir: str, rows: list[dict], manifest: dict) -> None:
-    out_dir = resolve_output_dir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    """Write report.csv, manifest.json and summary.txt into the existing,
+    resolved directory out_dir."""
     csv_path = os.path.join(out_dir, "report.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -322,11 +322,12 @@ def emit_outputs(out_dir: str, rows: list[dict], manifest: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _abort(cfg: ScenarioConfig, manifest: dict, reason: str) -> int:
-    """Record an aborted run in its outputs and on stderr; exit code 1."""
+def _abort(out_dir: str, manifest: dict, reason: str) -> int:
+    """Record an aborted run in its outputs (out_dir: the resolved output
+    directory) and on stderr; exit code 1."""
     manifest["status"] = "aborted"
     manifest["abort_reason"] = reason
-    emit_outputs(cfg.output_dir, [], manifest)
+    emit_outputs(out_dir, [], manifest)
     print(f"aborted: {reason}", file=sys.stderr)
     return 1
 
@@ -349,9 +350,9 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     manifest["stages"].append("forward")
     manifest["steps"] = len(hist.times) - 1
     if hist.aborted:
-        return _abort(cfg, manifest, hist.abort_reason)
+        return _abort(out_dir, manifest, hist.abort_reason)
     if hist.times[-1] < cfg.t_end - 1e-14:
-        return _abort(cfg, manifest, (
+        return _abort(out_dir, manifest, (
             f"stopped at t = {hist.times[-1]:.6g} short of t_end = {cfg.t_end:.6g} "
             f"after max_steps = {cfg.max_steps} steps"))
     # the report rows and the closedness check read each stored state's
@@ -370,7 +371,7 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     try:
         traj = conjugate.solve_backward(hist, visit=visit)
     except DomainError as exc:
-        return _abort(cfg, manifest, f"backward solve: {exc}")
+        return _abort(out_dir, manifest, f"backward solve: {exc}")
     manifest["stages"].append("backward")
     masses = np.array([c.mass for c in traj])
     manifest["mass_drift"] = float(
@@ -382,7 +383,7 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     manifest.update(_identity_verdict(rows, cfg.identity_rel_tol))
     manifest["soliton"] = functionals.soliton_detect(rows)
     manifest["max_dH_inf"] = float(max(closed[i] for i in checked))
-    emit_outputs(cfg.output_dir, rows, manifest)
+    emit_outputs(out_dir, rows, manifest)
     return 0 if manifest["status"] == "clean" else 2
 
 
@@ -391,9 +392,13 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
 def random_waves(rng: np.random.Generator, mesh: Mesh, n: int, amp: float,
                  max_freq: int) -> np.ndarray:
     """n seeded smooth random fields (..., n) on mesh, each a sum of a few
-    low harmonics (the first max_freq multiples on a circle, up to three
-    modes on a torus) whose cosine and sine coefficients are drawn uniformly
-    in [-amp, amp], wave after wave."""
+    low harmonics whose cosine and sine coefficients are drawn uniformly in
+    [-amp, amp], wave after wave.
+
+    max_freq reads differently on the two bases: a circle draws the first
+    max_freq harmonics (max_freq = 0 gives a zero field), a torus the first
+    max_freq + 1 of the modes (1,0), (0,1), (1,1) (so max_freq = 0 still
+    draws (1,0), and every value from 2 up draws all three)."""
     if mesh.d == 1:
         freqs = [(m,) for m in range(1, max_freq + 1)]
     else:

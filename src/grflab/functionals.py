@@ -67,14 +67,16 @@ def eval_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry) -> float:
     return _weighted_integral(_energy_density(state, f, der), f, state)
 
 
-def eval_Wplus(state: GeometryState, f: np.ndarray, t: float, n: int,
+def eval_Wplus(state: GeometryState, f: np.ndarray, t: float,
                F_steady: float) -> float:
     """Expander entropy at the steady potential f (F_steady: eval_F at f):
-    W = t F_steady + int (n - f_+) e^-f dV with f_+ = f - (n/2) log(4 pi t),
-    the textbook entropy at the expander potential f_+ rewritten at the
-    steady weight, which differs from e^-f_+ by a constant factor."""
+    W = t F_steady + int (n - f_+) e^-f dV with f_+ = f - (n/2) log(4 pi t)
+    and n the base dimension, the textbook entropy at the expander potential
+    f_+ rewritten at the steady weight, which differs from e^-f_+ by a
+    constant factor."""
     if t <= 0:
         raise DomainError("expander entropy needs t > 0")
+    n = state.d
     f_plus = f - 0.5 * n * np.log(4.0 * np.pi * t)
     return t * F_steady + _weighted_integral(n - f_plus, f, state)
 

@@ -427,17 +427,16 @@ def _product(X: np.ndarray, xs: int, Y: np.ndarray, ys: int) -> np.ndarray:
                        + Y.shape[Y.ndim - ys + 1:])
 
 
-def _permuted_sum(out: str, terms, acc=None) -> np.ndarray:
+def _permuted_sum(out: str, terms) -> np.ndarray:
     """sum of c * T[..., slots] with its slots put in the order out, over the
-    (c, slots, T) in terms, accumulated in place in their order into acc, or
-    without acc into a copy of the first term (which must have the result's
-    shape); a +-1 coefficient adds or subtracts the permuted view without a
-    temporary."""
-    for c, slots, T in terms:
-        X = np.einsum(f"...{slots}->...{out}", T)
-        if acc is None:
-            acc = X.copy() if c == 1 else c * X
-        elif c == 1:
+    (c, slots, T) in terms, accumulated in place in their order into a copy
+    of the first term (which must have the result's shape); a +-1
+    coefficient adds or subtracts the permuted view without a temporary."""
+    views = [(c, np.einsum(f"...{slots}->...{out}", T)) for c, slots, T in terms]
+    c, acc = views[0]
+    acc = acc.copy() if c == 1 else c * acc
+    for c, X in views[1:]:
+        if c == 1:
             acc += X
         elif c == -1:
             acc -= X

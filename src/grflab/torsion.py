@@ -6,11 +6,15 @@ antisymmetric array in this module is spread once from its components at the
 strictly increasing index tuples, the independent components of a form, by
 the spread table of _d_tables: pack_full for a form of any degree and
 alternating_sum for the torsion, the differential, the codifferential and
-the torsion rate, which are also evaluated there only.  The increasing pairs
-are declared once, as the tuples of the degree-1 table; the frame brackets
-and the codifferential are read at them.  Includes the generic exterior
-derivative of the bracket geometry, the quadratic contractions of H, and the
-closed-form codifferential that drives the torsion evolution.
+the torsion rate, which are also evaluated there only.  Every component is a
+gather followed by products with constant signed tables: the differential
+with the table d, the moving-frame correction with the table correction, and
+the antisymmetric part of the codifferential with the transposed spread
+table.  The increasing pairs are declared once, as the tuples of the
+degree-1 table; the frame brackets and the codifferential are read at them.
+Includes the generic exterior derivative of the bracket geometry, the
+quadratic contractions of H, and the closed-form codifferential that drives
+the torsion evolution.
 """
 
 from __future__ import annotations
@@ -84,18 +88,19 @@ def bracket_pairs(state: GeometryState, F: np.ndarray) -> np.ndarray:
 # --- exterior derivative -----------------------------------------------------
 
 class _DTables(NamedTuple):
-    """Index tables of the differential of a p-form (see _d_tables)."""
+    """Index and sign tables of the differential of a p-form (see _d_tables)."""
 
-    dsubs: tuple         # per base direction, the sigma entries it differentiates
-    rests: list          # sigma's increasing (p - 1)-tuples of trailing slots
-    terms: np.ndarray    # terms[m, n]: source entry of term m of tuple n
-    signs: tuple         # the sign of each term
-    frame: np.ndarray    # frame[s, n]: entry of P read by slot s of tuple n
-    spread: np.ndarray   # spread[n, entry]: the sign tuple n lands with there;
-                         # spreads any (p + 1)-form (pack_full, _spread)
-    tuples: np.ndarray   # the flat index of each increasing (p + 1)-tuple; at
-                         # p = 1 the pairs bracket_pairs and
-                         # minus_dstar_terms are read at, in the order of Q
+    dsubs: tuple            # per base direction, the sigma entries it differentiates
+    rests: list             # sigma's increasing (p - 1)-tuples of trailing slots
+    d: np.ndarray           # d[source, n]: the sign that source column enters
+                            # tuple n of d sigma with (_d_components)
+    correction: np.ndarray  # correction[entry of P, n]: (-1)^s for the base
+                            # slot s of tuple n reading it (torsion_rate)
+    spread: np.ndarray      # spread[n, entry]: the sign tuple n lands with there;
+                            # spreads any (p + 1)-form (pack_full, _spread)
+    tuples: np.ndarray      # the flat index of each increasing (p + 1)-tuple; at
+                            # p = 1 the pairs bracket_pairs and
+                            # minus_dstar_terms are read at, in the order of Q
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,17 +109,17 @@ def _d_tables(K: int, k: int, p: int) -> _DTables:
     first k of them fiber; indices are flat over the slot axes.
 
     The independent components of d sigma are its strictly increasing index
-    tuples.  Each term is read from one source row per grid point: the
-    derivatives along each base direction of the increasing p-tuples of
-    sigma without that direction, a zero (the anchor vanishes on fiber
+    tuples.  Each is a signed sum of the columns of one source row per grid
+    point: the derivatives along each base direction of the increasing
+    p-tuples of sigma without that direction (the anchor vanishes on fiber
     directions), and Q[pair, rest] = C^m_{pair} sigma_{m, rest} over
-    increasing pairs, fiber m and increasing (p - 1)-tuples.  A term
-    position that reads only the zero is left out.
+    increasing pairs, fiber m and increasing (p - 1)-tuples; the matrix d
+    holds the signs, so d sigma is one product with it.
 
-    The moving-frame correction of a stored (p + 1)-form tau is read the
-    same way from P[a, rest] = (dA/dt)^m_a tau_{m, rest} followed by a zero:
-    slot s of a tuple adds (-1)^s P at its base index and the other slots,
-    the zero at a fiber index.  The spread matrix carries each tuple onto
+    The moving-frame correction of a stored (p + 1)-form tau is one product
+    of P[a, rest] = (dA/dt)^m_a tau_{m, rest} with the matrix correction:
+    slot s of a tuple at a base index adds (-1)^s P at that index and the
+    other slots, and a fiber slot adds nothing.  The spread matrix carries each tuple onto
     every ordering of it, a product with it copies entries exactly.
     """
     def flat(idx):
@@ -129,45 +134,25 @@ def _d_tables(K: int, k: int, p: int) -> _DTables:
     rests = list(itertools.combinations(range(K), p - 1)) if p else []
     dsubs = tuple([s for s in subs if b not in s] for b in range(k, K))
     keys = [("D", b, s) for b, ss in zip(range(k, K), dsubs) for s in ss]
-    zero = len(keys)
-    keys += ["zero"] + [("Q", pr, r) for pr in pairs for r in rests]
-    source = {key: n for n, key in enumerate(keys)}  # position in the row
+    keys += [("Q", pr, r) for pr in pairs for r in rests]
+    source = {key: n for n, key in enumerate(keys)}  # column of the source row
 
-    terms, signs = [], []
-    for i in range(p + 1):  # anchor terms (-1)^i tau(e_i)[sigma(skip i)]
-        row = [source[("D", t[i], skip(t, i))] if t[i] >= k else zero
-               for t in outs]
-        if any(r != zero for r in row):
-            terms.append(row)
-            signs.append((-1) ** i)
-    for i, j in itertools.combinations(range(p + 1), 2):  # brackets, (-1)^(i+j)
-        terms.append([source[("Q", (t[i], t[j]), skip(t, i, j))] for t in outs])
-        signs.append((-1) ** (i + j))
-    frame_zero = (K - k) * K ** p
-    frame = [[(t[s] - k) * K ** p + flat(skip(t, s)) if t[s] >= k else frame_zero
-              for t in outs] for s in range(p + 1)]
+    d = np.zeros((len(keys), len(outs)))
+    correction = np.zeros(((K - k) * K ** p, len(outs)))
     spread = np.zeros((len(outs), K ** (p + 1)))
     for n, t in enumerate(outs):
+        for i in range(p + 1):  # anchor terms (-1)^i tau(e_i)[sigma(skip i)]
+            if t[i] >= k:
+                d[source[("D", t[i], skip(t, i))], n] += (-1) ** i
+                correction[(t[i] - k) * K ** p + flat(skip(t, i)), n] += (-1) ** i
+        for i, j in itertools.combinations(range(p + 1), 2):  # brackets
+            d[source[("Q", (t[i], t[j]), skip(t, i, j))], n] += (-1) ** (i + j)
         for perm in itertools.permutations(range(p + 1)):
             spread[n, flat([t[s] for s in perm])] = (-1) ** sum(
                 a > b for a, b in itertools.combinations(perm, 2))
     return _DTables(tuple([flat(s) for s in ss] for ss in dsubs),
-                    [flat(r) for r in rests],
-                    np.array(terms, dtype=int).reshape(len(signs), len(outs)),
-                    tuple(signs),
-                    np.array(frame, dtype=int).reshape(p + 1, len(outs)), spread,
+                    [flat(r) for r in rests], d, correction, spread,
                     np.array([flat(t) for t in outs], dtype=int))
-
-
-def _signed_sum(terms: np.ndarray, signs) -> np.ndarray:
-    """sum_m signs[m] terms[..., m, :], in order, into a new array."""
-    acc = terms[..., 0, :] if signs[0] == 1 else -terms[..., 0, :]
-    for m, sign in enumerate(signs[1:], 1):
-        if sign == 1:
-            acc += terms[..., m, :]
-        else:
-            acc -= terms[..., m, :]
-    return acc
 
 
 def _spread(comps: np.ndarray, tables: _DTables, K: int, degree: int) -> np.ndarray:
@@ -181,19 +166,17 @@ def _spread(comps: np.ndarray, tables: _DTables, K: int, degree: int) -> np.ndar
 
 def _d_components(sigma: np.ndarray, p: int, Cp: np.ndarray, mesh: Mesh,
                   tables: _DTables) -> np.ndarray:
-    """d sigma at its strictly increasing index tuples, (..., C(K, p + 1)),
-    each a sum of its terms in algebroid_d's order (Cp: bracket_pairs)."""
+    """d sigma at its strictly increasing index tuples, (..., C(K, p + 1)):
+    its source row times the signed matrix tables.d (Cp: bracket_pairs)."""
     k, grid = Cp.shape[-2], mesh.shape
     K = k + mesh.d
     flat = sigma.reshape(grid + (K ** p,))
     sources = [deriv_array(flat[..., subs], a, h)
                for a, (subs, h) in enumerate(zip(tables.dsubs, mesh.spacings))]
-    sources.append(np.zeros(grid + (1,)))
     if p > 0:
         rows = sigma.reshape(grid + (K, K ** (p - 1)))[..., :k, tables.rests]
         sources.append((np.swapaxes(Cp, -1, -2) @ rows).reshape(grid + (-1,)))
-    terms = np.concatenate(sources, axis=-1)[..., tables.terms]
-    return _signed_sum(terms, tables.signs)
+    return np.concatenate(sources, axis=-1) @ tables.d
 
 
 def algebroid_d(sigma: np.ndarray, p: int, Cp: np.ndarray, mesh: Mesh, k: int) -> np.ndarray:
@@ -203,9 +186,9 @@ def algebroid_d(sigma: np.ndarray, p: int, Cp: np.ndarray, mesh: Mesh, k: int) -
     d sigma(e_0, ..., e_p) = sum_i (-1)^i tau(e_i)[sigma(..., skip i, ...)]
         + sum_{i<j} (-1)^{i+j} sigma([e_i, e_j], ..., skip i and j, ...),
     with tau the anchor (zero on fiber directions) and the frame brackets C.
-    The terms are summed in this order at the strictly increasing index
-    tuples only, reading sigma there, and spread by antisymmetry over the
-    full (..., K, ..., K) result.
+    The terms are evaluated at the strictly increasing index tuples only,
+    reading sigma there, summed as one product with a signed table, and
+    spread by antisymmetry over the full (..., K, ..., K) result.
     """
     K = k + mesh.d
     tables = _d_tables(K, k, p)
@@ -281,8 +264,9 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     The divergence g^{ab} (D_a H)_{b..} over H's base rows differentiates
     them at the pairs only.  The connection acting on the traced slot gives
     the interior product with g^{ab} Gamma^e_ab, taken together with the
-    -i_q H term.  On the two free slots it gives -(Z - Z^t), and the DG, F
-    and bracket terms fold into the same Z (valid for an antisymmetric H):
+    -i_q H term.  On the two free slots it gives -(Z - Z^t), one product
+    with the transposed spread table, and the DG, F and bracket terms fold
+    into the same Z (valid for an antisymmetric H):
         Z[g, d] = N[b, e, g] H_{b e d} - 1/2 (G b)^{pq}_g H_{p q d},
     summed over base rows b and every e, with N the coefficients M of
     extended_coeffs with their base slot raised by g, plus
@@ -293,9 +277,9 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     gi, Gamma = der.gi, der.Gamma
     K = k + state.d
     grid = mesh.shape
-    ij = _d_tables(K, k, 1).tuples  # the flat index i K + j of each pair i < j
+    pairs = _d_tables(K, k, 1)
 
-    Hb_pairs = H.reshape(grid + (K, K * K))[..., k:, ij]  # [..., b, n]
+    Hb_pairs = H.reshape(grid + (K, K * K))[..., k:, pairs.tuples]  # [..., b, n]
     v = metric_trace(gi, np.moveaxis(Gamma, -3, -1)) + der.q
     out = (metric_trace(gi, _derivs(Hb_pairs, mesh))
            - (v[..., None, :] @ Hb_pairs)[..., 0, :])
@@ -310,8 +294,7 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
          @ as_matrices(H[..., k:, :, :], 2, 1))
     Z[..., :k, :] -= 0.5 * (as_matrices(der.Gb_up, 1, 2)
                             @ as_matrices(H[..., :k, :k, :], 2, 1))
-    Z = Z.reshape(grid + (K * K,))
-    out -= Z[..., ij] - Z[..., ij % K * K + ij // K]
+    out -= Z.reshape(grid + (K * K,)) @ pairs.spread.T  # Z - Z^t at the pairs
     return out
 
 
@@ -349,14 +332,14 @@ def torsion_rate(state: GeometryState, der: DerivedGeometry, B: np.ndarray,
     The stored base-slot components are evaluated on horizontal lifts that
     rotate as A evolves: d/dt of a stored component equals the covariant
     rate minus H with each base slot fed the fiber vector (dA/dt) v.  For an
-    antisymmetric H the correction at a triple is a signed sum of
-    P[a, beta, gamma] = (dA/dt)^m_a H_{m beta gamma}, one term per base slot.
+    antisymmetric H the correction at the triples is one product of
+    P[a, beta, gamma] = (dA/dt)^m_a H_{m beta gamma} with the signed table
+    correction, one term per base slot.
     """
     k, mesh = state.k, state.mesh
     K = k + state.d
     tables = _d_tables(K, k, 2)
     rate = _d_components(B, 2, bracket_pairs(state, der.F), mesh, tables)
     P = (dA @ as_matrices(state.H[..., :k, :, :], 1, 2)).reshape(mesh.shape + (-1,))
-    P = np.concatenate([P, np.zeros(mesh.shape + (1,))], axis=-1)
-    rate -= _signed_sum(P[..., tables.frame], (1, -1, 1))
+    rate -= P @ tables.correction
     return _spread(rate, tables, K, 3)

@@ -51,26 +51,27 @@ def test_eval_F_constant_shift():
     assert shifted == pytest.approx(np.exp(-0.7) * base, rel=1e-12)
 
 
-def Wplus(st, f, t, n):
+def Wplus(st, f, t):
     """eval_Wplus with the steady energy it takes evaluated here."""
     der = derive(st)
-    return eval_Wplus(st, f, t, n, eval_F(st, f, der))
+    return eval_Wplus(st, f, t, eval_F(st, f, der))
 
 
 def test_eval_Wplus_flat_reference_point():
     st = flat_abelian_state()
     t = 1.0 / (4.0 * np.pi)
-    assert Wplus(st, zeros_f(st), t, 1) == pytest.approx(1.0, abs=1e-12)
+    assert Wplus(st, zeros_f(st), t) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
-        eval_Wplus(st, zeros_f(st), 0.0, 1, 0.0)
+        eval_Wplus(st, zeros_f(st), 0.0, 0.0)
 
 
 def test_eval_Wplus_linear_in_n_shift():
-    st = flat_abelian_state()
-    t = 1.0 / (4.0 * np.pi)  # the two potentials agree at this t for every n
-    w1 = Wplus(st, zeros_f(st), t, 1)
-    w3 = Wplus(st, zeros_f(st), t, 3)
-    assert w3 - w1 == pytest.approx(2.0, abs=1e-12)
+    # n is the base dimension: the flat product on the unit circle and on the
+    # unit 2-torus, where the two potentials agree at this t for every n
+    t = 1.0 / (4.0 * np.pi)
+    circle, torus = flat_abelian_state(d=1), flat_abelian_state(d=2)
+    assert Wplus(circle, zeros_f(circle), t) == pytest.approx(1.0, abs=1e-12)
+    assert Wplus(torus, zeros_f(torus), t) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_eval_Wplus_from_steady_energy():
@@ -85,7 +86,7 @@ def test_eval_Wplus_from_steady_energy():
     f_exp = f_steady - 0.5 * n * np.log(4.0 * np.pi * t)
     extra = integrate_values((n - f_exp) * np.exp(-f_exp), st.g, st.mesh)
     ref = (t * eval_F(st, f_exp, der) + extra) / (4.0 * np.pi * t) ** (0.5 * n)
-    W = eval_Wplus(st, f_steady, t, n, eval_F(st, f_steady, der))
+    W = eval_Wplus(st, f_steady, t, eval_F(st, f_steady, der))
     assert W == pytest.approx(ref, rel=1e-12)
 
 

@@ -8,6 +8,7 @@ ulps of the largest entry, not bit for bit.  The grid derivative is checked
 the same way against the ghost-layer stencil sum it was first written as.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -716,6 +717,131 @@ def test_packing_matches_the_permuted_sum_reference():
         mixed = (n_base > 0) & (n_base < 3)
         assert np.array_equal(torsion.pack_full(X, k)[..., mixed],
                               ref_pack_full(X, k)[..., mixed]), case
+
+
+# -- the torsion differential as index gathers --------------------------------
+# The differential and the moving-frame correction as they were first written
+# at the increasing tuples: each term gathered from one source row followed by
+# a zero column (read where a term has no anchor), the terms summed in order
+# by sign; and -d*H with its antisymmetric part as the difference of two
+# gathers.  The kernels take products with signed tables instead.
+
+def _ref_gather_tables(K, k, p):
+    def flat(idx):
+        return sum(a * K ** (len(idx) - 1 - s) for s, a in enumerate(idx))
+
+    def skip(t, *slots):
+        return tuple(a for s, a in enumerate(t) if s not in slots)
+
+    outs = list(itertools.combinations(range(K), p + 1))
+    subs = list(itertools.combinations(range(K), p))
+    pairs = list(itertools.combinations(range(K), 2))
+    rests = list(itertools.combinations(range(K), p - 1)) if p else []
+    dsubs = [[s for s in subs if b not in s] for b in range(k, K)]
+    keys = [("D", b, s) for b, ss in zip(range(k, K), dsubs) for s in ss]
+    zero = len(keys)
+    keys += ["zero"] + [("Q", pr, r) for pr in pairs for r in rests]
+    source = {key: n for n, key in enumerate(keys)}
+    terms, signs = [], []
+    for i in range(p + 1):
+        row = [source[("D", t[i], skip(t, i))] if t[i] >= k else zero
+               for t in outs]
+        if any(r != zero for r in row):
+            terms.append(row)
+            signs.append((-1) ** i)
+    for i, j in itertools.combinations(range(p + 1), 2):
+        terms.append([source[("Q", (t[i], t[j]), skip(t, i, j))] for t in outs])
+        signs.append((-1) ** (i + j))
+    frame_zero = (K - k) * K ** p
+    frame = [[(t[s] - k) * K ** p + flat(skip(t, s)) if t[s] >= k else frame_zero
+              for t in outs] for s in range(p + 1)]
+    return ([[flat(s) for s in ss] for ss in dsubs], [flat(r) for r in rests],
+            np.array(terms, dtype=int).reshape(len(signs), len(outs)), signs,
+            np.array(frame, dtype=int), [flat(t) for t in outs])
+
+
+def _ref_signed_sum(terms, signs):
+    acc = terms[..., 0, :] if signs[0] == 1 else -terms[..., 0, :]
+    for m, sign in enumerate(signs[1:], 1):
+        if sign == 1:
+            acc += terms[..., m, :]
+        else:
+            acc -= terms[..., m, :]
+    return acc
+
+
+def ref_d_components(sigma, p, Cp, mesh, k):
+    K, grid = k + mesh.d, mesh.shape
+    dsubs, rests, terms, signs, _, _ = _ref_gather_tables(K, k, p)
+    flat = sigma.reshape(grid + (K ** p,))
+    sources = [fields.deriv_array(flat[..., subs], a, h)
+               for a, (subs, h) in enumerate(zip(dsubs, mesh.spacings))]
+    sources.append(np.zeros(grid + (1,)))
+    if p > 0:
+        rows = sigma.reshape(grid + (K, K ** (p - 1)))[..., :k, rests]
+        sources.append((np.swapaxes(Cp, -1, -2) @ rows).reshape(grid + (-1,)))
+    return _ref_signed_sum(np.concatenate(sources, axis=-1)[..., terms], signs)
+
+
+def ref_torsion_rate_components(state, der, B, dA):
+    k, mesh = state.k, state.mesh
+    frame = _ref_gather_tables(k + state.d, k, 2)[4]
+    rate = ref_d_components(B, 2, torsion.bracket_pairs(state, der.F), mesh, k)
+    P = (dA @ geometry.as_matrices(state.H[..., :k, :, :], 1, 2)).reshape(
+        mesh.shape + (-1,))
+    P = np.concatenate([P, np.zeros(mesh.shape + (1,))], axis=-1)
+    return rate - _ref_signed_sum(P[..., frame], (1, -1, 1))
+
+
+def ref_minus_dstar_terms(state, der):
+    mesh, k, H = state.mesh, state.k, state.H
+    gi, Gamma = der.gi, der.Gamma
+    K = k + state.d
+    grid = mesh.shape
+    ij = np.array(_ref_gather_tables(K, k, 1)[5])
+    Hb_pairs = H.reshape(grid + (K, K * K))[..., k:, ij]
+    v = geometry.metric_trace(gi, np.moveaxis(Gamma, -3, -1)) + der.q
+    out = (geometry.metric_trace(gi, geometry._derivs(Hb_pairs, mesh))
+           - (v[..., None, :] @ Hb_pairs)[..., 0, :])
+    DGt = np.swapaxes(der.DG, -1, -2)
+    DG_up = geometry.raise_first(
+        (geometry.as_matrices(DGt, 2, 1) @ der.Gi).reshape(DGt.shape), gi)
+    N = geometry.raise_first(torsion.extended_coeffs(state, Gamma), gi)
+    N[..., :k, :k] += np.swapaxes(DG_up, -1, -2)
+    N[..., k:, :k] = 0.5 * np.moveaxis(der.GF_up, -3, -1)
+    Z = (np.swapaxes(geometry.as_matrices(N, 2, 1), -1, -2)
+         @ geometry.as_matrices(H[..., k:, :, :], 2, 1))
+    Z[..., :k, :] -= 0.5 * (geometry.as_matrices(der.Gb_up, 1, 2)
+                            @ geometry.as_matrices(H[..., :k, :k, :], 2, 1))
+    Z = Z.reshape(grid + (K * K,))
+    out -= Z[..., ij] - Z[..., ij % K * K + ij // K]
+    return out
+
+
+def test_signed_tables_match_the_gathered_sums():
+    for case in CASES:
+        seed, d, alg = case
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, ALGEBRAS[alg](), 8, d)
+        der = geometry.derive(state)
+        k, K, grid = state.k, state.k + d, state.mesh.shape
+        Cp = torsion.bracket_pairs(state, der.F)
+        for p in range(4):
+            sigma = rng.normal(size=grid + (K,) * p)
+            if p >= 2:
+                sigma = torsion.pack_full(sigma, k, p)
+            tuples = _ref_gather_tables(K, k, p)[5]
+            got = torsion.algebroid_d(sigma, p, Cp, state.mesh, k)
+            got = got.reshape(grid + (-1,))[..., tuples]
+            ref = ref_d_components(sigma, p, Cp, state.mesh, k)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (case, p)
+        v = flow.ungauged_rates(state, der)
+        got = torsion.torsion_rate(state, der, v.B, v.dA)
+        got = got.reshape(grid + (-1,))[..., _ref_gather_tables(K, k, 2)[5]]
+        ref = ref_torsion_rate_components(state, der, v.B, v.dA)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), case
+        assert np.array_equal(torsion.minus_dstar_terms(state, der),
+                              ref_minus_dstar_terms(state, der)), case
 
 
 def test_two_dimensional_torsion_run_matches_the_full_array_rates(monkeypatch):
