@@ -200,8 +200,7 @@ class FlowHistory:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     mode: str = "ungauged"
-    aborted: bool = False
-    abort_reason: str = ""
+    abort_reason: str = ""  # why the run stopped short of t_end, if it did
 
     def append(self, state: GeometryState):
         self.times.append(state.t)
@@ -239,9 +238,9 @@ class FlowHistory:
 def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
     """March the system to t_end, recording every state.
 
-    Aborts (history.aborted) when a field stops being finite, naming the
-    field and the time, or when a metric leaves the SPD cone.  Stops without
-    aborting after max_steps steps.
+    Aborts (history.abort_reason) when a field stops being finite, naming
+    the field and the time, when a metric leaves the SPD cone, or when
+    max_steps steps end short of t_end.
     Raises ValueError for a non-positive fixed_dt or cfl_sigma, and
     DomainError for an initial state whose metrics are not SPD.
     """
@@ -267,12 +266,15 @@ def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
                     raise DomainError(f"{name} is no longer finite")
             nxt.validate()
         except DomainError as exc:
-            hist.aborted = True
             hist.abort_reason = f"{exc} at t = {cur.t + dt!r}"  # the rejected state's t
-            break
+            return hist
         cur = nxt
         steps += 1
         hist.append(cur)
+    if cur.t < config.t_end - 1e-14:
+        hist.abort_reason = (f"stopped at t = {cur.t:.6g} short of t_end = "
+                             f"{config.t_end:.6g} after max_steps = "
+                             f"{config.max_steps} steps")
     return hist
 
 

@@ -2,22 +2,14 @@
 
 import numpy as np
 
-from grflab import algebra
+from grflab import algebra, cli
 from grflab.fields import Mesh
-from grflab.geometry import GeometryState
 
 
 def constant_state(alg, N=16, d=1, lengths=None, G0=None, g0=None):
-    lengths = lengths or (1.0,) * d
-    mesh = Mesh((N,) * d, lengths)
-    k = alg.k
-    G0 = np.eye(k) if G0 is None else np.asarray(G0, dtype=float)
-    g0 = np.eye(d) if g0 is None else np.asarray(g0, dtype=float)
-    G = np.broadcast_to(G0, mesh.shape + (k, k)).copy()
-    g = np.broadcast_to(g0, mesh.shape + (d, d)).copy()
-    A = np.zeros(mesh.shape + (d, k))
-    H = np.zeros(mesh.shape + (k + d,) * 3)
-    return GeometryState(0.0, mesh, alg, G, g, A, H)
+    mesh = Mesh((N,) * d, lengths or (1.0,) * d)
+    return cli._constant_state(alg, mesh, np.eye(alg.k) if G0 is None else G0,
+                               np.eye(d) if g0 is None else g0)
 
 
 def heisenberg_state(N=16, **kw):
@@ -26,3 +18,10 @@ def heisenberg_state(N=16, **kw):
 
 def flat_abelian_state(N=16, k=2, d=1, **kw):
     return constant_state(algebra.abelian(k), N=N, d=d, **kw)
+
+
+def curvature_gaps(N, d, seed, amp=0.12):
+    """Each curvature quantity's gap to the oracle on a torsion-free state."""
+    st = cli.random_state(np.random.default_rng(seed), algebra.heisenberg3(), N, d,
+                          amp=amp, with_H=False, max_freq=1)
+    return {name: cli.relative_gap(p) for name, p in cli.curvature_pairs(st).items()}

@@ -5,17 +5,17 @@ import types
 import numpy as np
 import pytest
 
-from conftest import constant_state, flat_abelian_state, heisenberg_state
+from conftest import (constant_state, curvature_gaps, flat_abelian_state,
+                      heisenberg_state)
 from grflab import algebra, oracle
 from grflab.fields import DomainError, Mesh
 from grflab.flow import blowdown_rescale
-from grflab.geometry import (GeometryState, check_spd_field,
-                             compute_DDG, compute_DG, compute_F, compute_q,
-                             curvature_closed_form, derive, gradient, hessian,
-                             laplacian, levi_civita, min_eig_field,
-                             norm_sq_bracket, norm_sq_DG, norm_sq_F,
-                             ricci_blocks)
-from grflab.cli import random_state
+from grflab.geometry import (check_spd_field, compute_DDG, compute_DG,
+                             compute_F, compute_q, curvature_closed_form,
+                             derive, gradient, hessian, laplacian, levi_civita,
+                             min_eig_field, norm_sq_bracket, norm_sq_DG,
+                             norm_sq_F, ricci_blocks)
+from grflab.cli import random_state, relative_gap, slot_block
 
 
 def test_constant_base_metric_is_flat():
@@ -56,9 +56,8 @@ def test_constant_state_derives_exactly_zero_derivatives(d, alg):
 def test_flat_abelian_curvature_zero():
     st = flat_abelian_state(d=2)
     cb = curvature_closed_form(st, derive(st))
-    for block in (cb.ffff, cb.fbbf, cb.bbbb, cb.Ric_ff, cb.Ric_fb, cb.Ric_bb):
-        assert np.max(np.abs(block)) < 1e-13
-    assert np.max(np.abs(cb.scalar)) < 1e-13
+    for name, block in vars(cb).items():
+        assert np.max(np.abs(block)) < 1e-13, name
 
 
 def test_heisenberg_point_values():
@@ -86,40 +85,14 @@ def test_norm_sq_densities():
 def test_heisenberg_oracle_agrees_at_a_point():
     st = heisenberg_state()
     R, Ric, scal = oracle.curvature_oracle(st)
-    k = st.k
-    assert np.max(np.abs(Ric[..., :k, :k] - np.diag([-0.5, -0.5, 0.5]))) < 1e-10
+    Ric_ff = slot_block(Ric, "ff", st.k)
+    assert np.max(np.abs(Ric_ff - np.diag([-0.5, -0.5, 0.5]))) < 1e-10
     assert np.max(np.abs(scal + 0.5)) < 1e-10
 
 
-def _rel_err(a, b):
-    scale = max(float(np.max(np.abs(b))), 1e-12)
-    return float(np.max(np.abs(a - b))) / scale
-
-
-def curvature_gap(N, d, seed=5):
-    rng = np.random.default_rng(seed)
-    st = random_state(rng, algebra.heisenberg3(), N, d, with_H=False, max_freq=1)
-    der = derive(st)
-    cb = curvature_closed_form(st, der)
-    R, Ric, scal = oracle.curvature_oracle(st)
-    k = st.k
-    gaps = [
-        _rel_err(cb.ffff, R[..., :k, :k, :k, :k]),
-        _rel_err(cb.ffbf, R[..., :k, :k, k:, :k]),
-        _rel_err(cb.fbbf, R[..., :k, k:, k:, :k]),
-        _rel_err(cb.fbbb, R[..., :k, k:, k:, k:]),
-        _rel_err(cb.bbbb, R[..., k:, k:, k:, k:]),
-        _rel_err(cb.Ric_ff, Ric[..., :k, :k]),
-        _rel_err(cb.Ric_fb, Ric[..., :k, k:]),
-        _rel_err(cb.Ric_bb, Ric[..., k:, k:]),
-        _rel_err(cb.scalar, scal),
-    ]
-    return max(gaps)
-
-
 def test_closed_form_matches_oracle_1d():
-    g32 = curvature_gap(32, 1)
-    g64 = curvature_gap(64, 1)
+    g32 = max(curvature_gaps(32, 1, 5).values())
+    g64 = max(curvature_gaps(64, 1, 5).values())
     assert g64 < 2e-5
     assert g64 < g32 / 12.0
 
@@ -140,7 +113,7 @@ def test_curvature_under_blowdown_rescale(d, alg):
                              ("fbbb", 1 / s), ("bbbb", 1 / s), ("Ric_ff", 1.0),
                              ("Ric_fb", 1.0), ("Ric_bb", 1.0), ("scalar", s)]:
             ref = factor * getattr(cb, name)
-            assert _rel_err(getattr(cr, name), ref) < 1e-12, (seed, name)
+            assert relative_gap((getattr(cr, name), ref)) < 1e-12, (seed, name)
 
 
 def test_gradient_hessian_laplacian_flat():

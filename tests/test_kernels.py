@@ -37,6 +37,14 @@ CASES = [
 ]
 
 
+def case_states():
+    """(case, generator after the state's draws, state on 8 points) per case."""
+    for case in CASES:
+        seed, d, alg = case
+        rng = np.random.default_rng(seed)
+        yield case, rng, random_state(rng, ALGEBRAS[alg](), 8, d)
+
+
 def ref_Ric_ff(state, der):
     b = state.alg.beta
     G = state.G
@@ -652,9 +660,7 @@ KERNELS = {
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_kernel_matches_multi_operand_reference(name):
     kernel, reference = KERNELS[name]
-    for case in CASES:
-        seed, d, alg = case
-        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+    for case, _, state in case_states():
         der = geometry.derive(state)
         got, ref = kernel(state, der), reference(state, der)
         assert got.shape == ref.shape
@@ -663,9 +669,7 @@ def test_kernel_matches_multi_operand_reference(name):
 
 def test_closedness_residual_is_the_largest_reference_component():
     # taken over the independent components only, without the K^4 array
-    for case in CASES:
-        seed, d, alg = case
-        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+    for case, _, state in case_states():
         der = geometry.derive(state)
         ref = np.max(np.abs(ref_algebroid_d3(state, der)))
         assert abs(torsion.closedness_residual(state, der) - ref) <= 1e-13 * ref, case
@@ -673,9 +677,7 @@ def test_closedness_residual_is_the_largest_reference_component():
 
 def test_torsion_source_differential_is_its_own_pack():
     # spread by antisymmetry from its increasing index tuples
-    for case in CASES:
-        seed, d, alg = case
-        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+    for case, _, state in case_states():
         der = geometry.derive(state)
         dB = _algebroid_d(torsion.b_dot(state, der), 2, state, der)
         assert np.array_equal(torsion.pack_full(dB, state.k), dB), case
@@ -686,9 +688,7 @@ FULL_REL_TOL = 1e-14
 
 
 def test_torsion_rate_and_source_match_the_full_array_composition():
-    for case in CASES:
-        seed, d, alg = case
-        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+    for case, _, state in case_states():
         der = geometry.derive(state)
         v = flow.ungauged_rates(state, der)
         ref_B = full_b_dot(state, der)
@@ -700,11 +700,8 @@ def test_torsion_rate_and_source_match_the_full_array_composition():
 
 
 def test_packing_matches_the_permuted_sum_reference():
-    for case in CASES:
-        seed, d, alg = case
-        rng = np.random.default_rng(seed)
-        state = random_state(rng, ALGEBRAS[alg](), 8, d)
-        k, K = state.k, state.k + d
+    for case, rng, state in case_states():
+        k, K = state.k, state.k + state.d
         core = rng.normal(size=state.mesh.shape + (K, K, K))
         got, ref = torsion.alternating_sum(core), ref_alternating_sum3(core)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), case
@@ -819,12 +816,9 @@ def ref_minus_dstar_terms(state, der):
 
 
 def test_signed_tables_match_the_gathered_sums():
-    for case in CASES:
-        seed, d, alg = case
-        rng = np.random.default_rng(seed)
-        state = random_state(rng, ALGEBRAS[alg](), 8, d)
+    for case, rng, state in case_states():
         der = geometry.derive(state)
-        k, K, grid = state.k, state.k + d, state.mesh.shape
+        k, K, grid = state.k, state.k + state.d, state.mesh.shape
         Cp = torsion.bracket_pairs(state, der.F)
         for p in range(4):
             sigma = rng.normal(size=grid + (K,) * p)
@@ -852,21 +846,18 @@ def test_two_dimensional_torsion_run_matches_the_full_array_rates(monkeypatch):
     monkeypatch.setattr(torsion, "b_dot", full_b_dot)
     monkeypatch.setattr(torsion, "torsion_rate", full_torsion_rate)
     ref = flow.run_flow(state, config)
-    assert len(got.states) == len(ref.states) == 3 and not got.aborted
+    assert len(got.states) == len(ref.states) == 3 and not got.abort_reason
     assert np.max(np.abs(got.states[-1].H - state.H)) > 1e-4  # H moves
     for name, a, b in zip(state.FIELDS, got.states[-1].fields, ref.states[-1].fields):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
 
 
 def test_residual_tensors_match_term_by_term_reference():
-    for case in CASES:
-        seed, d, alg = case
-        rng = np.random.default_rng(seed)
-        state = random_state(rng, ALGEBRAS[alg](), 8, d)
+    for case, rng, state in case_states():
         phases = [2.0 * np.pi * X / L
                   for X, L in zip(state.mesh.coords(), state.mesh.lengths)]
         f = sum(a * np.cos(p) + b * np.sin(p)
-                for p, (a, b) in zip(phases, rng.uniform(-0.3, 0.3, (d, 2))))
+                for p, (a, b) in zip(phases, rng.uniform(-0.3, 0.3, (state.d, 2))))
         der = geometry.derive(state)
         rt = functionals.residual_tensors(state, f, der)
         refs = ref_residual_tensors(state, f, der)
@@ -883,9 +874,7 @@ def test_residual_tensors_match_term_by_term_reference():
 
 
 def test_oracle_matches_einsum_reference():
-    for case in CASES:
-        seed, d, alg = case
-        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+    for case, _, state in case_states():
         der = geometry.derive(state)
         got, refs = _oracle_outputs(state), _ref_oracle_outputs(state, der)
         for name, ref in refs.items():
@@ -937,9 +926,7 @@ def test_deriv_array_matches_ghost_layer_reference(N, d, slots):
 
 
 def test_deriv_array_matches_ghost_layer_reference_on_states():
-    for case in CASES:
-        seed, d, alg = case
-        state = random_state(np.random.default_rng(seed), ALGEBRAS[alg](), 8, d)
+    for case, _, state in case_states():
         for name in ("G", "g", "A", "H"):
             _check_derivatives(getattr(state, name), state.mesh, (name, case))
 
@@ -1071,3 +1058,72 @@ def test_variation_directions_match_their_reference():
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), seed
         assert rng.uniform() == ref_rng.uniform(), seed  # as many draws
+
+
+# -- the verify suites as they were written -----------------------------------
+# before cli.curvature_pairs and cli.codifferential_gap: slices and gaps by hand
+
+def ref_verify_curvature(seed, N):
+    tol = 1e-5 * max(1.0, (64.0 / N) ** 4)
+    rows = []
+    for d in (1, 2):
+        rng = np.random.default_rng(seed + d)
+        st = random_state(rng, algebra.heisenberg3(), N, d, amp=0.08,
+                          with_H=False, max_freq=1)
+        R, Ric, scal = oracle.curvature_oracle(st)
+        cb = geometry.curvature_closed_form(st, geometry.derive(st, validated=True))
+        k = st.k
+        pairs = {
+            "ffff": (cb.ffff, R[..., :k, :k, :k, :k]),
+            "fbbf": (cb.fbbf, R[..., :k, k:, k:, :k]),
+            "bbbb": (cb.bbbb, R[..., k:, k:, k:, k:]),
+            "Ric": (np.concatenate([cb.Ric_ff.reshape(-1), cb.Ric_fb.reshape(-1),
+                                    cb.Ric_bb.reshape(-1)]),
+                    np.concatenate([Ric[..., :k, :k].reshape(-1),
+                                    Ric[..., :k, k:].reshape(-1),
+                                    Ric[..., k:, k:].reshape(-1)])),
+            "scalar": (cb.scalar, scal),
+        }
+        for name, (a, b) in pairs.items():
+            scale = max(float(np.max(np.abs(b))), 1e-12)
+            err = float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / scale
+            rows.append((f"curvature d={d} {name}", err, err < tol))
+    return rows
+
+
+def ref_verify_torsion(seed, N):
+    rows = []
+    for d in (1, 2):
+        rng = np.random.default_rng(seed + 10 + d)
+        n = N if d == 1 else max(16, N // 2)
+        st = random_state(rng, algebra.heisenberg3(), n, d)
+        der = geometry.derive(st, validated=True)
+        md = torsion.b_dot(st, der)
+        md_o = oracle.codifferential_oracle(st)
+        scale = max(float(np.max(np.abs(md_o))), 1e-12)
+        err = float(np.max(np.abs(md - md_o))) / scale
+        rows.append((f"codifferential d={d}", err, err < 1e-5))
+        err = torsion.splitting_identity(st, der)
+        rows.append((f"splitting identity d={d}", err, err < 1e-10))
+    return rows
+
+
+def test_verify_suites_match_their_reference_bit_for_bit():
+    for case in [(0, 16), (0, 32), (1, 16), (1, 32), (2, 16), (2, 32)]:  # (seed, mesh)
+        assert cli.verify_curvature(*case) == ref_verify_curvature(*case), case
+        assert cli.verify_torsion(*case) == ref_verify_torsion(*case), case
+
+
+def test_slot_patterns_read_the_hand_written_oracle_slices():
+    state = random_state(np.random.default_rng(8), algebra.heisenberg3(), 8, 2)
+    R, Ric, scal = oracle.curvature_oracle(state)
+    k = state.k
+    expected = {"ffff": R[..., :k, :k, :k, :k], "ffbf": R[..., :k, :k, k:, :k],
+                "fbbf": R[..., :k, k:, k:, :k], "fbbb": R[..., :k, k:, k:, k:],
+                "bbbb": R[..., k:, k:, k:, k:], "Ric_ff": Ric[..., :k, :k],
+                "Ric_fb": Ric[..., :k, k:], "Ric_bb": Ric[..., k:, k:], "scalar": scal}
+    pairs = cli.curvature_pairs(state)
+    assert list(pairs) == list(expected)
+    for name, (closed_form, block) in pairs.items():
+        assert closed_form.shape == block.shape, name
+        assert np.array_equal(block, expected[name]), name

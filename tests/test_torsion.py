@@ -2,10 +2,10 @@
 
 import numpy as np
 
-from conftest import constant_state, flat_abelian_state, heisenberg_state
-from grflab import algebra, flow, functionals, oracle, torsion
-from grflab.cli import (PRESETS, preset_inoue_like, random_direction,
-                        random_state, random_waves)
+from conftest import flat_abelian_state, heisenberg_state
+from grflab import algebra, flow, functionals, torsion
+from grflab.cli import (PRESETS, codifferential_gap, preset_inoue_like,
+                        random_direction, random_state, random_waves)
 from grflab.geometry import derive
 
 
@@ -138,11 +138,7 @@ def test_dstar_constant_data_abelian():
 def test_dstar_matches_oracle():
     for d, seed in ((1, 3), (2, 4)):
         st = random_full_state(seed=seed, N=24, d=d)
-        der = derive(st)
-        md = torsion.b_dot(st, der)
-        md_o = oracle.codifferential_oracle(st)
-        scale = max(float(np.max(np.abs(md_o))), 1e-12)
-        assert np.max(np.abs(md - md_o)) / scale < 1e-10
+        assert codifferential_gap(st, derive(st)) < 1e-10
 
 
 def test_algebroid_d_constant_scalar():
