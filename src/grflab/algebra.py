@@ -10,7 +10,7 @@ tensors uses +c together with the connection form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,18 +44,18 @@ class LieAlgebra:
         return -self.c
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    antisymmetric: bool
-    jacobi: bool
-    nilpotent: bool
+    """The identities the structure constants fail, in the order
+    antisymmetry, jacobi, nilpotency, and the number of lower central series
+    steps taken."""
+
+    failures: tuple[str, ...]
     nilpotency_steps: int
 
     @property
     def ok(self) -> bool:
-        return self.antisymmetric and self.jacobi and self.nilpotent
-
-    failures: list = field(default_factory=list)
+        return not self.failures
 
 
 def _lower_central_series_steps(alg: LieAlgebra) -> tuple[bool, int]:
@@ -100,23 +100,12 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
     )
     jac_defect = float(np.max(np.abs(jac)))
     scale = max(1.0, float(np.max(np.abs(c))))
-    antisymmetric = anti_defect <= 1e-12 * scale
-    jacobi = jac_defect <= 1e-10 * scale * scale
     nilpotent, steps = _lower_central_series_steps(alg)
-
-    report = ValidationReport(
-        antisymmetric=antisymmetric,
-        jacobi=jacobi,
-        nilpotent=nilpotent,
-        nilpotency_steps=steps,
-    )
-    if not antisymmetric:
-        report.failures.append("antisymmetry")
-    if not jacobi:
-        report.failures.append("jacobi")
-    if not nilpotent:
-        report.failures.append("nilpotency")
-    return report
+    holds = {"antisymmetry": anti_defect <= 1e-12 * scale,
+             "jacobi": jac_defect <= 1e-10 * scale * scale,
+             "nilpotency": nilpotent}
+    return ValidationReport(
+        tuple(name for name, ok in holds.items() if not ok), steps)
 
 
 def require_valid(alg: LieAlgebra) -> LieAlgebra:

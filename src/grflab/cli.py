@@ -215,46 +215,40 @@ CSV_COLUMNS = ["t", "F", "W", "R1", "R2", "R3", "R4", "W_extra",
 def report_row(t: float, st: GeometryState, der: geometry.DerivedGeometry,
                c: conjugate.ConjugateState) -> dict:
     """The functional evaluations of one report row: the stored state st at
-    time t (der: its derive()) and the backward density state c there."""
+    time t (der: its derive()) and the backward density state c there.
+    Beside the CSV columns the row holds the right-hand sides of the two
+    identities, sum_R of dF/dt and sum_RW of dW/dt; W, W_extra and sum_RW
+    are nan at t = 0."""
     f = conjugate.potential(c.u)
     Fval = functionals.eval_F(st, f, der)
     rt = functionals.residual_tensors(st, f, der)
     R = functionals.residuals_F(st, f, der, rt)
-    row = {
-        "t": t, "F": Fval,
-        "R1": R[0], "R2": R[1], "R3": R[2], "R4": R[3],
-        "min_eig_G": min_eig_field(st.G),
-        "min_eig_g": min_eig_field(st.g),
-        "mass_u": c.mass,
-    }
+    W, RW = float("nan"), (float("nan"),) * 5
     if t > 0:
         W = functionals.eval_Wplus(st, f, t, Fval)
         RW = functionals.residuals_W(st, f, t, der, rt)
-        row.update(W=W, _sumRW=sum(RW), W_extra=RW[4])
-    else:
-        row.update(W=float("nan"), W_extra=float("nan"), _sumRW=float("nan"))
-    return row
+    return {
+        "t": t, "F": Fval, "W": W,
+        "R1": R[0], "R2": R[1], "R3": R[2], "R4": R[3], "W_extra": RW[4],
+        "min_eig_G": min_eig_field(st.G),
+        "min_eig_g": min_eig_field(st.g),
+        "mass_u": c.mass,
+        "sum_R": R[0] + R[1] + R[2] + R[3], "sum_RW": sum(RW),
+    }
 
 
 def build_report(rows: list[dict]) -> list[dict]:
     """The report from its report_row evaluations in increasing t order:
     each interior row gains the centred differences of F and W and the
-    identity gaps."""
-    for j, row in enumerate(rows):
-        if 0 < j < len(rows) - 1:
-            dt = rows[j + 1]["t"] - rows[j - 1]["t"]
-            row["dF_dt_fd"] = (rows[j + 1]["F"] - rows[j - 1]["F"]) / dt
-            row["identity_gap_F"] = abs(
-                row["dF_dt_fd"] - (row["R1"] + row["R2"] + row["R3"] + row["R4"]))
-            if np.isfinite(row["_sumRW"]) and rows[j - 1]["t"] > 0:
-                dW_fd = (rows[j + 1]["W"] - rows[j - 1]["W"]) / dt
-                row["identity_gap_W"] = abs(dW_fd - row["_sumRW"])
-            else:
-                row["identity_gap_W"] = float("nan")
-        else:
-            row.update(dF_dt_fd=float("nan"), identity_gap_F=float("nan"),
-                       identity_gap_W=float("nan"))
-        row.pop("_sumRW", None)
+    identity gaps, nan elsewhere and wherever a W it reads is nan."""
+    for row in rows:
+        row.update(dF_dt_fd=float("nan"), identity_gap_F=float("nan"),
+                   identity_gap_W=float("nan"))
+    for prev, row, nxt in zip(rows, rows[1:], rows[2:]):
+        dt = nxt["t"] - prev["t"]
+        row["dF_dt_fd"] = (nxt["F"] - prev["F"]) / dt
+        row["identity_gap_F"] = abs(row["dF_dt_fd"] - row["sum_R"])
+        row["identity_gap_W"] = abs((nxt["W"] - prev["W"]) / dt - row["sum_RW"])
     return rows
 
 
@@ -263,9 +257,7 @@ def _identity_verdict(rows: list[dict], rel_tol: float) -> dict:
     evaluated is None; without an interior row the F identity is never
     evaluated and the run is not clean."""
     worst_F = max((row["identity_gap_F"]
-                   / max(abs(row["dF_dt_fd"]),
-                         abs(row["R1"] + row["R2"] + row["R3"] + row["R4"]),
-                         1e-12)
+                   / max(abs(row["dF_dt_fd"]), abs(row["sum_R"]), 1e-12)
                    for row in rows if np.isfinite(row["identity_gap_F"])),
                   default=None)
     worst_W = max((row["identity_gap_W"] / max(abs(row["W"]), 1.0)
@@ -293,11 +285,10 @@ def emit_outputs(out_dir: str, rows: list[dict], manifest: dict) -> None:
     """Write report.csv, manifest.json and summary.txt into the existing,
     resolved directory out_dir."""
     with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS,
+                                extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({kk: repr(row[kk]) if isinstance(row[kk], float)
-                             else row[kk] for kk in CSV_COLUMNS})
+        writer.writerows(rows)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     lines = [f"preset: {manifest['preset']}", f"status: {manifest['status']}"]
@@ -372,7 +363,8 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     Fs = [row["F"] for row in rows]
     manifest["F_nondecreasing"] = bool(np.all(np.diff(Fs) > -1e-8))
     manifest.update(_identity_verdict(rows, cfg.identity_rel_tol))
-    manifest["soliton"] = functionals.soliton_detect(rows)
+    manifest["soliton"] = functionals.soliton_detect(
+        [rows[-1][name] for name in ("R1", "R2", "R3", "R4")])
     manifest["max_dH_inf"] = float(max(closed[i] for i in checked))
     emit_outputs(out_dir, rows, manifest)
     return 0 if manifest["status"] == "clean" else 2

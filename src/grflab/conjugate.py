@@ -34,10 +34,9 @@ from . import torsion
 
 @dataclass
 class ConjugateState:
-    """Positive density u at one time, with its mass."""
+    """Positive density u at one stored time, with its mass."""
 
     u: np.ndarray
-    t: float
     mass: float
 
 
@@ -130,8 +129,7 @@ def solve_backward(hist, u_T: np.ndarray | None = None,
             raise DomainError(
                 "density positivity lost in the backward solve; "
                 "the forward step size is too large")
-        out.append(ConjugateState(u, float(hist.times[i]),
-                                  mass_of(u, hist.states[i])))
+        out.append(ConjugateState(u, mass_of(u, hist.states[i])))
         if visit is not None:
             visit(i, out[-1], der)
     return out

@@ -210,16 +210,14 @@ def variation_check_F(state: GeometryState, f: np.ndarray,
 SOLITON_THRESHOLD = 1e-6
 
 
-def soliton_detect(report_rows: list[dict]) -> dict:
-    """Scan a report series for steady rigidity: all four dissipation
-    residuals below SOLITON_THRESHOLD at the final reported time."""
-    if not report_rows:
-        raise ValueError("empty report series")
-    last = report_rows[-1]
-    res = [last[kk] for kk in ("R1", "R2", "R3", "R4")]
-    steady = all(abs(r) < SOLITON_THRESHOLD for r in res)
+def soliton_detect(residuals) -> dict:
+    """Steady rigidity of one state: its four dissipation residuals R1..R4
+    all below SOLITON_THRESHOLD."""
+    res = list(residuals)
+    if len(res) != 4:
+        raise ValueError(f"expected the four residuals R1..R4, got {len(res)}")
     return {
-        "steady_rigidity": steady,
+        "steady_rigidity": all(abs(r) < SOLITON_THRESHOLD for r in res),
         "final_residuals": res,
         "threshold": SOLITON_THRESHOLD,
     }

@@ -1,6 +1,6 @@
-"""End-to-end acceptance gate: oracle equivalences, frozen point values,
-identity closure along coupled runs, conservation, gauge transport, and
-fixed-point behavior, each at its stated tolerance."""
+"""End-to-end acceptance gate: oracle equivalences, identity closure along
+coupled runs, conservation, gauge transport, and fixed-point behavior, each
+at its stated tolerance."""
 
 import csv
 import json
@@ -9,14 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import curvature_gaps, flat_abelian_state, heisenberg_state
-from grflab import algebra, cli, functionals, torsion
+from conftest import curvature_gaps, flat_abelian_state
+from grflab import algebra, cli, torsion
 from grflab.cli import ScenarioConfig, random_state, run_pipeline
 from grflab.fields import Mesh
-from grflab.flow import (IntegratorConfig, evaluate_rhs,
-                         gauge_equivalence_report, run_flow)
-from grflab.geometry import (GeometryState, curvature_closed_form, derive,
-                             ricci_blocks)
+from grflab.flow import IntegratorConfig, gauge_equivalence_report, run_flow
+from grflab.geometry import GeometryState, derive
 from test_algebra import ad_traces
 
 
@@ -111,22 +109,6 @@ def test_splitting_identity_random_samples():
         assert torsion.splitting_identity(st, der) / scale < 1e-12
         count += int(np.prod(st.mesh.shape))
     assert count >= 1000
-
-
-# -- frozen point values on constant Heisenberg fibers -----------
-
-def test_heisenberg_point_values():
-    st = heisenberg_state()
-    der = derive(st)
-    Ric_ff, _, _ = ricci_blocks(st, der)
-    scalar = curvature_closed_form(st, der).scalar
-    assert np.max(np.abs(Ric_ff - np.diag([-0.5, -0.5, 0.5]))) < 1e-10
-    assert np.max(np.abs(scalar + 0.5)) < 1e-10
-
-    rhs = evaluate_rhs(st, "ungauged")
-    assert np.max(np.abs(rhs.dG - np.diag([1.0, 1.0, -1.0]))) < 1e-10
-    assert functionals.eval_F(st, np.zeros(st.mesh.shape), der) == pytest.approx(
-        -0.5, abs=1e-10)
 
 
 # -- energy dissipation identity along the coupled run -----------

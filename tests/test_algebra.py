@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import constant_state
-from grflab import algebra
 from grflab.algebra import (AlgebraValidationError, LieAlgebra, abelian,
                             algebra_from_spec, heisenberg3, require_valid,
                             validate_algebra)
@@ -60,8 +59,7 @@ def ad_traces(alg, G):
 
 def test_heisenberg_valid():
     rep = validate_algebra(heisenberg3())
-    assert rep.ok
-    assert rep.antisymmetric and rep.jacobi and rep.nilpotent
+    assert rep.ok and rep.failures == ()
     assert rep.nilpotency_steps == 2
 
 
@@ -81,27 +79,26 @@ def test_antisymmetry_defect_detected():
     c = np.zeros((2, 2, 2))
     c[0, 0, 1] = 1.0  # no matching -1 in the swapped slot
     rep = validate_algebra(LieAlgebra(k=2, c=c))
-    assert not rep.antisymmetric
-    assert "antisymmetry" in rep.failures
+    # the one-sided bracket fails the Jacobi sum as well
+    assert rep.failures == ("antisymmetry", "jacobi")
 
 
 def test_jacobi_defect_detected():
-    # antisymmetric in (i, j) but violating Jacobi
+    # antisymmetric in (i, j), but [x0, [x1, x2]] + [x1, [x2, x0]]
+    # + [x2, [x0, x1]] = -x0 from [x0, x1] = x1 and [x1, x2] = x0
     c = np.zeros((3, 3, 3))
+    c[1, 0, 1], c[1, 1, 0] = 1.0, -1.0
     c[0, 1, 2], c[0, 2, 1] = 1.0, -1.0
-    c[1, 2, 0], c[1, 0, 2] = 1.0, -1.0
-    c[2, 1, 0], c[2, 0, 1] = 1.0, -1.0
     rep = validate_algebra(LieAlgebra(k=3, c=c))
-    assert not (rep.jacobi and rep.nilpotent)
-    with pytest.raises(AlgebraValidationError):
+    assert rep.failures == ("jacobi", "nilpotency")
+    with pytest.raises(AlgebraValidationError,
+                       match="^structure constants fail: jacobi, nilpotency$"):
         require_valid(LieAlgebra(k=3, c=c))
 
 
 def test_so3_rejected_for_nilpotency():
     rep = validate_algebra(so3())
-    assert rep.antisymmetric and rep.jacobi
-    assert not rep.nilpotent
-    assert "nilpotency" in rep.failures
+    assert rep.failures == ("nilpotency",)
 
 
 def test_bad_shape_rejected():

@@ -91,12 +91,16 @@ def cheap_config(tmp_path, **overrides):
     return write_config(tmp_path, **body)
 
 
-def run_in_one_line(path):
-    """Exit code and stderr of `grflab run path`."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = cli.main(["run", path])
-    return rc, err.getvalue()
+def fails_in_one_line(*argv) -> str:
+    """The stderr of `grflab argv`, once checked to be a one-line failure:
+    exit code 1, one line on stderr, none on stdout and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    err = err.getvalue()
+    assert (rc, out.getvalue(), len(err.strip().splitlines())) == (1, "", 1), err
+    assert "Traceback" not in err
+    return err
 
 
 # pytest names the dict and list cases by their position in this list
@@ -114,14 +118,11 @@ def run_in_one_line(path):
     ("n_override", 3),
 ])
 def test_run_rejects_bad_input_in_one_line(tmp_path, key, value):
-    rc, err = run_in_one_line(cheap_config(tmp_path, **{key: value}))
-    assert rc == 1
-    assert len(err.strip().splitlines()) == 1
+    err = fails_in_one_line("run", cheap_config(tmp_path, **{key: value}))
     assert err.strip().endswith("unknown key") == (key not in cli.CONFIG_KEYS)
     # an unknown key is printed escaped
     assert ("mesh" if key == "mesh_n"
             else "/" + key.replace("\n", "\\n")) in err
-    assert "Traceback" not in err
 
 
 def test_uncreatable_output_dir_fails_before_the_forward_stage(
@@ -133,13 +134,10 @@ def test_uncreatable_output_dir_fails_before_the_forward_stage(
         raise AssertionError("the forward stage ran")
 
     monkeypatch.setattr(cli.flow, "run_flow", no_flow)
-    rc, err = run_in_one_line(write_config(
+    err = fails_in_one_line("run", write_config(
         tmp_path, preset="flat-abelian", mesh_n=8, t_end=0.001,
         output_dir=str(blocker / "out")))
-    assert rc == 1
-    assert len(err.strip().splitlines()) == 1
     assert "/output_dir" in err
-    assert "Traceback" not in err
 
 
 # Written-out invalid values, one list per category.  The lists are fixed so
@@ -198,11 +196,8 @@ def test_invalid_config_values_end_in_one_line(tmp_path, key):
     values = [v for category in INVALID_VALUES[key] for v in category]
     assert len(values) >= 50
     for value in values:
-        rc, err = run_in_one_line(cheap_config(tmp_path, **{key: value}))
-        assert rc == 1, value
-        assert len(err.strip().splitlines()) == 1, value
+        err = fails_in_one_line("run", cheap_config(tmp_path, **{key: value}))
         assert f"/{key}" in err, value
-        assert "Traceback" not in err, value
 
 
 def test_readme_config_table_matches_loader():
@@ -225,10 +220,7 @@ def test_load_config_rejects_bad_json(tmp_path):
         path.write_bytes(content)
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(path))
-        rc, err = run_in_one_line(str(path))
-        assert rc == 1
-        assert len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
+        fails_in_one_line("run", str(path))
 
 
 def test_flat_abelian_pipeline_clean(tmp_path):
@@ -337,6 +329,28 @@ def test_unchecked_entropy_identity_is_null(tmp_path):
     assert "identity rel gap W: unchecked" in (out / "summary.txt").read_text()
 
 
+def test_build_report_differences_and_gaps():
+    nan = float("nan")
+    # t, F, W, sum_R, sum_RW; W and sum_RW are nan at t = 0
+    rows = cli.build_report([
+        {"t": t, "F": F, "W": W, "sum_R": sR, "sum_RW": sRW}
+        for t, F, W, sR, sRW in ((0.0, -0.5, nan, 0.5, nan),
+                                 (0.1, -0.25, 2.0, 3.0, 1.0),
+                                 (0.2, 0.25, 2.5, 6.0, 4.0),
+                                 (0.3, 1.0, 3.5, 9.0, 2.0))])
+    for j in (0, 3):
+        assert all(math.isnan(rows[j][name]) for name in
+                   ("dF_dt_fd", "identity_gap_F", "identity_gap_W")), j
+    dF1 = (0.25 - -0.5) / (0.2 - 0.0)
+    dF2 = (1.0 - -0.25) / (0.3 - 0.1)
+    assert (rows[1]["dF_dt_fd"], rows[2]["dF_dt_fd"]) == (dF1, dF2)
+    assert rows[1]["identity_gap_F"] == abs(dF1 - 3.0)
+    assert rows[2]["identity_gap_F"] == abs(dF2 - 6.0)
+    # the second row's W difference reads the nan W at t = 0
+    assert math.isnan(rows[1]["identity_gap_W"])
+    assert rows[2]["identity_gap_W"] == abs((3.5 - 2.0) / (0.3 - 0.1) - 4.0)
+
+
 def test_report_evaluates_energy_density_once_per_row(tmp_path, monkeypatch):
     calls = []
     density = functionals._energy_density
@@ -417,13 +431,7 @@ def test_report_subcommand(tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "manifest.json").write_text("{not json")
-    capsys.readouterr()
-    assert cli.main(["report", str(bad)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-    assert "manifest.json" in captured.err
-    assert "Traceback" not in captured.err
+    assert "manifest.json" in fails_in_one_line("report", str(bad))
     # so does a run file that is not UTF-8 or is a directory
     cases = (("summary.txt", lambda p: p.write_bytes(b"\xff\xfe")),
              ("summary.txt", lambda p: p.mkdir()),
@@ -434,12 +442,7 @@ def test_report_subcommand(tmp_path, capsys):
         if name == "summary.txt":
             (run_dir / "manifest.json").write_text("{}")
         make(run_dir / name)
-        capsys.readouterr()
-        assert cli.main(["report", str(run_dir)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
-        assert name in captured.err
+        assert name in fails_in_one_line("report", str(run_dir))
 
 
 def test_run_subcommand_bad_config(tmp_path, capsys):
@@ -454,19 +457,11 @@ def test_verify_subcommand(capsys):
     assert "PASS" in captured.out
     # a mesh below the stencil's 8 points ends in one line before any suite
     for mesh in ("4", "0", "-3"):
-        assert cli.main(["verify", "--mesh", mesh]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
-        assert f"--mesh {mesh}" in captured.err
-        assert "Traceback" not in captured.err
+        assert f"--mesh {mesh}" in fails_in_one_line("verify", "--mesh", mesh)
     # so does a negative seed, whatever the suite
     for seed, suite in (("-20", "all"), ("-5", "curvature"), ("-5", "torsion")):
-        assert cli.main(["verify", "--seed", seed, "--suite", suite]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
-        assert f"--seed {seed}" in captured.err
+        assert f"--seed {seed}" in fails_in_one_line(
+            "verify", "--seed", seed, "--suite", suite)
 
 
 def test_verify_variation_suite(capsys):
@@ -480,19 +475,15 @@ def test_verify_variation_suite(capsys):
     assert lines[5].split() == ["overall", "PASS"]
 
 
-def test_mesh_too_large_to_allocate_ends_in_one_line(tmp_path, capsys):
+def test_mesh_too_large_to_allocate_ends_in_one_line(tmp_path):
     # numpy refuses these sizes before it allocates anything
     for preset, n in (("heisenberg-s1", 2 ** 62), ("torus-bundle-t2", 2 ** 32)):
-        rc, err = run_in_one_line(cheap_config(tmp_path, preset=preset, mesh_n=n))
-        assert rc == 1
-        assert len(err.strip().splitlines()) == 1
+        err = fails_in_one_line(
+            "run", cheap_config(tmp_path, preset=preset, mesh_n=n))
         assert f"/mesh_n: a mesh of {n} points" in err
-        assert "Traceback" not in err
     mesh = str(2 ** 62)
-    assert cli.main(["verify", "--mesh", mesh]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip() == f"--mesh {mesh}: too large to allocate"
+    assert (fails_in_one_line("verify", "--mesh", mesh).strip()
+            == f"--mesh {mesh}: too large to allocate")
 
 
 def test_console_entry_point():

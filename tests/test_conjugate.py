@@ -5,8 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import flat_abelian_state
-from grflab import conjugate, flow
+from grflab import flow
 from grflab.cli import preset_flat_abelian, preset_heisenberg_s1
 from grflab.conjugate import (conj_rhs, forward_heat_rhs, mass_of, potential,
                               solve_backward)

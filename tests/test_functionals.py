@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import constant_state, flat_abelian_state, heisenberg_state
+from conftest import flat_abelian_state, heisenberg_state
 from grflab import algebra
-from grflab.cli import preset_inoue_like, random_direction, random_state
+from grflab.cli import random_direction, random_state
 from grflab.fields import DomainError, integrate_values
 from grflab.flow import blowdown_rescale
 from grflab.functionals import (VariationDirection, eval_F, eval_Wplus,
@@ -200,9 +200,10 @@ def test_scaling_of_energy_under_rescale():
 
 
 def test_soliton_detect():
-    flat_rows = [{"R1": 0.0, "R2": 0.0, "R3": 0.0, "R4": 0.0}]
-    assert soliton_detect(flat_rows)["steady_rigidity"]
-    heis_rows = [{"R1": 1.5, "R2": 0.0, "R3": 0.0, "R4": 0.0}]
-    assert not soliton_detect(heis_rows)["steady_rigidity"]
-    with pytest.raises(ValueError):
-        soliton_detect([])
+    assert soliton_detect((0.0, 0.0, 0.0, 0.0))["steady_rigidity"]
+    assert not soliton_detect((1.5, 0.0, 0.0, 0.0))["steady_rigidity"]
+    assert soliton_detect((0.0, 0.0, 0.0, -1e-7))["final_residuals"] == [
+        0.0, 0.0, 0.0, -1e-7]
+    for residuals in ((), (0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            soliton_detect(residuals)

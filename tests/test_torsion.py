@@ -122,12 +122,6 @@ def test_h_contractions_kept_per_derived_geometry():
     assert np.array_equal(Hsq, torsion.h_contractions(st, fresh)[1])
 
 
-def test_dstar_zero_torsion():
-    st = heisenberg_state()
-    der = derive(st)
-    assert np.max(np.abs(torsion.b_dot(st, der))) == 0.0
-
-
 def test_dstar_constant_data_abelian():
     # every codifferential term carries a derivative, a DG, an F, or a bracket
     st = preset_inoue_like(16)
