@@ -15,6 +15,12 @@ degree-1 table; the frame brackets and the codifferential are read at them.
 Includes the generic exterior derivative of the bracket geometry, the
 quadratic contractions of H, and the closed-form codifferential that drives
 the torsion evolution.
+
+An exactly zero H is the Ricci flow with symmetry on the principal bundle,
+and the flow keeps it exactly zero: the source B = -d*H and the torsion rate
+at B = 0 are linear in H.  torsion_free scans H once per derived state, and
+on such a state h_contractions, b_dot, closedness_residual and (when B is
+exactly zero too) torsion_rate return exact zeros without their products.
 """
 
 from __future__ import annotations
@@ -198,6 +204,8 @@ def algebroid_d(sigma: np.ndarray, p: int, Cp: np.ndarray, mesh: Mesh, k: int) -
 def closedness_residual(state: GeometryState, der: DerivedGeometry) -> float:
     """Max norm of dH (der: the state's derive()) over its independent
     components; vanishes for torsion fields coming from closed 3-forms."""
+    if torsion_free(state, der):
+        return 0.0
     k = state.k
     dH = _d_components(state.H, 3, bracket_pairs(state, der.F), state.mesh,
                        _d_tables(k + state.d, k, 3))
@@ -206,14 +214,25 @@ def closedness_residual(state: GeometryState, der: DerivedGeometry) -> float:
 
 # --- quadratic contractions --------------------------------------------------
 
+def torsion_free(state: GeometryState, der: DerivedGeometry) -> bool:
+    """Whether state.H is exactly zero (der: the state's derive()); scanned
+    on the first call for a der, later calls read der.H_zero."""
+    if der.H_zero is None:
+        der.H_zero = not state.H.any()
+    return der.H_zero
+
+
 def h_contractions(state: GeometryState, der: DerivedGeometry):
     """The square contraction calH(e1, e2) = tr H(e1, ., .) H(e2, ., .) and
     the full-contraction norm |H|^2.
 
-    Returns (calH, Hsq) with calH a (..., K, K) symmetric array.  Computed on
-    the first call for a der; later calls return the same arrays.
+    Returns (calH, Hsq) with calH a (..., K, K) symmetric array, zeros on a
+    torsion-free state.  Computed on the first call for a der; later calls
+    return the same arrays.
     """
-    if der.calH is None:
+    if der.calH is None and torsion_free(state, der):
+        der.calH, der.Hsq = np.zeros(state.H.shape[:-1]), np.zeros(state.mesh.shape)
+    elif der.calH is None:
         gEi = inverse_frame_metric(der)
         der.calH = pair_trace(state.H, _raise_last_two(state.H, gEi), 2)
         der.Hsq = np.einsum("...ab,...ab->...", gEi, der.calH)
@@ -316,7 +335,9 @@ def splitting_identity(state: GeometryState, der: DerivedGeometry) -> float:
 def b_dot(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     """Source 2-form B = -d*H of the ungauged flow, dH/dt = dB, as a full
     antisymmetric (..., K, K) array (der: the state's derive()), spread once
-    from minus_dstar_terms."""
+    from minus_dstar_terms; zeros on a torsion-free state."""
+    if torsion_free(state, der):
+        return np.zeros(state.H.shape[:-1])
     k = state.k
     K = k + state.d
     return _spread(minus_dstar_terms(state, der), _d_tables(K, k, 1), K, 2)
@@ -334,8 +355,11 @@ def torsion_rate(state: GeometryState, der: DerivedGeometry, B: np.ndarray,
     rate minus H with each base slot fed the fiber vector (dA/dt) v.  For an
     antisymmetric H the correction at the triples is one product of
     P[a, beta, gamma] = (dA/dt)^m_a H_{m beta gamma} with the signed table
-    correction, one term per base slot.
+    correction, one term per base slot.  Both vanish when H and B are
+    exactly zero, and the rate is then zeros.
     """
+    if torsion_free(state, der) and not B.any():
+        return np.zeros(state.H.shape)
     k, mesh = state.k, state.mesh
     K = k + state.d
     tables = _d_tables(K, k, 2)

@@ -426,7 +426,7 @@ def test_report_subcommand(tmp_path, capsys):
     assert cli.main(["report", str(out)]) == 0
     captured = capsys.readouterr()
     assert "preset: flat-abelian" in captured.out
-    assert cli.main(["report", str(tmp_path / "missing")]) == 1
+    assert "no manifest" in fails_in_one_line("report", str(tmp_path / "missing"))
     # without a summary the report prints the manifest, which must parse
     bad = tmp_path / "bad"
     bad.mkdir()
@@ -445,9 +445,8 @@ def test_report_subcommand(tmp_path, capsys):
         assert name in fails_in_one_line("report", str(run_dir))
 
 
-def test_run_subcommand_bad_config(tmp_path, capsys):
-    path = write_config(tmp_path, preset="nope")
-    assert cli.main(["run", path]) == 1
+def test_run_subcommand_bad_config(tmp_path):
+    assert "/preset" in fails_in_one_line("run", write_config(tmp_path, preset="nope"))
 
 
 def test_verify_subcommand(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import flat_abelian_state, heisenberg_state
 from grflab import algebra, flow, torsion
-from grflab.cli import preset_heisenberg_s1, random_state
+from grflab.cli import preset_heisenberg_s1, preset_inoue_like, random_state
 from grflab.fields import DomainError
 from grflab.flow import (FlowHistory, IntegratorConfig, blowdown_rescale,
                          cfl_dt, evaluate_rhs, gauge_equivalence_report,
@@ -270,6 +270,31 @@ def test_rhs_skips_the_full_array_torsion_round_trip(monkeypatch):
         calls.clear()
         evaluate_rhs(st, mode)
         assert calls == {"b_dot": 1, "torsion_rate": 1}, mode
+
+
+def test_torsion_free_runs_skip_the_codifferential(monkeypatch):
+    # H = 0 is kept exactly by the flow, and its torsion source is never
+    # formed; a run with torsion forms it at every evaluation
+    calls = []
+    dstar = torsion.minus_dstar_terms
+
+    def counted(*args):
+        calls.append(1)
+        return dstar(*args)
+
+    monkeypatch.setattr(torsion, "minus_dstar_terms", counted)
+    free = (preset_heisenberg_s1(16),
+            random_state(np.random.default_rng(8), algebra.heisenberg3(), 8, 2,
+                         with_H=False))
+    for st in free:
+        for mode in flow.GAUGES:
+            hist = run_flow(st, IntegratorConfig(t_end=0.005, fixed_dt=1e-3,
+                                                 mode=mode))
+            assert not hist.abort_reason and len(hist.states) == 6
+            assert not any(s.H.any() for s in hist.states)
+            assert not calls, (st.d, mode)
+    run_flow(preset_inoue_like(16), IntegratorConfig(t_end=0.005, fixed_dt=1e-3))
+    assert calls
 
 
 def test_transport_needs_a_stored_time():

@@ -1,4 +1,5 @@
-"""Every module of the package and of the tests reads each name it imports."""
+"""Every module of the package, the tests and the benchmark reads each name
+it imports."""
 
 import ast
 from pathlib import Path
@@ -25,8 +26,8 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = sorted((ROOT / "src" / "grflab").glob("*.py")) + sorted(
-        (ROOT / "tests").glob("*.py"))
-    assert len(modules) > 20
+    modules = [path for folder in ("src/grflab", "tests", "bench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    assert len(modules) > 25
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert not unused, unused

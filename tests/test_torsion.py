@@ -6,7 +6,7 @@ from conftest import flat_abelian_state, heisenberg_state
 from grflab import algebra, flow, functionals, torsion
 from grflab.cli import (PRESETS, codifferential_gap, preset_inoue_like,
                         random_direction, random_state, random_waves)
-from grflab.geometry import derive
+from grflab.geometry import _raise_last_two, derive, pair_trace
 
 
 def random_full_state(seed=0, N=16, d=1):
@@ -102,8 +102,13 @@ def test_h_contractions_zero_torsion():
     st = heisenberg_state()
     der = derive(st)
     calH, Hsq = torsion.h_contractions(st, der)
+    assert der.H_zero
+    assert calH.shape == st.H.shape[:-1] and Hsq.shape == st.mesh.shape
     assert np.max(np.abs(calH)) == 0.0
     assert np.max(np.abs(Hsq)) == 0.0
+    # the shortcut's premise: the general contraction is exactly zero there
+    gEi = torsion.inverse_frame_metric(der)
+    assert not pair_trace(st.H, _raise_last_two(st.H, gEi), 2).any()
 
 
 def test_h_contractions_kept_per_derived_geometry():
@@ -112,6 +117,7 @@ def test_h_contractions_kept_per_derived_geometry():
     calH, Hsq = torsion.h_contractions(st, der)
     again = torsion.h_contractions(st, der)
     assert again[0] is calH and again[1] is Hsq
+    assert der.H_zero is False  # H scanned once, beside calH
     assert np.max(np.abs(calH)) > 0.1
     fresh = derive(st)
     full = st.H
@@ -213,8 +219,26 @@ def canonical_source(st, der):
 def test_b_dot_zero_torsion():
     st = heisenberg_state()
     der = derive(st)
-    assert np.max(np.abs(torsion.b_dot(st, der))) == 0.0
+    B = torsion.b_dot(st, der)
+    assert B.shape == st.H.shape[:-1] and np.max(np.abs(B)) == 0.0
     assert np.max(np.abs(canonical_source(st, der))) == 0.0
+    # the shortcut's premise: the general codifferential is exactly zero there
+    assert not torsion.minus_dstar_terms(st, der).any()
+
+
+def test_torsion_rate_on_zero_torsion_is_dB():
+    # a direction can carry a nonzero B on a torsion-free state; the rate is
+    # then dB alone, the moving-frame correction vanishing with H
+    for d in (1, 2):
+        rng = np.random.default_rng(60 + d)
+        st = random_state(rng, algebra.heisenberg3(), 12, d, with_H=False)
+        der = derive(st)
+        v = random_direction(rng, st)
+        assert v.B.any()
+        rate = torsion.torsion_rate(st, der, v.B, v.dA)
+        dB = torsion.algebroid_d(v.B, 2, torsion.bracket_pairs(st, der.F),
+                                 st.mesh, st.k)
+        assert rate.any() and np.array_equal(rate, dB), d
 
 
 def test_b_dot_canonical_flat_abelian():
