@@ -147,7 +147,7 @@ CONFIG_KEYS = {
     "mesh_n": _INTEGER,
     "algebra": (lambda value: isinstance(value, (str, dict)),
                 "an algebra name or an object with keys k and c"),
-    "mode": _one_of(*flow.GAUGES),
+    "mode": _one_of(*conjugate.GAUGES),
     "t_end": _NUMBER,
     "cfl_sigma": _NUMBER,
     "fixed_dt": _NUMBER,
@@ -337,14 +337,17 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     manifest["steps"] = len(hist.times) - 1
     if hist.abort_reason:
         return _abort(out_dir, manifest, hist.abort_reason)
-    # the report rows and the closedness check read each stored state's
-    # derivation as the backward walk reaches it
+    # the report rows and the closedness check derive their stored states,
+    # each once, as the backward walk reaches them
     reported = {*range(0, len(hist.times), cfg.report_stride), len(hist.times) - 1}
     checked = (0, len(hist.states) // 2, len(hist.states) - 1)
     rows, closed = [], {}
 
-    def visit(i, c, der):
+    def visit(i, c):
+        if i not in reported and i not in checked:
+            return
         st = hist.states[i]
+        der = derive(st, validated=True)
         if i in reported:
             rows.append(report_row(hist.times[i], st, der, c))
         if i in checked:

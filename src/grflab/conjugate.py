@@ -5,22 +5,31 @@ flow, so that its mass with respect to the moving volume form stays constant.
 Solving from a uniform terminal profile produces the scalar potential f used
 by the energy and entropy functionals.
 
-In the canonical gauge the conjugate equation has no transport term.  The
-ungauged system differs from it by the flow of the divergence vector q, so
-there the density is also carried along q: the term -<q, grad u>, the one
-choice that keeps the mass exactly constant in the continuum.  run_flow
-records the gauge on its FlowHistory, and solve_backward reads it there; a
-mode not in flow.GAUGES raises ValueError.
+The equation reads four coefficients of the flow, a Background record: the
+inverse base metric, its Christoffel symbols, the divergence vector q and
+the dilaton potential V.  run_flow stores one record per state, made by
+background from the derivation its forward step already holds, and the walk
+reads the stored records and FlowHistory.background_at, their interpolant in
+time; it derives nothing.
+
+The flow and this equation come in the gauge modes of GAUGES, kept here
+because flow imports this module for its records.  In the canonical gauge
+the conjugate equation has no transport term.  The ungauged system differs
+from it by the flow of the divergence vector q, so there the density is
+also carried along q: the term -<q, grad u>, the one choice that keeps the
+mass exactly constant in the continuum.  run_flow records the gauge on its
+FlowHistory, and solve_backward reads it there; a mode not in GAUGES raises
+ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .fields import DomainError, integrate_values
-from .flow import check_gauge, march
+from .fields import DomainError, Mesh, integrate_values
 from .geometry import (
     DerivedGeometry,
     GeometryState,
@@ -30,6 +39,25 @@ from .geometry import (
     norm_sq_F,
 )
 from . import torsion
+
+GAUGES = ("ungauged", "canonical")  # the gauge modes of a run
+
+
+def check_gauge(mode: str) -> None:
+    """Raise ValueError unless mode is one of GAUGES."""
+    if mode not in GAUGES:
+        raise ValueError(f"unknown gauge mode {mode!r}")
+
+
+class Background(NamedTuple):
+    """The coefficients of the conjugate equation at one time: the inverse
+    base metric gi, its Christoffel symbols Gamma, the divergence vector q
+    and the dilaton potential V."""
+
+    gi: np.ndarray
+    Gamma: np.ndarray
+    q: np.ndarray
+    V: np.ndarray
 
 
 @dataclass
@@ -48,52 +76,51 @@ def potential(u: np.ndarray) -> np.ndarray:
 
 
 def dilaton_potential(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
-    """Zeroth-order coefficient: R_g - |DG|^2/4 - |F|^2/2 - tr_g calH / 4.
-
-    Computed on the first call for a der; later calls return the same array.
-    """
-    if der.V is None:
-        k = state.k
-        calH, _ = torsion.h_contractions(state, der)
-        trH_bb = np.einsum("...ab,...ab->...", der.gi, calH[..., k:, k:])
-        der.V = (der.R_g - 0.25 * norm_sq_DG(state, der)
-                 - 0.5 * norm_sq_F(state, der) - 0.25 * trH_bb)
-    return der.V
+    """Zeroth-order coefficient: R_g - |DG|^2/4 - |F|^2/2 - tr_g calH / 4
+    (der: the state's derive())."""
+    k = state.k
+    calH, _ = torsion.h_contractions(state, der)
+    trH_bb = np.einsum("...ab,...ab->...", der.gi, calH[..., k:, k:])
+    return (der.R_g - 0.25 * norm_sq_DG(state, der)
+            - 0.5 * norm_sq_F(state, der) - 0.25 * trH_bb)
 
 
-def _transport(phi: np.ndarray, state: GeometryState,
-               der: DerivedGeometry) -> np.ndarray:
+def background(state: GeometryState, der: DerivedGeometry) -> Background:
+    """The state's Background record (der: the state's derive())."""
+    return Background(der.gi, der.Gamma, der.q, dilaton_potential(state, der))
+
+
+def _transport(phi: np.ndarray, bg: Background, mesh: Mesh) -> np.ndarray:
     """<q, grad phi>, the rate of phi's transport along q."""
-    return np.einsum("...a,...a->...", der.q, _derivs(phi, state.mesh))
+    return np.einsum("...a,...a->...", bg.q, _derivs(phi, mesh))
 
 
-def conj_rhs(u: np.ndarray, state: GeometryState, der: DerivedGeometry,
+def conj_rhs(u: np.ndarray, bg: Background, mesh: Mesh,
              mode: str = "ungauged") -> np.ndarray:
     """Forward-time rate of the density in the flow's gauge mode:
 
         du/dt = -Lap u + V u - <q, grad u>,
 
-    with V the dilaton potential (der: the state's derive()); the transport
-    term is only in the ungauged gauge.  The equation is backward-parabolic,
-    integrated in reversed time by solve_backward.
+    with the coefficients of the background bg; the transport term is only
+    in the ungauged gauge.  The equation is backward-parabolic, integrated
+    in reversed time by solve_backward.
     """
     check_gauge(mode)
     if np.any(u <= 0):
         raise DomainError("density must be strictly positive")
-    lap = laplacian(u, der.gi, der.Gamma, state.mesh)
-    rate = -lap + dilaton_potential(state, der) * u
-    return rate - _transport(u, state, der) if mode == "ungauged" else rate
+    rate = -laplacian(u, bg.gi, bg.Gamma, mesh) + bg.V * u
+    return rate - _transport(u, bg, mesh) if mode == "ungauged" else rate
 
 
-def forward_heat_rhs(phi: np.ndarray, state: GeometryState,
-                     der: DerivedGeometry, mode: str = "ungauged") -> np.ndarray:
+def forward_heat_rhs(phi: np.ndarray, bg: Background, mesh: Mesh,
+                     mode: str = "ungauged") -> np.ndarray:
     """Forward drift-diffusion paired with the density: d(phi)/dt = Lap phi
-    - <q, grad phi>, the transport term again only in the ungauged gauge
-    (der: the state's derive()).  The pairing integral of phi against u with
-    the moving volume form is constant."""
+    - <q, grad phi> on the background bg, the transport term again only in
+    the ungauged gauge.  The pairing integral of phi against u with the
+    moving volume form is constant."""
     check_gauge(mode)
-    lap = laplacian(phi, der.gi, der.Gamma, state.mesh)
-    return lap - _transport(phi, state, der) if mode == "ungauged" else lap
+    lap = laplacian(phi, bg.gi, bg.Gamma, mesh)
+    return lap - _transport(phi, bg, mesh) if mode == "ungauged" else lap
 
 
 def mass_of(u: np.ndarray, state: GeometryState) -> float:
@@ -106,12 +133,11 @@ def solve_backward(hist, u_T: np.ndarray | None = None,
     the history, in the gauge the history was run in.
 
     The terminal profile defaults to the constant 1/Vol(g(T)).  Reversed time
-    s = T - t makes the equation forward-parabolic; flow.march takes one
-    rk4 step per stored interval.  visit(i, c, der), when given, is called
-    at every stored index i from T down, with the density state c there and
-    the stored state's derivation der, which it must not keep.  Returns
-    states at every stored time from T down to the start, in decreasing t
-    order.
+    s = T - t makes the equation forward-parabolic; FlowHistory.march takes
+    one rk4 step per stored interval on the stored background records, and
+    derives nothing.  visit(i, c), when given, is called at every stored
+    index i from T down, with the density state c there.  Returns states at
+    every stored time from T down to the start, in decreasing t order.
     """
     iT = len(hist.times) - 1
     if u_T is None:
@@ -119,11 +145,12 @@ def solve_backward(hist, u_T: np.ndarray | None = None,
         vol = mass_of(np.ones(sT.mesh.shape), sT)
         u_T = np.full(sT.mesh.shape, 1.0 / vol)
     out = []
+    mesh = hist.states[iT].mesh
 
-    def rate(y, state, der):  # d u / d s = -(d u / d t)
-        return (-conj_rhs(y[0], state, der, hist.mode),)
+    def rate(y, bg):  # d u / d s = -(d u / d t)
+        return (-conj_rhs(y[0], bg, mesh, hist.mode),)
 
-    for i, (u,), der in march(hist, range(iT, -1, -1),
+    for i, (u,) in hist.march(range(iT, -1, -1),
                               (np.array(u_T, dtype=float),), rate):
         if i != iT and (np.any(u <= 0) or not np.all(np.isfinite(u))):
             raise DomainError(
@@ -131,5 +158,5 @@ def solve_backward(hist, u_T: np.ndarray | None = None,
                 "the forward step size is too large")
         out.append(ConjugateState(u, mass_of(u, hist.states[i])))
         if visit is not None:
-            visit(i, out[-1], der)
+            visit(i, out[-1])
     return out

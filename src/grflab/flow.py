@@ -8,9 +8,12 @@ transport of the fields, functionals.residual_tensors along q - grad f.
 stored_rates turns a velocity into the rates of the stored fields.
 
 Integration is classical RK4 with a parabolic CFL step size.  rk4 is the
-one RK4 step for every time march: the forward flow here, and march, the one
-walk along a stored flow, which the backward density solve in conjugate and
-the particle transport of the gauge check take.
+one RK4 step for every time march: the forward flow here, and
+FlowHistory.march, the one walk along a stored flow, which the backward
+density solve in conjugate and the particle transport of the gauge check
+take.  run_flow derives each state once: the derivation serves the first
+stage of the state's next step and the state's stored conjugate.Background
+record, which is all the walk reads.
 The stored components of H live in the moving splitting, so their clock rate
 carries a correction whenever dA/dt is nonzero; torsion.torsion_rate takes
 dB and that correction at the increasing index triples and spreads the rate
@@ -26,18 +29,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import require_valid
+from .conjugate import Background, background, check_gauge
 from .fields import DomainError, Mesh, deriv_array
 from .geometry import (DerivedGeometry, GeometryState, _derivs, derive,
                        min_eig_field, ricci_blocks)
 from . import torsion
-
-GAUGES = ("ungauged", "canonical")  # the gauge modes of a run
-
-
-def check_gauge(mode: str) -> None:
-    """Raise ValueError unless mode is one of GAUGES."""
-    if mode not in GAUGES:
-        raise ValueError(f"unknown gauge mode {mode!r}")
 
 
 class FlowRHS(NamedTuple):
@@ -108,11 +104,14 @@ def ungauged_rates(state: GeometryState, der: DerivedGeometry) -> Velocity:
     return Velocity(dG, dg, dA, torsion.b_dot(state, der))
 
 
-def evaluate_rhs(state: GeometryState, mode: str = "ungauged") -> FlowRHS:
+def evaluate_rhs(state: GeometryState, mode: str = "ungauged",
+                 der: DerivedGeometry | None = None) -> FlowRHS:
     """Assemble the full system right-hand side in the requested gauge, one
-    of GAUGES."""
+    of conjugate.GAUGES (der: the state's derive(), formed here when not
+    given)."""
     check_gauge(mode)
-    der = derive(state, validated=True)
+    if der is None:
+        der = derive(state, validated=True)
     v = ungauged_rates(state, der)
     if mode == "canonical":
         # differentiating q itself keeps the gauge gap ~5x smaller than the
@@ -159,58 +158,47 @@ def rk4(y: tuple, h: float, rate) -> tuple:
                  for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4))
 
 
-def rk4_step(state: GeometryState, dt: float, mode: str) -> GeometryState:
+def rk4_step(state: GeometryState, dt: float, mode: str,
+             der: DerivedGeometry | None = None) -> GeometryState:
+    """One RK4 step of the flow from state; der, the state's derive() when
+    the caller holds it, serves the first stage."""
     def rate(fields, c):
-        return evaluate_rhs(state.with_fields(state.t + c * dt, fields), mode)
+        return evaluate_rhs(state.with_fields(state.t + c * dt, fields), mode,
+                            der if c == 0.0 else None)
 
     return state.with_fields(state.t + dt, rk4(state.fields, dt, rate))
 
 
-def march(hist: FlowHistory, indices, y: tuple, rate):
-    """Walk the tuple y along a stored flow: one rk4 step over each stored
-    interval between consecutive indices, which may run up or down the
-    history.  Yields (index, y, der) at the first index and after every
-    step, with der the stored state's derivation, the only one march holds
-    at a yield.
-
-    rate(y, state, der) gives y's rates per unit of the walk's own time,
-    which runs backward on a walk down the history.  It is read at the
-    interval's two ends and at its midpoint, FlowHistory.state_at; each
-    stored state is derived once.
-    """
-    indices = iter(indices)
-    i = next(indices)
-    end = hist.states[i], derive(hist.states[i], validated=True)
-    yield i, y, end[1]
-    for j in indices:
-        t0, t1 = hist.times[i], hist.times[j]
-        mid = hist.state_at(0.5 * (t0 + t1))
-        background = {0.0: end, 0.5: (mid, derive(mid, validated=True)),
-                      1.0: (hist.states[j], derive(hist.states[j], validated=True))}
-        y = rk4(y, abs(t1 - t0), lambda z, c: rate(z, *background[c]))
-        i, end = j, background[1.0]
-        del mid, background  # only the stored state's derivation outlives the step
-        yield j, y, end[1]
+def _weighted_sum(ws: np.ndarray, nodes: list) -> list:
+    """sum_i ws[i] * nodes[i][m] for each slot m of the array tuples nodes."""
+    return [sum(w * f for w, f in zip(ws, node)) for node in zip(*nodes)]
 
 
 @dataclass
 class FlowHistory:
-    """Dense in-memory record of a flow run in one gauge mode."""
+    """Dense in-memory record of a flow run in one gauge mode: every stored
+    state and its Background record, the coefficients the walk reads."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
+    records: list = field(default_factory=list)
     mode: str = "ungauged"
     abort_reason: str = ""  # why the run stopped short of t_end, if it did
 
-    def append(self, state: GeometryState):
+    def append(self, state: GeometryState, der: DerivedGeometry | None = None):
+        """Store a state and its Background record, made from der, the
+        state's derive(), or from a derivation formed here when not given."""
+        if der is None:
+            der = derive(state, validated=True)
         self.times.append(state.t)
         self.states.append(state)
+        self.records.append(background(state, der))
 
-    def state_at(self, t: float) -> GeometryState:
-        """The fields at time t by cubic Lagrange interpolation, exact at
-        stored times.
+    def _weights(self, t: float) -> tuple[list, np.ndarray | None]:
+        """The stored indices and weights of the cubic Lagrange interpolant
+        at time t, on fewer nodes when the history holds fewer than four
+        snapshots; at a stored time, its one index and weights None.
 
-        Uses fewer nodes when the history holds fewer than four snapshots.
         Raises ValueError for a t outside the stored span.
         """
         times = self.times
@@ -220,9 +208,9 @@ class FlowHistory:
         n = len(times)
         j = min(max(bisect.bisect_left(times, t), 1), n - 1)
         if abs(times[j] - t) < 1e-14:
-            return self.states[j]
+            return [j], None
         if abs(times[j - 1] - t) < 1e-14:
-            return self.states[j - 1]
+            return [j - 1], None
         lo = max(0, min(j - 2, n - 4))
         idx = list(range(lo, min(lo + 4, n)))
         ws = np.ones(len(idx))
@@ -230,14 +218,53 @@ class FlowHistory:
             for ib in idx:
                 if ib != ia:
                     ws[a] *= (t - times[ib]) / (times[ia] - times[ib])
-        nodes = zip(*(self.states[i].fields for i in idx))
+        return idx, ws
+
+    def state_at(self, t: float) -> GeometryState:
+        """The fields at time t by cubic Lagrange interpolation, the stored
+        state itself at a stored time."""
+        idx, ws = self._weights(t)
+        if ws is None:
+            return self.states[idx[0]]
         return self.states[idx[0]].with_fields(
-            t, [sum(w * f for w, f in zip(ws, node)) for node in nodes])
+            t, _weighted_sum(ws, [self.states[i].fields for i in idx]))
+
+    def background_at(self, t: float) -> Background:
+        """The Background record at time t by cubic Lagrange interpolation
+        of the stored records, the stored record itself at a stored time."""
+        idx, ws = self._weights(t)
+        if ws is None:
+            return self.records[idx[0]]
+        return Background(*_weighted_sum(ws, [self.records[i] for i in idx]))
+
+    def march(self, indices, y: tuple, rate):
+        """Walk the tuple y along the stored flow: one rk4 step over each
+        stored interval between consecutive indices, which may run up or
+        down the history.  Yields (index, y) at the first index and after
+        every step.
+
+        rate(y, bg) gives y's rates per unit of the walk's own time, which
+        runs backward on a walk down the history, on a Background record
+        bg: the stored records at the interval's two ends and background_at
+        its midpoint.  The walk derives nothing.
+        """
+        indices = iter(indices)
+        i = next(indices)
+        yield i, y
+        for j in indices:
+            t0, t1 = self.times[i], self.times[j]
+            bgs = {0.0: self.records[i], 0.5: self.background_at(0.5 * (t0 + t1)),
+                   1.0: self.records[j]}
+            y = rk4(y, abs(t1 - t0), lambda z, c: rate(z, bgs[c]))
+            i = j
+            yield j, y
 
 
 def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
     """March the system to t_end, recording every state.
 
+    Each accepted state is derived once; the derivation makes its stored
+    record and serves the first stage of its next step.
     Aborts (history.abort_reason) when a field stops being finite, naming
     the field and the time, when a metric leaves the SPD cone, or when
     max_steps steps end short of t_end.
@@ -252,25 +279,27 @@ def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
         raise ValueError(f"cfl_sigma must be positive, got {config.cfl_sigma!r}")
     hist = FlowHistory(mode=config.mode)
     cur = state.copy()
-    hist.append(cur)
+    der = derive(cur, validated=True)
+    hist.append(cur, der)
     steps = 0
     while cur.t < config.t_end - 1e-14 and steps < config.max_steps:
         dt = config.fixed_dt if config.fixed_dt else cfl_dt(cur, config.cfl_sigma)
         dt = min(dt, config.t_end - cur.t)
         try:
-            nxt = rk4_step(cur, dt, config.mode)
+            nxt = rk4_step(cur, dt, config.mode, der)
             # before validate: eigvalsh can return finite eigenvalues for a
             # matrix holding NaN, so the SPD check does not catch it
             for name, values in zip(GeometryState.FIELDS, nxt.fields):
                 if not np.all(np.isfinite(values)):
                     raise DomainError(f"{name} is no longer finite")
             nxt.validate()
+            der = derive(nxt, validated=True)
         except DomainError as exc:
             hist.abort_reason = f"{exc} at t = {cur.t + dt!r}"  # the rejected state's t
             return hist
         cur = nxt
         steps += 1
-        hist.append(cur)
+        hist.append(cur, der)
     if cur.t < config.t_end - 1e-14:
         hist.abort_reason = (f"stopped at t = {cur.t:.6g} short of t_end = "
                              f"{config.t_end:.6g} after max_steps = "
@@ -323,10 +352,10 @@ def transport_map_1d(hist: FlowHistory, t_end: float) -> np.ndarray:
     L = mesh.lengths[0]
     x = np.arange(mesh.sizes[0]) * mesh.spacings[0]
 
-    def velocity(y, state, der):
-        return (_fourier_interp_1d(der.q[:, 0], y[0] % L, L),)
+    def velocity(y, bg):
+        return (_fourier_interp_1d(bg.q[:, 0], y[0] % L, L),)
 
-    for _, (x,), _ in march(hist, range(stored[0] + 1), (x,), velocity):
+    for _, (x,) in hist.march(range(stored[0] + 1), (x,), velocity):
         pass
     return x % L
 

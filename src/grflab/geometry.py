@@ -254,10 +254,9 @@ def compute_q(DG: np.ndarray, Gi: np.ndarray, gi: np.ndarray) -> np.ndarray:
 class DerivedGeometry:
     """Derived quantities of one state, computed once; pass it only with that
     state.  The torsion contractions `calH` and `Hsq` are filled on first
-    use by torsion.h_contractions, the dilaton potential `V` by
-    conjugate.dilaton_potential.  `H_zero` records whether the state's H is
-    exactly zero, scanned once on the torsion layer's first call; the layer
-    then returns exact zeros without forming its products.
+    use by torsion.h_contractions.  `H_zero` records whether the state's H
+    is exactly zero, scanned once on the torsion layer's first call; the
+    layer then returns exact zeros without forming its products.
 
     The lowered bracket and curvature tensors shared by the quadratic
     contractions:
@@ -284,7 +283,6 @@ class DerivedGeometry:
     calH: np.ndarray | None = field(default=None, init=False)
     Hsq: np.ndarray | None = field(default=None, init=False)
     H_zero: bool | None = field(default=None, init=False)
-    V: np.ndarray | None = field(default=None, init=False)
 
 
 def derive(state: GeometryState, validated: bool = False) -> DerivedGeometry:

@@ -277,8 +277,9 @@ def test_report_builds_residual_tensors_once_per_row(tmp_path, monkeypatch):
 
 def test_pipeline_derives_each_state_once_after_the_forward_flow(
         tmp_path, monkeypatch):
-    # n steps: 4 derivations a step forward, then the backward walk's
-    # 2n + 1, which the report rows and the closedness check share
+    # n steps: 4 derivations a step and one of the last state forward, then
+    # one of each stored state a report row or the closedness check reads,
+    # as the backward walk reaches it: indices {0, 2, 4, 5} and {0, 3, 5}
     calls = []
 
     def counting(state, *args, **kwargs):
@@ -295,22 +296,45 @@ def test_pipeline_derives_each_state_once_after_the_forward_flow(
     assert run_pipeline(cfg) == 0
     n = json.loads((out / "manifest.json").read_text())["steps"]
     assert n == 5
-    assert len(calls) == 4 * n + 2 * n + 1
+    assert len(calls) == 4 * n + 1 + 5
+    after = calls[4 * n + 1:]
+    assert after == sorted(after, reverse=True) and len(set(after)) == 5
 
 
-def test_run_without_interior_row_is_unchecked(tmp_path):
+def test_run_without_interior_row_is_unchecked(tmp_path, capsys):
     # one CFL step reaches t_end, so the report has two rows, no interior
-    # row, and the energy identity is never evaluated
+    # row, and the energy identity is never evaluated; the backward walk
+    # reads a midpoint interpolated from two stored records
     out = tmp_path / "out"
     path = write_config(tmp_path, preset="heisenberg-s1", mesh_n=16,
                         t_end=0.005, cfl_sigma=1e6, output_dir=str(out))
     assert cli.main(["run", path]) == 2
+    assert capsys.readouterr() == ("", "")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["steps"] == 1
+    with open(out / "report.csv") as fh:
+        assert [float(row["t"]) for row in csv.DictReader(fh)] == [0.0, 0.005]
     assert manifest["stages"] == ["forward", "backward", "report"]
     assert manifest["status"] == "identity-unchecked"
     assert manifest["identity_rel_gap_F"] is None
     assert "identity rel gap F: unchecked" in (out / "summary.txt").read_text()
+
+
+def test_run_without_a_step_is_unchecked(tmp_path, capsys):
+    # a t_end below the time tolerance stores one state: no interval to
+    # walk, one report row, and no identity evaluated
+    out = tmp_path / "out"
+    path = write_config(tmp_path, preset="flat-abelian", t_end=1e-20,
+                        output_dir=str(out))
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr() == ("", "")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["steps"] == 0
+    assert manifest["stages"] == ["forward", "backward", "report"]
+    assert manifest["status"] == "identity-unchecked"
+    assert manifest["mass_drift"] == 0.0
+    with open(out / "report.csv") as fh:
+        assert [float(row["t"]) for row in csv.DictReader(fh)] == [0.0]
 
 
 def test_unchecked_entropy_identity_is_null(tmp_path):

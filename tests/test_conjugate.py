@@ -7,8 +7,8 @@ import pytest
 
 from grflab import flow
 from grflab.cli import preset_flat_abelian, preset_heisenberg_s1
-from grflab.conjugate import (conj_rhs, forward_heat_rhs, mass_of, potential,
-                              solve_backward)
+from grflab.conjugate import (background, conj_rhs, forward_heat_rhs, mass_of,
+                              potential, solve_backward)
 from grflab.fields import DomainError
 from grflab.flow import FlowHistory, IntegratorConfig, evaluate_rhs, run_flow
 from grflab.geometry import derive
@@ -51,7 +51,7 @@ def test_potential_domain_errors():
 def test_conj_rhs_positivity_guard():
     st = preset_flat_abelian(16)
     with pytest.raises(DomainError):
-        conj_rhs(np.zeros(st.mesh.shape), st, derive(st))
+        conj_rhs(np.zeros(st.mesh.shape), background(st, derive(st)), st.mesh)
 
 
 def test_forward_heat_rate_flat():
@@ -59,7 +59,7 @@ def test_forward_heat_rate_flat():
     st = preset_flat_abelian(64)
     (x,) = st.mesh.coords()
     phi = np.sin(2 * np.pi * x)
-    rate = forward_heat_rhs(phi, st, derive(st))
+    rate = forward_heat_rhs(phi, background(st, derive(st)), st.mesh)
     assert np.max(np.abs(rate + (2 * np.pi) ** 2 * phi)) < 2e-2
 
 
@@ -67,9 +67,9 @@ def test_conj_rhs_flat_is_minus_laplacian():
     st = preset_flat_abelian(64)
     (x,) = st.mesh.coords()
     u = 2.0 + np.sin(2 * np.pi * x)
-    der = derive(st)
-    rate = conj_rhs(u, st, der)
-    lap = -forward_heat_rhs(u, st, der)
+    bg = background(st, derive(st))
+    rate = conj_rhs(u, bg, st.mesh)
+    lap = -forward_heat_rhs(u, bg, st.mesh)
     assert np.max(np.abs(rate - lap)) < 1e-10
 
 
@@ -84,7 +84,7 @@ def test_mass_conserved_on_heisenberg_run():
 def test_adjoint_pairing_constant():
     # integral of phi * u dV stays fixed when phi runs forward and u backward
     # along the same stored flow.  On the modulated state u is not uniform,
-    # and the drift falls at the 4th order of flow.march (about 15x per
+    # and the drift falls at the 4th order of FlowHistory.march (about 15x per
     # doubling); a background frozen over each interval leaves 5.6e-8
     # (ungauged) at N=32, falling only 3-4x per doubling
     for mode in ("ungauged", "canonical"):
@@ -97,11 +97,11 @@ def test_adjoint_pairing_constant():
             traj = solve_backward(hist, u_T=u_T)[::-1]
             phi = 1.0 + 0.3 * np.sin(2 * np.pi * x)
 
-            def rate(y, state, der):
-                return (forward_heat_rhs(y[0], state, der, mode),)
+            def rate(y, bg):
+                return (forward_heat_rhs(y[0], bg, st.mesh, mode),)
 
-            pairings = [mass_of(phi * traj[i].u, hist.states[i]) for i, (phi,), _
-                        in flow.march(hist, range(len(hist.times)), (phi,), rate)]
+            pairings = [mass_of(phi * traj[i].u, hist.states[i]) for i, (phi,)
+                        in hist.march(range(len(hist.times)), (phi,), rate)]
             drifts.append(max(abs(p - pairings[0]) for p in pairings)
                           / abs(pairings[0]))
         assert drifts[1] < 1e-7, (mode, drifts)
@@ -122,12 +122,11 @@ def test_walks_are_fourth_order_in_time():
             hist = run_flow(st, IntegratorConfig(t_end=0.01, mode=mode, fixed_dt=dt))
             u_0 = solve_backward(hist, u_T=np.exp(0.1 * np.cos(2 * np.pi * x)))[-1].u
 
-            def rate(y, state, der):
-                return (forward_heat_rhs(y[0], state, der, mode),)
+            def rate(y, bg):
+                return (forward_heat_rhs(y[0], bg, st.mesh, mode),)
 
             phi = 1.0 + 0.3 * np.sin(2 * np.pi * x)
-            for _, (phi,), _ in flow.march(hist, range(len(hist.times)), (phi,),
-                                           rate):
+            for _, (phi,) in hist.march(range(len(hist.times)), (phi,), rate):
                 pass
             ends.append((u_0, phi))
         for j in range(2):  # the backward density, the forward solution
@@ -146,11 +145,10 @@ def modulated_heisenberg_s1(N):
 
 
 def test_stored_walks_derive_each_state_once(monkeypatch):
-    # over n stored intervals a walk derives the n + 1 stored states and the
-    # n midpoints, each once
+    # over n steps run_flow derives each stored state once, and the three
+    # later stages of each step; the walks read the stored records and
+    # their interpolants, and derive nothing
     st = modulated_heisenberg_s1(16)
-    hist = run_flow(st, IntegratorConfig(t_end=0.01, fixed_dt=1e-3))
-    n = len(hist.times) - 1
     calls = []
 
     def counting(state, *args, **kwargs):
@@ -161,11 +159,14 @@ def test_stored_walks_derive_each_state_once(monkeypatch):
         if (module.__name__.startswith("grflab")
                 and getattr(module, "derive", None) is derive):
             monkeypatch.setattr(module, "derive", counting)
-    solve_backward(hist)
-    assert len(calls) == 2 * n + 1
+    hist = run_flow(st, IntegratorConfig(t_end=0.01, fixed_dt=1e-3))
+    n = len(hist.times) - 1
+    assert n == 10 and len(calls) == 4 * n + 1
     calls.clear()
+    assert len(solve_backward(hist)) == n + 1
+    assert not calls
     flow.transport_map_1d(hist, hist.times[-1])
-    assert len(calls) == 2 * n + 1
+    assert not calls
 
 
 @pytest.mark.parametrize("mode", ["ungauged", "canonical"])
@@ -179,12 +180,13 @@ def test_mass_rate_vanishes_in_either_gauge(mode):
     assert np.max(np.abs(der.q)) > 0.1
     dg = evaluate_rhs(st, mode).dg
     trdg = np.einsum("...ab,...ab->...", der.gi, dg)
-    density_rate = conj_rhs(u, st, der, mode) + 0.5 * trdg * u
+    bg = background(st, der)
+    density_rate = conj_rhs(u, bg, st.mesh, mode) + 0.5 * trdg * u
     assert abs(mass_of(density_rate, st)) < 1e-5
     # so does the rate of its pairing with a forward solution phi, which
     # the other gauge's forward equation leaves at 7.6e-4
     phi = 1.0 + 0.3 * np.sin(2 * np.pi * x)
-    rate = mass_of(forward_heat_rhs(phi, st, der, mode) * u
+    rate = mass_of(forward_heat_rhs(phi, bg, st.mesh, mode) * u
                    + phi * density_rate, st)
     assert abs(rate) < 1e-5
 
@@ -204,11 +206,11 @@ def test_backward_solve_runs_in_the_flow_gauge(mode):
 def test_unknown_gauge_rejected():
     # every mode but "ungauged" used to run as canonical here
     st = modulated_heisenberg_s1(16)
-    der = derive(st, validated=True)
+    bg = background(st, derive(st, validated=True))
     u = np.ones(st.mesh.shape)
     for rhs in (conj_rhs, forward_heat_rhs):
         with pytest.raises(ValueError, match="'sideways'"):
-            rhs(u, st, der, "sideways")
+            rhs(u, bg, st.mesh, "sideways")
     hist = static_history(st, t_end=1e-3, n_snaps=3)
     hist.mode = "Ungauged"
     with pytest.raises(ValueError, match="'Ungauged'"):

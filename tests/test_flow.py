@@ -6,11 +6,13 @@ import pytest
 from conftest import flat_abelian_state, heisenberg_state
 from grflab import algebra, flow, torsion
 from grflab.cli import preset_heisenberg_s1, preset_inoue_like, random_state
+from grflab.conjugate import GAUGES, dilaton_potential
 from grflab.fields import DomainError
 from grflab.flow import (FlowHistory, IntegratorConfig, blowdown_rescale,
                          cfl_dt, evaluate_rhs, gauge_equivalence_report,
                          pullback_state_1d, rk4_step, run_flow,
                          transport_map_1d)
+from grflab.geometry import derive
 
 
 def test_flat_abelian_rhs_zero_all_gauges():
@@ -118,8 +120,8 @@ def test_abort_names_the_nonfinite_field(monkeypatch):
     # non-finite field must be caught before the SPD check and never stored
     calls = []
 
-    def nan_last_stage(state, mode="ungauged"):
-        rhs = evaluate_rhs(state, mode)
+    def nan_last_stage(state, mode="ungauged", der=None):
+        rhs = evaluate_rhs(state, mode, der)
         calls.append(mode)
         if len(calls) % 4 == 0:
             rhs.dH[0, 0, 0, 0] = np.nan
@@ -203,16 +205,17 @@ def test_history_state_at():
             hist.state_at(t)
 
 
-def searchsorted_state_at(hist, t):
-    """FlowHistory.state_at with the time looked up by np.searchsorted on
-    an array of the stored times: the reference for its bisect lookup."""
+def searchsorted_weights(hist, t):
+    """FlowHistory's interpolation nodes and weights with the time looked up
+    by np.searchsorted on an array of the stored times: the reference for
+    its bisect lookup.  At a stored time, its one index and weights None."""
     times = np.asarray(hist.times)
     n = len(times)
     j = min(max(int(np.searchsorted(times, t)), 1), n - 1)
     if abs(times[j] - t) < 1e-14:
-        return hist.states[j]
+        return [j], None
     if abs(times[j - 1] - t) < 1e-14:
-        return hist.states[j - 1]
+        return [j - 1], None
     lo = max(0, min(j - 2, n - 4))
     idx = list(range(lo, min(lo + 4, n)))
     ts = times[idx]
@@ -221,13 +224,12 @@ def searchsorted_state_at(hist, t):
         for b in range(len(idx)):
             if a != b:
                 ws[a] *= (t - ts[b]) / (ts[a] - ts[b])
-    nodes = zip(*(hist.states[i].fields for i in idx))
-    return hist.states[idx[0]].with_fields(
-        t, [sum(w * f for w, f in zip(ws, node)) for node in nodes])
+    return idx, ws
 
 
 def test_history_state_at_matches_the_searchsorted_lookup():
-    # a long history with uneven steps, as a CFL-limited run stores
+    # a long history with uneven steps, as a CFL-limited run stores; the
+    # fields and the background records interpolate with the same weights
     rng = np.random.default_rng(0)
     st = flat_abelian_state()
     hist = FlowHistory()
@@ -240,13 +242,61 @@ def test_history_state_at_matches_the_searchsorted_lookup():
         rng.uniform(times[0], times[-1], 500), times[::97] + 5e-15,
         times[1::89] - 5e-15, [times[-1] + 1e-15]])
     for t in queries:
-        got, ref = hist.state_at(t), searchsorted_state_at(hist, t)
-        assert got.t == ref.t
-        for a, b in zip(got.fields, ref.fields):
-            assert np.array_equal(a, b), t
+        idx, ws = searchsorted_weights(hist, t)
+        state, bg = hist.state_at(t), hist.background_at(t)
+        if ws is None:
+            assert state is hist.states[idx[0]] and bg is hist.records[idx[0]], t
+            continue
+        assert state.t == t
+        for got, nodes in ((state.fields, [hist.states[i].fields for i in idx]),
+                           (bg, [hist.records[i] for i in idx])):
+            for a, node in zip(got, zip(*nodes)):
+                assert np.array_equal(a, sum(w * f for w, f in zip(ws, node))), t
     for t in (times[0] - 1e-12, times[-1] + 1e-12):
-        with pytest.raises(ValueError, match="outside the stored span"):
-            hist.state_at(t)
+        for lookup in (hist.state_at, hist.background_at):
+            with pytest.raises(ValueError, match="outside the stored span"):
+                lookup(t)
+
+
+def test_two_state_history_interpolates_linearly():
+    # one step stores two states, so a midpoint reads a 2-node interpolant:
+    # the mean of the two records
+    st = random_state(np.random.default_rng(3), algebra.heisenberg3(), 8, 2)
+    hist = run_flow(st, IntegratorConfig(t_end=1e-3, fixed_dt=1e-3))
+    assert len(hist.records) == 2
+    mid = hist.background_at(0.5 * hist.times[1])
+    for a, r0, r1 in zip(mid, *hist.records):
+        assert np.allclose(a, 0.5 * (r0 + r1), rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", GAUGES)
+def test_stored_records_are_the_states_coefficients(mode):
+    # each record, made from the derivation of the forward step, equals
+    # the coefficients of a fresh derivation of its stored state, bit for bit
+    for st in (preset_inoue_like(16),
+               random_state(np.random.default_rng(3), algebra.heisenberg3(), 8, 2)):
+        hist = run_flow(st, IntegratorConfig(t_end=3e-3, fixed_dt=1e-3, mode=mode))
+        assert len(hist.records) == len(hist.states) == 4
+        for state, record in zip(hist.states, hist.records):
+            der = derive(state, validated=True)
+            fresh = (der.gi, der.Gamma, der.q, dilaton_potential(state, der))
+            for a, b in zip(record, fresh, strict=True):
+                assert np.array_equal(a, b), (st.d, mode, state.t)
+
+
+@pytest.mark.parametrize("mode", GAUGES)
+def test_run_flow_matches_steps_that_derive_afresh(mode):
+    # handing each state's derivation to its step's first stage changes no bit
+    for st in (preset_inoue_like(16),
+               random_state(np.random.default_rng(3), algebra.heisenberg3(), 8, 2)):
+        config = IntegratorConfig(t_end=3e-3, fixed_dt=1e-3, mode=mode)
+        hist = run_flow(st, config)
+        cur = st.copy()
+        for state in hist.states[1:]:
+            cur = rk4_step(cur, min(config.fixed_dt, config.t_end - cur.t), mode)
+            assert cur.t == state.t
+            for a, b in zip(cur.fields, state.fields):
+                assert np.array_equal(a, b), (st.d, mode, state.t)
 
 
 def test_rhs_skips_the_full_array_torsion_round_trip(monkeypatch):
@@ -266,7 +316,7 @@ def test_rhs_skips_the_full_array_torsion_round_trip(monkeypatch):
         monkeypatch.setattr(torsion, name,
                             counted(name, getattr(torsion, name, None)),
                             raising=False)
-    for mode in flow.GAUGES:
+    for mode in GAUGES:
         calls.clear()
         evaluate_rhs(st, mode)
         assert calls == {"b_dot": 1, "torsion_rate": 1}, mode
@@ -287,7 +337,7 @@ def test_torsion_free_runs_skip_the_codifferential(monkeypatch):
             random_state(np.random.default_rng(8), algebra.heisenberg3(), 8, 2,
                          with_H=False))
     for st in free:
-        for mode in flow.GAUGES:
+        for mode in GAUGES:
             hist = run_flow(st, IntegratorConfig(t_end=0.005, fixed_dt=1e-3,
                                                  mode=mode))
             assert not hist.abort_reason and len(hist.states) == 6

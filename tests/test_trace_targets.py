@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from grflab import cli
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -26,3 +28,30 @@ def test_every_trace_target_resolves():
         if not callable(vars(owner).get(attr)):
             missing.append(target)
     assert spans.TRACED and not missing, missing
+
+
+def test_a_traced_pipeline_reaches_every_run_layer(tmp_path):
+    # a refactor that routes a run around a traced name would make that
+    # name's per-layer metric read 0 without failing anything else
+    spans = load_spans()
+    tracer = spans.Tracer(spans.TRACED)
+    tracer.install()
+    try:
+        op = tracer.begin_op()
+        rc = cli.run_pipeline(cli.ScenarioConfig(
+            preset="heisenberg-s1", mesh_n=16, t_end=3e-3, fixed_dt=1e-3,
+            report_stride=1, output_dir=str(tmp_path / "out")))
+        unwrapped = tracer.unwrapped_bindings()
+    finally:
+        tracer.uninstall()
+    calls = {name: rec["calls"] for name, rec in tracer.summary(op).items()}
+    assert rc == 0
+    assert not tracer.missing and not unwrapped, (tracer.missing, unwrapped)
+    for name in ("flow.evaluate_rhs", "geometry.derive", "conjugate.conj_rhs",
+                 "conjugate.dilaton_potential", "conjugate.mass_of",
+                 "functionals.eval_F"):
+        assert calls[name] > 0, name
+    assert calls["flow.rk4_step"] == 3
+    assert calls["flow.evaluate_rhs"] == 4 * calls["flow.rk4_step"]
+    # one dilaton potential per stored state, into its background record
+    assert calls["conjugate.dilaton_potential"] == 4
