@@ -147,16 +147,20 @@ def levi_civita(g: np.ndarray, mesh: Mesh):
     """Christoffels, Ricci tensor and scalar curvature of the base metric.
 
     Returns (gi, Gamma, Ric_g, R_g) with gi the inverse metric and
-    Gamma[..., c, a, b] = Gamma^c_ab.
+    Gamma[..., c, a, b] = Gamma^c_ab.  A curve is flat: on a 1-D base Ric_g
+    and R_g are exact zeros, no derivative of Gamma is formed, and gi is
+    1 / g, which is what np.linalg.inv returns for a 1x1 matrix, bit for bit.
     """
     if np.any(metric_det(g, mesh.d) <= 0):
         raise DomainError("base metric not positive definite")
-    gi = np.linalg.inv(g)
+    gi = 1.0 / g if mesh.d == 1 else np.linalg.inv(g)
     dg = _derivs(g, mesh)  # [..., e, a, b] = d_e g_ab
     # [..., a, b, d] = d_a g_bd + d_b g_ad - d_d g_ab
     sym = _permuted_sum("abd", [(1, "abd", dg), (1, "bad", dg), (-1, "dab", dg)])
     Gamma = 0.5 * (gi @ np.swapaxes(as_matrices(sym, 2, 1), -1, -2))
     Gamma = Gamma.reshape(sym.shape)
+    if mesh.d == 1:
+        return gi, Gamma, np.zeros_like(gi), np.zeros(g.shape[:-2])
 
     dGamma = _derivs(Gamma, mesh)  # [..., e, c, a, b] = d_e Gamma^c_ab
     trGamma = np.einsum("...ccf->...f", Gamma)
@@ -256,7 +260,9 @@ class DerivedGeometry:
     state.  The torsion contractions `calH` and `Hsq` are filled on first
     use by torsion.h_contractions.  `H_zero` records whether the state's H
     is exactly zero, scanned once on the torsion layer's first call; the
-    layer then returns exact zeros without forming its products.
+    layer then returns exact zeros without forming its products.  On a 1-D
+    base F, DF, GF, GF_up, Ric_g and R_g are exact zeros of the full shapes,
+    which derive stores without forming them.
 
     The lowered bracket and curvature tensors shared by the quadratic
     contractions:
@@ -286,27 +292,41 @@ class DerivedGeometry:
 
 
 def derive(state: GeometryState, validated: bool = False) -> DerivedGeometry:
+    """The DerivedGeometry of state (validated: its algebra already checked).
+
+    A curve carries no 2-forms and is flat, so on a 1-D base F, DF and the
+    base Ricci tensor vanish for any connection and metric: derive stores
+    them, and GF and GF_up, as exact zeros without calling compute_F or
+    compute_DF, and levi_civita forms no derivative of Gamma.
+    """
     if not validated:
         require_valid(state.alg)
     mesh, alg = state.mesh, state.alg
     Gi = np.linalg.inv(state.G)
     gi, Gamma, Ric_g, R_g = levi_civita(state.g, mesh)
-    F = compute_F(state.A, alg, mesh)
-    DF = compute_DF(F, state.A, Gamma, alg, mesh)
+    k = alg.k
+    if mesh.d == 1:
+        F = np.zeros(mesh.shape + (1, 1, k))
+        DF = np.zeros(mesh.shape + (1, 1, 1, k))
+        GF = np.zeros(mesh.shape + (k, 1, 1))
+        GF_up = np.zeros(GF.shape)
+    else:
+        F = compute_F(state.A, alg, mesh)
+        DF = compute_DF(F, state.A, Gamma, alg, mesh)
+        GF = (state.G @ np.swapaxes(as_matrices(F, 2, 1), -1, -2)).reshape(
+            state.G.shape[:-1] + F.shape[-3:-1])
+        GF_up = _raise_last_two(GF, gi)
     DG = compute_DG(state.G, state.A, alg, mesh)
     DDG = compute_DDG(DG, state.A, Gamma, alg, mesh)
     q = compute_q(DG, Gi, gi)
-    k = alg.k
     Gb = (state.G @ as_matrices(alg.beta, 1, 2)).reshape(state.G.shape + (k,))
     # raise beta, then lower: each term is G (G^-1 G^-1 beta), the product
     # order of the one-call references in tests/test_kernels.py, so states
     # with diagonal metrics give the same bits as those references
     beta_up = _raise_last_two(alg.beta, Gi)
     Gb_up = (state.G @ as_matrices(beta_up, 1, 2)).reshape(Gb.shape)
-    GF = (state.G @ np.swapaxes(as_matrices(F, 2, 1), -1, -2)).reshape(
-        state.G.shape[:-1] + F.shape[-3:-1])
     return DerivedGeometry(Gi, gi, Gamma, Ric_g, R_g, F, DF, DG, DDG, q,
-                           Gb, Gb_up, GF, _raise_last_two(GF, gi))
+                           Gb, Gb_up, GF, GF_up)
 
 
 # --- closed-form curvature ---------------------------------------------------
@@ -378,15 +398,18 @@ def ricci_blocks(state: GeometryState, der: DerivedGeometry):
     """Ricci blocks of the algebroid connection.
 
     Closed forms valid for a nilpotent structure algebra.  Returns
-    (Ric_ff, Ric_fb, Ric_bb) with Ric_fb[..., i, a].
+    (Ric_ff, Ric_fb, Ric_bb) with Ric_fb[..., i, a].  On a 1-D base, where F
+    and DF vanish, each F/DF term is the scalar 0.0 and is not formed; the
+    sums keep their order, so each block has the bits that adding the zero
+    arrays gives.
     """
     b = state.alg.beta
     G = state.G
     Gi, gi = der.Gi, der.gi
     DG, DDG, F, DF = der.DG, der.DDG, der.F, der.DF
+    flat = state.d == 1
 
     trDG = fiber_trace(DG, Gi)         # G^{kl} DG_{a, kl}
-    trDG_up = gi @ trDG[..., None]     # [..., c, 1], base slot raised
     DG_up = raise_first(DG, gi)        # [..., a, i, j] = g^{ab} DG_{b, ij}
     DGGi = DG @ Gi[..., None, :, :]    # [..., a, i, l] = DG_{a, ik} G^{kl}
     Ric_ff = (
@@ -396,17 +419,18 @@ def ricci_blocks(state: GeometryState, der: DerivedGeometry):
         # g^{ab} G^{kl} DG_{a, ik} DG_{b, lj}, summed over (a, l) at once
         + 0.5 * (as_matrices(np.swapaxes(DGGi, -3, -2), 1, 2)
                  @ as_matrices(DG_up, 2, 1))
-        + 0.25 * pair_trace(der.GF_up, der.GF, 2)
+        + (0.0 if flat else 0.25 * pair_trace(der.GF_up, der.GF, 2))
         - 0.5 * bracket_trace(state, der)
         + 0.25 * pair_trace(der.Gb_up, der.Gb, 2)
     )
     Ric_fb = (
-        # G_mi g^{bc} DF_{b, ac}^m
-        0.5 * (G @ np.swapaxes(metric_trace(gi, np.moveaxis(DF, -3, -2)), -1, -2))
-        # g^{bc} DG_{b, im} F^m_ac
-        + 0.5 * pair_trace(np.swapaxes(DG_up, -3, -2), F, 2)
-        # G_mi F^m_ab g^{bc} trDG_c
-        + 0.25 * (der.GF @ trDG_up[..., None, :, :])[..., 0]
+        (0.0 if flat else (
+            # G_mi g^{bc} DF_{b, ac}^m
+            0.5 * (G @ np.swapaxes(metric_trace(gi, np.moveaxis(DF, -3, -2)), -1, -2))
+            # g^{bc} DG_{b, im} F^m_ac
+            + 0.5 * pair_trace(np.swapaxes(DG_up, -3, -2), F, 2)
+            # G_mi F^m_ab g^{bc} trDG_c, with g^{bc} trDG_c = [..., c, 1]
+            + 0.25 * (der.GF @ (gi @ trDG[..., None])[..., None, :, :])[..., 0]))
         # G^{kl} DG_{a, ml} beta^m_ki
         - 0.5 * np.swapaxes(as_matrices(DGGi, 1, 2) @ as_matrices(b, 2, 1), -1, -2)
     )
@@ -415,7 +439,8 @@ def ricci_blocks(state: GeometryState, der: DerivedGeometry):
         - 0.5 * fiber_trace(DDG, Gi)
         + 0.25 * fiber_pairing(DG, Gi)
         # g^{cd} G_mn F^m_ac F^n_bd, with GF g^-1 = [..., n, a, d] moved to (a, d, n)
-        - 0.5 * pair_trace(np.moveaxis(der.GF @ gi[..., None, :, :], -3, -1), F, 2)
+        - (0.0 if flat else
+           0.5 * pair_trace(np.moveaxis(der.GF @ gi[..., None, :, :], -3, -1), F, 2))
     )
     return Ric_ff, Ric_fb, Ric_bb
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import flat_abelian_state, heisenberg_state
-from grflab import algebra, flow, torsion
+from grflab import algebra, flow, geometry, torsion
 from grflab.cli import preset_heisenberg_s1, preset_inoue_like, random_state
 from grflab.conjugate import GAUGES, dilaton_potential
 from grflab.fields import DomainError
@@ -345,6 +345,26 @@ def test_torsion_free_runs_skip_the_codifferential(monkeypatch):
             assert not calls, (st.d, mode)
     run_flow(preset_inoue_like(16), IntegratorConfig(t_end=0.005, fixed_dt=1e-3))
     assert calls
+
+
+def test_circle_runs_never_form_the_curvature_2_form(monkeypatch):
+    # a 1-D base carries no 2-forms, so no stage of a run on a circle forms
+    # F or DF; a run on a torus forms both at every derivation
+    calls = []
+    for name in ("compute_F", "compute_DF"):
+        def counted(*args, _name=name, _kernel=getattr(geometry, name)):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    for st in (preset_heisenberg_s1(16), preset_inoue_like(16)):
+        for mode in GAUGES:
+            hist = run_flow(st, IntegratorConfig(t_end=0.005, fixed_dt=1e-3,
+                                                 mode=mode))
+            assert not hist.abort_reason and len(hist.states) == 6
+            assert not calls, mode
+    run_flow(random_state(np.random.default_rng(8), algebra.heisenberg3(), 8, 2),
+             IntegratorConfig(t_end=0.002, fixed_dt=1e-3))
+    assert {"compute_F", "compute_DF"} <= set(calls)
 
 
 def test_transport_needs_a_stored_time():

@@ -7,11 +7,14 @@ import pytest
 
 from conftest import (constant_state, curvature_gaps, flat_abelian_state,
                       heisenberg_state)
+from test_kernels import _ref_levi_civita, case_states
 from grflab import algebra, oracle
+from grflab.cli import PRESETS
 from grflab.fields import DomainError, Mesh
 from grflab.flow import blowdown_rescale
-from grflab.geometry import (check_spd_field, compute_DDG, compute_DG,
-                             compute_F, compute_q, curvature_closed_form,
+from grflab.geometry import (check_spd_field, compute_DDG, compute_DF,
+                             compute_DG, compute_F, compute_q,
+                             curvature_closed_form,
                              derive, gradient, hessian, laplacian,
                              min_eig_field, norm_sq_bracket, norm_sq_DG,
                              norm_sq_F, ricci_blocks)
@@ -29,6 +32,28 @@ def test_constant_state_derives_exactly_zero_derivatives(d, alg):
     der = derive(st)
     for name in ("Gamma", "Ric_g", "R_g", "DG", "DDG", "q", "F", "DF"):
         assert np.all(getattr(der, name) == 0.0), name
+
+
+def test_a_circle_carries_no_2_forms():
+    # F, DF and the base Ricci tensor vanish identically on a 1-D base, for
+    # any connection; derive stores them as exact zeros without forming them
+    circle = [st for _, _, st in case_states() if st.d == 1]
+    assert len(circle) == 10 and all(st.A.any() and st.H.any() for st in circle)
+    circle += [st for st in (make() for make in PRESETS.values()) if st.d == 1]
+    assert len(circle) == 13
+    for st in circle:
+        F = compute_F(st.A, st.alg, st.mesh)
+        Gamma, Ric = _ref_levi_civita(st)
+        assert not F.any() and not Ric.any()
+        assert not compute_DF(F, st.A, Gamma, st.alg, st.mesh).any()
+        der = derive(st)
+        N, k = st.mesh.shape[0], st.k
+        shapes = {"F": (N, 1, 1, k), "DF": (N, 1, 1, 1, k), "GF": (N, k, 1, 1),
+                  "GF_up": (N, k, 1, 1), "Ric_g": (N, 1, 1), "R_g": (N,)}
+        for name, shape in shapes.items():
+            value = getattr(der, name)
+            assert value.shape == shape and not value.any(), name
+        assert der.gi.tobytes() == np.linalg.inv(st.g).tobytes()
 
 
 def test_flat_abelian_curvature_zero():
