@@ -18,13 +18,14 @@ with the convention R(e1, e2, e3, e4) and Ricci the trace over slots 1 and 4.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import LieAlgebra, require_valid
-from .fields import DomainError, Mesh, deriv_array, metric_det
+from .fields import DomainError, Mesh, deriv_array, metric_det, row_blocks
 
 EIG_FLOOR = 1e-10
 
@@ -471,10 +472,9 @@ def _permuted_sum(out: str, terms) -> np.ndarray:
     return acc
 
 
-def _ffff(state: GeometryState, der: DerivedGeometry, DG_up, Gb_l) -> np.ndarray:
+def _ffff(G: np.ndarray, b: np.ndarray, der: DerivedGeometry, DG_up, Gb_l) -> np.ndarray:
     """All-fiber component, slots (p, q, r, s)."""
-    b = state.alg.beta
-    Y = _product(state.G, 2, _product(b, 3, b, 3), 4)        # G_sm b^m_pn b^n_qr
+    Y = _product(G, 2, _product(b, 3, b, 3), 4)              # G_sm b^m_pn b^n_qr
     t1 = _product(np.moveaxis(DG_up, -3, -1), 3, der.DG, 3)  # [..., p, s, q, r]
     t4 = _product(np.moveaxis(b, 0, -1), 3, der.Gb, 3)       # [..., p, r, s, q]
     P = _product(Gb_l, 3, np.moveaxis(der.Gb, -1, -3), 3)    # Gb_l[s,p,l] Gb[r,q,l]
@@ -485,32 +485,32 @@ def _ffff(state: GeometryState, der: DerivedGeometry, DG_up, Gb_l) -> np.ndarray
     return S - np.swapaxes(S, -4, -3)           # antisymmetrize in (1, 2)
 
 
-def _ffbf(state: GeometryState, der: DerivedGeometry, DG_up, Gb_l) -> np.ndarray:
+def _ffbf(b: np.ndarray, der: DerivedGeometry, DG_up, Gb_l) -> np.ndarray:
     """Fiber-fiber-base-fiber component, slots (p, q, c, s)."""
     u1 = _product(der.GF, 3, DG_up, 3)                       # [..., q, c, p, s]
     u23 = _product(der.DG, 3, np.moveaxis(Gb_l, -1, -3), 3)  # DG[c,q,k] Gb_l[.,.,k]
-    u45 = _product(np.swapaxes(der.DG, -1, -2), 3, state.alg.beta, 3)  # DG[c,m,.] b^m
+    u45 = _product(np.swapaxes(der.DG, -1, -2), 3, b, 3)     # DG[c,m,.] b^m
     U = _permuted_sum("pqcs", [(0.25, "qcps", u1), (0.25, "cqsp", u23),
                                (0.25, "cqps", u23), (-0.25, "cspq", u45),
                                (-0.25, "cqps", u45)])
     return U - np.swapaxes(U, -4, -3)
 
 
-def _fbbf(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+def _fbbf(b: np.ndarray, der: DerivedGeometry) -> np.ndarray:
     """Fiber-base-base-fiber component, slots (p, b, c, s)."""
     w2 = _product(der.DG @ der.Gi[..., None, :, :], 3, np.moveaxis(der.DG, -1, -3), 3)
     w3 = _product(der.GF @ der.gi[..., None, :, :], 3, np.moveaxis(der.GF, -1, -3), 3)
     w45 = _product(der.Gb, 3, np.moveaxis(der.F, -1, -3), 3)          # Gb[.,.,n] F^n_bc
-    w6 = _product(np.moveaxis(state.alg.beta, 0, -1), 3, der.GF, 3)  # [..., p, s, b, c]
+    w6 = _product(np.moveaxis(b, 0, -1), 3, der.GF, 3)               # [..., p, s, b, c]
     return _permuted_sum("pbcs", [(-0.5, "bcps", der.DDG), (0.25, "cpbs", w2),
                                   (0.25, "pcsb", w3), (-0.25, "spbc", w45),
                                   (-0.25, "psbc", w45), (0.25, "psbc", w6)])
 
 
-def _fbbb(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
+def _fbbb(G: np.ndarray, der: DerivedGeometry) -> np.ndarray:
     """Fiber-base-base-base component, slots (p, b, c, e)."""
     x13 = _product(der.DG, 3, np.moveaxis(der.F, -1, -3), 3)  # DG[.,p,m] F^m_..
-    x4 = _product(der.DF, 4, state.G, 2)                       # [..., b, c, e, p]
+    x4 = _product(der.DF, 4, G, 2)                             # [..., b, c, e, p]
     return _permuted_sum("pbce", [(0.25, "epbc", x13), (-0.25, "cpbe", x13),
                                   (-0.5, "bpce", x13), (-0.5, "bcep", x4)])
 
@@ -526,20 +526,39 @@ def _bbbb(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
         "abce", [(0.5, "abce", y), (-0.25, "aebc", y), (0.25, "acbe", y)])
 
 
+def _row_view(der: DerivedGeometry, rows: slice) -> DerivedGeometry:
+    """der's arrays at a block of grid rows, as views; calH, Hsq and H_zero
+    are left unset."""
+    return dataclasses.replace(der, **{f.name: getattr(der, f.name)[rows]
+                                       for f in dataclasses.fields(der) if f.init})
+
+
 def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> CurvatureBlocks:
     """All five curvature components plus Ricci blocks and scalar curvature.
 
     Uses the closed-form expressions valid for a nilpotent structure algebra;
     the Ricci blocks drop trace terms that vanish in that case, and the
-    scalar is their trace, tr_G Ric_ff + tr_g Ric_bb.  Each block permutes
-    the slots of a few shared products in its own function, whose
-    temporaries are freed before the next block is built.
+    scalar is their trace, tr_G Ric_ff + tr_g Ric_bb.  Each of ffff, ffbf,
+    fbbf and fbbb permutes the slots of a few shared products in its own
+    function; these four run over fields.row_blocks, on views of the state
+    and of der, and write each block into the returned array, so their
+    temporaries are only a block large.  ricci_blocks and bbbb are one call
+    each over the whole grid.
     """
-    DG_up = raise_first(der.DG, der.gi)      # base slot raised
-    Gb_l = der.Gb @ der.Gi[..., None, :, :]  # last bracket slot raised
-    ffff, ffbf = _ffff(state, der, DG_up, Gb_l), _ffbf(state, der, DG_up, Gb_l)
+    k, d, b = state.k, state.d, state.alg.beta
+    # a block's slot pattern gives its shape: 'f' has range k, 'b' range d
+    out = {name: np.empty(state.mesh.shape + tuple(k if s == "f" else d for s in name))
+           for name in ("ffff", "ffbf", "fbbf", "fbbb")}
+    for rows in row_blocks(state.mesh):
+        G, rd = state.G[rows], _row_view(der, rows)
+        DG_up = raise_first(rd.DG, rd.gi)      # base slot raised
+        Gb_l = rd.Gb @ rd.Gi[..., None, :, :]  # last bracket slot raised
+        out["ffff"][rows] = _ffff(G, b, rd, DG_up, Gb_l)
+        out["ffbf"][rows] = _ffbf(b, rd, DG_up, Gb_l)
+        out["fbbf"][rows] = _fbbf(b, rd)
+        out["fbbb"][rows] = _fbbb(G, rd)
     Ric_ff, Ric_fb, Ric_bb = ricci_blocks(state, der)
     scalar = (np.einsum("...ij,...ij->...", der.Gi, Ric_ff)
               + np.einsum("...ab,...ab->...", der.gi, Ric_bb))
-    return CurvatureBlocks(ffff, ffbf, _fbbf(state, der), _fbbb(state, der),
-                           _bbbb(state, der), Ric_ff, Ric_fb, Ric_bb, scalar)
+    return CurvatureBlocks(**out, bbbb=_bbbb(state, der), Ric_ff=Ric_ff,
+                           Ric_fb=Ric_fb, Ric_bb=Ric_bb, scalar=scalar)

@@ -6,8 +6,10 @@ connection coefficients come from a pointwise Koszul solve against the frame
 structure functions, and curvature is assembled directly from the commutator
 definition with finite differences of the coefficients.  Nothing is shared
 with the closed-form engine beyond the raw field arrays, the curvature F of
-the connection and the finite-difference stencil, so agreement between the
-two paths is a meaningful cross-check.
+the connection, the finite-difference stencil and fields.row_blocks, so
+agreement between the two paths is a meaningful cross-check.  row_blocks is
+no mathematics: it only cuts the grid into blocks of whole rows, over which
+both curvature paths run their pointwise K^4 stage to bound its memory.
 
 Every contraction is one stacked matmul over the grid axes: the summed slots
 are flattened into one matrix axis of length K or K^2 (K = k + d), with the
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Mesh, deriv_array
+from .fields import deriv_array, row_blocks
 from .geometry import GeometryState, compute_F
 
 __all__ = [
@@ -60,9 +62,9 @@ def structure_functions(state: GeometryState) -> np.ndarray:
     return C
 
 
-def _slots(T: np.ndarray, mesh: Mesh, *sizes: int) -> np.ndarray:
-    """T with its slot axes regrouped into the given sizes after the grid axes."""
-    return T.reshape(mesh.shape + sizes)
+def _slots(T: np.ndarray, d: int, *sizes: int) -> np.ndarray:
+    """T with its slot axes regrouped into the given sizes after its d grid axes."""
+    return T.reshape(T.shape[:d] + sizes)
 
 
 def _frame(state: GeometryState):
@@ -72,11 +74,11 @@ def _frame(state: GeometryState):
 
 
 def _koszul(state: GeometryState, gE, gEi, C) -> np.ndarray:
-    mesh, k = state.mesh, state.k
+    mesh, k, d = state.mesh, state.k, state.d
     K = gE.shape[-1]
     # L[..., a, b, g] = gE(C_ab, e_g); the three bracket terms of the Koszul
     # formula are L read in the slot orders (a, b, g), (g, a, b), (g, b, a)
-    L = _slots(np.swapaxes(_slots(C, mesh, K, K * K), -1, -2) @ gE, mesh, K, K, K)
+    L = _slots(np.swapaxes(_slots(C, d, K, K * K), -1, -2) @ gE, d, K, K, K)
     Kosz = L + np.moveaxis(L, -3, -1) + np.swapaxes(L, -3, -1)
     # the anchor of a fiber direction is zero, so only tau_{k+a} = d_a acts
     for a, h in enumerate(mesh.spacings):
@@ -84,8 +86,8 @@ def _koszul(state: GeometryState, gE, gEi, C) -> np.ndarray:
         Kosz[..., k + a, :, :] += dgE
         Kosz[..., :, k + a, :] += dgE
         Kosz[..., :, :, k + a] -= dgE
-    up = gEi @ np.swapaxes(_slots(Kosz, mesh, K * K, K), -1, -2)
-    return 0.5 * _slots(up, mesh, K, K, K)
+    up = gEi @ np.swapaxes(_slots(Kosz, d, K * K, K), -1, -2)
+    return 0.5 * _slots(up, d, K, K, K)
 
 
 def koszul_connection(state: GeometryState) -> np.ndarray:
@@ -106,30 +108,38 @@ def curvature_oracle(state: GeometryState):
 
     R^e_abc = tau_a Gam^e_bc - tau_b Gam^e_ac + Gam^e_ad Gam^d_bc
         - Gam^e_bd Gam^d_ac - C^d_ab Gam^e_dc.
+
+    Gam and its grid derivatives are formed once over the whole grid; the
+    pointwise K^4 stage then runs over fields.row_blocks and writes each
+    block straight into R, so R is the only K^4 array of the full grid.
     """
-    mesh, k = state.mesh, state.k
+    mesh, k, d = state.mesh, state.k, state.d
     gE, gEi, C = _frame(state)
     K = gE.shape[-1]
     Gam = _koszul(state, gE, gEi, C)
     Gam_m = np.ascontiguousarray(np.moveaxis(Gam, -3, -1))  # [..., x, y, e] = Gam^e_xy
-    # Q[..., x, (y, z), e] = tau_x Gam^e_yz + Gam^e_xd Gam^d_yz: both Gam.Gam
-    # terms are Q's product part read with (x, y) = (a, b) and (b, a)
-    Q = np.swapaxes(_slots(Gam, mesh, K, K * K), -1, -2)[..., None, :, :] @ Gam_m
     del Gam
-    for a, h in enumerate(mesh.spacings):
-        Q[..., k + a, :, :] += _slots(deriv_array(Gam_m, a, h), mesh, K * K, K)
-    Q = _slots(Q, mesh, K, K, K, K)
-    # one first slot at a time, so that Q and R are the only K^4 arrays
+    dGam_m = [deriv_array(Gam_m, a, h) for a, h in enumerate(mesh.spacings)]
     R = np.empty(mesh.shape + (K, K * K, K))
     Ric = np.zeros_like(gE)
-    Rup = np.empty(mesh.shape + (K, K, K))  # [..., b, c, e] = R^e_abc
-    for a in range(K):
-        np.subtract(Q[..., a, :, :, :], Q[..., :, a, :, :], out=Rup)
-        Rup -= _slots(np.swapaxes(C[..., :, a, :], -1, -2) @ _slots(Gam_m, mesh, K, K * K),
-                      mesh, K, K, K)  # C^d_ab Gam^e_dc
-        Ric += Rup[..., a]  # Ric_bc = R^a_abc, slots 1 and 4 of R traced
-        np.matmul(_slots(Rup, mesh, K * K, K), gE, out=R[..., a, :, :])
-    R = _slots(R, mesh, K, K, K, K)
+    for rows in row_blocks(mesh):
+        Gm, Cr, gEr, Ricr, Rr = (T[rows] for T in (Gam_m, C, gE, Ric, R))
+        # Q[..., x, (y, z), e] = tau_x Gam^e_yz + Gam^e_xd Gam^d_yz, with the
+        # left Gm read as [..., (y, z), d]: both Gam.Gam terms are Q's product
+        # part read with (x, y) = (a, b) and (b, a)
+        Q = _slots(Gm, d, K * K, K)[..., None, :, :] @ Gm
+        for a, dG in enumerate(dGam_m):
+            Q[..., k + a, :, :] += _slots(dG[rows], d, K * K, K)
+        Q = _slots(Q, d, K, K, K, K)
+        # one first slot at a time, so that Q is a block's only K^4 temporary
+        Rup = np.empty(Q.shape[:d] + (K, K, K))  # [..., b, c, e] = R^e_abc
+        for a in range(K):
+            np.subtract(Q[..., a, :, :, :], Q[..., :, a, :, :], out=Rup)
+            Rup -= _slots(np.swapaxes(Cr[..., :, a, :], -1, -2) @ _slots(Gm, d, K, K * K),
+                          d, K, K, K)  # C^d_ab Gam^e_dc
+            Ricr += Rup[..., a]  # Ric_bc = R^a_abc, slots 1 and 4 of R traced
+            np.matmul(_slots(Rup, d, K * K, K), gEr, out=Rr[..., a, :, :])
+    R = _slots(R, d, K, K, K, K)
     scal = np.sum(gEi * Ric, axis=(-2, -1))
     return R, Ric, scal
 
@@ -140,18 +150,18 @@ def codifferential_oracle(state: GeometryState) -> np.ndarray:
     The trace is taken before any product, so every array is K^3:
     -d*H_ce = g^ab (tau_a H_bce - Gam^f_ab H_fce - Gam^f_ac H_bfe - Gam^f_ae H_bcf).
     """
-    mesh, k = state.mesh, state.k
+    mesh, k, d = state.mesh, state.k, state.d
     gE, gEi, C = _frame(state)
     K = gE.shape[-1]
     Gam = _koszul(state, gE, gEi, C)
     H = state.H
-    v = _slots(Gam, mesh, K, K * K) @ _slots(gEi, mesh, K * K, 1)  # g^ab Gam^f_ab
-    out = -(np.swapaxes(v, -1, -2) @ _slots(H, mesh, K, K * K))
+    v = _slots(Gam, d, K, K * K) @ _slots(gEi, d, K * K, 1)  # g^ab Gam^f_ab
+    out = -(np.swapaxes(v, -1, -2) @ _slots(H, d, K, K * K))
     for a, h in enumerate(mesh.spacings):
-        out += gEi[..., k + a, None, :] @ _slots(deriv_array(H, a, h), mesh, K, K * K)
-    out = _slots(out, mesh, K, K)
+        out += gEi[..., k + a, None, :] @ _slots(deriv_array(H, a, h), d, K, K * K)
+    out = _slots(out, d, K, K)
     # M[..., (b, f), c] = g^ba Gam^f_ac
-    M = _slots(gEi @ _slots(np.swapaxes(Gam, -3, -2), mesh, K, K * K), mesh, K * K, K)
-    out -= np.swapaxes(M, -1, -2) @ _slots(H, mesh, K * K, K)
-    out -= _slots(np.swapaxes(H, -3, -2), mesh, K, K * K) @ M
+    M = _slots(gEi @ _slots(np.swapaxes(Gam, -3, -2), d, K, K * K), d, K * K, K)
+    out -= np.swapaxes(M, -1, -2) @ _slots(H, d, K * K, K)
+    out -= _slots(np.swapaxes(H, -3, -2), d, K, K * K) @ M
     return out

@@ -498,6 +498,18 @@ def test_verify_variation_suite(capsys):
     assert lines[5].split() == ["overall", "PASS"]
 
 
+def test_verify_curvature_suite_with_a_short_last_row_block(capsys):
+    # the 2-D mesh of 20 rows runs in row blocks of 6, 6, 6 and 2
+    assert cli.main(["verify", "--suite", "curvature", "--mesh", "20",
+                     "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    for line in lines[:10]:
+        assert line.startswith("curvature d=")
+        assert line.endswith("  PASS")
+    assert lines[10].split() == ["overall", "PASS"]
+
+
 def test_mesh_too_large_to_allocate_ends_in_one_line(tmp_path):
     # numpy refuses these sizes before it allocates anything
     for preset, n in (("heisenberg-s1", 2 ** 62), ("torus-bundle-t2", 2 ** 32)):

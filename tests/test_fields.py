@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grflab.fields import (DomainError, GridError, Mesh, deriv_array,
-                           integrate_values, metric_det)
+                           integrate_values, metric_det, row_blocks)
 
 
 def unit_mesh(N=32, d=1):
@@ -33,6 +33,16 @@ def test_mesh_geometry_properties():
     X, Y = mesh.coords()
     assert X.shape == (10, 20)
     assert Y[0, 3] == pytest.approx(0.6)
+
+
+def test_row_blocks_cover_the_first_axis_in_whole_rows():
+    # (sizes, expected block lengths along the first axis)
+    for sizes, lengths in [((200,), [128, 72]), ((128,), [128]), ((20, 20), [6, 6, 6, 2]),
+                           ((128, 128), [1] * 128), ((8, 300), [1] * 8), ((16, 8), [16])]:
+        blocks = row_blocks(Mesh(sizes, (1.0,) * len(sizes)))
+        assert [b.stop - b.start for b in blocks] == lengths, sizes
+        assert blocks[0].start == 0 and blocks[-1].stop == sizes[0]
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
 
 
 def test_derivative_constant_is_zero():

@@ -10,6 +10,7 @@ the same way against the ghost-layer stencil sum it was first written as.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -881,6 +882,54 @@ def test_oracle_matches_einsum_reference():
             assert got[name].shape == ref.shape
             assert np.max(np.abs(got[name] - ref)) <= (
                 ORACLE_REL_TOL * np.max(np.abs(ref))), (name, case)
+
+
+# -- row blocks ----------------------------------------------------------------
+# (mesh, base dimension, block lengths): grids that split into several row
+# blocks with a short last one, 128 + 72 points and rows 6 + 6 + 6 + 2
+ROW_BLOCK_CASES = [(200, 1, [128, 72]), (20, 2, [6, 6, 6, 2])]
+
+
+def test_row_blocked_curvature_matches_its_references_across_block_boundaries():
+    for N, d, lengths in ROW_BLOCK_CASES:
+        state = random_state(np.random.default_rng(N), algebra.heisenberg3(), N, d)
+        assert [b.stop - b.start for b in fields.row_blocks(state.mesh)] == lengths
+        assert np.any(state.H)  # with torsion
+        der = geometry.derive(state)
+        R, Ric, scal = oracle.curvature_oracle(state)
+        for name, got, ref in zip(("R", "Ric", "scal"), (R, Ric, scal),
+                                  ref_curvature_oracle(state, der)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= (
+                ORACLE_REL_TOL * np.max(np.abs(ref))), (name, N, d)
+        blocks = geometry.curvature_closed_form(state, der)
+        for name in ("ffff", "ffbf", "fbbf", "fbbb", "bbbb"):
+            got, ref = getattr(blocks, name), KERNELS[name][1](state, der)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref)), (
+                name, N, d)
+
+
+def _traced_peak(fn):
+    """(fn(), the peak of the memory tracemalloc sees allocated during it)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_blocked_curvature_peaks_near_the_size_of_its_result():
+    # a K^4 temporary over the whole grid, besides R, would break the bounds
+    state = random_state(np.random.default_rng(32), algebra.heisenberg3(), 32, 2)
+    der = geometry.derive(state)
+    (R, _, _), peak = _traced_peak(lambda: oracle.curvature_oracle(state))
+    assert peak <= 2.5 * R.nbytes, peak / R.nbytes
+    blocks, peak = _traced_peak(lambda: geometry.curvature_closed_form(state, der))
+    size = sum(value.nbytes for value in vars(blocks).values())
+    assert peak <= 2.0 * size, peak / size
 
 
 _REF_D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2
