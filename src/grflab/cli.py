@@ -29,7 +29,7 @@ import numpy as np
 from . import algebra, conjugate, flow, functionals, geometry, oracle, torsion
 from .algebra import LieAlgebra
 from .fields import DomainError, GridError, Mesh
-from .geometry import GeometryState, derive, min_eig_field
+from .geometry import GeometryState, derive
 
 
 # --- presets -----------------------------------------------------------------
@@ -213,12 +213,13 @@ CSV_COLUMNS = ["t", "F", "W", "R1", "R2", "R3", "R4", "W_extra",
 
 
 def report_row(t: float, st: GeometryState, der: geometry.DerivedGeometry,
+               min_eigs: tuple[float, float],
                c: conjugate.ConjugateState) -> dict:
     """The functional evaluations of one report row: the stored state st at
-    time t (der: its derive()) and the backward density state c there.
-    Beside the CSV columns the row holds the right-hand sides of the two
-    identities, sum_R of dF/dt and sum_RW of dW/dt; W, W_extra and sum_RW
-    are nan at t = 0."""
+    time t (der: its derive(); min_eigs: its validate()) and the backward
+    density state c there.  Beside the CSV columns the row holds the
+    right-hand sides of the two identities, sum_R of dF/dt and sum_RW of
+    dW/dt; W, W_extra and sum_RW are nan at t = 0."""
     f = conjugate.potential(c.u)
     Fval = functionals.eval_F(st, f, der)
     rt = functionals.residual_tensors(st, f, der)
@@ -230,8 +231,7 @@ def report_row(t: float, st: GeometryState, der: geometry.DerivedGeometry,
     return {
         "t": t, "F": Fval, "W": W,
         "R1": R[0], "R2": R[1], "R3": R[2], "R4": R[3], "W_extra": RW[4],
-        "min_eig_G": min_eig_field(st.G),
-        "min_eig_g": min_eig_field(st.g),
+        "min_eig_G": min_eigs[0], "min_eig_g": min_eigs[1],
         "mass_u": c.mass,
         "sum_R": R[0] + R[1] + R[2] + R[3], "sum_RW": sum(RW),
     }
@@ -332,24 +332,26 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     state = cfg.build_state()
     manifest = {"preset": cfg.preset, "mode": cfg.mode,
                 "t_end": float(cfg.t_end), "stages": [], "status": "started"}
-    hist = flow.run_flow(state, cfg)
+    hist = flow.run_flow(state, cfg, cfg.report_stride)
     manifest["stages"].append("forward")
     manifest["steps"] = len(hist.times) - 1
     if hist.abort_reason:
         return _abort(out_dir, manifest, hist.abort_reason)
-    # the report rows and the closedness check derive their stored states,
-    # each once, as the backward walk reaches them
-    reported = {*range(0, len(hist.times), cfg.report_stride), len(hist.times) - 1}
+    # the report rows are the stored states whose derivations the forward
+    # flow kept; the closedness check derives a state only where no row
+    # reads it, once, as the backward walk reaches it
     checked = (0, len(hist.states) // 2, len(hist.states) - 1)
     rows, closed = [], {}
 
     def visit(i, c):
-        if i not in reported and i not in checked:
-            return
         st = hist.states[i]
-        der = derive(st, validated=True)
-        if i in reported:
-            rows.append(report_row(hist.times[i], st, der, c))
+        if i in hist.derived:
+            der = hist.derived[i]
+            rows.append(report_row(hist.times[i], st, der, hist.min_eigs[i], c))
+        elif i in checked:
+            der = derive(st, validated=True)
+        else:
+            return
         if i in checked:
             closed[i] = torsion.closedness_residual(st, der)
 
@@ -461,16 +463,17 @@ def random_direction(rng: np.random.Generator, state: GeometryState,
         wA.reshape(mesh.shape + (d, k)), torsion.pack_full(B, k, 2), wf[..., 0])
 
 
-def _max_abs_diff(a, b) -> float:
-    """max |a - b|, formed in one buffer."""
+def _gap_and_scale(a, b) -> tuple[float, float]:
+    """(max |a - b|, max |b|), both formed in one buffer."""
     diff = np.subtract(a, b)
-    return float(np.max(np.abs(diff, out=diff)))
+    gap = float(np.max(np.abs(diff, out=diff)))
+    return gap, float(np.max(np.abs(b, out=diff)))
 
 
 def relative_gap(*pairs) -> float:
     """max |a - b| / max(max |b|, 1e-12), each max over every (a, b) pair."""
-    gap = max(_max_abs_diff(a, b) for a, b in pairs)
-    return gap / max(max(float(np.max(np.abs(b))) for _, b in pairs), 1e-12)
+    gaps, scales = zip(*(_gap_and_scale(a, b) for a, b in pairs))
+    return max(gaps) / max(max(scales), 1e-12)
 
 
 def slot_block(T: np.ndarray, pattern: str, k: int) -> np.ndarray:

@@ -13,7 +13,10 @@ FlowHistory.march, the one walk along a stored flow, which the backward
 density solve in conjugate and the particle transport of the gauge check
 take.  run_flow derives each state once: the derivation serves the first
 stage of the state's next step and the state's stored conjugate.Background
-record, which is all the walk reads.
+record, which is all the walk reads.  Given a report stride, run_flow keeps
+the derivations of the states a report reads, with the velocity of the
+first stage of their steps, and every stored state keeps the smallest
+metric eigenvalues its SPD check found.
 The stored components of H live in the moving splitting, so their clock rate
 carries a correction whenever dA/dt is nonzero; torsion.torsion_rate takes
 dB and that correction at the increasing index triples and spreads the rate
@@ -91,7 +94,11 @@ def stored_rates(state: GeometryState, der: DerivedGeometry,
 def ungauged_rates(state: GeometryState, der: DerivedGeometry) -> Velocity:
     """The ungauged flow velocity, B = -d*H the torsion source (der: the
     state's derive()).  dG and dg are symmetrized: on a 2-D base the
-    discrete mixed derivatives in the Ricci blocks are not."""
+    discrete mixed derivatives in the Ricci blocks are not.  Computed on
+    the first call for a der and kept there as der.velocity, its arrays
+    read-only; later calls return the same Velocity."""
+    if der.velocity is not None:
+        return der.velocity
     k = state.k
     Ric_ff, Ric_fb, Ric_bb = ricci_blocks(state, der)
     calH, _ = torsion.h_contractions(state, der)
@@ -101,7 +108,10 @@ def ungauged_rates(state: GeometryState, der: DerivedGeometry) -> Velocity:
     # G(dA/dt v, eta) block, converted to the connection-form rate
     mixed = -2.0 * Ric_fb + 0.5 * calH[..., :k, k:]
     dA = np.swapaxes(der.Gi @ mixed, -1, -2)
-    return Velocity(dG, dg, dA, torsion.b_dot(state, der))
+    der.velocity = Velocity(dG, dg, dA, torsion.b_dot(state, der))
+    for rate in der.velocity:
+        rate.flags.writeable = False
+    return der.velocity
 
 
 def evaluate_rhs(state: GeometryState, mode: str = "ungauged",
@@ -177,22 +187,30 @@ def _weighted_sum(ws: np.ndarray, nodes: list) -> list:
 @dataclass
 class FlowHistory:
     """Dense in-memory record of a flow run in one gauge mode: every stored
-    state and its Background record, the coefficients the walk reads."""
+    state, its Background record, the coefficients the walk reads, and its
+    smallest metric eigenvalues (min_eig_G, min_eig_g).  `derived` maps a
+    stored index to the state's derivation for the few states whose
+    derivation the run kept (run_flow's report_stride)."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     records: list = field(default_factory=list)
+    min_eigs: list = field(default_factory=list)
+    derived: dict = field(default_factory=dict)
     mode: str = "ungauged"
     abort_reason: str = ""  # why the run stopped short of t_end, if it did
 
-    def append(self, state: GeometryState, der: DerivedGeometry | None = None):
-        """Store a state and its Background record, made from der, the
-        state's derive(), or from a derivation formed here when not given."""
+    def append(self, state: GeometryState, der: DerivedGeometry | None = None,
+               min_eigs: tuple[float, float] | None = None):
+        """Store a state, its Background record, made from der, the state's
+        derive(), and min_eigs, the state's validate(); each is formed here
+        when not given."""
         if der is None:
             der = derive(state, validated=True)
         self.times.append(state.t)
         self.states.append(state)
         self.records.append(background(state, der))
+        self.min_eigs.append(state.validate() if min_eigs is None else min_eigs)
 
     def _weights(self, t: float) -> tuple[list, np.ndarray | None]:
         """The stored indices and weights of the cubic Lagrange interpolant
@@ -260,11 +278,16 @@ class FlowHistory:
             yield j, y
 
 
-def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
+def run_flow(state: GeometryState, config: IntegratorConfig,
+             report_stride: int | None = None) -> FlowHistory:
     """March the system to t_end, recording every state.
 
     Each accepted state is derived once; the derivation makes its stored
-    record and serves the first stage of its next step.
+    record and serves the first stage of its next step.  With a
+    report_stride, history.derived keeps the derivation of every
+    report_stride-th stored state and, unless a field or metric aborts the
+    run, of the last one, so the kept derivations grow with the report
+    rows, not with the steps; without one it keeps none.
     Aborts (history.abort_reason) when a field stops being finite, naming
     the field and the time, when a metric leaves the SPD cone, or when
     max_steps steps end short of t_end.
@@ -272,7 +295,7 @@ def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
     DomainError for an initial state whose metrics are not SPD.
     """
     require_valid(state.alg)
-    state.validate()
+    min_eigs = state.validate()
     if config.fixed_dt is not None and not config.fixed_dt > 0:
         raise ValueError(f"fixed_dt must be positive, got {config.fixed_dt!r}")
     if config.fixed_dt is None and not config.cfl_sigma > 0:
@@ -280,9 +303,11 @@ def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
     hist = FlowHistory(mode=config.mode)
     cur = state.copy()
     der = derive(cur, validated=True)
-    hist.append(cur, der)
+    hist.append(cur, der, min_eigs)
     steps = 0
     while cur.t < config.t_end - 1e-14 and steps < config.max_steps:
+        if report_stride and steps % report_stride == 0:
+            hist.derived[steps] = der
         dt = config.fixed_dt if config.fixed_dt else cfl_dt(cur, config.cfl_sigma)
         dt = min(dt, config.t_end - cur.t)
         try:
@@ -292,18 +317,20 @@ def run_flow(state: GeometryState, config: IntegratorConfig) -> FlowHistory:
             for name, values in zip(GeometryState.FIELDS, nxt.fields):
                 if not np.all(np.isfinite(values)):
                     raise DomainError(f"{name} is no longer finite")
-            nxt.validate()
+            min_eigs = nxt.validate()
             der = derive(nxt, validated=True)
         except DomainError as exc:
             hist.abort_reason = f"{exc} at t = {cur.t + dt!r}"  # the rejected state's t
             return hist
         cur = nxt
         steps += 1
-        hist.append(cur, der)
+        hist.append(cur, der, min_eigs)
     if cur.t < config.t_end - 1e-14:
         hist.abort_reason = (f"stopped at t = {cur.t:.6g} short of t_end = "
                              f"{config.t_end:.6g} after max_steps = "
                              f"{config.max_steps} steps")
+    if report_stride:
+        hist.derived[steps] = der
     return hist
 
 

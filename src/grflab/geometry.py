@@ -21,11 +21,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebra import LieAlgebra, require_valid
 from .fields import DomainError, Mesh, deriv_array, metric_det, row_blocks
+
+if TYPE_CHECKING:
+    from .flow import Velocity
 
 EIG_FLOOR = 1e-10
 
@@ -47,14 +51,16 @@ def _pointwise_min_eig(vals: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(vals)[..., 0]
 
 
-def check_spd_field(vals: np.ndarray, name: str):
-    """Abort with the offending grid point if a metric field degenerates."""
+def check_spd_field(vals: np.ndarray, name: str) -> float:
+    """The field's smallest eigenvalue, min_eig_field(vals); aborts with the
+    offending grid point if a metric field degenerates."""
     mineig = _pointwise_min_eig(vals)
     worst = float(np.min(mineig))
     if worst <= EIG_FLOOR:
         idx = tuple(map(int, np.unravel_index(int(np.argmin(mineig)), mineig.shape)))
         raise DomainError(f"{name} loses positivity at grid point {idx}: "
                           f"min eigenvalue {worst:.3e}")
+    return worst
 
 
 def min_eig_field(vals: np.ndarray) -> float:
@@ -104,9 +110,11 @@ class GeometryState:
     def copy(self) -> "GeometryState":
         return self.with_fields(self.t, [f.copy() for f in self.fields])
 
-    def validate(self):
-        check_spd_field(self.G, "fiber metric G")
-        check_spd_field(self.g, "base metric g")
+    def validate(self) -> tuple[float, float]:
+        """The smallest eigenvalues of G and g over the grid; raises
+        DomainError where either metric leaves the SPD cone."""
+        return (check_spd_field(self.G, "fiber metric G"),
+                check_spd_field(self.g, "base metric g"))
 
 
 # --- stacked products --------------------------------------------------------
@@ -261,7 +269,10 @@ class DerivedGeometry:
     state.  The torsion contractions `calH` and `Hsq` are filled on first
     use by torsion.h_contractions.  `H_zero` records whether the state's H
     is exactly zero, scanned once on the torsion layer's first call; the
-    layer then returns exact zeros without forming its products.  On a 1-D
+    layer then returns exact zeros without forming its products.
+    `velocity`, the state's flow.ungauged_rates, is filled on its first
+    call, with read-only arrays: the first RK4 stage of a step from the
+    state forms it, and a report row at the state reads it again.  On a 1-D
     base F, DF, GF, GF_up, Ric_g and R_g are exact zeros of the full shapes,
     which derive stores without forming them.
 
@@ -290,6 +301,7 @@ class DerivedGeometry:
     calH: np.ndarray | None = field(default=None, init=False)
     Hsq: np.ndarray | None = field(default=None, init=False)
     H_zero: bool | None = field(default=None, init=False)
+    velocity: Velocity | None = field(default=None, init=False)
 
 
 def derive(state: GeometryState, validated: bool = False) -> DerivedGeometry:
@@ -527,8 +539,8 @@ def _bbbb(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
 
 
 def _row_view(der: DerivedGeometry, rows: slice) -> DerivedGeometry:
-    """der's arrays at a block of grid rows, as views; calH, Hsq and H_zero
-    are left unset."""
+    """der's arrays at a block of grid rows, as views; calH, Hsq, H_zero
+    and velocity are left unset."""
     return dataclasses.replace(der, **{f.name: getattr(der, f.name)[rows]
                                        for f in dataclasses.fields(der) if f.init})
 

@@ -249,13 +249,19 @@ def splitting_contractions(state: GeometryState, der: DerivedGeometry):
     """
     H, k = state.H, state.k
     Gi, gi = der.Gi, der.gi
-    Hf = H[..., :k, :k, :k]
-    Hm = H[..., :k, k:, k:]
-    Hb = H[..., k:, k:, k:]
-    t_fiber = np.einsum("...ijk,...lmn,...il,...jm,...kn->...", Hf, Hf, Gi, Gi, Gi)
-    t_mixed = np.einsum("...iab,...jcd,...ij,...ac,...bd->...", Hm, Hm, Gi, gi, gi)
-    t_base = np.einsum("...abc,...def,...ad,...be,...cf->...", Hb, Hb, gi, gi, gi)
-    return t_fiber, t_mixed, t_base
+    return (_raised_square(H[..., :k, :k, :k], Gi, Gi),
+            _raised_square(H[..., :k, k:, k:], Gi, gi),
+            _raised_square(H[..., k:, k:, k:], gi, gi))
+
+
+def _raised_square(T: np.ndarray, first: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """sum T_abc T_def first^{ad} rest^{be} rest^{cf} for a three-slot T and
+    symmetric inverse metrics: T's slots raised one stacked product each,
+    the last, the middle and the first, then one pointwise dot with T."""
+    X = (as_matrices(T, 2, 1) @ rest).reshape(T.shape)
+    X = np.swapaxes(X, -1, -2)
+    X = np.swapaxes((as_matrices(X, 2, 1) @ rest).reshape(X.shape), -1, -2)
+    return np.einsum("...abc,...abc->...", T, raise_first(X, first))
 
 
 def interior_product(vec: np.ndarray, full3: np.ndarray, k: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Coupled evolution: right-hand sides, stepping, rescaling, gauge transport."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from grflab.flow import (FlowHistory, IntegratorConfig, blowdown_rescale,
                          cfl_dt, evaluate_rhs, gauge_equivalence_report,
                          pullback_state_1d, rk4_step, run_flow,
                          transport_map_1d)
-from grflab.geometry import derive
+from grflab.geometry import derive, min_eig_field
 
 
 def test_flat_abelian_rhs_zero_all_gauges():
@@ -297,6 +299,39 @@ def test_run_flow_matches_steps_that_derive_afresh(mode):
             assert cur.t == state.t
             for a, b in zip(cur.fields, state.fields):
                 assert np.array_equal(a, b), (st.d, mode, state.t)
+
+
+@pytest.mark.parametrize("mode", GAUGES)
+def test_kept_report_inputs_equal_fresh_ones(mode):
+    # a report reads the forward pass's derivations, first-stage velocities
+    # and eigenvalues; each equals a fresh one bit for bit, and derivations
+    # are kept for the reported indices only
+    for st in (preset_inoue_like(16),
+               random_state(np.random.default_rng(3), algebra.heisenberg3(), 8, 2)):
+        config = IntegratorConfig(t_end=5e-3, fixed_dt=1e-3, mode=mode)
+        assert not run_flow(st, config).derived
+        hist = run_flow(st, config, report_stride=2)
+        assert not hist.abort_reason and len(hist.states) == 6
+        assert sorted(hist.derived) == [0, 2, 4, 5]
+        assert len({id(der) for der in hist.derived.values()}) == 4
+        for state, min_eigs in zip(hist.states, hist.min_eigs, strict=True):
+            assert min_eigs == (min_eig_field(state.G), min_eig_field(state.g))
+        for i, kept in hist.derived.items():
+            state = hist.states[i]
+            # the first stage of a step from the state formed its velocity
+            assert (kept.velocity is None) == (i == 5), (st.d, i)
+            fresh = derive(state, validated=True)
+            pairs = zip(flow.ungauged_rates(state, kept),
+                        flow.ungauged_rates(state, fresh), strict=True)
+            for a, b in pairs:
+                assert np.array_equal(a, b) and not a.flags.writeable, (st.d, i)
+                with pytest.raises(ValueError, match="read-only"):
+                    a *= 1.0
+            assert flow.ungauged_rates(state, kept) is kept.velocity
+            for name in (f.name for f in dataclasses.fields(fresh)):
+                if name != "velocity":
+                    assert np.array_equal(getattr(kept, name), getattr(fresh, name)), \
+                        (st.d, i, name)
 
 
 def test_rhs_skips_the_full_array_torsion_round_trip(monkeypatch):

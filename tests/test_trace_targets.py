@@ -55,3 +55,8 @@ def test_a_traced_pipeline_reaches_every_run_layer(tmp_path):
     assert calls["flow.evaluate_rhs"] == 4 * calls["flow.rk4_step"]
     # one dilaton potential per stored state, into its background record
     assert calls["conjugate.dilaton_potential"] == 4
+    # 4 derivations a step and one of the last state; the report rows read
+    # the kept derivations and each step's first-stage Ricci blocks, so only
+    # the last state's row forms its own
+    assert calls["geometry.derive"] == 4 * 3 + 1
+    assert calls["geometry.ricci_blocks"] == 4 * 3 + 1
