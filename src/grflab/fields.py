@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# the fewest points per axis a Mesh accepts for the stencil of deriv_array,
+# and the grid flow.run_flow steps a homogeneous state on
+MIN_POINTS = 8
+
+
 class GridError(ValueError):
     """Structural misuse of meshes."""
 
@@ -41,8 +46,8 @@ class Mesh:
             raise GridError(f"base dimension must be 1 or 2, got {len(sizes)}")
         if len(lengths) != len(sizes):
             raise GridError("sizes and lengths must have equal length")
-        if any(n < 8 for n in sizes):
-            raise GridError("need at least 8 points per axis for the stencil")
+        if any(n < MIN_POINTS for n in sizes):
+            raise GridError(f"need at least {MIN_POINTS} points per axis for the stencil")
         if any(L <= 0 for L in lengths):
             raise GridError("box lengths must be positive")
         object.__setattr__(self, "sizes", sizes)

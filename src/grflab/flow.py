@@ -17,6 +17,12 @@ record, which is all the walk reads.  Given a report stride, run_flow keeps
 the derivations of the states a report reads, with the velocity of the
 first stage of their steps, and every stored state keeps the smallest
 metric eigenvalues its SPD check found.
+A homogeneous state, each field equal at every grid point to its value at
+the first, stays homogeneous bit for bit: its grid derivatives are exact
+zeros and the rest of a step is pointwise.  So run_flow steps such a state
+on the stencil's smallest grid, fields.MIN_POINTS points per axis, and
+stores the result spread over the full mesh; its forward cost does not grow
+with the mesh.
 The stored components of H live in the moving splitting, so their clock rate
 carries a correction whenever dA/dt is nonzero; torsion.torsion_rate takes
 dB and that correction at the increasing index triples and spreads the rate
@@ -33,9 +39,9 @@ import numpy as np
 
 from .algebra import require_valid
 from .conjugate import Background, background, check_gauge
-from .fields import DomainError, Mesh, deriv_array
-from .geometry import (DerivedGeometry, GeometryState, _derivs, derive,
-                       min_eig_field, ricci_blocks)
+from .fields import MIN_POINTS, DomainError, Mesh, deriv_array
+from .geometry import (DerivedGeometry, GeometryState, _derivs, _point_view,
+                       derive, point_spread, ricci_blocks)
 from . import torsion
 
 
@@ -144,11 +150,13 @@ class IntegratorConfig:
     fixed_dt: float | None = None
 
 
-def cfl_dt(state: GeometryState, sigma: float) -> float:
-    """Parabolic step bound: sigma * min h^2 / max eigenvalue of g^{-1},
-    which is sigma * min h^2 * min eigenvalue of g."""
-    h2 = min(h * h for h in state.mesh.spacings)
-    return sigma * h2 * min_eig_field(state.g)
+def cfl_dt(mesh: Mesh, min_eig_g: float, sigma: float) -> float:
+    """Parabolic step bound on mesh for a base metric whose smallest
+    eigenvalue over the grid is min_eig_g (GeometryState.validate finds it):
+    sigma * min h^2 / max eigenvalue of g^{-1}, which is
+    sigma * min h^2 * min_eig_g."""
+    h2 = min(h * h for h in mesh.spacings)
+    return sigma * h2 * min_eig_g
 
 
 def rk4(y: tuple, h: float, rate) -> tuple:
@@ -200,16 +208,15 @@ class FlowHistory:
     mode: str = "ungauged"
     abort_reason: str = ""  # why the run stopped short of t_end, if it did
 
-    def append(self, state: GeometryState, der: DerivedGeometry | None = None,
+    def append(self, state: GeometryState, record: Background | None = None,
                min_eigs: tuple[float, float] | None = None):
-        """Store a state, its Background record, made from der, the state's
-        derive(), and min_eigs, the state's validate(); each is formed here
-        when not given."""
-        if der is None:
-            der = derive(state, validated=True)
+        """Store a state, its Background record and min_eigs, the state's
+        validate(); each is formed here when not given."""
+        if record is None:
+            record = background(state, derive(state, validated=True))
         self.times.append(state.t)
         self.states.append(state)
-        self.records.append(background(state, der))
+        self.records.append(record)
         self.min_eigs.append(state.validate() if min_eigs is None else min_eigs)
 
     def _weights(self, t: float) -> tuple[list, np.ndarray | None]:
@@ -293,6 +300,19 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
     max_steps steps end short of t_end.
     Raises ValueError for a non-positive fixed_dt or cfl_sigma, and
     DomainError for an initial state whose metrics are not SPD.
+
+    A homogeneous initial state (GeometryState.homogeneous) is stepped on
+    the smallest grid the stencil accepts, fields.MIN_POINTS points per
+    axis over the same box.  What it stores lives on the state's own mesh,
+    read-only and spread from that grid's first point: the states and the
+    kept derivations as broadcast views, the records as copies.  Every grid
+    derivative of a homogeneous field is an exact +0.0 and every other
+    operation of a step is pointwise, so each grid point does the same
+    arithmetic on any grid: the flow keeps the state homogeneous, and the
+    small grid's first point holds the bits the full mesh holds at every
+    point.  The step size reads the full mesh's spacing, and the SPD check
+    of a homogeneous state names grid point (0, ...) on either grid, so the
+    run and its aborts are those of the full mesh, bit for bit.
     """
     require_valid(state.alg)
     min_eigs = state.validate()
@@ -300,15 +320,32 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
         raise ValueError(f"fixed_dt must be positive, got {config.fixed_dt!r}")
     if config.fixed_dt is None and not config.cfl_sigma > 0:
         raise ValueError(f"cfl_sigma must be positive, got {config.cfl_sigma!r}")
+    mesh = state.mesh
+    if state.homogeneous():
+        cur = state.first_point_on(Mesh((MIN_POINTS,) * mesh.d, mesh.lengths)).copy()
+
+        def full(x):  # a state, derivation or record of cur's grid on mesh
+            if isinstance(x, GeometryState):
+                return x.first_point_on(mesh)
+            if isinstance(x, DerivedGeometry):
+                return _point_view(x, mesh.shape)
+            # copies: the backward walk reads the records at every interval,
+            # and its einsums run slower on broadcast operands
+            return Background(*(point_spread(a, mesh.shape, copy=True) for a in x))
+    else:
+        cur = state.copy()
+
+        def full(x):
+            return x
     hist = FlowHistory(mode=config.mode)
-    cur = state.copy()
     der = derive(cur, validated=True)
-    hist.append(cur, der, min_eigs)
+    hist.append(full(cur), full(background(cur, der)), min_eigs)
     steps = 0
     while cur.t < config.t_end - 1e-14 and steps < config.max_steps:
         if report_stride and steps % report_stride == 0:
             hist.derived[steps] = der
-        dt = config.fixed_dt if config.fixed_dt else cfl_dt(cur, config.cfl_sigma)
+        dt = (config.fixed_dt if config.fixed_dt
+              else cfl_dt(mesh, min_eigs[1], config.cfl_sigma))
         dt = min(dt, config.t_end - cur.t)
         try:
             nxt = rk4_step(cur, dt, config.mode, der)
@@ -321,16 +358,19 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
             der = derive(nxt, validated=True)
         except DomainError as exc:
             hist.abort_reason = f"{exc} at t = {cur.t + dt!r}"  # the rejected state's t
-            return hist
+            break
         cur = nxt
         steps += 1
-        hist.append(cur, der, min_eigs)
-    if cur.t < config.t_end - 1e-14:
-        hist.abort_reason = (f"stopped at t = {cur.t:.6g} short of t_end = "
-                             f"{config.t_end:.6g} after max_steps = "
-                             f"{config.max_steps} steps")
-    if report_stride:
-        hist.derived[steps] = der
+        hist.append(full(cur), full(background(cur, der)), min_eigs)
+    else:  # no field or metric aborted the run
+        if cur.t < config.t_end - 1e-14:
+            hist.abort_reason = (f"stopped at t = {cur.t:.6g} short of t_end = "
+                                 f"{config.t_end:.6g} after max_steps = "
+                                 f"{config.max_steps} steps")
+        if report_stride:
+            hist.derived[steps] = der
+    # after the steps, which form the kept derivations' velocities
+    hist.derived = {i: full(kept) for i, kept in hist.derived.items()}
     return hist
 
 

@@ -110,6 +110,22 @@ class GeometryState:
     def copy(self) -> "GeometryState":
         return self.with_fields(self.t, [f.copy() for f in self.fields])
 
+    def homogeneous(self) -> bool:
+        """Whether every stored field holds at each grid point exactly, bit
+        for bit, its value at the first point."""
+        lead = (0,) * self.d
+        # == alone reads 0.0 and -0.0 as equal and a NaN as unequal
+        return all(np.all(f == f[lead])
+                   and np.all(np.signbit(f) == np.signbit(f[lead]))
+                   for f in self.fields)
+
+    def first_point_on(self, mesh: Mesh) -> "GeometryState":
+        """The state at the same time whose fields hold, at every point of
+        mesh, their values at this state's first grid point, as read-only
+        arrays (point_spread)."""
+        return GeometryState(self.t, mesh, self.alg,
+                             *(point_spread(f, mesh.shape) for f in self.fields))
+
     def validate(self) -> tuple[float, float]:
         """The smallest eigenvalues of G and g over the grid; raises
         DomainError where either metric leaves the SPD cone."""
@@ -543,6 +559,34 @@ def _row_view(der: DerivedGeometry, rows: slice) -> DerivedGeometry:
     and velocity are left unset."""
     return dataclasses.replace(der, **{f.name: getattr(der, f.name)[rows]
                                        for f in dataclasses.fields(der) if f.init})
+
+
+def point_spread(values: np.ndarray, grid: tuple, copy: bool = False) -> np.ndarray:
+    """values at its first grid point, spread over a grid of shape grid
+    (the grid rank is len(grid)) as a read-only array: a broadcast view of
+    a copy of that point, which keeps none of values alive, or with copy a
+    contiguous copy."""
+    d = len(grid)
+    out = np.broadcast_to(values[(0,) * d].copy(), grid + values.shape[d:])
+    if copy:
+        out = out.copy()
+        out.flags.writeable = False
+    return out
+
+
+def _point_view(der: DerivedGeometry, grid: tuple) -> DerivedGeometry:
+    """der at its first grid point, every array spread over a grid of shape
+    grid by point_spread: the derivation of a homogeneous state on a larger
+    mesh, its calH, Hsq, H_zero and velocity kept as far as they are set."""
+    def spread(values):
+        return None if values is None else point_spread(values, grid)
+
+    out = dataclasses.replace(der, **{f.name: spread(getattr(der, f.name))
+                                      for f in dataclasses.fields(der) if f.init})
+    out.calH, out.Hsq, out.H_zero = spread(der.calH), spread(der.Hsq), der.H_zero
+    if der.velocity is not None:
+        out.velocity = type(der.velocity)(*map(spread, der.velocity))
+    return out
 
 
 def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> CurvatureBlocks:

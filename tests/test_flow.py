@@ -1,20 +1,23 @@
 """Coupled evolution: right-hand sides, stepping, rescaling, gauge transport."""
 
 import dataclasses
+import itertools
+import json
 
 import numpy as np
 import pytest
 
 from conftest import flat_abelian_state, heisenberg_state
 from grflab import algebra, flow, geometry, torsion
-from grflab.cli import preset_heisenberg_s1, preset_inoue_like, random_state
-from grflab.conjugate import GAUGES, dilaton_potential
-from grflab.fields import DomainError
+from grflab.cli import (ScenarioConfig, preset_flat_abelian, preset_heisenberg_s1,
+                        preset_inoue_like, random_state, run_pipeline)
+from grflab.conjugate import GAUGES, background, dilaton_potential
+from grflab.fields import MIN_POINTS, DomainError, Mesh
 from grflab.flow import (FlowHistory, IntegratorConfig, blowdown_rescale,
                          cfl_dt, evaluate_rhs, gauge_equivalence_report,
                          pullback_state_1d, rk4_step, run_flow,
                          transport_map_1d)
-from grflab.geometry import derive, min_eig_field
+from grflab.geometry import GeometryState, derive, min_eig_field
 
 
 def test_flat_abelian_rhs_zero_all_gauges():
@@ -85,12 +88,15 @@ def test_rk4_tableau():
 
 
 def test_cfl_scaling():
+    def dt(st):
+        return cfl_dt(st.mesh, st.validate()[1], 0.1)
+
     st16 = flat_abelian_state(N=16)
     st32 = flat_abelian_state(N=32)
-    assert cfl_dt(st16, 0.1) == pytest.approx(4.0 * cfl_dt(st32, 0.1))
+    assert dt(st16) == pytest.approx(4.0 * dt(st32))
     st_big = flat_abelian_state(N=16, g0=[[4.0]])
     # larger g means smaller g^{-1}, so a larger stable step
-    assert cfl_dt(st_big, 0.1) == pytest.approx(4.0 * cfl_dt(st16, 0.1))
+    assert dt(st_big) == pytest.approx(4.0 * dt(st16))
 
 
 @pytest.mark.parametrize("mode", ["ungauged", "canonical"])
@@ -412,3 +418,183 @@ def test_transport_needs_a_stored_time():
             transport_map_1d(hu, t)
     with pytest.raises(ValueError, match="not a stored time"):
         gauge_equivalence_report(hu, hc, 0.0055)
+
+
+# --- homogeneous runs ---------------------------------------------------------
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit: == reads 0.0 and -0.0 as equal."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def random_constant_state(rng, alg, N, d):
+    """Seeded random fields that are the same at every grid point, with a
+    nonzero connection form and torsion."""
+    k, K = alg.k, alg.k + d
+    M, m = 0.2 * rng.normal(size=(k, k)), 0.2 * rng.normal(size=(d, d))
+    point = (np.eye(k) + M @ M.T, np.eye(d) + m @ m.T, 0.3 * rng.normal(size=(d, k)),
+             torsion.alternating_sum(0.2 * rng.normal(size=(K, K, K))))
+    mesh = Mesh((N,) * d, (2.0 * np.pi,) * d)
+    return GeometryState(0.0, mesh, alg, *(np.broadcast_to(f, mesh.shape + f.shape).copy()
+                                           for f in point))
+
+
+@pytest.mark.parametrize("mode", GAUGES)
+def test_constant_states_have_the_same_rates_on_every_grid(mode):
+    # the premise of the homogeneous path: on a constant state every grid
+    # point of the right-hand side holds the same bits, on any grid size
+    algebras = {"heisenberg3": algebra.heisenberg3(), "abelian3": algebra.abelian(3)}
+    for d, (name, alg) in itertools.product((1, 2), algebras.items()):
+        first = None
+        for N in (8, 13, 64):
+            st = random_constant_state(np.random.default_rng(10 * d + len(name)), alg, N, d)
+            assert st.homogeneous()
+            if d == 2 and name == "heisenberg3":  # c A A: F != 0 on the torus
+                assert derive(st).F.any()
+            rates = [r.reshape((-1,) + r.shape[d:]) for r in evaluate_rhs(st, mode)]
+            assert all(r.any() and same_bits(r, np.broadcast_to(r[0], r.shape))
+                       for r in rates), (d, name, N)
+            first = first or [r[0] for r in rates]
+            assert all(same_bits(a, r[0]) for a, r in zip(first, rates)), (d, name, N)
+
+
+def full_mesh_loop(st, config):
+    """run_flow's march written out on st's own mesh: rk4_step, derive and
+    background per state.  Returns (states, records, derivations, min_eigs,
+    abort_reason)."""
+    cur = st.copy()
+    min_eigs = [cur.validate()]
+    ders = [derive(cur, validated=True)]
+    records = [background(cur, ders[0])]
+    states = [cur]
+    while cur.t < config.t_end - 1e-14:
+        dt = config.fixed_dt or cfl_dt(cur.mesh, min_eig_field(cur.g), config.cfl_sigma)
+        dt = min(dt, config.t_end - cur.t)
+        nxt = rk4_step(cur, dt, config.mode, ders[-1])
+        try:
+            eigs = nxt.validate()
+        except DomainError as exc:
+            return states, records, ders, min_eigs, f"{exc} at t = {cur.t + dt!r}"
+        cur = nxt
+        ders.append(derive(cur, validated=True))
+        records.append(background(cur, ders[-1]))
+        states.append(cur)
+        min_eigs.append(eigs)
+    return states, records, ders, min_eigs, ""
+
+
+def homogeneous_runs():
+    for preset in (preset_heisenberg_s1, preset_inoue_like, preset_flat_abelian):
+        for step in ({"fixed_dt": 1e-3, "t_end": 5e-3}, {"t_end": 2e-3}):
+            yield preset(16), step
+
+
+@pytest.mark.parametrize("mode", GAUGES)
+def test_homogeneous_runs_equal_the_full_mesh_loop(mode, monkeypatch):
+    # a homogeneous run steps on the 8-point grid and stores broadcasts of
+    # it; every stored value equals the full-mesh march bit for bit
+    meshes = []
+
+    def step(state, *args):
+        meshes.append(state.mesh.sizes)
+        return rk4_step(state, *args)
+
+    for st, step_keys in homogeneous_runs():
+        config = IntegratorConfig(mode=mode, **step_keys)
+        meshes.clear()
+        monkeypatch.setattr(flow, "rk4_step", step)
+        hist = run_flow(st, config, report_stride=2)
+        monkeypatch.undo()
+        states, records, ders, min_eigs, reason = full_mesh_loop(st, config)
+        assert not hist.abort_reason and not reason
+        assert meshes and set(meshes) == {(MIN_POINTS,)}
+        assert len(hist.states) == len(states) >= 4 and hist.min_eigs == min_eigs
+        assert hist.times == [s.t for s in states]
+        for a, b in zip(hist.states, states, strict=True):
+            assert a.mesh == st.mesh
+            assert all(x.strides[0] == 0 and same_bits(x, y)
+                       for x, y in zip(a.fields, b.fields, strict=True))
+        for a, b in zip(hist.records, records, strict=True):
+            assert all(same_bits(x, y) for x, y in zip(a, b, strict=True))
+        assert sorted(hist.derived) == sorted({*range(0, len(states), 2), len(states) - 1})
+        for i, kept in hist.derived.items():
+            fresh = ders[i]
+            assert kept.H_zero == fresh.H_zero and (kept.velocity is None) == (
+                fresh.velocity is None) == (i == len(states) - 1)
+            for name in [f.name for f in dataclasses.fields(fresh)
+                         if f.name not in ("H_zero", "velocity")]:
+                assert same_bits(getattr(kept, name), getattr(fresh, name)), (i, name)
+            if kept.velocity is not None:
+                assert all(same_bits(x, y) for x, y in
+                           zip(kept.velocity, fresh.velocity, strict=True))
+
+
+def test_an_inhomogeneous_state_runs_on_its_own_mesh(monkeypatch):
+    # one entry of G moved by one ulp, or one zero of A turned to -0.0,
+    # makes the state inhomogeneous: it steps and stores its own mesh
+    bumped = preset_heisenberg_s1(16)
+    bumped.G[5, 1, 1] = np.nextafter(bumped.G[5, 1, 1], 2.0)
+    signed = preset_heisenberg_s1(16)
+    signed.A[3, 0, 2] = -0.0
+    meshes = []
+
+    def step(state, *args):
+        meshes.append(state.mesh.sizes)
+        return rk4_step(state, *args)
+
+    monkeypatch.setattr(flow, "rk4_step", step)
+    for st in (bumped, signed):
+        assert not st.homogeneous() and preset_heisenberg_s1(16).homogeneous()
+        meshes.clear()
+        hist = run_flow(st, IntegratorConfig(t_end=3e-3, fixed_dt=1e-3), report_stride=1)
+        assert set(meshes) == {(16,)} and len(hist.states) == 4
+        stored = [f for s in hist.states for f in s.fields]
+        stored += [a for r in hist.records for a in r]
+        stored += [der.DG for der in hist.derived.values()]
+        assert all(0 not in a.strides[:1] for a in stored)
+        assert all(s.G.flags.writeable for s in hist.states[1:])
+
+
+@pytest.mark.parametrize("mode", GAUGES)
+def test_homogeneous_blowup_aborts_as_the_full_mesh_loop(mode):
+    st = preset_heisenberg_s1(16)
+    config = IntegratorConfig(t_end=100.0, fixed_dt=10.0, mode=mode)
+    hist = run_flow(st, config)
+    reason = full_mesh_loop(st, config)[-1]
+    assert hist.abort_reason == reason and "at grid point (0,):" in reason
+    assert len(hist.states) == 1
+
+
+def test_a_homogeneous_run_stores_read_only_arrays():
+    hist = run_flow(preset_inoue_like(16), IntegratorConfig(t_end=3e-3, fixed_dt=1e-3),
+                    report_stride=1)
+    arrays = [f for s in hist.states for f in s.fields]
+    arrays += [a for r in hist.records for a in r]
+    for der in hist.derived.values():
+        arrays += [getattr(der, f.name) for f in dataclasses.fields(der)
+                   if f.name not in ("H_zero", "velocity")]
+        arrays += list(der.velocity or ())
+    assert len(arrays) > 4 * 4 + 4 * 4
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_cfl_steps_read_the_eigenvalues_the_spd_check_found(tmp_path, monkeypatch):
+    # the step size reads the base metric's smallest eigenvalue from the
+    # state's validate; a 2-D run calls eigvalsh twice per stored state,
+    # once for G and once for g, and nowhere else
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    out = tmp_path / "out"
+    run_pipeline(ScenarioConfig(preset="torus-bundle-t2", mesh_n=8, t_end=0.2,
+                                report_stride=2, output_dir=str(out)))
+    steps = json.loads((out / "manifest.json").read_text())["steps"]
+    assert steps >= 3
+    assert len(calls) == 2 * (steps + 1)

@@ -30,23 +30,25 @@ def test_every_trace_target_resolves():
     assert spans.TRACED and not missing, missing
 
 
-def test_a_traced_pipeline_reaches_every_run_layer(tmp_path):
-    # a refactor that routes a run around a traced name would make that
-    # name's per-layer metric read 0 without failing anything else
+def traced_calls(preset, mesh_n, out_dir):
+    """Calls per traced name of a traced, clean 3-step, stride-1 run."""
     spans = load_spans()
     tracer = spans.Tracer(spans.TRACED)
     tracer.install()
     try:
         op = tracer.begin_op()
         rc = cli.run_pipeline(cli.ScenarioConfig(
-            preset="heisenberg-s1", mesh_n=16, t_end=3e-3, fixed_dt=1e-3,
-            report_stride=1, output_dir=str(tmp_path / "out")))
+            preset=preset, mesh_n=mesh_n, t_end=3e-3, fixed_dt=1e-3,
+            report_stride=1, output_dir=str(out_dir)))
         unwrapped = tracer.unwrapped_bindings()
     finally:
         tracer.uninstall()
-    calls = {name: rec["calls"] for name, rec in tracer.summary(op).items()}
     assert rc == 0
     assert not tracer.missing and not unwrapped, (tracer.missing, unwrapped)
+    return {name: rec["calls"] for name, rec in tracer.summary(op).items()}
+
+
+def assert_run_counts(calls):
     for name in ("flow.evaluate_rhs", "geometry.derive", "conjugate.conj_rhs",
                  "conjugate.dilaton_potential", "conjugate.mass_of",
                  "functionals.eval_F"):
@@ -60,3 +62,16 @@ def test_a_traced_pipeline_reaches_every_run_layer(tmp_path):
     # the last state's row forms its own
     assert calls["geometry.derive"] == 4 * 3 + 1
     assert calls["geometry.ricci_blocks"] == 4 * 3 + 1
+
+
+def test_a_traced_pipeline_reaches_every_run_layer(tmp_path):
+    # a refactor that routes a run around a traced name would make that
+    # name's per-layer metric read 0 without failing anything else; this
+    # homogeneous run steps on the 8-point grid
+    assert_run_counts(traced_calls("heisenberg-s1", 16, tmp_path / "out"))
+
+
+def test_an_inhomogeneous_traced_pipeline_makes_the_same_calls(tmp_path):
+    # torus-bundle-t2 steps on its own mesh; the counts are those of the
+    # homogeneous run above
+    assert_run_counts(traced_calls("torus-bundle-t2", 8, tmp_path / "out"))
