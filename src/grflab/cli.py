@@ -198,7 +198,7 @@ def load_config(path: str) -> ScenarioConfig:
             raise
         raise ConfigError(f"{path}: /mesh_n: a mesh of {cfg.mesh_n} points "
                           f"per axis is too large to allocate") from exc
-    closed = torsion.closedness_residual(state, derive(state, validated=True))
+    closed = torsion.closedness_residual(state, derive(state))
     if closed > 1e-6:
         raise ConfigError(
             f"{path}: initial torsion is not closed, ||dH||_inf = {closed:.3e}")
@@ -349,7 +349,7 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
             der = hist.derived[i]
             rows.append(report_row(hist.times[i], st, der, hist.min_eigs[i], c))
         elif i in checked:
-            der = derive(st, validated=True)
+            der = derive(st)
         else:
             return
         if i in checked:
@@ -489,7 +489,7 @@ def curvature_pairs(state: GeometryState) -> dict:
     # resident memory, against 268 MB with the closed form first, whose
     # blocks would be held while the oracle runs
     R, Ric, scal = oracle.curvature_oracle(state)
-    cb = geometry.curvature_closed_form(state, derive(state, validated=True))
+    cb = geometry.curvature_closed_form(state, derive(state))
     pairs = {}
     for name, value in vars(cb).items():
         pattern = "" if name == "scalar" else name.removeprefix("Ric_")
@@ -531,7 +531,7 @@ def verify_torsion(seed: int, N: int) -> list[tuple[str, float, bool]]:
         rng = np.random.default_rng(seed + 10 + d)
         n = N if d == 1 else max(16, N // 2)
         st = random_state(rng, algebra.heisenberg3(), n, d)
-        der = derive(st, validated=True)
+        der = derive(st)
         err = codifferential_gap(st, der)
         rows.append((f"codifferential d={d}", err, err < 1e-5))
         err = torsion.splitting_identity(st, der)
@@ -545,7 +545,7 @@ def verify_variation(seed: int, N: int, count: int = 5) -> list:
     rng = np.random.default_rng(seed + 100)
     st = random_state(rng, algebra.heisenberg3(), N, 1)
     f = random_waves(rng, st.mesh, 1, 0.12, 2)[..., 0]
-    der = derive(st, validated=True)
+    der = derive(st)
     rt = functionals.residual_tensors(st, f, der)
     for trial in range(count):
         res = functionals.variation_check_F(st, f, random_direction(rng, st), der, rt)

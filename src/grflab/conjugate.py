@@ -138,14 +138,17 @@ def solve_backward(hist, u_T: np.ndarray | None = None,
     derives nothing.  visit(i, c), when given, is called at every stored
     index i from T down, with the density state c there.  Returns states at
     every stored time from T down to the start, in decreasing t order.
+    u lives on the history's mesh, MIN_POINTS points per axis for a
+    homogeneous run (flow.run_flow); a u_T off it raises ValueError.
     """
     iT = len(hist.times) - 1
-    if u_T is None:
-        sT = hist.states[iT]
-        vol = mass_of(np.ones(sT.mesh.shape), sT)
-        u_T = np.full(sT.mesh.shape, 1.0 / vol)
-    out = []
     mesh = hist.states[iT].mesh
+    if u_T is None:
+        u_T = np.full(mesh.shape, 1.0 / mass_of(np.ones(mesh.shape), hist.states[iT]))
+    elif np.shape(u_T) != mesh.shape:
+        raise ValueError(f"u_T has shape {np.shape(u_T)}, the history's "
+                         f"mesh {mesh.shape}")
+    out = []
 
     def rate(y, bg):  # d u / d s = -(d u / d t)
         return (-conj_rhs(y[0], bg, mesh, hist.mode),)

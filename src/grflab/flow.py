@@ -19,10 +19,10 @@ first stage of their steps, and every stored state keeps the smallest
 metric eigenvalues its SPD check found.
 A homogeneous state, each field equal at every grid point to its value at
 the first, stays homogeneous bit for bit: its grid derivatives are exact
-zeros and the rest of a step is pointwise.  So run_flow steps such a state
-on the stencil's smallest grid, fields.MIN_POINTS points per axis, and
-stores the result spread over the full mesh; its forward cost does not grow
-with the mesh.
+zeros and the rest of a step is pointwise.  So run_flow runs such a state
+on the stencil's smallest grid, fields.MIN_POINTS points per axis, and its
+history lives there: the walk along it and every report of it cost 8 points
+per axis whatever the mesh.
 The stored components of H live in the moving splitting, so their clock rate
 carries a correction whenever dA/dt is nonzero; torsion.torsion_rate takes
 dB and that correction at the increasing index triples and spreads the rate
@@ -40,8 +40,7 @@ import numpy as np
 from .algebra import require_valid
 from .conjugate import Background, background, check_gauge
 from .fields import MIN_POINTS, DomainError, Mesh, deriv_array
-from .geometry import (DerivedGeometry, GeometryState, _derivs, _point_view,
-                       derive, point_spread, ricci_blocks)
+from .geometry import DerivedGeometry, GeometryState, _derivs, derive, ricci_blocks
 from . import torsion
 
 
@@ -127,7 +126,7 @@ def evaluate_rhs(state: GeometryState, mode: str = "ungauged",
     given)."""
     check_gauge(mode)
     if der is None:
-        der = derive(state, validated=True)
+        der = derive(state)
     v = ungauged_rates(state, der)
     if mode == "canonical":
         # differentiating q itself keeps the gauge gap ~5x smaller than the
@@ -198,7 +197,9 @@ class FlowHistory:
     state, its Background record, the coefficients the walk reads, and its
     smallest metric eigenvalues (min_eig_G, min_eig_g).  `derived` maps a
     stored index to the state's derivation for the few states whose
-    derivation the run kept (run_flow's report_stride)."""
+    derivation the run kept (run_flow's report_stride).  Every stored state
+    is on one mesh: the input state's, or for a homogeneous run
+    fields.MIN_POINTS points per axis of the same box (run_flow)."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
@@ -213,7 +214,7 @@ class FlowHistory:
         """Store a state, its Background record and min_eigs, the state's
         validate(); each is formed here when not given."""
         if record is None:
-            record = background(state, derive(state, validated=True))
+            record = background(state, derive(state))
         self.times.append(state.t)
         self.states.append(state)
         self.records.append(record)
@@ -301,18 +302,17 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
     Raises ValueError for a non-positive fixed_dt or cfl_sigma, and
     DomainError for an initial state whose metrics are not SPD.
 
-    A homogeneous initial state (GeometryState.homogeneous) is stepped on
-    the smallest grid the stencil accepts, fields.MIN_POINTS points per
-    axis over the same box.  What it stores lives on the state's own mesh,
-    read-only and spread from that grid's first point: the states and the
-    kept derivations as broadcast views, the records as copies.  Every grid
-    derivative of a homogeneous field is an exact +0.0 and every other
-    operation of a step is pointwise, so each grid point does the same
-    arithmetic on any grid: the flow keeps the state homogeneous, and the
-    small grid's first point holds the bits the full mesh holds at every
-    point.  The step size reads the full mesh's spacing, and the SPD check
+    A homogeneous initial state (GeometryState.homogeneous) is restricted
+    to its first fields.MIN_POINTS points per axis over the same box, the
+    smallest grid the stencil accepts, and its history lives on that grid.
+    Every grid derivative of a homogeneous field is an exact +0.0 and every
+    other operation of a step is pointwise, so each grid point does the same
+    arithmetic on any grid: the flow keeps the state homogeneous, and each
+    point of the small grid holds the bits the full mesh holds at every
+    point.  The step size reads the input mesh's spacing, and the SPD check
     of a homogeneous state names grid point (0, ...) on either grid, so the
-    run and its aborts are those of the full mesh, bit for bit.
+    steps, times and aborts are those of the full mesh, bit for bit; only
+    sums over the grid, such as a mass, add fewer equal terms.
     """
     require_valid(state.alg)
     min_eigs = state.validate()
@@ -320,32 +320,21 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
         raise ValueError(f"fixed_dt must be positive, got {config.fixed_dt!r}")
     if config.fixed_dt is None and not config.cfl_sigma > 0:
         raise ValueError(f"cfl_sigma must be positive, got {config.cfl_sigma!r}")
-    mesh = state.mesh
     if state.homogeneous():
-        cur = state.first_point_on(Mesh((MIN_POINTS,) * mesh.d, mesh.lengths)).copy()
-
-        def full(x):  # a state, derivation or record of cur's grid on mesh
-            if isinstance(x, GeometryState):
-                return x.first_point_on(mesh)
-            if isinstance(x, DerivedGeometry):
-                return _point_view(x, mesh.shape)
-            # copies: the backward walk reads the records at every interval,
-            # and its einsums run slower on broadcast operands
-            return Background(*(point_spread(a, mesh.shape, copy=True) for a in x))
+        first = (slice(MIN_POINTS),) * state.d
+        cur = GeometryState(state.t, Mesh((MIN_POINTS,) * state.d, state.mesh.lengths),
+                            state.alg, *(f[first].copy() for f in state.fields))
     else:
         cur = state.copy()
-
-        def full(x):
-            return x
     hist = FlowHistory(mode=config.mode)
-    der = derive(cur, validated=True)
-    hist.append(full(cur), full(background(cur, der)), min_eigs)
+    der = derive(cur)
+    hist.append(cur, background(cur, der), min_eigs)
     steps = 0
     while cur.t < config.t_end - 1e-14 and steps < config.max_steps:
         if report_stride and steps % report_stride == 0:
             hist.derived[steps] = der
         dt = (config.fixed_dt if config.fixed_dt
-              else cfl_dt(mesh, min_eigs[1], config.cfl_sigma))
+              else cfl_dt(state.mesh, min_eigs[1], config.cfl_sigma))
         dt = min(dt, config.t_end - cur.t)
         try:
             nxt = rk4_step(cur, dt, config.mode, der)
@@ -355,13 +344,13 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
                 if not np.all(np.isfinite(values)):
                     raise DomainError(f"{name} is no longer finite")
             min_eigs = nxt.validate()
-            der = derive(nxt, validated=True)
+            der = derive(nxt)
         except DomainError as exc:
             hist.abort_reason = f"{exc} at t = {cur.t + dt!r}"  # the rejected state's t
             break
         cur = nxt
         steps += 1
-        hist.append(full(cur), full(background(cur, der)), min_eigs)
+        hist.append(cur, background(cur, der), min_eigs)
     else:  # no field or metric aborted the run
         if cur.t < config.t_end - 1e-14:
             hist.abort_reason = (f"stopped at t = {cur.t:.6g} short of t_end = "
@@ -369,8 +358,6 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
                                  f"{config.max_steps} steps")
         if report_stride:
             hist.derived[steps] = der
-    # after the steps, which form the kept derivations' velocities
-    hist.derived = {i: full(kept) for i, kept in hist.derived.items()}
     return hist
 
 
@@ -407,7 +394,8 @@ def transport_map_1d(hist: FlowHistory, t_end: float) -> np.ndarray:
     """Integrate particle positions along q from the run's start to t_end,
     which must be a stored time of the run.
 
-    Only for 1-D bases.  Returns the final positions of the grid points,
+    Only for 1-D bases.  Returns the final positions of the grid points of
+    the history's mesh, fields.MIN_POINTS of them for a homogeneous run,
     giving the diffeomorphism that relates the ungauged and canonical runs.
     """
     mesh = hist.states[0].mesh

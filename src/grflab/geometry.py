@@ -119,13 +119,6 @@ class GeometryState:
                    and np.all(np.signbit(f) == np.signbit(f[lead]))
                    for f in self.fields)
 
-    def first_point_on(self, mesh: Mesh) -> "GeometryState":
-        """The state at the same time whose fields hold, at every point of
-        mesh, their values at this state's first grid point, as read-only
-        arrays (point_spread)."""
-        return GeometryState(self.t, mesh, self.alg,
-                             *(point_spread(f, mesh.shape) for f in self.fields))
-
     def validate(self) -> tuple[float, float]:
         """The smallest eigenvalues of G and g over the grid; raises
         DomainError where either metric leaves the SPD cone."""
@@ -320,8 +313,9 @@ class DerivedGeometry:
     velocity: Velocity | None = field(default=None, init=False)
 
 
-def derive(state: GeometryState, validated: bool = False) -> DerivedGeometry:
-    """The DerivedGeometry of state (validated: its algebra already checked).
+def derive(state: GeometryState, validated: bool = True) -> DerivedGeometry:
+    """The DerivedGeometry of state (validated=False: check its algebra
+    first, which ScenarioConfig.build_state and run_flow do on entry).
 
     A curve carries no 2-forms and is flat, so on a 1-D base F, DF and the
     base Ricci tensor vanish for any connection and metric: derive stores
@@ -559,34 +553,6 @@ def _row_view(der: DerivedGeometry, rows: slice) -> DerivedGeometry:
     and velocity are left unset."""
     return dataclasses.replace(der, **{f.name: getattr(der, f.name)[rows]
                                        for f in dataclasses.fields(der) if f.init})
-
-
-def point_spread(values: np.ndarray, grid: tuple, copy: bool = False) -> np.ndarray:
-    """values at its first grid point, spread over a grid of shape grid
-    (the grid rank is len(grid)) as a read-only array: a broadcast view of
-    a copy of that point, which keeps none of values alive, or with copy a
-    contiguous copy."""
-    d = len(grid)
-    out = np.broadcast_to(values[(0,) * d].copy(), grid + values.shape[d:])
-    if copy:
-        out = out.copy()
-        out.flags.writeable = False
-    return out
-
-
-def _point_view(der: DerivedGeometry, grid: tuple) -> DerivedGeometry:
-    """der at its first grid point, every array spread over a grid of shape
-    grid by point_spread: the derivation of a homogeneous state on a larger
-    mesh, its calH, Hsq, H_zero and velocity kept as far as they are set."""
-    def spread(values):
-        return None if values is None else point_spread(values, grid)
-
-    out = dataclasses.replace(der, **{f.name: spread(getattr(der, f.name))
-                                      for f in dataclasses.fields(der) if f.init})
-    out.calH, out.Hsq, out.H_zero = spread(der.calH), spread(der.Hsq), der.H_zero
-    if der.velocity is not None:
-        out.velocity = type(der.velocity)(*map(spread, der.velocity))
-    return out
 
 
 def curvature_closed_form(state: GeometryState, der: DerivedGeometry) -> CurvatureBlocks:

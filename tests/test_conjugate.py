@@ -176,7 +176,7 @@ def test_mass_rate_vanishes_in_either_gauge(mode):
     st = modulated_heisenberg_s1(32)
     (x,) = st.mesh.coords()
     u = np.exp(0.1 * np.cos(2 * np.pi * x))
-    der = derive(st, validated=True)
+    der = derive(st)
     assert np.max(np.abs(der.q)) > 0.1
     dg = evaluate_rhs(st, mode).dg
     trdg = np.einsum("...ab,...ab->...", der.gi, dg)
@@ -206,7 +206,7 @@ def test_backward_solve_runs_in_the_flow_gauge(mode):
 def test_unknown_gauge_rejected():
     # every mode but "ungauged" used to run as canonical here
     st = modulated_heisenberg_s1(16)
-    bg = background(st, derive(st, validated=True))
+    bg = background(st, derive(st))
     u = np.ones(st.mesh.shape)
     for rhs in (conj_rhs, forward_heat_rhs):
         with pytest.raises(ValueError, match="'sideways'"):
@@ -230,3 +230,14 @@ def test_backward_maximum_principle_static():
         assert np.min(c.u) > 0.49
         assert np.max(c.u) < 1.51
         assert c.mass == pytest.approx(traj[0].mass, abs=1e-12)
+
+
+def test_a_terminal_density_off_the_history_mesh_is_refused():
+    # a homogeneous run's history lives on 8 points per axis, so a density
+    # on the input mesh names both shapes in one line
+    st = preset_heisenberg_s1(16)
+    hist = run_flow(st, IntegratorConfig(t_end=3e-3, fixed_dt=1e-3))
+    with pytest.raises(ValueError, match=r"^u_T has shape \(16,\), the history's "
+                                         r"mesh \(8,\)$"):
+        solve_backward(hist, u_T=np.ones(st.mesh.shape))
+    assert len(solve_backward(hist, u_T=np.ones(hist.states[-1].mesh.shape))) == 4

@@ -1,5 +1,6 @@
 """Coupled evolution: right-hand sides, stepping, rescaling, gauge transport."""
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import flat_abelian_state, heisenberg_state
-from grflab import algebra, flow, geometry, torsion
+from grflab import algebra, cli, conjugate, flow, geometry, torsion
 from grflab.cli import (ScenarioConfig, preset_flat_abelian, preset_heisenberg_s1,
                         preset_inoue_like, random_state, run_pipeline)
 from grflab.conjugate import GAUGES, background, dilaton_potential
@@ -187,8 +188,9 @@ def test_transport_map_zero_q():
     st = preset_heisenberg_s1(16)
     hist = run_flow(st, IntegratorConfig(t_end=0.01))
     phi = transport_map_1d(hist, 0.01)
-    x = np.arange(16) * st.mesh.spacings[0]
-    L = st.mesh.lengths[0]
+    mesh = hist.states[0].mesh
+    x = np.arange(mesh.sizes[0]) * mesh.spacings[0]
+    L = mesh.lengths[0]
     circle_gap = np.minimum(np.abs(phi - x), L - np.abs(phi - x))
     assert np.max(circle_gap) < 1e-12
 
@@ -286,7 +288,7 @@ def test_stored_records_are_the_states_coefficients(mode):
         hist = run_flow(st, IntegratorConfig(t_end=3e-3, fixed_dt=1e-3, mode=mode))
         assert len(hist.records) == len(hist.states) == 4
         for state, record in zip(hist.states, hist.records):
-            der = derive(state, validated=True)
+            der = derive(state)
             fresh = (der.gi, der.Gamma, der.q, dilaton_potential(state, der))
             for a, b in zip(record, fresh, strict=True):
                 assert np.array_equal(a, b), (st.d, mode, state.t)
@@ -299,7 +301,7 @@ def test_run_flow_matches_steps_that_derive_afresh(mode):
                random_state(np.random.default_rng(3), algebra.heisenberg3(), 8, 2)):
         config = IntegratorConfig(t_end=3e-3, fixed_dt=1e-3, mode=mode)
         hist = run_flow(st, config)
-        cur = st.copy()
+        cur = restricted(st, hist.states[0].mesh)
         for state in hist.states[1:]:
             cur = rk4_step(cur, min(config.fixed_dt, config.t_end - cur.t), mode)
             assert cur.t == state.t
@@ -326,7 +328,7 @@ def test_kept_report_inputs_equal_fresh_ones(mode):
             state = hist.states[i]
             # the first stage of a step from the state formed its velocity
             assert (kept.velocity is None) == (i == 5), (st.d, i)
-            fresh = derive(state, validated=True)
+            fresh = derive(state)
             pairs = zip(flow.ungauged_rates(state, kept),
                         flow.ungauged_rates(state, fresh), strict=True)
             for a, b in pairs:
@@ -427,6 +429,12 @@ def same_bits(a, b) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def restricted(st, mesh):
+    """st at the first points of its grid that mesh covers, on mesh."""
+    first = tuple(slice(n) for n in mesh.sizes)
+    return GeometryState(st.t, mesh, st.alg, *(f[first].copy() for f in st.fields))
+
+
 def random_constant_state(rng, alg, N, d):
     """Seeded random fields that are the same at every grid point, with a
     nonzero connection form and torsion."""
@@ -464,7 +472,7 @@ def full_mesh_loop(st, config):
     abort_reason)."""
     cur = st.copy()
     min_eigs = [cur.validate()]
-    ders = [derive(cur, validated=True)]
+    ders = [derive(cur)]
     records = [background(cur, ders[0])]
     states = [cur]
     while cur.t < config.t_end - 1e-14:
@@ -476,7 +484,7 @@ def full_mesh_loop(st, config):
         except DomainError as exc:
             return states, records, ders, min_eigs, f"{exc} at t = {cur.t + dt!r}"
         cur = nxt
-        ders.append(derive(cur, validated=True))
+        ders.append(derive(cur))
         records.append(background(cur, ders[-1]))
         states.append(cur)
         min_eigs.append(eigs)
@@ -491,8 +499,8 @@ def homogeneous_runs():
 
 @pytest.mark.parametrize("mode", GAUGES)
 def test_homogeneous_runs_equal_the_full_mesh_loop(mode, monkeypatch):
-    # a homogeneous run steps on the 8-point grid and stores broadcasts of
-    # it; every stored value equals the full-mesh march bit for bit
+    # a homogeneous run steps and stores on the 8-point grid of the same
+    # box; every stored value equals the full-mesh march there bit for bit
     meshes = []
 
     def step(state, *args):
@@ -508,14 +516,19 @@ def test_homogeneous_runs_equal_the_full_mesh_loop(mode, monkeypatch):
         states, records, ders, min_eigs, reason = full_mesh_loop(st, config)
         assert not hist.abort_reason and not reason
         assert meshes and set(meshes) == {(MIN_POINTS,)}
+        small = Mesh((MIN_POINTS,) * st.d, st.mesh.lengths)
+        first = (slice(MIN_POINTS),) * st.d
+
+        def same_at_first(a, b):
+            return same_bits(a, b[first])
+
         assert len(hist.states) == len(states) >= 4 and hist.min_eigs == min_eigs
         assert hist.times == [s.t for s in states]
         for a, b in zip(hist.states, states, strict=True):
-            assert a.mesh == st.mesh
-            assert all(x.strides[0] == 0 and same_bits(x, y)
-                       for x, y in zip(a.fields, b.fields, strict=True))
+            assert a.mesh == small
+            assert all(same_at_first(x, y) for x, y in zip(a.fields, b.fields, strict=True))
         for a, b in zip(hist.records, records, strict=True):
-            assert all(same_bits(x, y) for x, y in zip(a, b, strict=True))
+            assert all(same_at_first(x, y) for x, y in zip(a, b, strict=True))
         assert sorted(hist.derived) == sorted({*range(0, len(states), 2), len(states) - 1})
         for i, kept in hist.derived.items():
             fresh = ders[i]
@@ -523,10 +536,66 @@ def test_homogeneous_runs_equal_the_full_mesh_loop(mode, monkeypatch):
                 fresh.velocity is None) == (i == len(states) - 1)
             for name in [f.name for f in dataclasses.fields(fresh)
                          if f.name not in ("H_zero", "velocity")]:
-                assert same_bits(getattr(kept, name), getattr(fresh, name)), (i, name)
+                assert same_at_first(getattr(kept, name), getattr(fresh, name)), (i, name)
             if kept.velocity is not None:
-                assert all(same_bits(x, y) for x, y in
+                assert all(same_at_first(x, y) for x, y in
                            zip(kept.velocity, fresh.velocity, strict=True))
+
+
+def pipeline_outputs(cfg, out):
+    """{"rc", "manifest", "rows"}: the exit code, manifest and report rows
+    of run_pipeline(cfg) into out."""
+    rc = run_pipeline(dataclasses.replace(cfg, output_dir=str(out)))
+    with open(out / "report.csv") as fh:
+        rows = [{key: float(v) for key, v in row.items()} for row in csv.DictReader(fh)]
+    return {"rc": rc, "manifest": json.loads((out / "manifest.json").read_text()),
+            "rows": rows}
+
+
+def leaves(value, path=()):
+    """{path: leaf} of a value nested in dicts and lists."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return {p: leaf for key, item in items for p, leaf in leaves(item, path + (key,)).items()}
+    return {path: value}
+
+
+@pytest.mark.parametrize("mode", GAUGES)
+def test_a_homogeneous_pipeline_runs_on_8_points_as_on_the_full_mesh(
+        mode, tmp_path, monkeypatch):
+    # the walk and the report of a homogeneous run read its 8-point history;
+    # steps, times, status and eigenvalues are those of the full mesh, and
+    # the sums over the grid, fewer equal terms, agree to round-off
+    st2 = random_constant_state(np.random.default_rng(21), algebra.heisenberg3(), 16, 2)
+    assert st2.homogeneous() and st2.H.any() and st2.A.any()
+    monkeypatch.setitem(cli.PRESETS, "constant-2d", lambda N=None: st2.copy())
+    grids = []
+
+    def rhs(u, *args):
+        grids.append(u.shape)
+        return conj_rhs(u, *args)
+
+    conj_rhs = conjugate.conj_rhs
+    for preset, step_keys in itertools.product(
+            ("heisenberg-s1", "inoue-like", "constant-2d"),
+            ({"fixed_dt": 1e-3, "t_end": 5e-3}, {"t_end": 0.02})):
+        cfg = ScenarioConfig(preset=preset, mesh_n=16, mode=mode, report_stride=1,
+                             **step_keys)
+        grids.clear()
+        monkeypatch.setattr(conjugate, "conj_rhs", rhs)
+        small = leaves(pipeline_outputs(cfg, tmp_path / "small"))
+        assert grids and set(grids) == {(MIN_POINTS,) * cfg.build_state().d}, preset
+        monkeypatch.setattr(conjugate, "conj_rhs", conj_rhs)
+        with monkeypatch.context() as patch:
+            patch.setattr(GeometryState, "homogeneous", lambda self: False)
+            full = leaves(pipeline_outputs(cfg, tmp_path / "full"))
+        assert small.keys() == full.keys() and ("rows", 2, "mass_u") in small, preset
+        for path, x in small.items():
+            y, where = full[path], (preset, step_keys, path)
+            if not isinstance(y, float) or path[-1] in ("t", "min_eig_G", "min_eig_g"):
+                assert x == y, where  # rc, steps, status, flags and these columns
+            elif not (np.isnan(x) and np.isnan(y)):
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (where, x, y)
 
 
 def test_an_inhomogeneous_state_runs_on_its_own_mesh(monkeypatch):
@@ -548,11 +617,7 @@ def test_an_inhomogeneous_state_runs_on_its_own_mesh(monkeypatch):
         meshes.clear()
         hist = run_flow(st, IntegratorConfig(t_end=3e-3, fixed_dt=1e-3), report_stride=1)
         assert set(meshes) == {(16,)} and len(hist.states) == 4
-        stored = [f for s in hist.states for f in s.fields]
-        stored += [a for r in hist.records for a in r]
-        stored += [der.DG for der in hist.derived.values()]
-        assert all(0 not in a.strides[:1] for a in stored)
-        assert all(s.G.flags.writeable for s in hist.states[1:])
+        assert all(s.mesh == st.mesh for s in hist.states)
 
 
 @pytest.mark.parametrize("mode", GAUGES)
@@ -563,21 +628,6 @@ def test_homogeneous_blowup_aborts_as_the_full_mesh_loop(mode):
     reason = full_mesh_loop(st, config)[-1]
     assert hist.abort_reason == reason and "at grid point (0,):" in reason
     assert len(hist.states) == 1
-
-
-def test_a_homogeneous_run_stores_read_only_arrays():
-    hist = run_flow(preset_inoue_like(16), IntegratorConfig(t_end=3e-3, fixed_dt=1e-3),
-                    report_stride=1)
-    arrays = [f for s in hist.states for f in s.fields]
-    arrays += [a for r in hist.records for a in r]
-    for der in hist.derived.values():
-        arrays += [getattr(der, f.name) for f in dataclasses.fields(der)
-                   if f.name not in ("H_zero", "velocity")]
-        arrays += list(der.velocity or ())
-    assert len(arrays) > 4 * 4 + 4 * 4
-    for a in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            a[...] = 0.0
 
 
 def test_cfl_steps_read_the_eigenvalues_the_spd_check_found(tmp_path, monkeypatch):

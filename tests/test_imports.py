@@ -1,7 +1,9 @@
 """Every module of the package, the tests and the benchmark reads each name
-it imports."""
+it imports, and every function, class and method of the package is read by
+name somewhere."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,9 +27,57 @@ def unused_imports(path: Path) -> list[str]:
             for name, line in imported.items() if name not in read]
 
 
+MODULES = [path for folder in ("src/grflab", "tests", "bench")
+           for path in sorted((ROOT / folder).glob("*.py"))]
+
+
 def test_no_unused_imports():
-    modules = [path for folder in ("src/grflab", "tests", "bench")
-               for path in sorted((ROOT / folder).glob("*.py"))]
-    assert len(modules) > 25
-    unused = [entry for path in modules for entry in unused_imports(path)]
+    assert len(MODULES) > 25
+    unused = [entry for path in MODULES for entry in unused_imports(path)]
     assert not unused, unused
+
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def definitions(tree: ast.Module):
+    """The top-level functions and classes of a module and the methods of
+    its classes, except the dunder methods Python calls itself."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, defs[:2])
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def reads(tree: ast.Module):
+    """(name, line) of every name a module reads: a Name, an Attribute or a
+    part of a dotted string constant such as "geometry.derive"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            yield from ((part, node.lineno) for part in node.value.split("."))
+
+
+def test_no_unreferenced_definitions():
+    # a refactor that leaves a helper orphaned fails here: every definition
+    # is read by name outside its own body
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    read = {}
+    for path, tree in trees.items():
+        for name, line in reads(tree):
+            read.setdefault(name, []).append((path, line))
+    unread = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+              for path in sorted(ROOT.glob("src/grflab/*.py"))
+              for node in definitions(trees[path])
+              if not any(where != path or not node.lineno <= line <= node.end_lineno
+                         for where, line in read.get(node.name, []))]
+    assert not unread, unread

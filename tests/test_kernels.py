@@ -1120,7 +1120,7 @@ def ref_verify_curvature(seed, N):
         st = random_state(rng, algebra.heisenberg3(), N, d, amp=0.08,
                           with_H=False, max_freq=1)
         R, Ric, scal = oracle.curvature_oracle(st)
-        cb = geometry.curvature_closed_form(st, geometry.derive(st, validated=True))
+        cb = geometry.curvature_closed_form(st, geometry.derive(st))
         k = st.k
         pairs = {
             "ffff": (cb.ffff, R[..., :k, :k, :k, :k]),
@@ -1146,7 +1146,7 @@ def ref_verify_torsion(seed, N):
         rng = np.random.default_rng(seed + 10 + d)
         n = N if d == 1 else max(16, N // 2)
         st = random_state(rng, algebra.heisenberg3(), n, d)
-        der = geometry.derive(st, validated=True)
+        der = geometry.derive(st)
         md = torsion.b_dot(st, der)
         md_o = oracle.codifferential_oracle(st)
         scale = max(float(np.max(np.abs(md_o))), 1e-12)
