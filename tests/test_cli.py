@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grflab import cli, functionals
+from conftest import GENERATOR_CASES, generated_state
+from grflab import cli, functionals, torsion
 from grflab.cli import (CSV_COLUMNS, ConfigError, PRESETS, load_config,
                         run_pipeline)
 from grflab.geometry import derive
@@ -508,6 +510,79 @@ def test_verify_curvature_suite_with_a_short_last_row_block(capsys):
         assert line.startswith("curvature d=")
         assert line.endswith("  PASS")
     assert lines[10].split() == ["overall", "PASS"]
+
+
+# each verify row's documented threshold; the curvature and variation rows
+# grow as (64 / N)^4 below mesh 64
+VERIFY_THRESHOLDS = {
+    32: {"curvature": 1.6e-4, "codifferential": 1e-5, "splitting identity": 1e-10,
+         "variation": 1.6e-3},
+    128: {"curvature": 1e-5, "codifferential": 1e-5, "splitting identity": 1e-10,
+          "variation": 1e-4},
+}
+VERIFY_SUITES = {"curvature": "curvature", "codifferential": "torsion",
+                 "splitting identity": "torsion", "variation": "variation"}
+
+
+def test_verify_rows_pass_strictly_below_their_thresholds(monkeypatch, capsys):
+    err = {}
+    # each row reads only its error: no derivation, no oracle; a curvature
+    # row is relative_gap over some of curvature_pairs' pairs
+    monkeypatch.setattr(cli, "derive", lambda st: None)
+    monkeypatch.setattr(functionals, "residual_tensors", lambda *args: None)
+    monkeypatch.setattr(cli, "curvature_pairs", lambda st: {})
+    monkeypatch.setattr(cli, "relative_gap", lambda *pairs: err["curvature"])
+    monkeypatch.setattr(cli, "codifferential_gap",
+                        lambda st, der: err["codifferential"])
+    monkeypatch.setattr(torsion, "splitting_identity",
+                        lambda st, der: err["splitting identity"])
+    monkeypatch.setattr(functionals, "variation_check_F",
+                        lambda *args: {"rel_gap": err["variation"]})
+    for N, thresholds in VERIFY_THRESHOLDS.items():
+        for row, threshold in thresholds.items():
+            for factor, verdict, code in ((1 - 1e-9, "PASS", 0), (1 + 1e-9, "FAIL", 2)):
+                err = dict.fromkeys(thresholds, 0.0)
+                err[row] = factor * threshold
+                assert cli.run_verify(0, N, VERIFY_SUITES[row]) == code, (N, row)
+                *lines, overall = capsys.readouterr().out.splitlines()
+                assert overall.split() == ["overall", verdict], (N, row)
+                for line in lines:
+                    assert line.endswith(verdict if line.startswith(row) else "PASS"), (
+                        N, line)
+
+
+def test_relative_gap_is_the_largest_gap_over_the_largest_reference():
+    a, b = np.array([1.0, 2.0, 4.0]), np.array([1.5, 2.0, -8.0])
+    assert cli.relative_gap((a, b)) == 12.0 / 8.0
+    assert a.tolist() == [1.0, 2.0, 4.0] and b.tolist() == [1.5, 2.0, -8.0]
+    # each max is over every pair
+    assert cli.relative_gap((np.array([0.0, 3.0]), np.array([1.0, 2.0])),
+                            (np.array([[-4.0]]), np.array([[-4.5]]))) == 1.0 / 4.5
+    # a reference below 1e-12 is read as 1e-12
+    assert cli.relative_gap((np.array([3e-13]), np.array([1e-13]))) == (
+        (3e-13 - 1e-13) / 1e-12)
+    assert cli.relative_gap((np.array([0.5]), np.zeros(1))) == 0.5 / 1e-12
+
+
+def test_random_states_and_directions_are_seeded_symmetric_and_definite():
+    groups = {}
+    for case in GENERATOR_CASES:
+        seed, d, alg, opts = case
+        st, again = generated_state(*case), generated_state(*case)
+        drawn = [*st.fields, *cli.random_direction(np.random.default_rng(seed), st)]
+        redrawn = [*again.fields,
+                   *cli.random_direction(np.random.default_rng(seed), again)]
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, redrawn)), case
+        G, g, _, H, dG, dg = drawn[:6]
+        for M in (G, g, dG, dg):
+            assert np.array_equal(M, np.swapaxes(M, -1, -2)), case
+        assert min(np.min(np.linalg.eigvalsh(M)) for M in (G, g)) > 0.0, case
+        assert H.any() == opts.get("with_H", True), case
+        groups.setdefault((d, alg, str(opts)), []).append(drawn)
+    # seeds 0-9 draw pairwise different fields; only an H left zero is shared
+    for key, draws in groups.items():
+        for a, b in itertools.combinations(draws, 2):
+            assert not any(x.any() and np.array_equal(x, y) for x, y in zip(a, b)), key
 
 
 def test_mesh_too_large_to_allocate_ends_in_one_line(tmp_path):

@@ -12,7 +12,7 @@ from conftest import flat_abelian_state, heisenberg_state
 from grflab import algebra, cli, conjugate, flow, geometry, torsion
 from grflab.cli import (ScenarioConfig, preset_flat_abelian, preset_heisenberg_s1,
                         preset_inoue_like, random_state, run_pipeline)
-from grflab.conjugate import GAUGES, background, dilaton_potential
+from grflab.conjugate import GAUGES, Background, background, dilaton_potential
 from grflab.fields import MIN_POINTS, DomainError, Mesh
 from grflab.flow import (FlowHistory, IntegratorConfig, blowdown_rescale,
                          cfl_dt, evaluate_rhs, gauge_equivalence_report,
@@ -203,66 +203,62 @@ def test_gauge_check_trivial_on_homogeneous_data():
     assert max(gaps.values()) < 1e-10
 
 
-def test_history_state_at():
-    st = preset_heisenberg_s1(16)
-    hist = run_flow(st, IntegratorConfig(t_end=0.01, fixed_dt=1e-3))
-    assert hist.state_at(0.0) is hist.states[0]
-    assert abs(hist.state_at(0.005).t - 0.005) < 1e-9
-    assert hist.state_at(hist.times[-1] + 1e-15) is hist.states[-1]
-    # the cubic is not extrapolated past either end
-    for t in (-1e-3, -1e-12, hist.times[-1] + 1e-12, 0.02):
-        with pytest.raises(ValueError, match="outside the stored span"):
-            hist.state_at(t)
+# uneven stored times, as a CFL-limited run stores
+LOOKUP_TIMES = [0.0, 0.11, 0.19, 0.32, 0.4, 0.53, 0.61, 0.72, 0.86, 0.93, 1.05, 1.2]
 
 
-def searchsorted_weights(hist, t):
-    """FlowHistory's interpolation nodes and weights with the time looked up
-    by np.searchsorted on an array of the stored times: the reference for
-    its bisect lookup.  At a stored time, its one index and weights None."""
-    times = np.asarray(hist.times)
-    n = len(times)
-    j = min(max(int(np.searchsorted(times, t)), 1), n - 1)
-    if abs(times[j] - t) < 1e-14:
-        return [j], None
-    if abs(times[j - 1] - t) < 1e-14:
-        return [j - 1], None
-    lo = max(0, min(j - 2, n - 4))
-    idx = list(range(lo, min(lo + 4, n)))
-    ts = times[idx]
-    ws = np.ones(len(idx))
-    for a in range(len(idx)):
-        for b in range(len(idx)):
-            if a != b:
-                ws[a] *= (t - ts[b]) / (ts[a] - ts[b])
-    return idx, ws
-
-
-def test_history_state_at_matches_the_searchsorted_lookup():
-    # a long history with uneven steps, as a CFL-limited run stores; the
-    # fields and the background records interpolate with the same weights
-    rng = np.random.default_rng(0)
+def history_of(arrays_at):
+    """A FlowHistory at LOOKUP_TIMES on flat_abelian_state's mesh whose state
+    at time t holds the first four arrays of arrays_at(t) as its fields and
+    whose record holds the last four."""
     st = flat_abelian_state()
     hist = FlowHistory()
-    times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 3e-4, 3000))])
-    for t in times:
-        hist.append(st.with_fields(float(t), [f * (1.0 + t) + t * t
-                                              for f in st.fields]))
-    queries = np.concatenate([
-        times[[0, 1, 2, 1500, -3, -2, -1]], times[:-1] + 0.5 * np.diff(times),
-        rng.uniform(times[0], times[-1], 500), times[::97] + 5e-15,
-        times[1::89] - 5e-15, [times[-1] + 1e-15]])
-    for t in queries:
-        idx, ws = searchsorted_weights(hist, t)
-        state, bg = hist.state_at(t), hist.background_at(t)
-        if ws is None:
-            assert state is hist.states[idx[0]] and bg is hist.records[idx[0]], t
-            continue
+    for t in LOOKUP_TIMES:
+        arrays = arrays_at(t)
+        hist.append(st.with_fields(t, arrays[:4]), Background(*arrays[4:]),
+                    (1.0, 1.0))
+    return hist
+
+
+def test_history_state_at():
+    # state_at and background_at are the centred cubic Lagrange interpolant
+    st = flat_abelian_state()
+    shapes = [f.shape for f in (*st.fields, *background(st, derive(st)))]
+    times = np.array(LOOKUP_TIMES)
+    # 5e-15 off a stored time a lookup snaps to it, 1e-12 off it interpolates
+    snaps = [t + off for t in times for off in (-5e-15, 5e-15)]
+    off_node = np.hstack([times[1:-1] - 1e-12, times[1:-1] + 1e-12,
+                          *(times[:-1] + c * np.diff(times) for c in (0.1, 0.5, 0.8))])
+
+    # a cubic in t on every field and record entry is reproduced to round-off
+    coeffs = [np.random.default_rng(n).normal(size=(4,) + s)
+              for n, s in enumerate(shapes)]
+
+    def cubic_at(t):
+        return [c[0] + t * (c[1] + t * (c[2] + t * c[3])) for c in coeffs]
+
+    cubic = history_of(cubic_at)
+    for t in off_node:
+        state = cubic.state_at(t)
         assert state.t == t
-        for got, nodes in ((state.fields, [hist.states[i].fields for i in idx]),
-                           (bg, [hist.records[i] for i in idx])):
-            for a, node in zip(got, zip(*nodes)):
-                assert np.array_equal(a, sum(w * f for w, f in zip(ws, node))), t
-    for t in (times[0] - 1e-12, times[-1] + 1e-12):
+        for a, want in zip([*state.fields, *cubic.background_at(t)], cubic_at(t)):
+            assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want)), t
+
+    # a unit impulse at interior index m enters the four intervals nearest
+    # it, two on each side; a snapped lookup returns the stored objects
+    for m in range(4, len(times) - 4):
+        hist = history_of(lambda t: [np.full(s, float(t == times[m]))
+                                     for s in shapes])
+        for t in (*times, *snaps, *off_node):
+            i = int(np.argmin(np.abs(times - t)))
+            state, bg = hist.state_at(t), hist.background_at(t)
+            snapped = abs(times[i] - t) < 1e-14
+            assert (state is hist.states[i] and bg is hist.records[i]) == snapped, t
+            assert state.t == (times[i] if snapped else t)
+            seen = i == m if snapped else times[m - 2] < t < times[m + 2]
+            assert all(a.any() == seen for a in (*state.fields, *bg)), (m, t)
+    # the cubic is not extrapolated past either end
+    for t in (-1e-3, -1e-12, times[-1] + 1e-12, times[-1] + 0.1):
         for lookup in (hist.state_at, hist.background_at):
             with pytest.raises(ValueError, match="outside the stored span"):
                 lookup(t)

@@ -1,6 +1,6 @@
 """Every module of the package, the tests and the benchmark reads each name
-it imports, and every function, class and method of the package is read by
-name somewhere."""
+it imports, and every function, class and method of the package and every
+top-level helper of the tests is read by name somewhere."""
 
 import ast
 import re
@@ -38,18 +38,18 @@ def test_no_unused_imports():
 
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(tree: ast.Module):
     """The top-level functions and classes of a module and the methods of
     its classes, except the dunder methods Python calls itself."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if isinstance(node, defs):
+        if isinstance(node, DEFINITIONS):
             yield node
         if isinstance(node, ast.ClassDef):
             yield from (item for item in node.body
-                        if isinstance(item, defs[:2])
+                        if isinstance(item, DEFINITIONS[:2])
                         and not (item.name.startswith("__") and item.name.endswith("__")))
 
 
@@ -66,6 +66,19 @@ def reads(tree: ast.Module):
             yield from ((part, node.lineno) for part in node.value.split("."))
 
 
+def checked_definitions(trees: dict):
+    """(path, node) of every definition of the package, and of every
+    top-level function and class of the tests that pytest does not collect
+    by its test_ name."""
+    for path, tree in trees.items():
+        if path.parent.name == "grflab":
+            yield from ((path, node) for node in definitions(tree))
+        elif path.parent.name == "tests":
+            yield from ((path, node) for node in tree.body
+                        if isinstance(node, DEFINITIONS)
+                        and not node.name.startswith("test_"))
+
+
 def test_no_unreferenced_definitions():
     # a refactor that leaves a helper orphaned fails here: every definition
     # is read by name outside its own body
@@ -76,8 +89,7 @@ def test_no_unreferenced_definitions():
         for name, line in reads(tree):
             read.setdefault(name, []).append((path, line))
     unread = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
-              for path in sorted(ROOT.glob("src/grflab/*.py"))
-              for node in definitions(trees[path])
+              for path, node in checked_definitions(trees)
               if not any(where != path or not node.lineno <= line <= node.end_lineno
                          for where, line in read.get(node.name, []))]
     assert not unread, unread

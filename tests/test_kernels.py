@@ -1,26 +1,24 @@
-"""Contraction kernels against the one-call einsums they replace.
+"""Contraction kernels against their definitions.
 
-Each reference below is the einsum the kernel was written as before it
-became a chain of stacked matmuls over the shared DerivedGeometry tensors,
-or, for an antisymmetric torsion argument, one product with its slots
-permuted.  The kernels sum in a different order, so the two agree to a few
-ulps of the largest entry, not bit for bit.  The grid derivative is checked
-the same way against the ghost-layer stencil sum it was first written as.
+Every reference below is a definition, not a copy of an earlier
+implementation: a formula written term by term as one-call einsums, a
+full-array composition of such terms, antisymmetrization as a sum over slot
+permutations, or the derivative stencil as a ghost-layer sum.  The kernels
+are chains of stacked matmuls and signed tables over the shared
+DerivedGeometry tensors that sum in a different order, so the two agree to a
+few ulps of the largest entry, not bit for bit.
 """
 
-import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import ALGEBRAS
 from grflab import (algebra, cli, fields, flow, functionals, geometry, oracle,
                     torsion)
 from grflab.cli import random_state
-
-ALGEBRAS = {"heisenberg3": algebra.heisenberg3,
-            "abelian3": lambda: algebra.abelian(3)}
 
 # K^4 eps ~ 1.4e-13 for the widest sum (K = 5), plus margin
 REL_TOL = 1e-12
@@ -285,10 +283,10 @@ def ref_bracket_pairs(state, der):
 
 
 # -- the torsion packing as permuted sums -------------------------------------
-# pack_full as it was: each canonical fiber-first block weighted, summed over
-# the six slot permutations and so averaged over the permutations that land on
-# one entry, with the fiber block copied; the alternating sum as six permuted
-# views.
+# Antisymmetrization by definition: each canonical fiber-first block weighted,
+# summed over the six slot permutations and so averaged over the permutations
+# that land on one entry, with the fiber block copied; the alternating sum as
+# six permuted views.
 
 def _ref_perm_weight(kinds):
     nf = sum(1 for t in kinds if t == 0)
@@ -315,8 +313,8 @@ def ref_alternating_sum3(core):
 # -- the torsion evolution as full (..., K, ..., K) arrays --------------------
 # The torsion source as five full antisymmetric pieces of -d*H, and the rate
 # as ref_pack_full of the reference differential of B less a K^3 moving-frame
-# correction: the composition torsion_rate and b_dot replace by sums at the
-# increasing index tuples.
+# correction: the definitions that torsion_rate and b_dot evaluate as sums at
+# the increasing index tuples.
 
 def full_minus_dstar_terms(state, der):
     mesh, k, H = state.mesh, state.k, state.H
@@ -550,8 +548,8 @@ def ref_residual_tensors(state, f, der):
 
 
 # -- the oracle as multi-operand einsums ------------------------------------
-# The oracle's stacked products against the einsum bodies they replaced,
-# which built the curvature from the full K^4 tensors.
+# The oracle's stacked products against the Koszul formula, the curvature and
+# the codifferential written as einsums over the full K^4 tensors.
 
 # the oracle's widest sum has K^2 = 25 terms (25 eps ~ 5.6e-15)
 ORACLE_REL_TOL = 1e-13
@@ -717,128 +715,6 @@ def test_packing_matches_the_permuted_sum_reference():
                               ref_pack_full(X, k)[..., mixed]), case
 
 
-# -- the torsion differential as index gathers --------------------------------
-# The differential and the moving-frame correction as they were first written
-# at the increasing tuples: each term gathered from one source row followed by
-# a zero column (read where a term has no anchor), the terms summed in order
-# by sign; and -d*H with its antisymmetric part as the difference of two
-# gathers.  The kernels take products with signed tables instead.
-
-def _ref_gather_tables(K, k, p):
-    def flat(idx):
-        return sum(a * K ** (len(idx) - 1 - s) for s, a in enumerate(idx))
-
-    def skip(t, *slots):
-        return tuple(a for s, a in enumerate(t) if s not in slots)
-
-    outs = list(itertools.combinations(range(K), p + 1))
-    subs = list(itertools.combinations(range(K), p))
-    pairs = list(itertools.combinations(range(K), 2))
-    rests = list(itertools.combinations(range(K), p - 1)) if p else []
-    dsubs = [[s for s in subs if b not in s] for b in range(k, K)]
-    keys = [("D", b, s) for b, ss in zip(range(k, K), dsubs) for s in ss]
-    zero = len(keys)
-    keys += ["zero"] + [("Q", pr, r) for pr in pairs for r in rests]
-    source = {key: n for n, key in enumerate(keys)}
-    terms, signs = [], []
-    for i in range(p + 1):
-        row = [source[("D", t[i], skip(t, i))] if t[i] >= k else zero
-               for t in outs]
-        if any(r != zero for r in row):
-            terms.append(row)
-            signs.append((-1) ** i)
-    for i, j in itertools.combinations(range(p + 1), 2):
-        terms.append([source[("Q", (t[i], t[j]), skip(t, i, j))] for t in outs])
-        signs.append((-1) ** (i + j))
-    frame_zero = (K - k) * K ** p
-    frame = [[(t[s] - k) * K ** p + flat(skip(t, s)) if t[s] >= k else frame_zero
-              for t in outs] for s in range(p + 1)]
-    return ([[flat(s) for s in ss] for ss in dsubs], [flat(r) for r in rests],
-            np.array(terms, dtype=int).reshape(len(signs), len(outs)), signs,
-            np.array(frame, dtype=int), [flat(t) for t in outs])
-
-
-def _ref_signed_sum(terms, signs):
-    acc = terms[..., 0, :] if signs[0] == 1 else -terms[..., 0, :]
-    for m, sign in enumerate(signs[1:], 1):
-        if sign == 1:
-            acc += terms[..., m, :]
-        else:
-            acc -= terms[..., m, :]
-    return acc
-
-
-def ref_d_components(sigma, p, Cp, mesh, k):
-    K, grid = k + mesh.d, mesh.shape
-    dsubs, rests, terms, signs, _, _ = _ref_gather_tables(K, k, p)
-    flat = sigma.reshape(grid + (K ** p,))
-    sources = [fields.deriv_array(flat[..., subs], a, h)
-               for a, (subs, h) in enumerate(zip(dsubs, mesh.spacings))]
-    sources.append(np.zeros(grid + (1,)))
-    if p > 0:
-        rows = sigma.reshape(grid + (K, K ** (p - 1)))[..., :k, rests]
-        sources.append((np.swapaxes(Cp, -1, -2) @ rows).reshape(grid + (-1,)))
-    return _ref_signed_sum(np.concatenate(sources, axis=-1)[..., terms], signs)
-
-
-def ref_torsion_rate_components(state, der, B, dA):
-    k, mesh = state.k, state.mesh
-    frame = _ref_gather_tables(k + state.d, k, 2)[4]
-    rate = ref_d_components(B, 2, torsion.bracket_pairs(state, der.F), mesh, k)
-    P = (dA @ geometry.as_matrices(state.H[..., :k, :, :], 1, 2)).reshape(
-        mesh.shape + (-1,))
-    P = np.concatenate([P, np.zeros(mesh.shape + (1,))], axis=-1)
-    return rate - _ref_signed_sum(P[..., frame], (1, -1, 1))
-
-
-def ref_minus_dstar_terms(state, der):
-    mesh, k, H = state.mesh, state.k, state.H
-    gi, Gamma = der.gi, der.Gamma
-    K = k + state.d
-    grid = mesh.shape
-    ij = np.array(_ref_gather_tables(K, k, 1)[5])
-    Hb_pairs = H.reshape(grid + (K, K * K))[..., k:, ij]
-    v = geometry.metric_trace(gi, np.moveaxis(Gamma, -3, -1)) + der.q
-    out = (geometry.metric_trace(gi, geometry._derivs(Hb_pairs, mesh))
-           - (v[..., None, :] @ Hb_pairs)[..., 0, :])
-    DGt = np.swapaxes(der.DG, -1, -2)
-    DG_up = geometry.raise_first(
-        (geometry.as_matrices(DGt, 2, 1) @ der.Gi).reshape(DGt.shape), gi)
-    N = geometry.raise_first(torsion.extended_coeffs(state, Gamma), gi)
-    N[..., :k, :k] += np.swapaxes(DG_up, -1, -2)
-    N[..., k:, :k] = 0.5 * np.moveaxis(der.GF_up, -3, -1)
-    Z = (np.swapaxes(geometry.as_matrices(N, 2, 1), -1, -2)
-         @ geometry.as_matrices(H[..., k:, :, :], 2, 1))
-    Z[..., :k, :] -= 0.5 * (geometry.as_matrices(der.Gb_up, 1, 2)
-                            @ geometry.as_matrices(H[..., :k, :k, :], 2, 1))
-    Z = Z.reshape(grid + (K * K,))
-    out -= Z[..., ij] - Z[..., ij % K * K + ij // K]
-    return out
-
-
-def test_signed_tables_match_the_gathered_sums():
-    for case, rng, state in case_states():
-        der = geometry.derive(state)
-        k, K, grid = state.k, state.k + state.d, state.mesh.shape
-        Cp = torsion.bracket_pairs(state, der.F)
-        for p in range(4):
-            sigma = rng.normal(size=grid + (K,) * p)
-            if p >= 2:
-                sigma = torsion.pack_full(sigma, k, p)
-            tuples = _ref_gather_tables(K, k, p)[5]
-            got = torsion.algebroid_d(sigma, p, Cp, state.mesh, k)
-            got = got.reshape(grid + (-1,))[..., tuples]
-            ref = ref_d_components(sigma, p, Cp, state.mesh, k)
-            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (case, p)
-        v = flow.ungauged_rates(state, der)
-        got = torsion.torsion_rate(state, der, v.B, v.dA)
-        got = got.reshape(grid + (-1,))[..., _ref_gather_tables(K, k, 2)[5]]
-        ref = ref_torsion_rate_components(state, der, v.B, v.dA)
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), case
-        assert np.array_equal(torsion.minus_dstar_terms(state, der),
-                              ref_minus_dstar_terms(state, der)), case
-
-
 def test_two_dimensional_torsion_run_matches_the_full_array_rates(monkeypatch):
     # random torsion over a 2-torus, which the preset runs never carry
     state = random_state(np.random.default_rng(5), algebra.heisenberg3(), 16, 2)
@@ -936,7 +812,7 @@ _REF_D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2
 
 
 def ref_deriv_array(values, axis, h):
-    """The ghost-layer stencil sum the antisymmetric form replaced."""
+    """The 4th-order central difference as a ghost-layer stencil sum."""
     n = values.shape[axis]
     ext = np.concatenate([values.take(range(n - 2, n), axis), values,
                           values.take(range(2), axis)], axis=axis)
@@ -978,189 +854,6 @@ def test_deriv_array_matches_ghost_layer_reference_on_states():
     for case, _, state in case_states():
         for name in ("G", "g", "A", "H"):
             _check_derivatives(getattr(state, name), state.mesh, (name, case))
-
-
-# -- the random inputs as they were drawn -------------------------------------
-# random_state and verify_variation's direction builder as they were written
-# before both drew through cli.random_waves: a wave() closure and fill loops
-# each, the 2-form direction by paired writes.
-
-def ref_random_state(rng, alg, N, d, amp=0.12, with_H=True, max_freq=2):
-    mesh = fields.Mesh((N,) * d, (2.0 * np.pi,) * d)
-    Xs = mesh.coords()
-    k = alg.k
-
-    def wave():
-        out = np.zeros(mesh.shape)
-        if d == 1:
-            freqs = [(m,) for m in range(1, max_freq + 1)]
-        else:
-            freqs = [(1, 0), (0, 1), (1, 1)][:max_freq + 1]
-        for fr in freqs:
-            a, b = rng.uniform(-amp, amp, 2)
-            phase = sum(2.0 * np.pi * fi * X / L
-                        for fi, X, L in zip(fr, Xs, mesh.lengths))
-            out += a * np.cos(phase) + b * np.sin(phase)
-        return out
-
-    G = np.zeros(mesh.shape + (k, k))
-    for i in range(k):
-        G[..., i, i] = 1.0 + wave()
-    for i in range(k):
-        for j in range(i):
-            w = 0.3 * wave()
-            G[..., i, j] = w
-            G[..., j, i] = w
-    g = np.zeros(mesh.shape + (d, d))
-    for a in range(d):
-        g[..., a, a] = 1.0 + wave()
-    if d == 2:
-        w = 0.3 * wave()
-        g[..., 0, 1] = w
-        g[..., 1, 0] = w
-    A = np.zeros(mesh.shape + (d, k))
-    for a in range(d):
-        for i in range(k):
-            A[..., a, i] = wave()
-    H = np.zeros(mesh.shape + (k + d,) * 3)
-    if with_H:
-        alt = torsion.alternating_sum(rng.normal(size=(k, k, k)) * 0.3 / 6.0)
-        H[..., :k, :k, :k] = (1.0 + wave())[..., None, None, None] * alt
-        for i in range(k):
-            for j in range(i):
-                H[..., j, i, k:] = wave()[..., None]
-        if d == 2:
-            for i in range(k):
-                H[..., i, k, k + 1] = wave()
-        H = torsion.pack_full(H, k)
-    return geometry.GeometryState(0.0, mesh, alg, G, g, A, H)
-
-
-def ref_variation_waves(rng, state):
-    """The potential and directions of verify_variation on a circle."""
-    (X,) = state.mesh.coords()
-    k, d = state.k, state.d
-    K = k + d
-
-    def wave():
-        a1, b1, a2, b2 = rng.uniform(-0.12, 0.12, 4)
-        return (a1 * np.cos(X) + b1 * np.sin(X)
-                + a2 * np.cos(2 * X) + b2 * np.sin(2 * X))
-
-    def direction():
-        dG = np.zeros(state.mesh.shape + (k, k))
-        for i in range(k):
-            for j in range(i + 1):
-                w = wave()
-                dG[..., i, j] = w
-                dG[..., j, i] = w
-        dg = np.zeros(state.mesh.shape + (d, d))
-        for a in range(d):
-            dg[..., a, a] = wave()
-        dA = np.zeros(state.mesh.shape + (d, k))
-        for i in range(k):
-            dA[..., 0, i] = wave()
-        B = np.zeros(state.mesh.shape + (K, K))
-        for i in range(K):
-            for j in range(i):
-                w = wave()
-                B[..., j, i] = w
-                B[..., i, j] = -w
-        return functionals.VariationDirection(dG, dg, dA, B, wave())
-
-    return wave, direction
-
-
-# (seed, base dimension, algebra, keyword arguments): written out as a
-# product, so every commit draws the same states
-RANDOM_STATE_CASES = [
-    (seed, d, alg, opts)
-    for seed in range(10) for d in (1, 2)
-    for alg in ("heisenberg3", "abelian3", "abelian2")
-    for opts in ((), (("with_H", False), ("max_freq", 1), ("amp", 0.08)))]
-
-
-def test_random_state_matches_its_reference_bit_for_bit():
-    algebras = dict(ALGEBRAS, abelian2=lambda: algebra.abelian(2))
-    for case in RANDOM_STATE_CASES:
-        seed, d, alg, opts = case
-        got = random_state(np.random.default_rng(seed), algebras[alg](), 8, d,
-                           **dict(opts))
-        ref = ref_random_state(np.random.default_rng(seed), algebras[alg](), 8, d,
-                               **dict(opts))
-        assert got.mesh.shape == ref.mesh.shape, case
-        for name, a, b in zip(got.FIELDS, got.fields, ref.fields):
-            assert np.array_equal(a, b), (name, case)
-
-
-def test_variation_directions_match_their_reference():
-    # the phase 2 pi f x / L rounds differently from x and 2 x in the last bit
-    for seed in range(10):
-        rng, ref_rng = (np.random.default_rng(seed + 100) for _ in range(2))
-        state = random_state(rng, algebra.heisenberg3(), 16, 1)
-        random_state(ref_rng, algebra.heisenberg3(), 16, 1)
-        wave, direction = ref_variation_waves(ref_rng, state)
-        pairs = [(cli.random_waves(rng, state.mesh, 1, 0.12, 2)[..., 0], wave())]
-        for _ in range(5):
-            pairs += zip(cli.random_direction(rng, state), direction())
-        for got, ref in pairs:
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), seed
-        assert rng.uniform() == ref_rng.uniform(), seed  # as many draws
-
-
-# -- the verify suites as they were written -----------------------------------
-# before cli.curvature_pairs and cli.codifferential_gap: slices and gaps by hand
-
-def ref_verify_curvature(seed, N):
-    tol = 1e-5 * max(1.0, (64.0 / N) ** 4)
-    rows = []
-    for d in (1, 2):
-        rng = np.random.default_rng(seed + d)
-        st = random_state(rng, algebra.heisenberg3(), N, d, amp=0.08,
-                          with_H=False, max_freq=1)
-        R, Ric, scal = oracle.curvature_oracle(st)
-        cb = geometry.curvature_closed_form(st, geometry.derive(st))
-        k = st.k
-        pairs = {
-            "ffff": (cb.ffff, R[..., :k, :k, :k, :k]),
-            "fbbf": (cb.fbbf, R[..., :k, k:, k:, :k]),
-            "bbbb": (cb.bbbb, R[..., k:, k:, k:, k:]),
-            "Ric": (np.concatenate([cb.Ric_ff.reshape(-1), cb.Ric_fb.reshape(-1),
-                                    cb.Ric_bb.reshape(-1)]),
-                    np.concatenate([Ric[..., :k, :k].reshape(-1),
-                                    Ric[..., :k, k:].reshape(-1),
-                                    Ric[..., k:, k:].reshape(-1)])),
-            "scalar": (cb.scalar, scal),
-        }
-        for name, (a, b) in pairs.items():
-            scale = max(float(np.max(np.abs(b))), 1e-12)
-            err = float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / scale
-            rows.append((f"curvature d={d} {name}", err, err < tol))
-    return rows
-
-
-def ref_verify_torsion(seed, N):
-    rows = []
-    for d in (1, 2):
-        rng = np.random.default_rng(seed + 10 + d)
-        n = N if d == 1 else max(16, N // 2)
-        st = random_state(rng, algebra.heisenberg3(), n, d)
-        der = geometry.derive(st)
-        md = torsion.b_dot(st, der)
-        md_o = oracle.codifferential_oracle(st)
-        scale = max(float(np.max(np.abs(md_o))), 1e-12)
-        err = float(np.max(np.abs(md - md_o))) / scale
-        rows.append((f"codifferential d={d}", err, err < 1e-5))
-        err = torsion.splitting_identity(st, der)
-        rows.append((f"splitting identity d={d}", err, err < 1e-10))
-    return rows
-
-
-def test_verify_suites_match_their_reference_bit_for_bit():
-    for case in [(0, 16), (0, 32), (1, 16), (1, 32), (2, 16), (2, 32)]:  # (seed, mesh)
-        assert cli.verify_curvature(*case) == ref_verify_curvature(*case), case
-        assert cli.verify_torsion(*case) == ref_verify_torsion(*case), case
 
 
 def test_slot_patterns_read_the_hand_written_oracle_slices():

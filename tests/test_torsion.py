@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from conftest import flat_abelian_state, heisenberg_state
+from conftest import (GENERATOR_CASES, flat_abelian_state, generated_state,
+                      heisenberg_state)
 from grflab import algebra, flow, functionals, torsion
 from grflab.cli import (PRESETS, codifferential_gap, preset_inoue_like,
                         random_direction, random_state, random_waves)
@@ -37,10 +38,11 @@ PACK_CASES = [
 
 def test_torsion_of_new_states_is_its_own_pack():
     # states built from packed states by linear combination stay packed
-    for name, preset in PRESETS.items():
-        st = preset(8)
-        assert _exactly_antisymmetric(st.H), name
-        assert np.array_equal(st.H, torsion.pack_full(st.H, st.k)), name
+    new_states = [(name, preset(8)) for name, preset in PRESETS.items()]
+    new_states += [(case, generated_state(*case)) for case in GENERATOR_CASES]
+    for label, st in new_states:
+        assert _exactly_antisymmetric(st.H), label
+        assert np.array_equal(st.H, torsion.pack_full(st.H, st.k)), label
     for case in PACK_CASES:
         seed, d, mode = case
         rng = np.random.default_rng(seed)
