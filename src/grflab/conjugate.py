@@ -29,11 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import DomainError, Mesh, integrate_values
+from .fields import DomainError, Mesh, derivs, integrate_values
 from .geometry import (
     DerivedGeometry,
     GeometryState,
-    _derivs,
     laplacian,
     norm_sq_DG,
     norm_sq_F,
@@ -92,7 +91,7 @@ def background(state: GeometryState, der: DerivedGeometry) -> Background:
 
 def _transport(phi: np.ndarray, bg: Background, mesh: Mesh) -> np.ndarray:
     """<q, grad phi>, the rate of phi's transport along q."""
-    return np.einsum("...a,...a->...", bg.q, _derivs(phi, mesh))
+    return np.einsum("...a,...a->...", bg.q, derivs(phi, mesh))
 
 
 def conj_rhs(u: np.ndarray, bg: Background, mesh: Mesh,

@@ -3,9 +3,10 @@
 The base is a flat periodic box (circle or 2-torus) with global coordinates.
 All fields are dense arrays with the grid axes first, followed by one axis per
 tensor slot: a fiber slot has range k, a base slot range d.
-Derivatives are 4th-order central differences with periodic wraparound;
-integrals use the periodic rectangle rule, which is spectrally accurate for
-smooth periodic data.
+Derivatives are 4th-order central differences with periodic wraparound,
+taken only here: deriv_array along one axis and derivs along each, reading
+the axis's spacing from the Mesh.  Integrals use the periodic rectangle
+rule, which is spectrally accurate for smooth periodic data.
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ class Mesh:
 
 # --- discrete calculus -------------------------------------------------------
 
-def deriv_array(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """4th-order periodic central difference along a grid axis of a raw array.
+def deriv_array(values: np.ndarray, axis: int, mesh: Mesh) -> np.ndarray:
+    """4th-order periodic central difference along a grid axis of mesh.
 
     The antisymmetric form (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 h)
-    of the weights (1, -8, 0, 8, -1) / 12 at offsets -2..2, so a constant
-    differentiates to exactly zero.
+    of the weights (1, -8, 0, 8, -1) / 12 at offsets -2..2, with h the
+    axis's spacing, so a constant differentiates to exactly +0.0.
     """
     n = values.shape[axis]
     before = (slice(None),) * axis
@@ -95,7 +96,16 @@ def deriv_array(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     out *= 8.0
     out -= shifted(2)
     out += shifted(-2)
-    out *= 1.0 / (12.0 * h)
+    out *= 1.0 / (12.0 * mesh.spacings[axis])
+    return out
+
+
+def derivs(values: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """Stack of coordinate derivatives; the new axis sits first among the slots."""
+    d = mesh.d
+    out = np.empty(values.shape[:d] + (d,) + values.shape[d:])
+    for a in range(d):
+        out[(slice(None),) * d + (a,)] = deriv_array(values, a, mesh)
     return out
 
 

@@ -39,9 +39,12 @@ import numpy as np
 
 from .algebra import require_valid
 from .conjugate import Background, background, check_gauge
-from .fields import MIN_POINTS, DomainError, Mesh, deriv_array
-from .geometry import DerivedGeometry, GeometryState, _derivs, derive, ricci_blocks
+from .fields import MIN_POINTS, DomainError, Mesh, deriv_array, derivs
+from .geometry import DerivedGeometry, GeometryState, derive, ricci_blocks
 from . import torsion
+
+# flow times closer than this are one stored time (run end, lookup, transport)
+TIME_TOL = 1e-14
 
 
 class FlowRHS(NamedTuple):
@@ -56,7 +59,7 @@ class FlowRHS(NamedTuple):
 def lie_derivative_base(q: np.ndarray, g: np.ndarray, Gamma: np.ndarray,
                         mesh: Mesh) -> np.ndarray:
     """(L_q g)_ab for an upper-index base vector field q."""
-    dq = _derivs(q, mesh)  # [..., a, c] = d_a q^c
+    dq = derivs(q, mesh)  # [..., a, c] = d_a q^c
     covq = dq + np.einsum("...cab,...b->...ac", Gamma, q)
     low = np.einsum("...ac,...cb->...ab", covq, g)
     return low + np.swapaxes(low, -1, -2)
@@ -209,16 +212,13 @@ class FlowHistory:
     mode: str = "ungauged"
     abort_reason: str = ""  # why the run stopped short of t_end, if it did
 
-    def append(self, state: GeometryState, record: Background | None = None,
-               min_eigs: tuple[float, float] | None = None):
-        """Store a state, its Background record and min_eigs, the state's
-        validate(); each is formed here when not given."""
-        if record is None:
-            record = background(state, derive(state))
+    def append(self, state: GeometryState, record: Background,
+               min_eigs: tuple[float, float]):
+        """Store a state, its Background record and its validate(), min_eigs."""
         self.times.append(state.t)
         self.states.append(state)
         self.records.append(record)
-        self.min_eigs.append(state.validate() if min_eigs is None else min_eigs)
+        self.min_eigs.append(min_eigs)
 
     def _weights(self, t: float) -> tuple[list, np.ndarray | None]:
         """The stored indices and weights of the cubic Lagrange interpolant
@@ -228,14 +228,14 @@ class FlowHistory:
         Raises ValueError for a t outside the stored span.
         """
         times = self.times
-        if not times[0] - 1e-14 <= t <= times[-1] + 1e-14:
+        if not times[0] - TIME_TOL <= t <= times[-1] + TIME_TOL:
             raise ValueError(f"t = {t!r} is outside the stored span "
                              f"[{times[0]!r}, {times[-1]!r}]")
         n = len(times)
         j = min(max(bisect.bisect_left(times, t), 1), n - 1)
-        if abs(times[j] - t) < 1e-14:
+        if abs(times[j] - t) < TIME_TOL:
             return [j], None
-        if abs(times[j - 1] - t) < 1e-14:
+        if abs(times[j - 1] - t) < TIME_TOL:
             return [j - 1], None
         lo = max(0, min(j - 2, n - 4))
         idx = list(range(lo, min(lo + 4, n)))
@@ -330,7 +330,7 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
     der = derive(cur)
     hist.append(cur, background(cur, der), min_eigs)
     steps = 0
-    while cur.t < config.t_end - 1e-14 and steps < config.max_steps:
+    while cur.t < config.t_end - TIME_TOL and steps < config.max_steps:
         if report_stride and steps % report_stride == 0:
             hist.derived[steps] = der
         dt = (config.fixed_dt if config.fixed_dt
@@ -352,7 +352,7 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
         steps += 1
         hist.append(cur, background(cur, der), min_eigs)
     else:  # no field or metric aborted the run
-        if cur.t < config.t_end - 1e-14:
+        if cur.t < config.t_end - TIME_TOL:
             hist.abort_reason = (f"stopped at t = {cur.t:.6g} short of t_end = "
                                  f"{config.t_end:.6g} after max_steps = "
                                  f"{config.max_steps} steps")
@@ -401,7 +401,7 @@ def transport_map_1d(hist: FlowHistory, t_end: float) -> np.ndarray:
     mesh = hist.states[0].mesh
     if mesh.d != 1:
         raise ValueError("transport map implemented for 1-D bases only")
-    (stored,) = np.nonzero(np.abs(np.asarray(hist.times) - t_end) < 1e-14)
+    (stored,) = np.nonzero(np.abs(np.asarray(hist.times) - t_end) < TIME_TOL)
     if not stored.size:
         raise ValueError(f"t_end = {t_end!r} is not a stored time of the run")
     L = mesh.lengths[0]
@@ -423,10 +423,9 @@ def pullback_state_1d(state: GeometryState, phi: np.ndarray) -> GeometryState:
     """
     mesh = state.mesh
     L = mesh.lengths[0]
-    h = mesh.spacings[0]
-    x = np.arange(mesh.sizes[0]) * h
+    x = np.arange(mesh.sizes[0]) * mesh.spacings[0]
     disp = np.unwrap((phi - x) * (2 * np.pi / L)) * (L / (2 * np.pi))
-    dphi = 1.0 + deriv_array(disp, 0, h)
+    dphi = 1.0 + deriv_array(disp, 0, mesh)
 
     def ev(arr):
         return _fourier_interp_1d(arr, phi % L, L)

@@ -17,11 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import DomainError, integrate_values
+from .fields import DomainError, derivs, integrate_values
 from .geometry import (
     DerivedGeometry,
     GeometryState,
-    _derivs,
     derive,
     fiber_pairing,
     fiber_trace,
@@ -39,7 +38,7 @@ from . import flow, torsion
 
 def grad_norm_sq(f: np.ndarray, state: GeometryState,
                  der: DerivedGeometry) -> np.ndarray:
-    df = _derivs(f, state.mesh)
+    df = derivs(f, state.mesh)
     return np.einsum("...ab,...a,...b->...", der.gi, df, df)
 
 

@@ -26,21 +26,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .algebra import LieAlgebra, require_valid
-from .fields import DomainError, Mesh, deriv_array, metric_det, row_blocks
+from .fields import DomainError, Mesh, derivs, metric_det, row_blocks
 
 if TYPE_CHECKING:
     from .flow import Velocity
 
 EIG_FLOOR = 1e-10
-
-
-def _derivs(values: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Stack of coordinate derivatives; the new axis sits first among the slots."""
-    d = mesh.d
-    out = np.empty(values.shape[:d] + (d,) + values.shape[d:])
-    for a, h in enumerate(mesh.spacings):
-        out[(slice(None),) * d + (a,)] = deriv_array(values, a, h)
-    return out
 
 
 def _pointwise_min_eig(vals: np.ndarray) -> np.ndarray:
@@ -172,7 +163,7 @@ def levi_civita(g: np.ndarray, mesh: Mesh):
     if np.any(metric_det(g, mesh.d) <= 0):
         raise DomainError("base metric not positive definite")
     gi = 1.0 / g if mesh.d == 1 else np.linalg.inv(g)
-    dg = _derivs(g, mesh)  # [..., e, a, b] = d_e g_ab
+    dg = derivs(g, mesh)  # [..., e, a, b] = d_e g_ab
     # [..., a, b, d] = d_a g_bd + d_b g_ad - d_d g_ab
     sym = _permuted_sum("abd", [(1, "abd", dg), (1, "bad", dg), (-1, "dab", dg)])
     Gamma = 0.5 * (gi @ np.swapaxes(as_matrices(sym, 2, 1), -1, -2))
@@ -180,7 +171,7 @@ def levi_civita(g: np.ndarray, mesh: Mesh):
     if mesh.d == 1:
         return gi, Gamma, np.zeros_like(gi), np.zeros(g.shape[:-2])
 
-    dGamma = _derivs(Gamma, mesh)  # [..., e, c, a, b] = d_e Gamma^c_ab
+    dGamma = derivs(Gamma, mesh)  # [..., e, c, a, b] = d_e Gamma^c_ab
     trGamma = np.einsum("...ccf->...f", Gamma)
     Gamma_s = np.swapaxes(Gamma, -3, -2)  # [..., a, c, f] = Gamma^c_af
     ric = (
@@ -205,7 +196,7 @@ def connection_action(A: np.ndarray, alg: LieAlgebra) -> np.ndarray:
 
 def compute_F(A: np.ndarray, alg: LieAlgebra, mesh: Mesh) -> np.ndarray:
     """F^m_ab = d_a A^m_b - d_b A^m_a + c^m_jk A^j_a A^k_b."""
-    dA = _derivs(A, mesh)  # [..., e, a, m] = d_e A^m_a; read as d_a A^m_b below
+    dA = derivs(A, mesh)  # [..., e, a, m] = d_e A^m_a; read as d_a A^m_b below
     curl = dA - np.swapaxes(dA, mesh.d, mesh.d + 1)
     # c^m_jk A^j_a A^k_b = sum_k cA[a, m, k] A^k_b, antisymmetrized in (a, b)
     # so that it is exactly antisymmetric (and exactly zero on a 1-D base)
@@ -216,7 +207,7 @@ def compute_F(A: np.ndarray, alg: LieAlgebra, mesh: Mesh) -> np.ndarray:
 
 def compute_DG(G: np.ndarray, A: np.ndarray, alg: LieAlgebra, mesh: Mesh) -> np.ndarray:
     """DG[..., a, i, j] = d_a G_ij - c^m_li A^l_a G_mj - c^m_lj A^l_a G_im."""
-    dG = _derivs(G, mesh)
+    dG = derivs(G, mesh)
     conn = np.swapaxes(connection_action(A, alg), -1, -2) @ G[..., None, :, :]
     return dG - conn - np.swapaxes(conn, mesh.d + 1, mesh.d + 2)
 
@@ -224,7 +215,7 @@ def compute_DG(G: np.ndarray, A: np.ndarray, alg: LieAlgebra, mesh: Mesh) -> np.
 def compute_DDG(DG: np.ndarray, A: np.ndarray, Gamma: np.ndarray,
                 alg: LieAlgebra, mesh: Mesh) -> np.ndarray:
     """(D_a DG)_{b, ij}: the extended derivative acts on all three slots of DG."""
-    dDG = _derivs(DG, mesh)  # [..., a, b, i, j]
+    dDG = derivs(DG, mesh)  # [..., a, b, i, j]
     base = np.swapaxes(as_matrices(Gamma, 1, 2), -1, -2) @ as_matrices(DG, 1, 2)
     cA = connection_action(A, alg)[..., :, None, :, :]  # [..., a, ., m, i]
     f1 = np.swapaxes(cA, -1, -2) @ DG[..., None, :, :, :]  # c^m_li A^l_a DG_{b,mj}
@@ -236,7 +227,7 @@ def compute_DF(F: np.ndarray, A: np.ndarray, Gamma: np.ndarray,
                alg: LieAlgebra, mesh: Mesh) -> np.ndarray:
     """(D_e F)^m_ab, derivative slot first.  The upper fiber index pairs with
     the opposite structure-constant sign from lower ones."""
-    dF = _derivs(F, mesh)  # [..., e, a, b, m]
+    dF = derivs(F, mesh)  # [..., e, a, b, m]
     # c^m_ln A^l_e F^n_ab, one (d*d, k) x (k, k) product per derivative slot e
     fib = as_matrices(F, 2, 1)[..., None, :, :] @ np.swapaxes(
         connection_action(A, alg), -1, -2)
@@ -247,7 +238,7 @@ def compute_DF(F: np.ndarray, A: np.ndarray, Gamma: np.ndarray,
     return dF + fib - b1 - np.swapaxes(b2, -3, -2)  # Gamma^c_eb F^m_ac
 
 
-def _raise_last_two(T: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def raise_last_two(T: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """T[..., i, p, q] with both trailing slots raised by the symmetric
     inverse metric inv."""
     inv = inv[..., None, :, :]
@@ -262,7 +253,7 @@ def fiber_trace(T: np.ndarray, Gi: np.ndarray) -> np.ndarray:
 
 def fiber_pairing(DG: np.ndarray, Gi: np.ndarray) -> np.ndarray:
     """G^{ik} G^{jl} DG_{a, ij} DG_{b, kl}, a base 2-tensor."""
-    return pair_trace(_raise_last_two(DG, Gi), DG, 2)
+    return pair_trace(raise_last_two(DG, Gi), DG, 2)
 
 
 def compute_q(DG: np.ndarray, Gi: np.ndarray, gi: np.ndarray) -> np.ndarray:
@@ -338,7 +329,7 @@ def derive(state: GeometryState, validated: bool = True) -> DerivedGeometry:
         DF = compute_DF(F, state.A, Gamma, alg, mesh)
         GF = (state.G @ np.swapaxes(as_matrices(F, 2, 1), -1, -2)).reshape(
             state.G.shape[:-1] + F.shape[-3:-1])
-        GF_up = _raise_last_two(GF, gi)
+        GF_up = raise_last_two(GF, gi)
     DG = compute_DG(state.G, state.A, alg, mesh)
     DDG = compute_DDG(DG, state.A, Gamma, alg, mesh)
     q = compute_q(DG, Gi, gi)
@@ -346,7 +337,7 @@ def derive(state: GeometryState, validated: bool = True) -> DerivedGeometry:
     # raise beta, then lower: each term is G (G^-1 G^-1 beta), the product
     # order of the one-call references in tests/test_kernels.py, so states
     # with diagonal metrics give the same bits as those references
-    beta_up = _raise_last_two(alg.beta, Gi)
+    beta_up = raise_last_two(alg.beta, Gi)
     Gb_up = (state.G @ as_matrices(beta_up, 1, 2)).reshape(Gb.shape)
     return DerivedGeometry(Gi, gi, Gamma, Ric_g, R_g, F, DF, DG, DDG, q,
                            Gb, Gb_up, GF, GF_up)
@@ -376,14 +367,14 @@ class CurvatureBlocks:
 
 def gradient(f: np.ndarray, gi: np.ndarray, mesh: Mesh) -> np.ndarray:
     """Upper-index gradient of a scalar field: (grad f)^a = g^{ab} d_b f."""
-    df = _derivs(f, mesh)
+    df = derivs(f, mesh)
     return np.einsum("...ab,...b->...a", gi, df)
 
 
 def hessian(f: np.ndarray, Gamma: np.ndarray, mesh: Mesh) -> np.ndarray:
     """Covariant Hessian of a scalar: H_ab = d_a d_b f - Gamma^c_ab d_c f."""
-    df = _derivs(f, mesh)
-    ddf = _derivs(df, mesh)
+    df = derivs(f, mesh)
+    ddf = derivs(df, mesh)
     ddf = 0.5 * (ddf + np.swapaxes(ddf, mesh.d, mesh.d + 1))
     return ddf - np.einsum("...cab,...c->...ab", Gamma, df)
 
@@ -539,7 +530,7 @@ def _fbbb(G: np.ndarray, der: DerivedGeometry) -> np.ndarray:
 
 def _bbbb(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     """All-base component: the lowered Riemann tensor of g plus F terms."""
-    dGamma = _derivs(der.Gamma, state.mesh)  # [..., e, f, a, b] = d_e Gamma^f_ab
+    dGamma = derivs(der.Gamma, state.mesh)  # [..., e, f, a, b] = d_e Gamma^f_ab
     GG = _product(der.Gamma, 3, der.Gamma, 3)  # Gamma^f_am Gamma^m_bc, slots fabc
     Rup = _permuted_sum("abcf", [(1, "afbc", dGamma), (-1, "bfac", dGamma),
                                  (1, "fabc", GG), (-1, "fbac", GG)])

@@ -4,10 +4,10 @@ Everything here works in the combined frame of the extension bundle: indices
 0..k-1 are the fiber directions, k..k+d-1 the base coordinate directions.  The
 connection coefficients come from a pointwise Koszul solve against the frame
 structure functions, and curvature is assembled directly from the commutator
-definition with finite differences of the coefficients.  Nothing is shared
-with the closed-form engine beyond the raw field arrays, the curvature F of
-the connection, the finite-difference stencil and fields.row_blocks, so
-agreement between the two paths is a meaningful cross-check.  row_blocks is
+definition with grid derivatives (fields.deriv_array) of the coefficients.
+Nothing is shared with the closed-form engine beyond the raw field arrays,
+the curvature F of the connection, that derivative and fields.row_blocks,
+so agreement between the two paths is a meaningful cross-check.  row_blocks is
 no mathematics: it only cuts the grid into blocks of whole rows, over which
 both curvature paths run their pointwise K^4 stage to bound its memory.
 
@@ -81,8 +81,8 @@ def _koszul(state: GeometryState, gE, gEi, C) -> np.ndarray:
     L = _slots(np.swapaxes(_slots(C, d, K, K * K), -1, -2) @ gE, d, K, K, K)
     Kosz = L + np.moveaxis(L, -3, -1) + np.swapaxes(L, -3, -1)
     # the anchor of a fiber direction is zero, so only tau_{k+a} = d_a acts
-    for a, h in enumerate(mesh.spacings):
-        dgE = deriv_array(gE, a, h)
+    for a in range(d):
+        dgE = deriv_array(gE, a, mesh)
         Kosz[..., k + a, :, :] += dgE
         Kosz[..., :, k + a, :] += dgE
         Kosz[..., :, :, k + a] -= dgE
@@ -119,7 +119,7 @@ def curvature_oracle(state: GeometryState):
     Gam = _koszul(state, gE, gEi, C)
     Gam_m = np.ascontiguousarray(np.moveaxis(Gam, -3, -1))  # [..., x, y, e] = Gam^e_xy
     del Gam
-    dGam_m = [deriv_array(Gam_m, a, h) for a, h in enumerate(mesh.spacings)]
+    dGam_m = [deriv_array(Gam_m, a, mesh) for a in range(d)]
     R = np.empty(mesh.shape + (K, K * K, K))
     Ric = np.zeros_like(gE)
     for rows in row_blocks(mesh):
@@ -157,8 +157,8 @@ def codifferential_oracle(state: GeometryState) -> np.ndarray:
     H = state.H
     v = _slots(Gam, d, K, K * K) @ _slots(gEi, d, K * K, 1)  # g^ab Gam^f_ab
     out = -(np.swapaxes(v, -1, -2) @ _slots(H, d, K, K * K))
-    for a, h in enumerate(mesh.spacings):
-        out += gEi[..., k + a, None, :] @ _slots(deriv_array(H, a, h), d, K, K * K)
+    for a in range(d):
+        out += gEi[..., k + a, None, :] @ _slots(deriv_array(H, a, mesh), d, K, K * K)
     out = _slots(out, d, K, K)
     # M[..., (b, f), c] = g^ba Gam^f_ac
     M = _slots(gEi @ _slots(np.swapaxes(Gam, -3, -2), d, K, K * K), d, K * K, K)

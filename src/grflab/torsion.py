@@ -14,7 +14,8 @@ table.  The increasing pairs are declared once, as the tuples of the
 degree-1 table; the frame brackets and the codifferential are read at them.
 Includes the generic exterior derivative of the bracket geometry, the
 quadratic contractions of H, and the closed-form codifferential that drives
-the torsion evolution.
+the torsion evolution; their grid derivatives are fields.deriv_array and
+fields.derivs on the state's mesh, so no spacing is read here.
 
 An exactly zero H is the Ricci flow with symmetry on the principal bundle,
 and the flow keeps it exactly zero: the source B = -d*H and the torsion rate
@@ -32,10 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Mesh, deriv_array
-from .geometry import (DerivedGeometry, GeometryState, _derivs,
-                       _raise_last_two, as_matrices, connection_action,
-                       metric_trace, pair_trace, raise_first)
+from .fields import Mesh, deriv_array, derivs
+from .geometry import (DerivedGeometry, GeometryState, as_matrices,
+                       connection_action, metric_trace, pair_trace,
+                       raise_first, raise_last_two)
 
 
 # --- full-frame packing ------------------------------------------------------
@@ -177,8 +178,8 @@ def _d_components(sigma: np.ndarray, p: int, Cp: np.ndarray, mesh: Mesh,
     k, grid = Cp.shape[-2], mesh.shape
     K = k + mesh.d
     flat = sigma.reshape(grid + (K ** p,))
-    sources = [deriv_array(flat[..., subs], a, h)
-               for a, (subs, h) in enumerate(zip(tables.dsubs, mesh.spacings))]
+    sources = [deriv_array(flat[..., subs], a, mesh)
+               for a, subs in enumerate(tables.dsubs)]
     if p > 0:
         rows = sigma.reshape(grid + (K, K ** (p - 1)))[..., :k, tables.rests]
         sources.append((np.swapaxes(Cp, -1, -2) @ rows).reshape(grid + (-1,)))
@@ -234,7 +235,7 @@ def h_contractions(state: GeometryState, der: DerivedGeometry):
         der.calH, der.Hsq = np.zeros(state.H.shape[:-1]), np.zeros(state.mesh.shape)
     elif der.calH is None:
         gEi = inverse_frame_metric(der)
-        der.calH = pair_trace(state.H, _raise_last_two(state.H, gEi), 2)
+        der.calH = pair_trace(state.H, raise_last_two(state.H, gEi), 2)
         der.Hsq = np.einsum("...ab,...ab->...", gEi, der.calH)
     return der.calH, der.Hsq
 
@@ -306,7 +307,7 @@ def minus_dstar_terms(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
 
     Hb_pairs = H.reshape(grid + (K, K * K))[..., k:, pairs.tuples]  # [..., b, n]
     v = metric_trace(gi, np.moveaxis(Gamma, -3, -1)) + der.q
-    out = (metric_trace(gi, _derivs(Hb_pairs, mesh))
+    out = (metric_trace(gi, derivs(Hb_pairs, mesh))
            - (v[..., None, :] @ Hb_pairs)[..., 0, :])
 
     # g^{ab} G^{jl} DG_{a, ji}: both slots raised, [..., b, i, l]

@@ -19,7 +19,7 @@ def static_history(st, t_end=0.05, n_snaps=11):
     for t in np.linspace(0.0, t_end, n_snaps):
         snap = st.copy()
         snap.t = float(t)
-        hist.append(snap)
+        hist.append(snap, background(snap, derive(snap)), snap.validate())
     return hist
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from grflab.fields import (DomainError, GridError, Mesh, deriv_array,
+from grflab.fields import (DomainError, GridError, Mesh, deriv_array, derivs,
                            integrate_values, metric_det, row_blocks)
 
 
@@ -45,16 +45,27 @@ def test_row_blocks_cover_the_first_axis_in_whole_rows():
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
 
 
+def _is_plus_zero(values):
+    return np.all(values == 0.0) and not np.any(np.signbit(values))
+
+
 def test_derivative_constant_is_zero():
-    # the antisymmetric stencil cancels a constant exactly, on every axis
-    mesh = unit_mesh()
-    f = np.full(mesh.shape, 3.5)
-    assert np.all(deriv_array(f, 0, mesh.spacings[0]) == 0.0)
+    # the antisymmetric stencil cancels a constant to exactly +0.0, sign bit
+    # clear, on every axis: run_flow's homogeneous restriction rests on this
+    for mesh in (unit_mesh(), Mesh((16, 12), (1.0, 2.0))):
+        for c in (3.5, -4.25, 0.0, -0.0):
+            f = np.full(mesh.shape, c)
+            for axis in range(mesh.d):
+                assert _is_plus_zero(deriv_array(f, axis, mesh)), (mesh, c, axis)
+            assert _is_plus_zero(derivs(f, mesh)), (mesh, c)
+    # a tensor field whose slots hold values of every sign, -0.0 among them
     mesh = Mesh((16, 12), (1.0, 2.0))
-    f = np.broadcast_to(np.arange(18.0).reshape(2, 3, 3) - 4.25,
-                        mesh.shape + (2, 3, 3)).copy()
-    for axis, h in enumerate(mesh.spacings):
-        assert np.all(deriv_array(f, axis, h) == 0.0)
+    slots = np.arange(18.0).reshape(2, 3, 3) - 4.25
+    slots[0, 0, 0] = -0.0
+    f = np.broadcast_to(slots, mesh.shape + (2, 3, 3)).copy()
+    for axis in range(mesh.d):
+        assert _is_plus_zero(deriv_array(f, axis, mesh)), axis
+    assert _is_plus_zero(derivs(f, mesh))
 
 
 def test_derivative_fourth_order_convergence():
@@ -63,7 +74,7 @@ def test_derivative_fourth_order_convergence():
         mesh = Mesh((N,), (1.0,))
         (x,) = mesh.coords()
         vals = np.sin(2 * np.pi * x)
-        d = deriv_array(vals, 0, mesh.spacings[0])
+        d = deriv_array(vals, 0, mesh)
         exact = 2 * np.pi * np.cos(2 * np.pi * x)
         errs.append(np.max(np.abs(d - exact)))
     assert errs[1] < errs[0] / 12.0  # 4th order would give 16
@@ -76,7 +87,7 @@ def test_derivative_fourth_order_convergence_along_second_axis():
         mesh = Mesh((N, N), (1.0, 2.0))
         X, Y = mesh.coords()
         vals = (1.0 + 0.5 * np.cos(2 * np.pi * X)) * np.sin(np.pi * Y)
-        d = deriv_array(vals, 1, mesh.spacings[1])
+        d = deriv_array(vals, 1, mesh)
         exact = (1.0 + 0.5 * np.cos(2 * np.pi * X)) * np.pi * np.cos(np.pi * Y)
         errs.append(np.max(np.abs(d - exact)))
     assert errs[1] < errs[0] / 12.0

@@ -1,6 +1,7 @@
 """Every module of the package, the tests and the benchmark reads each name
-it imports, and every function, class and method of the package and every
-top-level helper of the tests is read by name somewhere."""
+it imports, no module of the package takes a private name from another,
+and every function, class and method of the package and every top-level
+helper of the tests is read by name somewhere."""
 
 import ast
 import re
@@ -35,6 +36,34 @@ def test_no_unused_imports():
     assert len(MODULES) > 25
     unused = [entry for path in MODULES for entry in unused_imports(path)]
     assert not unused, unused
+
+
+def private_imports(path: Path) -> list[str]:
+    """The underscore names path takes from a grflab module: by an import, or
+    as an attribute of a grflab module it imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules, taken = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "grflab"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    taken.append((alias.name, node.lineno))
+                elif node.module in (None, "grflab"):  # from . import torsion
+                    modules.add(alias.asname or alias.name)
+    taken += [(node.attr, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")]
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in taken]
+
+
+def test_package_reads_no_private_name_of_another_module():
+    # a name another module needs is public; the tests may still read
+    # private names
+    package = [path for path in MODULES if path.parent.name == "grflab"]
+    assert len(package) > 8
+    taken = [entry for path in package for entry in private_imports(path)]
+    assert not taken, taken
 
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")

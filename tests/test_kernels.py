@@ -88,7 +88,7 @@ def ref_Ric_bb(state, der):
 
 def ref_F(state, der):
     A, alg, mesh = state.A, state.alg, state.mesh
-    dA = geometry._derivs(A, mesh)
+    dA = fields.derivs(A, mesh)
     curl = dA - np.swapaxes(dA, mesh.d, mesh.d + 1)
     quad = np.einsum("mjk,...aj,...bk->...abm", alg.c, A, A)
     return curl + quad
@@ -97,10 +97,10 @@ def ref_F(state, der):
 def _ref_levi_civita(state):
     g, mesh = state.g, state.mesh
     gi = np.linalg.inv(g)
-    dg = geometry._derivs(g, mesh)
+    dg = fields.derivs(g, mesh)
     sym = dg + np.swapaxes(dg, mesh.d, mesh.d + 1) - np.einsum("...dab->...abd", dg)
     Gamma = 0.5 * np.einsum("...cd,...abd->...cab", gi, sym)
-    dGamma = geometry._derivs(Gamma, mesh)
+    dGamma = fields.derivs(Gamma, mesh)
     ric = (
         np.einsum("...ccab->...ab", dGamma)
         - np.einsum("...accb->...ab", dGamma)
@@ -139,14 +139,14 @@ def ref_residuals_F(state, der):
 
 
 def ref_DG(state, der):
-    dG = geometry._derivs(state.G, state.mesh)
+    dG = fields.derivs(state.G, state.mesh)
     conn = np.einsum("mli,...al,...mj->...aij", state.alg.c, state.A, state.G)
     return dG - conn - np.swapaxes(conn, state.d + 1, state.d + 2)
 
 
 def ref_DDG(state, der):
     DG, A, Gamma, alg = der.DG, state.A, der.Gamma, state.alg
-    dDG = geometry._derivs(DG, state.mesh)  # [..., a, b, i, j]
+    dDG = fields.derivs(DG, state.mesh)  # [..., a, b, i, j]
     base = np.einsum("...cab,...cij->...abij", Gamma, DG)
     f1 = np.einsum("mli,...al,...bmj->...abij", alg.c, A, DG)
     f2 = np.einsum("mlj,...al,...bim->...abij", alg.c, A, DG)
@@ -155,7 +155,7 @@ def ref_DDG(state, der):
 
 def ref_DF(state, der):
     F, A, Gamma, alg = der.F, state.A, der.Gamma, state.alg
-    dF = geometry._derivs(F, state.mesh)  # [..., e, a, b, m]
+    dF = fields.derivs(F, state.mesh)  # [..., e, a, b, m]
     fib = np.einsum("mln,...el,...abn->...eabm", alg.c, A, F)
     b1 = np.einsum("...cea,...cbm->...eabm", Gamma, F)
     b2 = np.einsum("...ceb,...acm->...eabm", Gamma, F)
@@ -174,7 +174,7 @@ def ref_extended_coeffs(state, der):
 
 def ref_cov_deriv_3form(state, der):
     T, M = state.H, ref_extended_coeffs(state, der)
-    dT = geometry._derivs(T, state.mesh)
+    dT = fields.derivs(T, state.mesh)
     corr = (
         np.einsum("...aeb,...ecd->...abcd", M, T)
         + np.einsum("...aec,...bed->...abcd", M, T)
@@ -209,8 +209,7 @@ def anchor_derivs(values, mesh, k):
     d = mesh.d
     out = np.zeros(values.shape[:d] + (k + d,) + values.shape[d:])
     for a in range(d):
-        out[(slice(None),) * d + (k + a,)] = fields.deriv_array(
-            values, a, mesh.spacings[a])
+        out[(slice(None),) * d + (k + a,)] = fields.deriv_array(values, a, mesh)
     return out
 
 
@@ -323,7 +322,7 @@ def full_minus_dstar_terms(state, der):
     M = torsion.extended_coeffs(state, Gamma)
     Y = (np.swapaxes(geometry.as_matrices(M, 2, 1), -1, -2)
          @ geometry.as_matrices(geometry.raise_first(Hb, gi), 2, 1))
-    term1 = (geometry.metric_trace(gi, geometry._derivs(Hb, mesh))
+    term1 = (geometry.metric_trace(gi, fields.derivs(Hb, mesh))
              - torsion.interior_product(
                  geometry.metric_trace(gi, np.moveaxis(Gamma, -3, -1)), H, k)
              - (Y - np.swapaxes(Y, -1, -2)))
@@ -432,7 +431,7 @@ def ref_fbbb(state, der):
 
 
 def ref_riemann_base(g, Gamma, mesh):
-    dGamma = geometry._derivs(Gamma, mesh)  # [..., e, f, a, b] = d_e Gamma^f_ab
+    dGamma = fields.derivs(Gamma, mesh)  # [..., e, f, a, b] = d_e Gamma^f_ab
     Rup = (
         np.einsum("...afbc->...abcf", dGamma)
         - np.einsum("...bfac->...abcf", dGamma)
@@ -831,12 +830,12 @@ DERIV_REL_TOL = 1e-14
 def _check_derivatives(values, mesh, label):
     stacked = []
     for a, h in enumerate(mesh.spacings):
-        got, ref = fields.deriv_array(values, a, h), ref_deriv_array(values, a, h)
+        got, ref = fields.deriv_array(values, a, mesh), ref_deriv_array(values, a, h)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= DERIV_REL_TOL * np.max(np.abs(ref)), (
             label, a)
         stacked.append(got)
-    assert np.array_equal(geometry._derivs(values, mesh),
+    assert np.array_equal(fields.derivs(values, mesh),
                           np.stack(stacked, axis=mesh.d)), label
 
 

@@ -7,7 +7,8 @@ from conftest import (GENERATOR_CASES, flat_abelian_state, generated_state,
 from grflab import algebra, flow, functionals, torsion
 from grflab.cli import (PRESETS, codifferential_gap, preset_inoue_like,
                         random_direction, random_state, random_waves)
-from grflab.geometry import _raise_last_two, derive, pair_trace
+from grflab.conjugate import background
+from grflab.geometry import derive, pair_trace, raise_last_two
 
 
 def random_full_state(seed=0, N=16, d=1):
@@ -48,10 +49,12 @@ def test_torsion_of_new_states_is_its_own_pack():
         rng = np.random.default_rng(seed)
         state = random_state(rng, algebra.heisenberg3(), 8, d)
         k, K = state.k, state.k + d
-        hist = flow.FlowHistory()
-        hist.append(state)
+        states = [state]
         for _ in range(3):
-            hist.append(flow.rk4_step(hist.states[-1], 1e-3, mode))
+            states.append(flow.rk4_step(states[-1], 1e-3, mode))
+        hist = flow.FlowHistory()
+        for st in states:
+            hist.append(st, background(st, derive(st)), st.validate())
         mid = hist.state_at(0.5 * (hist.times[1] + hist.times[2]))
         B = rng.normal(size=state.mesh.shape + (K, K)) * 0.1
         direction = functionals.VariationDirection(
@@ -110,7 +113,7 @@ def test_h_contractions_zero_torsion():
     assert np.max(np.abs(Hsq)) == 0.0
     # the shortcut's premise: the general contraction is exactly zero there
     gEi = torsion.inverse_frame_metric(der)
-    assert not pair_trace(st.H, _raise_last_two(st.H, gEi), 2).any()
+    assert not pair_trace(st.H, raise_last_two(st.H, gEi), 2).any()
 
 
 def test_h_contractions_kept_per_derived_geometry():
