@@ -26,63 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, conjugate, flow, functionals, geometry, oracle, torsion
+from . import algebra, conjugate, flow, functionals, geometry, oracle, presets, torsion
 from .algebra import LieAlgebra
 from .fields import DomainError, GridError, Mesh
 from .geometry import GeometryState, derive
-
-
-# --- presets -----------------------------------------------------------------
-
-def _constant_state(alg: LieAlgebra, mesh: Mesh, G0, g0) -> GeometryState:
-    k, d = alg.k, mesh.d
-    G = np.broadcast_to(np.asarray(G0, dtype=float),
-                        mesh.shape + (k, k)).copy()
-    g = np.broadcast_to(np.asarray(g0, dtype=float),
-                        mesh.shape + (d, d)).copy()
-    A = np.zeros(mesh.shape + (d, k))
-    H = np.zeros(mesh.shape + (k + d,) * 3)
-    return GeometryState(0.0, mesh, alg, G, g, A, H)
-
-
-def preset_flat_abelian(N: int = 64) -> GeometryState:
-    """Static product: two abelian fiber directions over a unit circle."""
-    return _constant_state(algebra.abelian(2), Mesh((N,), (1.0,)),
-                           np.eye(2), np.eye(1))
-
-
-def preset_heisenberg_s1(N: int = 64) -> GeometryState:
-    """Constant Heisenberg fibers over a unit circle."""
-    return _constant_state(algebra.heisenberg3(), Mesh((N,), (1.0,)),
-                           np.eye(3), np.eye(1))
-
-
-def preset_torus_bundle_t2(N: int = 32) -> GeometryState:
-    """Two abelian fiber directions over a 2-torus with curving connection."""
-    mesh = Mesh((N, N), (2.0 * np.pi, 2.0 * np.pi))
-    st = _constant_state(algebra.abelian(2), mesh, np.eye(2), np.eye(2))
-    X, Y = mesh.coords()
-    st.A[..., 0, 0] = 0.3 * np.sin(Y)
-    st.A[..., 1, 1] = 0.3 * np.sin(X)
-    return st
-
-
-def preset_inoue_like(N: int = 64) -> GeometryState:
-    """Three abelian fiber directions over a circle with constant fiber
-    3-form torsion, so the vertical torsion component is active."""
-    st = _constant_state(algebra.abelian(3), Mesh((N,), (1.0,)),
-                         np.eye(3), np.eye(1))
-    st.H[..., 0, 1, 2] = 0.5
-    st.H = torsion.pack_full(st.H, st.k)
-    return st
-
-
-PRESETS = {
-    "flat-abelian": preset_flat_abelian,
-    "heisenberg-s1": preset_heisenberg_s1,
-    "torus-bundle-t2": preset_torus_bundle_t2,
-    "inoue-like": preset_inoue_like,
-}
 
 
 # --- configuration -----------------------------------------------------------
@@ -100,15 +47,7 @@ class ScenarioConfig(flow.IntegratorConfig):
     output_dir: str = "run-out"
 
     def build_state(self) -> GeometryState:
-        builder = PRESETS[self.preset]
-        st = builder(self.mesh_n) if self.mesh_n is not None else builder()
-        if self.algebra is not None:
-            # the preset fixes the fiber dimension, checked before the
-            # algebra's k^3 constants are built
-            alg = algebra.require_valid(
-                algebra.algebra_from_spec(self.algebra, st.k))
-            st = GeometryState(st.t, st.mesh, alg, st.G, st.g, st.A, st.H)
-        return st
+        return presets.build(self.preset, self.mesh_n, self.algebra)
 
 
 class ConfigError(ValueError):
@@ -143,7 +82,7 @@ _INTEGER = (_positive_integer, "a positive integer")
 
 # key -> (check of a non-null value, what the error message says it must be)
 CONFIG_KEYS = {
-    "preset": _one_of(*PRESETS),
+    "preset": _one_of(*presets.PRESETS),
     "mesh_n": _INTEGER,
     "algebra": (lambda value: isinstance(value, (str, dict)),
                 "an algebra name or an object with keys k and c"),
@@ -186,6 +125,7 @@ def load_config(path: str) -> ScenarioConfig:
     cfg = ScenarioConfig(**raw)
     try:
         state = cfg.build_state()
+        algebra.require_valid(state.alg)
         state.validate()
     except GridError as exc:
         raise ConfigError(f"{path}: invalid mesh: {exc}") from exc

@@ -306,7 +306,7 @@ class DerivedGeometry:
 
 def derive(state: GeometryState, validated: bool = True) -> DerivedGeometry:
     """The DerivedGeometry of state (validated=False: check its algebra
-    first, which ScenarioConfig.build_state and run_flow do on entry).
+    first, which load_config and run_flow do on entry).
 
     A curve carries no 2-forms and is flat, so on a 1-D base F, DF and the
     base Ricci tensor vanish for any connection and metric: derive stores

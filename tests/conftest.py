@@ -2,14 +2,12 @@
 
 import numpy as np
 
-from grflab import algebra, cli
+from grflab import algebra, cli, presets
 from grflab.fields import Mesh
 
 
 def constant_state(alg, N=16, d=1, lengths=None, G0=None, g0=None):
-    mesh = Mesh((N,) * d, lengths or (1.0,) * d)
-    return cli._constant_state(alg, mesh, np.eye(alg.k) if G0 is None else G0,
-                               np.eye(d) if g0 is None else g0)
+    return presets.constant_state(alg, Mesh((N,) * d, lengths or (1.0,) * d), G0, g0)
 
 
 def heisenberg_state(N=16, **kw):

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import GENERATOR_CASES, generated_state
-from grflab import cli, functionals, torsion
-from grflab.cli import (CSV_COLUMNS, ConfigError, PRESETS, load_config,
-                        run_pipeline)
-from grflab.geometry import derive
+from test_flow import same_bits
+from grflab import cli, functionals, presets, torsion
+from grflab.algebra import algebra_from_spec
+from grflab.cli import CSV_COLUMNS, ConfigError, load_config, run_pipeline
+from grflab.geometry import GeometryState, derive
 
 
 def write_config(tmp_path, name="cfg.json", **body):
@@ -29,11 +30,63 @@ def write_config(tmp_path, name="cfg.json", **body):
     return str(path)
 
 
-def test_presets_build_valid_states():
-    for name, builder in PRESETS.items():
-        st = builder()
-        st.validate()
-        assert st.t == 0.0
+@pytest.mark.parametrize("name", presets.PRESETS)
+def test_presets_build_valid_states(name):
+    # the built state has the declared box, points and k, and an algebra
+    # override of that k changes the constants and no field
+    preset = presets.PRESETS[name]
+    st = presets.build(name)
+    st.validate()
+    assert st.t == 0.0
+    assert st.mesh.lengths == preset.lengths
+    assert st.mesh.sizes == (preset.mesh_n,) * len(preset.lengths)
+    assert st.k == algebra_from_spec(preset.algebra).k
+    spelled = presets.build(name, spec=preset.algebra)
+    assert same_bits(spelled.alg.c, st.alg.c)
+    c = np.arange(float(st.k ** 3)).reshape((st.k,) * 3)
+    other = presets.build(name, spec={"k": st.k, "c": c.tolist()})
+    assert np.array_equal(other.alg.c, c)
+    for built in (spelled, other):
+        assert built.mesh == st.mesh
+        assert all(same_bits(a, b) for a, b in zip(built.fields, st.fields))
+
+
+def test_run_pipeline_builds_the_state_once_through_build_state(tmp_path):
+    # a subclass may supply its state under a preset name outside the table:
+    # run_pipeline reads the state from build_state only, and once
+    calls = []
+
+    class GivenState(cli.ScenarioConfig):
+        def build_state(self):
+            calls.append(self.preset)
+            return presets.build("heisenberg-s1", 16)
+
+    run = dict(t_end=0.005, report_stride=1)
+    given = GivenState(preset="given-state", output_dir=str(tmp_path / "given"), **run)
+    plain = cli.ScenarioConfig(preset="heisenberg-s1", mesh_n=16,
+                               output_dir=str(tmp_path / "plain"), **run)
+    assert given.preset not in presets.PRESETS
+    assert run_pipeline(given) == run_pipeline(plain)
+    assert calls == ["given-state"]
+    assert ((tmp_path / "given" / "report.csv").read_bytes()
+            == (tmp_path / "plain" / "report.csv").read_bytes())
+    manifests = [json.loads((tmp_path / out / "manifest.json").read_text())
+                 for out in ("given", "plain")]
+    assert [m.pop("preset") for m in manifests] == ["given-state", "heisenberg-s1"]
+    assert manifests[0] == manifests[1]
+
+
+def test_heisenberg_constants_written_out_run_as_the_default(tmp_path):
+    heisenberg = [[[0, 0, 0]] * 3] * 2 + [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]]
+    reports = []
+    for name, spec in (("default", None), ("explicit", {"k": 3, "c": heisenberg})):
+        out = tmp_path / name
+        cfg = load_config(write_config(
+            tmp_path, name=f"{name}.json", preset="heisenberg-s1", mesh_n=16,
+            t_end=0.01, algebra=spec, output_dir=str(out)))
+        run_pipeline(cfg)
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_load_config_minimal(tmp_path):
@@ -64,14 +117,16 @@ def test_load_config_rejects_non_nilpotent_algebra(tmp_path):
 
 def test_load_config_rejects_non_closed_torsion(tmp_path, monkeypatch):
     # an x-dependent pure-fiber component over a circle is never closed
-    def modulated_inoue(N=64):
-        st = cli.preset_inoue_like(N)
+    inoue = presets.PRESETS["inoue-like"]
+
+    def modulated_torsion(st):
+        inoue.shape(st)
         (x,) = st.mesh.coords()
         prof = 1.0 + 0.5 * np.sin(2.0 * np.pi * x / st.mesh.lengths[0])
         st.H = st.H * prof[..., None, None, None]
-        return st
 
-    monkeypatch.setitem(cli.PRESETS, "inoue-like", modulated_inoue)
+    monkeypatch.setitem(presets.PRESETS, "inoue-like",
+                        inoue._replace(shape=modulated_torsion))
     path = write_config(tmp_path, preset="inoue-like")
     with pytest.raises(ConfigError, match="dH"):
         load_config(path)
@@ -173,7 +228,7 @@ def _unknown_strings(*valid):
 # per key, the categories of invalid values; the test runs every value of
 # every category
 INVALID_VALUES = {
-    "preset": [[None], _NON_STRINGS, _unknown_strings(*cli.PRESETS)],
+    "preset": [[None], _NON_STRINGS, _unknown_strings(*presets.PRESETS)],
     "mesh_n": _INTEGERS,
     # flat-abelian has 2 fiber directions, which heisenberg3 and any spec
     # with k != 2 do not fit
@@ -212,6 +267,25 @@ def test_readme_config_table_matches_loader():
     for key, default in defaults.items():
         if default is not dataclasses.MISSING and default is not None:
             assert rows[key].strip("` ") == str(default), key
+
+
+def test_readme_presets_match_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Presets", 1)[1].split("\n#", 1)[0]
+    row = r"^\| `([\w-]+)` \| `([^`]*)` \| ([^|]*) \| (\d+) \| ([^|]*) \|$"
+    rows = {name: cells for name, *cells in re.findall(row, section, re.M)}
+    assert set(rows) == set(presets.PRESETS)
+    for name, preset in presets.PRESETS.items():
+        spec, box, mesh_n, written = rows[name]
+        sides = [float(side.rstrip("π")) * (np.pi if side.endswith("π") else 1.0)
+                 for side in box.split(" × ")]
+        assert (spec, tuple(sides), int(mesh_n)) == (
+            preset.algebra, preset.lengths, preset.mesh_n), name
+        st = presets.build(name, 8)
+        plain = presets.constant_state(st.alg, st.mesh)
+        fields = [f"`{field}`" for field in GeometryState.FIELDS
+                  if not np.array_equal(getattr(st, field), getattr(plain, field))]
+        assert written.strip() == (", ".join(fields) or "none"), name
 
 
 def test_load_config_rejects_bad_json(tmp_path):

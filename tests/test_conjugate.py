@@ -5,8 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from grflab import flow
-from grflab.cli import preset_flat_abelian, preset_heisenberg_s1
+from grflab import flow, presets
 from grflab.conjugate import (background, conj_rhs, forward_heat_rhs, mass_of,
                               potential, solve_backward)
 from grflab.fields import DomainError
@@ -24,7 +23,7 @@ def static_history(st, t_end=0.05, n_snaps=11):
 
 
 def test_static_flat_density_constant():
-    st = preset_flat_abelian(16)
+    st = presets.build("flat-abelian", 16)
     hist = static_history(st)
     traj = solve_backward(hist)
     for c in traj:
@@ -49,14 +48,14 @@ def test_potential_domain_errors():
 
 
 def test_conj_rhs_positivity_guard():
-    st = preset_flat_abelian(16)
+    st = presets.build("flat-abelian", 16)
     with pytest.raises(DomainError):
         conj_rhs(np.zeros(st.mesh.shape), background(st, derive(st)), st.mesh)
 
 
 def test_forward_heat_rate_flat():
     # with flat static background the pairing operator is the plain laplacian
-    st = preset_flat_abelian(64)
+    st = presets.build("flat-abelian", 64)
     (x,) = st.mesh.coords()
     phi = np.sin(2 * np.pi * x)
     rate = forward_heat_rhs(phi, background(st, derive(st)), st.mesh)
@@ -64,7 +63,7 @@ def test_forward_heat_rate_flat():
 
 
 def test_conj_rhs_flat_is_minus_laplacian():
-    st = preset_flat_abelian(64)
+    st = presets.build("flat-abelian", 64)
     (x,) = st.mesh.coords()
     u = 2.0 + np.sin(2 * np.pi * x)
     bg = background(st, derive(st))
@@ -74,7 +73,7 @@ def test_conj_rhs_flat_is_minus_laplacian():
 
 
 def test_mass_conserved_on_heisenberg_run():
-    st = preset_heisenberg_s1(32)
+    st = presets.build("heisenberg-s1", 32)
     hist = run_flow(st, IntegratorConfig(t_end=0.02))
     traj = solve_backward(hist)
     masses = np.array([c.mass for c in traj])
@@ -137,7 +136,7 @@ def test_walks_are_fourth_order_in_time():
 
 def modulated_heisenberg_s1(N):
     """heisenberg-s1 with G_11 and g_11 modulated, so that q does not vanish."""
-    st = preset_heisenberg_s1(N)
+    st = presets.build("heisenberg-s1", N)
     (x,) = st.mesh.coords()
     st.G[..., 0, 0] *= 1.0 + 0.2 * np.cos(2 * np.pi * x)
     st.g[..., 0, 0] *= 1.0 + 0.1 * np.sin(2 * np.pi * x)
@@ -221,7 +220,7 @@ def test_unknown_gauge_rejected():
 
 def test_backward_maximum_principle_static():
     # pure diffusion in reversed time keeps the density inside its terminal range
-    st = preset_flat_abelian(32)
+    st = presets.build("flat-abelian", 32)
     hist = static_history(st, t_end=0.02, n_snaps=41)
     (x,) = st.mesh.coords()
     u_T = 1.0 + 0.5 * np.sin(2 * np.pi * x)
@@ -235,7 +234,7 @@ def test_backward_maximum_principle_static():
 def test_a_terminal_density_off_the_history_mesh_is_refused():
     # a homogeneous run's history lives on 8 points per axis, so a density
     # on the input mesh names both shapes in one line
-    st = preset_heisenberg_s1(16)
+    st = presets.build("heisenberg-s1", 16)
     hist = run_flow(st, IntegratorConfig(t_end=3e-3, fixed_dt=1e-3))
     with pytest.raises(ValueError, match=r"^u_T has shape \(16,\), the history's "
                                          r"mesh \(8,\)$"):

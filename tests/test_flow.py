@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import flat_abelian_state, heisenberg_state
-from grflab import algebra, cli, conjugate, flow, geometry, torsion
-from grflab.cli import (ScenarioConfig, preset_flat_abelian, preset_heisenberg_s1,
-                        preset_inoue_like, random_state, run_pipeline)
+from grflab import algebra, conjugate, flow, geometry, presets, torsion
+from grflab.cli import ScenarioConfig, random_state, run_pipeline
 from grflab.conjugate import GAUGES, Background, background, dilaton_potential
 from grflab.fields import MIN_POINTS, DomainError, Mesh
 from grflab.flow import (FlowHistory, IntegratorConfig, blowdown_rescale,
@@ -43,7 +42,7 @@ def test_heisenberg_initial_rate():
 def test_heisenberg_run_matches_closed_form():
     # constant Heisenberg fibers evolve as G = diag(a, a, 1/a) with
     # a(t) = (1 + 3 t)^(1/3); the base metric stays fixed
-    st = preset_heisenberg_s1(16)
+    st = presets.build("heisenberg-s1", 16)
     hist = run_flow(st, IntegratorConfig(t_end=0.3, fixed_dt=1e-3))
     assert not hist.abort_reason
     for i in (len(hist.times) // 2, len(hist.times) - 1):
@@ -56,7 +55,7 @@ def test_heisenberg_run_matches_closed_form():
 
 
 def test_canonical_equals_ungauged_when_q_vanishes():
-    st = preset_heisenberg_s1(16)
+    st = presets.build("heisenberg-s1", 16)
     cfg_u = IntegratorConfig(t_end=0.02, mode="ungauged")
     cfg_c = IntegratorConfig(t_end=0.02, mode="canonical")
     hu = run_flow(st, cfg_u)
@@ -116,7 +115,7 @@ def test_run_flow_rejects_non_spd_initial_state():
 
 
 def test_abort_on_blowup():
-    st = preset_heisenberg_s1(16)
+    st = presets.build("heisenberg-s1", 16)
     hist = run_flow(st, IntegratorConfig(t_end=100.0, fixed_dt=10.0,
                                          max_steps=50))
     # where, as plain integers, and when: the time of the rejected state
@@ -185,7 +184,7 @@ def test_pullback_identity_map():
 
 
 def test_transport_map_zero_q():
-    st = preset_heisenberg_s1(16)
+    st = presets.build("heisenberg-s1", 16)
     hist = run_flow(st, IntegratorConfig(t_end=0.01))
     phi = transport_map_1d(hist, 0.01)
     mesh = hist.states[0].mesh
@@ -196,7 +195,7 @@ def test_transport_map_zero_q():
 
 
 def test_gauge_check_trivial_on_homogeneous_data():
-    st = preset_heisenberg_s1(16)
+    st = presets.build("heisenberg-s1", 16)
     hu = run_flow(st, IntegratorConfig(t_end=0.01, mode="ungauged"))
     hc = run_flow(st, IntegratorConfig(t_end=0.01, mode="canonical"))
     gaps = gauge_equivalence_report(hu, hc, 0.01)
@@ -279,7 +278,7 @@ def test_two_state_history_interpolates_linearly():
 def test_stored_records_are_the_states_coefficients(mode):
     # each record, made from the derivation of the forward step, equals
     # the coefficients of a fresh derivation of its stored state, bit for bit
-    for st in (preset_inoue_like(16),
+    for st in (presets.build("inoue-like", 16),
                random_state(np.random.default_rng(3), algebra.heisenberg3(), 8, 2)):
         hist = run_flow(st, IntegratorConfig(t_end=3e-3, fixed_dt=1e-3, mode=mode))
         assert len(hist.records) == len(hist.states) == 4
@@ -293,7 +292,7 @@ def test_stored_records_are_the_states_coefficients(mode):
 @pytest.mark.parametrize("mode", GAUGES)
 def test_run_flow_matches_steps_that_derive_afresh(mode):
     # handing each state's derivation to its step's first stage changes no bit
-    for st in (preset_inoue_like(16),
+    for st in (presets.build("inoue-like", 16),
                random_state(np.random.default_rng(3), algebra.heisenberg3(), 8, 2)):
         config = IntegratorConfig(t_end=3e-3, fixed_dt=1e-3, mode=mode)
         hist = run_flow(st, config)
@@ -310,7 +309,7 @@ def test_kept_report_inputs_equal_fresh_ones(mode):
     # a report reads the forward pass's derivations, first-stage velocities
     # and eigenvalues; each equals a fresh one bit for bit, and derivations
     # are kept for the reported indices only
-    for st in (preset_inoue_like(16),
+    for st in (presets.build("inoue-like", 16),
                random_state(np.random.default_rng(3), algebra.heisenberg3(), 8, 2)):
         config = IntegratorConfig(t_end=5e-3, fixed_dt=1e-3, mode=mode)
         assert not run_flow(st, config).derived
@@ -372,7 +371,7 @@ def test_torsion_free_runs_skip_the_codifferential(monkeypatch):
         return dstar(*args)
 
     monkeypatch.setattr(torsion, "minus_dstar_terms", counted)
-    free = (preset_heisenberg_s1(16),
+    free = (presets.build("heisenberg-s1", 16),
             random_state(np.random.default_rng(8), algebra.heisenberg3(), 8, 2,
                          with_H=False))
     for st in free:
@@ -382,7 +381,8 @@ def test_torsion_free_runs_skip_the_codifferential(monkeypatch):
             assert not hist.abort_reason and len(hist.states) == 6
             assert not any(s.H.any() for s in hist.states)
             assert not calls, (st.d, mode)
-    run_flow(preset_inoue_like(16), IntegratorConfig(t_end=0.005, fixed_dt=1e-3))
+    run_flow(presets.build("inoue-like", 16),
+             IntegratorConfig(t_end=0.005, fixed_dt=1e-3))
     assert calls
 
 
@@ -395,7 +395,7 @@ def test_circle_runs_never_form_the_curvature_2_form(monkeypatch):
             calls.append(_name)
             return _kernel(*args)
         monkeypatch.setattr(geometry, name, counted)
-    for st in (preset_heisenberg_s1(16), preset_inoue_like(16)):
+    for st in (presets.build("heisenberg-s1", 16), presets.build("inoue-like", 16)):
         for mode in GAUGES:
             hist = run_flow(st, IntegratorConfig(t_end=0.005, fixed_dt=1e-3,
                                                  mode=mode))
@@ -407,7 +407,7 @@ def test_circle_runs_never_form_the_curvature_2_form(monkeypatch):
 
 
 def test_transport_needs_a_stored_time():
-    st = preset_heisenberg_s1(16)
+    st = presets.build("heisenberg-s1", 16)
     hu = run_flow(st, IntegratorConfig(t_end=0.01, fixed_dt=1e-3))
     hc = run_flow(st, IntegratorConfig(t_end=0.01, fixed_dt=1e-3,
                                        mode="canonical"))
@@ -488,9 +488,9 @@ def full_mesh_loop(st, config):
 
 
 def homogeneous_runs():
-    for preset in (preset_heisenberg_s1, preset_inoue_like, preset_flat_abelian):
+    for name in ("heisenberg-s1", "inoue-like", "flat-abelian"):
         for step in ({"fixed_dt": 1e-3, "t_end": 5e-3}, {"t_end": 2e-3}):
-            yield preset(16), step
+            yield presets.build(name, 16), step
 
 
 @pytest.mark.parametrize("mode", GAUGES)
@@ -564,7 +564,13 @@ def test_a_homogeneous_pipeline_runs_on_8_points_as_on_the_full_mesh(
     # the sums over the grid, fewer equal terms, agree to round-off
     st2 = random_constant_state(np.random.default_rng(21), algebra.heisenberg3(), 16, 2)
     assert st2.homogeneous() and st2.H.any() and st2.A.any()
-    monkeypatch.setitem(cli.PRESETS, "constant-2d", lambda N=None: st2.copy())
+
+    def copy_st2(st):
+        for name in GeometryState.FIELDS:
+            getattr(st, name)[...] = getattr(st2, name)
+
+    monkeypatch.setitem(presets.PRESETS, "constant-2d",
+                        presets.Preset("heisenberg3", st2.mesh.lengths, 16, copy_st2))
     grids = []
 
     def rhs(u, *args):
@@ -597,9 +603,9 @@ def test_a_homogeneous_pipeline_runs_on_8_points_as_on_the_full_mesh(
 def test_an_inhomogeneous_state_runs_on_its_own_mesh(monkeypatch):
     # one entry of G moved by one ulp, or one zero of A turned to -0.0,
     # makes the state inhomogeneous: it steps and stores its own mesh
-    bumped = preset_heisenberg_s1(16)
+    bumped = presets.build("heisenberg-s1", 16)
     bumped.G[5, 1, 1] = np.nextafter(bumped.G[5, 1, 1], 2.0)
-    signed = preset_heisenberg_s1(16)
+    signed = presets.build("heisenberg-s1", 16)
     signed.A[3, 0, 2] = -0.0
     meshes = []
 
@@ -609,7 +615,7 @@ def test_an_inhomogeneous_state_runs_on_its_own_mesh(monkeypatch):
 
     monkeypatch.setattr(flow, "rk4_step", step)
     for st in (bumped, signed):
-        assert not st.homogeneous() and preset_heisenberg_s1(16).homogeneous()
+        assert not st.homogeneous() and presets.build("heisenberg-s1", 16).homogeneous()
         meshes.clear()
         hist = run_flow(st, IntegratorConfig(t_end=3e-3, fixed_dt=1e-3), report_stride=1)
         assert set(meshes) == {(16,)} and len(hist.states) == 4
@@ -618,7 +624,7 @@ def test_an_inhomogeneous_state_runs_on_its_own_mesh(monkeypatch):
 
 @pytest.mark.parametrize("mode", GAUGES)
 def test_homogeneous_blowup_aborts_as_the_full_mesh_loop(mode):
-    st = preset_heisenberg_s1(16)
+    st = presets.build("heisenberg-s1", 16)
     config = IntegratorConfig(t_end=100.0, fixed_dt=10.0, mode=mode)
     hist = run_flow(st, config)
     reason = full_mesh_loop(st, config)[-1]

@@ -8,8 +8,7 @@ import pytest
 from conftest import (constant_state, curvature_gaps, flat_abelian_state,
                       heisenberg_state)
 from test_kernels import _ref_levi_civita, case_states
-from grflab import algebra, oracle
-from grflab.cli import PRESETS
+from grflab import algebra, oracle, presets
 from grflab.fields import DomainError, Mesh
 from grflab.flow import blowdown_rescale
 from grflab.geometry import (check_spd_field, compute_DDG, compute_DF,
@@ -39,7 +38,7 @@ def test_a_circle_carries_no_2_forms():
     # any connection; derive stores them as exact zeros without forming them
     circle = [st for _, _, st in case_states() if st.d == 1]
     assert len(circle) == 10 and all(st.A.any() and st.H.any() for st in circle)
-    circle += [st for st in (make() for make in PRESETS.values()) if st.d == 1]
+    circle += [st for st in map(presets.build, presets.PRESETS) if st.d == 1]
     assert len(circle) == 13
     for st in circle:
         F = compute_F(st.A, st.alg, st.mesh)

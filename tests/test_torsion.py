@@ -4,9 +4,9 @@ import numpy as np
 
 from conftest import (GENERATOR_CASES, flat_abelian_state, generated_state,
                       heisenberg_state)
-from grflab import algebra, flow, functionals, torsion
-from grflab.cli import (PRESETS, codifferential_gap, preset_inoue_like,
-                        random_direction, random_state, random_waves)
+from grflab import algebra, flow, functionals, presets, torsion
+from grflab.cli import (codifferential_gap, random_direction, random_state,
+                        random_waves)
 from grflab.conjugate import background
 from grflab.geometry import derive, pair_trace, raise_last_two
 
@@ -39,7 +39,7 @@ PACK_CASES = [
 
 def test_torsion_of_new_states_is_its_own_pack():
     # states built from packed states by linear combination stay packed
-    new_states = [(name, preset(8)) for name, preset in PRESETS.items()]
+    new_states = [(name, presets.build(name, 8)) for name in presets.PRESETS]
     new_states += [(case, generated_state(*case)) for case in GENERATOR_CASES]
     for label, st in new_states:
         assert _exactly_antisymmetric(st.H), label
@@ -135,7 +135,7 @@ def test_h_contractions_kept_per_derived_geometry():
 
 def test_dstar_constant_data_abelian():
     # every codifferential term carries a derivative, a DG, an F, or a bracket
-    st = preset_inoue_like(16)
+    st = presets.build("inoue-like", 16)
     der = derive(st)
     assert np.max(np.abs(torsion.b_dot(st, der))) < 1e-13
 
@@ -191,7 +191,7 @@ def test_algebroid_d_squares_to_zero():
 
 
 def test_closedness_residual_presets():
-    st = preset_inoue_like(16)
+    st = presets.build("inoue-like", 16)
     assert torsion.closedness_residual(st, derive(st)) < 1e-13
     # an x-dependent pure-fiber component is no longer closed
     (x,) = st.mesh.coords()
