@@ -43,7 +43,7 @@ def _pointwise_min_eig(vals: np.ndarray) -> np.ndarray:
 
 
 def check_spd_field(vals: np.ndarray, name: str) -> float:
-    """The field's smallest eigenvalue, min_eig_field(vals); aborts with the
+    """The field's smallest eigenvalue over the grid; aborts with the
     offending grid point if a metric field degenerates."""
     mineig = _pointwise_min_eig(vals)
     worst = float(np.min(mineig))
@@ -52,11 +52,6 @@ def check_spd_field(vals: np.ndarray, name: str) -> float:
         raise DomainError(f"{name} loses positivity at grid point {idx}: "
                           f"min eigenvalue {worst:.3e}")
     return worst
-
-
-def min_eig_field(vals: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix field over the whole grid."""
-    return float(np.min(_pointwise_min_eig(vals)))
 
 
 @dataclass

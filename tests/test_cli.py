@@ -115,23 +115,6 @@ def test_load_config_rejects_non_nilpotent_algebra(tmp_path):
         load_config(path)
 
 
-def test_load_config_rejects_non_closed_torsion(tmp_path, monkeypatch):
-    # an x-dependent pure-fiber component over a circle is never closed
-    inoue = presets.PRESETS["inoue-like"]
-
-    def modulated_torsion(st):
-        inoue.shape(st)
-        (x,) = st.mesh.coords()
-        prof = 1.0 + 0.5 * np.sin(2.0 * np.pi * x / st.mesh.lengths[0])
-        st.H = st.H * prof[..., None, None, None]
-
-    monkeypatch.setitem(presets.PRESETS, "inoue-like",
-                        inoue._replace(shape=modulated_torsion))
-    path = write_config(tmp_path, preset="inoue-like")
-    with pytest.raises(ConfigError, match="dH"):
-        load_config(path)
-
-
 def test_load_config_rejects_nonpositive_fixed_dt(tmp_path):
     for bad in (-0.001, 0, True, "0.001"):
         path = write_config(tmp_path, preset="flat-abelian", fixed_dt=bad)
@@ -180,6 +163,49 @@ def test_run_rejects_bad_input_in_one_line(tmp_path, key, value):
     # an unknown key is printed escaped
     assert ("mesh" if key == "mesh_n"
             else "/" + key.replace("\n", "\\n")) in err
+
+
+def modulate_inoue_torsion(monkeypatch):
+    """Declare inoue-like with its torsion scaled by an x-dependent profile:
+    a pure-fiber component that varies over the circle is never closed."""
+    inoue = presets.PRESETS["inoue-like"]
+
+    def modulated_torsion(st):
+        inoue.shape(st)
+        (x,) = st.mesh.coords()
+        prof = 1.0 + 0.5 * np.sin(2.0 * np.pi * x / st.mesh.lengths[0])
+        st.H = st.H * prof[..., None, None, None]
+
+    monkeypatch.setitem(presets.PRESETS, "inoue-like",
+                        inoue._replace(shape=modulated_torsion))
+
+
+def aborted_stages(out) -> list:
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "aborted"
+    assert "dH" in manifest["abort_reason"]
+    return manifest["stages"]
+
+
+def test_run_refuses_a_start_whose_torsion_is_not_closed(tmp_path, monkeypatch):
+    modulate_inoue_torsion(monkeypatch)
+    out = tmp_path / "out"
+    err = fails_in_one_line("run", write_config(
+        tmp_path, preset="inoue-like", mesh_n=16, t_end=0.002,
+        output_dir=str(out)))
+    assert "dH" in err
+    assert aborted_stages(out) == ["forward"]
+
+
+def test_a_config_built_in_code_is_refused_as_from_a_file(
+        tmp_path, monkeypatch, capsys):
+    modulate_inoue_torsion(monkeypatch)
+    out = tmp_path / "out"
+    assert run_pipeline(cli.ScenarioConfig(
+        preset="inoue-like", mesh_n=16, t_end=0.002, output_dir=str(out))) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "dH" in err
+    assert aborted_stages(out) == ["forward"]
 
 
 def test_uncreatable_output_dir_fails_before_the_forward_stage(
@@ -353,11 +379,10 @@ def test_report_builds_residual_tensors_once_per_row(tmp_path, monkeypatch):
 
 def test_pipeline_derives_each_state_once_after_the_forward_flow(
         tmp_path, monkeypatch):
-    # n steps: 4 derivations a step and one of the last state forward; the
-    # report rows read the derivations the forward flow kept, so the
-    # backward walk derives only the checked states no row reads: reported
-    # {0, 2, 4, 5} and checked {0, 3, 5} leave index 3
-    calls = []
+    # n steps: 4 derivations a step and one of the last state, all in the
+    # forward flow; the loader and the backward walk derive nothing, and the
+    # closedness check reads each report row's kept derivation once
+    calls, residuals, runs = [], [], []
 
     def counting(state, *args, **kwargs):
         calls.append(state.t)
@@ -367,14 +392,29 @@ def test_pipeline_derives_each_state_once_after_the_forward_flow(
         if (module.__name__.startswith("grflab")
                 and getattr(module, "derive", None) is derive):
             monkeypatch.setattr(module, "derive", counting)
+    run_flow, residual = cli.flow.run_flow, torsion.closedness_residual
+
+    def kept(*args):
+        runs.append((run_flow(*args), len(calls)))
+        return runs[-1][0]
+
+    def checked(state, der):
+        residuals.append((state, der))
+        return residual(state, der)
+
+    monkeypatch.setattr(cli.flow, "run_flow", kept)
+    monkeypatch.setattr(torsion, "closedness_residual", checked)
     out = tmp_path / "out"
-    cfg = cli.ScenarioConfig(preset="inoue-like", mesh_n=16, t_end=0.005,
-                             fixed_dt=1e-3, report_stride=2, output_dir=str(out))
-    assert run_pipeline(cfg) == 0
+    assert cli.main(["run", write_config(
+        tmp_path, preset="inoue-like", mesh_n=16, t_end=0.005, fixed_dt=1e-3,
+        report_stride=2, output_dir=str(out))]) == 0
     n = json.loads((out / "manifest.json").read_text())["steps"]
     assert n == 5
-    assert len(calls) == 4 * n + 1 + 1
-    assert calls[4 * n + 1:] == [pytest.approx(3e-3)]
+    [(hist, forward)] = runs
+    assert forward == len(calls) == 4 * n + 1
+    assert sorted(hist.derived) == [0, 2, 4, 5]
+    assert [(id(st), id(der)) for st, der in residuals] == [
+        (id(hist.states[i]), id(der)) for i, der in hist.derived.items()]
 
 
 def test_run_without_interior_row_is_unchecked(tmp_path, capsys):

@@ -62,6 +62,8 @@ def assert_run_counts(calls):
     # the last state's row forms its own
     assert calls["geometry.derive"] == 4 * 3 + 1
     assert calls["geometry.ricci_blocks"] == 4 * 3 + 1
+    # one closedness check per report row
+    assert calls["torsion.closedness_residual"] == 4
 
 
 def test_a_traced_pipeline_reaches_every_run_layer(tmp_path):
