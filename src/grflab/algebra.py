@@ -47,40 +47,36 @@ class LieAlgebra:
 @dataclass(frozen=True)
 class ValidationReport:
     """The identities the structure constants fail, in the order
-    antisymmetry, jacobi, nilpotency, and the number of lower central series
-    steps taken."""
+    antisymmetry, jacobi, nilpotency."""
 
     failures: tuple[str, ...]
-    nilpotency_steps: int
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def _lower_central_series_steps(alg: LieAlgebra) -> tuple[bool, int]:
-    """Iterate spans of [g, g_i] until the dimension stops dropping.
+def _lower_central_series_vanishes(alg: LieAlgebra) -> bool:
+    """Iterate spans of [g, g_i] until the dimension stops dropping, and
+    return whether it reaches zero.
 
-    Returns (reached zero, number of steps taken to reach zero).  Span
-    dimensions are measured by matrix rank with tolerance RANK_TOL so that
-    float noise in user-supplied constants does not create phantom directions.
+    Span dimensions are measured by matrix rank with tolerance RANK_TOL so
+    that float noise in user-supplied constants does not create phantom
+    directions.
     """
     k, c = alg.k, alg.c
     # g_1 = [g, g]; columns span the current term of the series.
     basis = np.eye(k)
-    steps = 0
     for _ in range(k + 1):
         # images [x_i, v] for all basis x_i and current spanning vectors v
         imgs = np.einsum("mij,jv->miv", c, basis).reshape(k, -1)
-        rank = np.linalg.matrix_rank(imgs, tol=RANK_TOL)
-        steps += 1
-        if rank == 0:
-            return True, steps
+        if np.linalg.matrix_rank(imgs, tol=RANK_TOL) == 0:
+            return True
         prev = basis.shape[1]
         basis = _column_span(imgs)
         if basis.shape[1] >= prev:
-            return False, steps
-    return False, steps
+            return False
+    return False
 
 
 def _column_span(mat: np.ndarray) -> np.ndarray:
@@ -100,12 +96,11 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
     )
     jac_defect = float(np.max(np.abs(jac)))
     scale = max(1.0, float(np.max(np.abs(c))))
-    nilpotent, steps = _lower_central_series_steps(alg)
     holds = {"antisymmetry": anti_defect <= 1e-12 * scale,
              "jacobi": jac_defect <= 1e-10 * scale * scale,
-             "nilpotency": nilpotent}
+             "nilpotency": _lower_central_series_vanishes(alg)}
     return ValidationReport(
-        tuple(name for name, ok in holds.items() if not ok), steps)
+        tuple(name for name, ok in holds.items() if not ok))
 
 
 def require_valid(alg: LieAlgebra) -> LieAlgebra:

@@ -157,7 +157,8 @@ def report_row(t: float, st: GeometryState, der: geometry.DerivedGeometry,
     time t (der: its derive(); min_eigs: its validate()) and the backward
     density state c there.  Beside the CSV columns the row holds the
     right-hand sides of the two identities, sum_R of dF/dt and sum_RW of
-    dW/dt; W, W_extra and sum_RW are nan at t = 0."""
+    dW/dt, and the closedness residual dH_inf of st; W, W_extra and sum_RW
+    are nan at t = 0."""
     f = conjugate.potential(c.u)
     Fval = functionals.eval_F(st, f, der)
     rt = functionals.residual_tensors(st, f, der)
@@ -172,13 +173,19 @@ def report_row(t: float, st: GeometryState, der: geometry.DerivedGeometry,
         "min_eig_G": min_eigs[0], "min_eig_g": min_eigs[1],
         "mass_u": c.mass,
         "sum_R": R[0] + R[1] + R[2] + R[3], "sum_RW": sum(RW),
+        "dH_inf": torsion.closedness_residual(st, der),
     }
 
 
-def build_report(rows: list[dict]) -> list[dict]:
-    """The report from its report_row evaluations in increasing t order:
-    each interior row gains the centred differences of F and W and the
-    identity gaps, nan elsewhere and wherever a W it reads is nan."""
+def build_report(hist: flow.FlowHistory,
+                 densities: list[conjugate.ConjugateState]) -> list[dict]:
+    """The report of a forward flow hist and its backward densities, one per
+    stored time in increasing t order: a report_row for each stored state
+    whose derivation the flow kept, in increasing t.  Each interior row
+    gains the centred differences of F and W and the identity gaps, nan
+    elsewhere and wherever a W it reads is nan."""
+    rows = [report_row(hist.times[i], hist.states[i], der, hist.min_eigs[i],
+                       densities[i]) for i, der in hist.derived.items()]
     for row in rows:
         row.update(dF_dt_fd=float("nan"), identity_gap_F=float("nan"),
                    identity_gap_W=float("nan"))
@@ -257,10 +264,11 @@ def _abort(out_dir: str, manifest: dict, reason: str) -> int:
 
 
 def run_pipeline(cfg: ScenarioConfig) -> int:
-    """Forward flow, backward density solve and report, written to the
-    output directory.  Raises ConfigError before the forward stage when that
-    directory cannot be created; an aborted run, a start whose torsion is
-    not closed among them, prints its reason to stderr."""
+    """Check the start, run the forward flow, walk the density backward and
+    write the report to the output directory.  Raises ConfigError when that
+    directory cannot be created.  A start whose torsion is not closed is
+    refused before the forward stage; it and every other aborted run print
+    the reason to stderr."""
     out_dir = resolve_output_dir(cfg.output_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -270,41 +278,32 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     state = cfg.build_state()
     manifest = {"preset": cfg.preset, "mode": cfg.mode,
                 "t_end": float(cfg.t_end), "stages": [], "status": "started"}
+    if state.H.any():  # a torsion-free start is closed and needs no derivation
+        closed = torsion.closedness_residual(state, derive(state))
+        if closed > 1e-6:
+            return _abort(out_dir, manifest, "initial torsion is not closed, "
+                          f"||dH||_inf = {closed:.3e}")
     hist = flow.run_flow(state, cfg, cfg.report_stride)
     manifest["stages"].append("forward")
     manifest["steps"] = len(hist.times) - 1
     if hist.abort_reason:
         return _abort(out_dir, manifest, hist.abort_reason)
-    # the report rows are the stored states whose derivations the forward
-    # flow kept, the start among them; each is checked for closed torsion
-    closed = {i: torsion.closedness_residual(hist.states[i], der)
-              for i, der in hist.derived.items()}
-    if closed[0] > 1e-6:
-        return _abort(out_dir, manifest, "initial torsion is not closed, "
-                      f"||dH||_inf = {closed[0]:.3e}")
-    rows = []
-
-    def visit(i, c):
-        if i in hist.derived:
-            rows.append(report_row(hist.times[i], hist.states[i],
-                                   hist.derived[i], hist.min_eigs[i], c))
-
     try:
-        traj = conjugate.solve_backward(hist, visit=visit)
+        densities = conjugate.solve_backward(hist)[::-1]
     except DomainError as exc:
         return _abort(out_dir, manifest, f"backward solve: {exc}")
     manifest["stages"].append("backward")
-    masses = np.array([c.mass for c in traj])
+    masses = np.array([c.mass for c in densities])
     manifest["mass_drift"] = float(
-        np.max(np.abs(masses - masses[0])) / abs(masses[0]))
-    rows = build_report(rows[::-1])
+        np.max(np.abs(masses - masses[-1])) / abs(masses[-1]))
+    rows = build_report(hist, densities)
     manifest["stages"].append("report")
     Fs = [row["F"] for row in rows]
     manifest["F_nondecreasing"] = bool(np.all(np.diff(Fs) > -1e-8))
     manifest.update(_identity_verdict(rows, cfg.identity_rel_tol))
     manifest["soliton"] = functionals.soliton_detect(
         [rows[-1][name] for name in ("R1", "R2", "R3", "R4")])
-    manifest["max_dH_inf"] = max(closed.values())
+    manifest["max_dH_inf"] = max(row["dH_inf"] for row in rows)
     emit_outputs(out_dir, rows, manifest)
     return 0 if manifest["status"] == "clean" else 2
 

@@ -126,17 +126,16 @@ def mass_of(u: np.ndarray, state: GeometryState) -> float:
     return integrate_values(u, state.g, state.mesh)
 
 
-def solve_backward(hist, u_T: np.ndarray | None = None,
-                   visit=None) -> list[ConjugateState]:
+def solve_backward(hist,
+                   u_T: np.ndarray | None = None) -> list[ConjugateState]:
     """Integrate the density from the last stored time T down to the start of
     the history, in the gauge the history was run in.
 
     The terminal profile defaults to the constant 1/Vol(g(T)).  Reversed time
     s = T - t makes the equation forward-parabolic; FlowHistory.march takes
     one rk4 step per stored interval on the stored background records, and
-    derives nothing.  visit(i, c), when given, is called at every stored
-    index i from T down, with the density state c there.  Returns states at
-    every stored time from T down to the start, in decreasing t order.
+    derives nothing.  Returns states at every stored time from T down to the
+    start, in decreasing t order.
     u lives on the history's mesh, MIN_POINTS points per axis for a
     homogeneous run (flow.run_flow); a u_T off it raises ValueError.
     """
@@ -159,6 +158,4 @@ def solve_backward(hist, u_T: np.ndarray | None = None,
                 "density positivity lost in the backward solve; "
                 "the forward step size is too large")
         out.append(ConjugateState(u, mass_of(u, hist.states[i])))
-        if visit is not None:
-            visit(i, out[-1])
     return out

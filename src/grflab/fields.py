@@ -19,7 +19,7 @@ import numpy as np
 
 # the fewest points per axis a Mesh accepts for the stencil of deriv_array,
 # and the grid a homogeneous run lives on: flow.run_flow restricts such a
-# state to it, and its walk, report rows and closedness checks run there
+# state to it, and its walk, report rows and their closedness checks run there
 MIN_POINTS = 8
 
 

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -180,43 +181,48 @@ def modulate_inoue_torsion(monkeypatch):
                         inoue._replace(shape=modulated_torsion))
 
 
-def aborted_stages(out) -> list:
+def forbid_the_forward_flow(monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("the forward stage ran")
+
+    monkeypatch.setattr(cli.flow, "run_flow", no_flow)
+
+
+def assert_refused_before_the_forward_flow(out):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "aborted"
     assert "dH" in manifest["abort_reason"]
-    return manifest["stages"]
+    assert manifest["stages"] == [] and "steps" not in manifest
 
 
 def test_run_refuses_a_start_whose_torsion_is_not_closed(tmp_path, monkeypatch):
+    # at the preset's own mesh and t_end: the refusal reads the start alone
     modulate_inoue_torsion(monkeypatch)
+    forbid_the_forward_flow(monkeypatch)
     out = tmp_path / "out"
     err = fails_in_one_line("run", write_config(
-        tmp_path, preset="inoue-like", mesh_n=16, t_end=0.002,
-        output_dir=str(out)))
+        tmp_path, preset="inoue-like", output_dir=str(out)))
     assert "dH" in err
-    assert aborted_stages(out) == ["forward"]
+    assert_refused_before_the_forward_flow(out)
 
 
 def test_a_config_built_in_code_is_refused_as_from_a_file(
         tmp_path, monkeypatch, capsys):
     modulate_inoue_torsion(monkeypatch)
+    forbid_the_forward_flow(monkeypatch)
     out = tmp_path / "out"
     assert run_pipeline(cli.ScenarioConfig(
         preset="inoue-like", mesh_n=16, t_end=0.002, output_dir=str(out))) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "dH" in err
-    assert aborted_stages(out) == ["forward"]
+    assert_refused_before_the_forward_flow(out)
 
 
 def test_uncreatable_output_dir_fails_before_the_forward_stage(
         tmp_path, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")
-
-    def no_flow(*args):
-        raise AssertionError("the forward stage ran")
-
-    monkeypatch.setattr(cli.flow, "run_flow", no_flow)
+    forbid_the_forward_flow(monkeypatch)
     err = fails_in_one_line("run", write_config(
         tmp_path, preset="flat-abelian", mesh_n=8, t_end=0.001,
         output_dir=str(blocker / "out")))
@@ -374,14 +380,15 @@ def test_report_builds_residual_tensors_once_per_row(tmp_path, monkeypatch):
     with open(out / "report.csv") as fh:
         times = [float(row["t"]) for row in csv.DictReader(fh)]
     assert len(times) > 2
-    assert calls == times[::-1]  # rows are evaluated on the backward walk
+    assert calls == times  # rows are evaluated after the backward walk
 
 
-def test_pipeline_derives_each_state_once_after_the_forward_flow(
-        tmp_path, monkeypatch):
-    # n steps: 4 derivations a step and one of the last state, all in the
-    # forward flow; the loader and the backward walk derive nothing, and the
-    # closedness check reads each report row's kept derivation once
+def assert_derivations_of_a_run(tmp_path, monkeypatch, preset, start_checks):
+    """n steps: 4 derivations a step and one of the last state, all in the
+    forward flow, and start_checks more before it for the closedness check
+    of the start; the loader, the backward walk and the report derive
+    nothing, and the report checks closedness on each row's kept derivation
+    once."""
     calls, residuals, runs = [], [], []
 
     def counting(state, *args, **kwargs):
@@ -395,7 +402,8 @@ def test_pipeline_derives_each_state_once_after_the_forward_flow(
     run_flow, residual = cli.flow.run_flow, torsion.closedness_residual
 
     def kept(*args):
-        runs.append((run_flow(*args), len(calls)))
+        before = (len(calls), len(residuals))
+        runs.append((run_flow(*args), before, len(calls)))
         return runs[-1][0]
 
     def checked(state, der):
@@ -406,15 +414,28 @@ def test_pipeline_derives_each_state_once_after_the_forward_flow(
     monkeypatch.setattr(torsion, "closedness_residual", checked)
     out = tmp_path / "out"
     assert cli.main(["run", write_config(
-        tmp_path, preset="inoue-like", mesh_n=16, t_end=0.005, fixed_dt=1e-3,
+        tmp_path, preset=preset, mesh_n=16, t_end=0.005, fixed_dt=1e-3,
         report_stride=2, output_dir=str(out))]) == 0
     n = json.loads((out / "manifest.json").read_text())["steps"]
     assert n == 5
-    [(hist, forward)] = runs
-    assert forward == len(calls) == 4 * n + 1
+    [(hist, before, forward)] = runs
+    assert before == (start_checks, start_checks)
+    assert forward == len(calls) == 4 * n + 1 + start_checks
     assert sorted(hist.derived) == [0, 2, 4, 5]
-    assert [(id(st), id(der)) for st, der in residuals] == [
+    assert [st.t for st, _ in residuals[:start_checks]] == [0.0] * start_checks
+    assert [(id(st), id(der)) for st, der in residuals[start_checks:]] == [
         (id(hist.states[i]), id(der)) for i, der in hist.derived.items()]
+
+
+def test_pipeline_derives_each_state_once_after_the_forward_flow(
+        tmp_path, monkeypatch):
+    # inoue-like starts with torsion: one derivation checks its closedness
+    assert_derivations_of_a_run(tmp_path, monkeypatch, "inoue-like", 1)
+
+
+def test_a_torsion_free_start_is_closed_without_a_derivation(
+        tmp_path, monkeypatch):
+    assert_derivations_of_a_run(tmp_path, monkeypatch, "heisenberg-s1", 0)
 
 
 def test_run_without_interior_row_is_unchecked(tmp_path, capsys):
@@ -469,15 +490,30 @@ def test_unchecked_entropy_identity_is_null(tmp_path):
     assert "identity rel gap W: unchecked" in (out / "summary.txt").read_text()
 
 
-def test_build_report_differences_and_gaps():
+def test_build_report_differences_and_gaps(monkeypatch):
     nan = float("nan")
     # t, F, W, sum_R, sum_RW; W and sum_RW are nan at t = 0
-    rows = cli.build_report([
-        {"t": t, "F": F, "W": W, "sum_R": sR, "sum_RW": sRW}
-        for t, F, W, sR, sRW in ((0.0, -0.5, nan, 0.5, nan),
-                                 (0.1, -0.25, 2.0, 3.0, 1.0),
-                                 (0.2, 0.25, 2.5, 6.0, 4.0),
-                                 (0.3, 1.0, 3.5, 9.0, 2.0))])
+    values = {t: {"t": t, "F": F, "W": W, "sum_R": sR, "sum_RW": sRW}
+              for t, F, W, sR, sRW in ((0.0, -0.5, nan, 0.5, nan),
+                                       (0.1, -0.25, 2.0, 3.0, 1.0),
+                                       (0.2, 0.25, 2.5, 6.0, 4.0),
+                                       (0.3, 1.0, 3.5, 9.0, 2.0))}
+    # the rows are formed at the kept indices 0, 2, 3 and 5 of six stored
+    # times, in increasing t, each from its own state, eigenvalues and density
+    times = [0.0, 0.05, 0.1, 0.2, 0.25, 0.3]
+    hist = types.SimpleNamespace(
+        times=times, states=[f"state {t}" for t in times],
+        min_eigs=[f"eigs {t}" for t in times],
+        derived={i: f"der {times[i]}" for i in (0, 2, 3, 5)})
+
+    def stub_row(t, st, der, min_eigs, c):
+        assert (st, der, min_eigs, c) == (f"state {t}", f"der {t}",
+                                          f"eigs {t}", f"density {t}")
+        return dict(values[t])
+
+    monkeypatch.setattr(cli, "report_row", stub_row)
+    rows = cli.build_report(hist, [f"density {t}" for t in times])
+    assert [row["t"] for row in rows] == [0.0, 0.1, 0.2, 0.3]
     for j in (0, 3):
         assert all(math.isnan(rows[j][name]) for name in
                    ("dF_dt_fd", "identity_gap_F", "identity_gap_W")), j
@@ -508,7 +544,7 @@ def test_report_evaluates_energy_density_once_per_row(tmp_path, monkeypatch):
     with open(out / "report.csv") as fh:
         times = [float(row["t"]) for row in csv.DictReader(fh)]
     assert len(times) > 2
-    assert calls == times[::-1]  # rows are evaluated on the backward walk
+    assert calls == times  # rows are evaluated after the backward walk
 
 
 def test_abort_leaves_manifest(tmp_path, capsys):

@@ -30,8 +30,8 @@ def test_every_trace_target_resolves():
     assert spans.TRACED and not missing, missing
 
 
-def traced_calls(preset, mesh_n, out_dir):
-    """Calls per traced name of a traced, clean 3-step, stride-1 run."""
+def traced_run(preset, mesh_n, out_dir):
+    """The Tracer and operation of a traced, clean 3-step, stride-1 run."""
     spans = load_spans()
     tracer = spans.Tracer(spans.TRACED)
     tracer.install()
@@ -45,6 +45,12 @@ def traced_calls(preset, mesh_n, out_dir):
         tracer.uninstall()
     assert rc == 0
     assert not tracer.missing and not unwrapped, (tracer.missing, unwrapped)
+    return tracer, op
+
+
+def traced_calls(preset, mesh_n, out_dir):
+    """Calls per traced name of a traced, clean 3-step, stride-1 run."""
+    tracer, op = traced_run(preset, mesh_n, out_dir)
     return {name: rec["calls"] for name, rec in tracer.summary(op).items()}
 
 
@@ -77,3 +83,36 @@ def test_an_inhomogeneous_traced_pipeline_makes_the_same_calls(tmp_path):
     # torus-bundle-t2 steps on its own mesh; the counts are those of the
     # homogeneous run above
     assert_run_counts(traced_calls("torus-bundle-t2", 8, tmp_path / "out"))
+
+
+# the stage span that each of these layers' time is charged to
+_STAGE_OF = {
+    "flow.rk4_step": "flow.run_flow",
+    "conjugate.conj_rhs": "conjugate.solve_backward",
+    "functionals.eval_F": "cli.build_report",
+    "functionals.residuals_F": "cli.build_report",
+    "functionals.eval_Wplus": "cli.build_report",
+    "functionals.residuals_W": "cli.build_report",
+}
+
+
+def test_each_run_layer_runs_under_its_own_stage(tmp_path):
+    # the benchmark's forward_s, backward_s and report_s time the three
+    # stage spans, so a layer that runs under another stage's span is
+    # timed in that stage
+    tracer, _ = traced_run("heisenberg-s1", 16, tmp_path / "out")
+    names = tracer.targets
+    stages = set(_STAGE_OF.values())
+    seen = set()
+    for span in tracer.spans:
+        name = names[span[0]]
+        if name not in _STAGE_OF:
+            continue
+        enclosing = []
+        while span[3] >= 0:
+            span = tracer.spans[span[3]]
+            enclosing.append(names[span[0]])
+        assert [s for s in enclosing if s in stages] == [_STAGE_OF[name]], (
+            name, enclosing)
+        seen.add(name)
+    assert seen == set(_STAGE_OF)
