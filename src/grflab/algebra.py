@@ -44,18 +44,6 @@ class LieAlgebra:
         return -self.c
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """The identities the structure constants fail, in the order
-    antisymmetry, jacobi, nilpotency."""
-
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _lower_central_series_vanishes(alg: LieAlgebra) -> bool:
     """Iterate spans of [g, g_i] until the dimension stops dropping, and
     return whether it reaches zero.
@@ -85,8 +73,9 @@ def _column_span(mat: np.ndarray) -> np.ndarray:
     return u[:, :r]
 
 
-def validate_algebra(alg: LieAlgebra) -> ValidationReport:
-    """Check antisymmetry, Jacobi, and nilpotency of the structure constants."""
+def validate_algebra(alg: LieAlgebra) -> tuple[str, ...]:
+    """Check antisymmetry, Jacobi, and nilpotency of the structure constants;
+    returns the identities they fail, in that order, empty when none."""
     c = alg.c
     anti_defect = float(np.max(np.abs(c + np.swapaxes(c, 1, 2))))
     jac = (
@@ -99,15 +88,14 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
     holds = {"antisymmetry": anti_defect <= 1e-12 * scale,
              "jacobi": jac_defect <= 1e-10 * scale * scale,
              "nilpotency": _lower_central_series_vanishes(alg)}
-    return ValidationReport(
-        tuple(name for name, ok in holds.items() if not ok))
+    return tuple(name for name, ok in holds.items() if not ok)
 
 
 def require_valid(alg: LieAlgebra) -> LieAlgebra:
-    report = validate_algebra(alg)
-    if not report.ok:
+    failures = validate_algebra(alg)
+    if failures:
         raise AlgebraValidationError(
-            f"structure constants fail: {', '.join(report.failures)}"
+            f"structure constants fail: {', '.join(failures)}"
         )
     return alg
 

@@ -9,6 +9,9 @@ Subcommands:
                                  operator implementations
     grflab report <run-dir>      human-readable summary of a stored run
 
+A report row reads the time, state, kept derivation, eigenvalues and backward
+density of a run at one stored index of its forward flow.
+
 Exit codes: 0 clean; 1 configuration error, a start whose torsion is not
 closed, blow-up, solver abort or a run that stopped short of t_end; 2
 energy-identity gap beyond tolerance, or a report with no interior row, so
@@ -150,28 +153,31 @@ CSV_COLUMNS = ["t", "F", "W", "R1", "R2", "R3", "R4", "W_extra",
                "min_eig_G", "min_eig_g", "mass_u"]
 
 
-def report_row(t: float, st: GeometryState, der: geometry.DerivedGeometry,
-               min_eigs: tuple[float, float],
-               c: conjugate.ConjugateState) -> dict:
-    """The functional evaluations of one report row: the stored state st at
-    time t (der: its derive(); min_eigs: its validate()) and the backward
-    density state c there.  Beside the CSV columns the row holds the
-    right-hand sides of the two identities, sum_R of dF/dt and sum_RW of
-    dW/dt, and the closedness residual dH_inf of st; W, W_extra and sum_RW
-    are nan at t = 0."""
-    f = conjugate.potential(c.u)
+def report_row(hist: flow.FlowHistory, i: int,
+               density: conjugate.ConjugateState) -> dict:
+    """The functional evaluations of the report row at stored index i of
+    the forward flow hist: its time, state, kept derivation and validate()
+    eigenvalues, all read from hist at i, and the backward density there.
+    Beside the CSV columns the row holds the right-hand sides of the two
+    identities, sum_R of dF/dt and sum_RW of dW/dt, and the closedness
+    residual dH_inf of the state; W, W_extra and sum_RW are nan at t = 0,
+    and dF_dt_fd and the identity gaps are nan until build_report fills
+    them on an interior row."""
+    t, st, der = hist.times[i], hist.states[i], hist.derived[i]
+    f = conjugate.potential(density.u)
     Fval = functionals.eval_F(st, f, der)
     rt = functionals.residual_tensors(st, f, der)
     R = functionals.residuals_F(st, f, der, rt)
-    W, RW = float("nan"), (float("nan"),) * 5
+    W, RW = np.nan, (np.nan,) * 5
     if t > 0:
         W = functionals.eval_Wplus(st, f, t, Fval)
         RW = functionals.residuals_W(st, f, t, der, rt)
     return {
         "t": t, "F": Fval, "W": W,
         "R1": R[0], "R2": R[1], "R3": R[2], "R4": R[3], "W_extra": RW[4],
-        "min_eig_G": min_eigs[0], "min_eig_g": min_eigs[1],
-        "mass_u": c.mass,
+        "dF_dt_fd": np.nan, "identity_gap_F": np.nan, "identity_gap_W": np.nan,
+        "min_eig_G": hist.min_eigs[i][0], "min_eig_g": hist.min_eigs[i][1],
+        "mass_u": density.mass,
         "sum_R": R[0] + R[1] + R[2] + R[3], "sum_RW": sum(RW),
         "dH_inf": torsion.closedness_residual(st, der),
     }
@@ -180,15 +186,11 @@ def report_row(t: float, st: GeometryState, der: geometry.DerivedGeometry,
 def build_report(hist: flow.FlowHistory,
                  densities: list[conjugate.ConjugateState]) -> list[dict]:
     """The report of a forward flow hist and its backward densities, one per
-    stored time in increasing t order: a report_row for each stored state
-    whose derivation the flow kept, in increasing t.  Each interior row
-    gains the centred differences of F and W and the identity gaps, nan
-    elsewhere and wherever a W it reads is nan."""
-    rows = [report_row(hist.times[i], hist.states[i], der, hist.min_eigs[i],
-                       densities[i]) for i, der in hist.derived.items()]
-    for row in rows:
-        row.update(dF_dt_fd=float("nan"), identity_gap_F=float("nan"),
-                   identity_gap_W=float("nan"))
+    stored index: a report_row for each stored state whose derivation the
+    flow kept, in increasing t.  Each interior row gains the centred
+    differences of F and W and the identity gaps, which stay nan wherever a
+    W they read is nan."""
+    rows = [report_row(hist, i, densities[i]) for i in hist.derived]
     for prev, row, nxt in zip(rows, rows[1:], rows[2:]):
         dt = nxt["t"] - prev["t"]
         row["dF_dt_fd"] = (nxt["F"] - prev["F"]) / dt
@@ -289,7 +291,7 @@ def run_pipeline(cfg: ScenarioConfig) -> int:
     if hist.abort_reason:
         return _abort(out_dir, manifest, hist.abort_reason)
     try:
-        densities = conjugate.solve_backward(hist)[::-1]
+        densities = conjugate.solve_backward(hist)
     except DomainError as exc:
         return _abort(out_dir, manifest, f"backward solve: {exc}")
     manifest["stages"].append("backward")

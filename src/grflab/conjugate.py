@@ -10,7 +10,8 @@ inverse base metric, its Christoffel symbols, the divergence vector q and
 the dilaton potential V.  run_flow stores one record per state, made by
 background from the derivation its forward step already holds, and the walk
 reads the stored records and FlowHistory.background_at, their interpolant in
-time; it derives nothing.
+time; it derives nothing, and returns its densities by stored index, as the
+history holds its states and records.
 
 The flow and this equation come in the gauge modes of GAUGES, kept here
 because flow imports this module for its records.  In the canonical gauge
@@ -134,10 +135,13 @@ def solve_backward(hist,
     The terminal profile defaults to the constant 1/Vol(g(T)).  Reversed time
     s = T - t makes the equation forward-parabolic; FlowHistory.march takes
     one rk4 step per stored interval on the stored background records, and
-    derives nothing.  Returns states at every stored time from T down to the
-    start, in decreasing t order.
+    derives nothing.  Returns one state per stored index, in the history's
+    order: the i-th is the density at hist.times[i], the last u_T.
     u lives on the history's mesh, MIN_POINTS points per axis for a
     homogeneous run (flow.run_flow); a u_T off it raises ValueError.
+    Raises DomainError naming the stored time when a step leaves a density
+    that is not positive and finite, with its first such grid point, or when
+    a stage of the step down from that time meets one.
     """
     iT = len(hist.times) - 1
     mesh = hist.states[iT].mesh
@@ -146,16 +150,23 @@ def solve_backward(hist,
     elif np.shape(u_T) != mesh.shape:
         raise ValueError(f"u_T has shape {np.shape(u_T)}, the history's "
                          f"mesh {mesh.shape}")
-    out = []
+    out = [None] * (iT + 1)
 
-    def rate(y, bg):  # d u / d s = -(d u / d t)
-        return (-conj_rhs(y[0], bg, mesh, hist.mode),)
+    def rate(y, bg):  # d u / d s = -(d u / d t), on the step down from times[i]
+        try:
+            return (-conj_rhs(y[0], bg, mesh, hist.mode),)
+        except DomainError as exc:
+            raise DomainError(
+                f"{exc} in the step down from t = {hist.times[i]!r}") from exc
 
     for i, (u,) in hist.march(range(iT, -1, -1),
                               (np.array(u_T, dtype=float),), rate):
-        if i != iT and (np.any(u <= 0) or not np.all(np.isfinite(u))):
+        bad = np.flatnonzero(~(np.isfinite(u) & (u > 0)))
+        if i != iT and bad.size:
+            point = tuple(map(int, np.unravel_index(bad[0], u.shape)))
             raise DomainError(
-                "density positivity lost in the backward solve; "
-                "the forward step size is too large")
-        out.append(ConjugateState(u, mass_of(u, hist.states[i])))
+                f"density {u.flat[bad[0]]:.3e} at grid point {point} at "
+                f"t = {hist.times[i]!r} is not positive and finite; the "
+                "forward step size is too large")
+        out[i] = ConjugateState(u, mass_of(u, hist.states[i]))
     return out

@@ -14,6 +14,9 @@ Fiber brackets in curvature formulas use beta = -c; covariant derivatives of
 fiber tensors pair +c with the connection form A for lower fiber indices (and
 the opposite sign for upper ones).  Curvature components are stored lowered,
 with the convention R(e1, e2, e3, e4) and Ricci the trace over slots 1 and 4.
+
+derive computes a state's derived geometry once, and with it the one scan of
+the state's torsion, DerivedGeometry.H_zero, that the torsion layer reads.
 """
 
 from __future__ import annotations
@@ -263,8 +266,8 @@ class DerivedGeometry:
     """Derived quantities of one state, computed once; pass it only with that
     state.  The torsion contractions `calH` and `Hsq` are filled on first
     use by torsion.h_contractions.  `H_zero` records whether the state's H
-    is exactly zero, scanned once on the torsion layer's first call; the
-    layer then returns exact zeros without forming its products.
+    is exactly zero, scanned once by derive; on such a state the torsion
+    layer returns exact zeros without forming its products.
     `velocity`, the state's flow.ungauged_rates, is filled on its first
     call, with read-only arrays: the first RK4 stage of a step from the
     state forms it, and a report row at the state reads it again.  On a 1-D
@@ -295,7 +298,7 @@ class DerivedGeometry:
     GF_up: np.ndarray
     calH: np.ndarray | None = field(default=None, init=False)
     Hsq: np.ndarray | None = field(default=None, init=False)
-    H_zero: bool | None = field(default=None, init=False)
+    H_zero: bool = field(default=False, init=False)
     velocity: Velocity | None = field(default=None, init=False)
 
 
@@ -334,8 +337,10 @@ def derive(state: GeometryState, validated: bool = True) -> DerivedGeometry:
     # with diagonal metrics give the same bits as those references
     beta_up = raise_last_two(alg.beta, Gi)
     Gb_up = (state.G @ as_matrices(beta_up, 1, 2)).reshape(Gb.shape)
-    return DerivedGeometry(Gi, gi, Gamma, Ric_g, R_g, F, DF, DG, DDG, q,
-                           Gb, Gb_up, GF, GF_up)
+    der = DerivedGeometry(Gi, gi, Gamma, Ric_g, R_g, F, DF, DG, DDG, q,
+                          Gb, Gb_up, GF, GF_up)
+    der.H_zero = not state.H.any()
+    return der
 
 
 # --- closed-form curvature ---------------------------------------------------
@@ -536,7 +541,7 @@ def _bbbb(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
 
 def _row_view(der: DerivedGeometry, rows: slice) -> DerivedGeometry:
     """der's arrays at a block of grid rows, as views; calH, Hsq, H_zero
-    and velocity are left unset."""
+    and velocity are left at their defaults."""
     return dataclasses.replace(der, **{f.name: getattr(der, f.name)[rows]
                                        for f in dataclasses.fields(der) if f.init})
 

@@ -19,9 +19,10 @@ fields.derivs on the state's mesh, so no spacing is read here.
 
 An exactly zero H is the Ricci flow with symmetry on the principal bundle,
 and the flow keeps it exactly zero: the source B = -d*H and the torsion rate
-at B = 0 are linear in H.  torsion_free scans H once per derived state, and
-on such a state h_contractions, b_dot, closedness_residual and (when B is
-exactly zero too) torsion_rate return exact zeros without their products.
+at B = 0 are linear in H.  geometry.derive scans H once per derived state,
+into DerivedGeometry.H_zero, and on such a state h_contractions, b_dot,
+closedness_residual and (when B is exactly zero too) torsion_rate return
+exact zeros without their products.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def algebroid_d(sigma: np.ndarray, p: int, Cp: np.ndarray, mesh: Mesh, k: int) -
 def closedness_residual(state: GeometryState, der: DerivedGeometry) -> float:
     """Max norm of dH (der: the state's derive()) over its independent
     components; vanishes for torsion fields coming from closed 3-forms."""
-    if torsion_free(state, der):
+    if der.H_zero:
         return 0.0
     k = state.k
     dH = _d_components(state.H, 3, bracket_pairs(state, der.F), state.mesh,
@@ -215,14 +216,6 @@ def closedness_residual(state: GeometryState, der: DerivedGeometry) -> float:
 
 # --- quadratic contractions --------------------------------------------------
 
-def torsion_free(state: GeometryState, der: DerivedGeometry) -> bool:
-    """Whether state.H is exactly zero (der: the state's derive()); scanned
-    on the first call for a der, later calls read der.H_zero."""
-    if der.H_zero is None:
-        der.H_zero = not state.H.any()
-    return der.H_zero
-
-
 def h_contractions(state: GeometryState, der: DerivedGeometry):
     """The square contraction calH(e1, e2) = tr H(e1, ., .) H(e2, ., .) and
     the full-contraction norm |H|^2.
@@ -231,7 +224,7 @@ def h_contractions(state: GeometryState, der: DerivedGeometry):
     torsion-free state.  Computed on the first call for a der; later calls
     return the same arrays.
     """
-    if der.calH is None and torsion_free(state, der):
+    if der.calH is None and der.H_zero:
         der.calH, der.Hsq = np.zeros(state.H.shape[:-1]), np.zeros(state.mesh.shape)
     elif der.calH is None:
         gEi = inverse_frame_metric(der)
@@ -343,7 +336,7 @@ def b_dot(state: GeometryState, der: DerivedGeometry) -> np.ndarray:
     """Source 2-form B = -d*H of the ungauged flow, dH/dt = dB, as a full
     antisymmetric (..., K, K) array (der: the state's derive()), spread once
     from minus_dstar_terms; zeros on a torsion-free state."""
-    if torsion_free(state, der):
+    if der.H_zero:
         return np.zeros(state.H.shape[:-1])
     k = state.k
     K = k + state.d
@@ -365,7 +358,7 @@ def torsion_rate(state: GeometryState, der: DerivedGeometry, B: np.ndarray,
     correction, one term per base slot.  Both vanish when H and B are
     exactly zero, and the rate is then zeros.
     """
-    if torsion_free(state, der) and not B.any():
+    if der.H_zero and not B.any():
         return np.zeros(state.H.shape)
     k, mesh = state.k, state.mesh
     K = k + state.d

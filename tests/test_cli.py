@@ -322,13 +322,18 @@ def test_readme_presets_match_table():
 
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
-    # not JSON, and a JSON object in a file that is not UTF-8
-    for content in (b"{not json",
-                    '{"preset": "flat-abelian", "output_dir": "é"}'.encode("latin-1")):
+    # not JSON, a JSON object in a file that is not UTF-8, and JSON whose
+    # top level is not an object
+    bad_json = [b"{not json",
+                '{"preset": "flat-abelian", "output_dir": "é"}'.encode("latin-1")]
+    not_objects = [b"[]", b"3", b'"heisenberg-s1"', b"null"]
+    for content in bad_json + not_objects:
         path.write_bytes(content)
-        with pytest.raises(ConfigError, match="invalid JSON"):
+        message = ("invalid JSON" if content in bad_json
+                   else "top level must be an object")
+        with pytest.raises(ConfigError, match=message):
             load_config(str(path))
-        fails_in_one_line("run", str(path))
+        assert message in fails_in_one_line("run", str(path))
 
 
 def test_flat_abelian_pipeline_clean(tmp_path):
@@ -499,17 +504,16 @@ def test_build_report_differences_and_gaps(monkeypatch):
                                        (0.2, 0.25, 2.5, 6.0, 4.0),
                                        (0.3, 1.0, 3.5, 9.0, 2.0))}
     # the rows are formed at the kept indices 0, 2, 3 and 5 of six stored
-    # times, in increasing t, each from its own state, eigenvalues and density
+    # times, in increasing t, each from the history and the density at its
+    # index; a row comes with its differences and gaps nan
     times = [0.0, 0.05, 0.1, 0.2, 0.25, 0.3]
     hist = types.SimpleNamespace(
-        times=times, states=[f"state {t}" for t in times],
-        min_eigs=[f"eigs {t}" for t in times],
-        derived={i: f"der {times[i]}" for i in (0, 2, 3, 5)})
+        times=times, derived={i: f"der {times[i]}" for i in (0, 2, 3, 5)})
 
-    def stub_row(t, st, der, min_eigs, c):
-        assert (st, der, min_eigs, c) == (f"state {t}", f"der {t}",
-                                          f"eigs {t}", f"density {t}")
-        return dict(values[t])
+    def stub_row(h, i, density):
+        assert (h, density) == (hist, f"density {times[i]}")
+        return dict(values[times[i]], dF_dt_fd=nan, identity_gap_F=nan,
+                    identity_gap_W=nan)
 
     monkeypatch.setattr(cli, "report_row", stub_row)
     rows = cli.build_report(hist, [f"density {t}" for t in times])
@@ -561,6 +565,24 @@ def test_abort_leaves_manifest(tmp_path, capsys):
     assert cli.main(["report", str(out)]) == 0
     assert (f"abort reason: {manifest['abort_reason']}\n"
             in capsys.readouterr().out)
+
+
+def test_a_backward_solve_failure_says_where_and_when(tmp_path, monkeypatch):
+    # a NaN potential leaves a NaN density after the walk's first step,
+    # which no stage refuses and numpy does not warn about; the forward flow
+    # never reads the potential
+    monkeypatch.setattr(cli.conjugate, "dilaton_potential",
+                        lambda state, der: np.full(state.mesh.shape, np.nan))
+    out = tmp_path / "out"
+    err = fails_in_one_line("run", write_config(
+        tmp_path, preset="heisenberg-s1", mesh_n=16, t_end=0.005,
+        fixed_dt=1e-3, output_dir=str(out)))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "aborted"
+    assert manifest["stages"] == ["forward"] and manifest["steps"] == 5
+    assert err == f"aborted: {manifest['abort_reason']}\n"
+    assert err.startswith("aborted: backward solve: density nan at grid point (0,) ")
+    assert "at t = 0.004" in err
 
 
 def test_truncated_run_is_aborted(tmp_path, capsys):

@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from grflab import flow, presets
-from grflab.conjugate import (background, conj_rhs, forward_heat_rhs, mass_of,
-                              potential, solve_backward)
+from grflab import conjugate, flow, presets
+from grflab.conjugate import (GAUGES, background, conj_rhs, forward_heat_rhs,
+                              mass_of, potential, solve_backward)
 from grflab.fields import DomainError
 from grflab.flow import FlowHistory, IntegratorConfig, evaluate_rhs, run_flow
 from grflab.geometry import derive
@@ -77,7 +77,7 @@ def test_mass_conserved_on_heisenberg_run():
     hist = run_flow(st, IntegratorConfig(t_end=0.02))
     traj = solve_backward(hist)
     masses = np.array([c.mass for c in traj])
-    assert np.max(np.abs(masses - masses[0])) / masses[0] < 1e-8
+    assert np.max(np.abs(masses - masses[-1])) / masses[-1] < 1e-8
 
 
 def test_adjoint_pairing_constant():
@@ -93,7 +93,7 @@ def test_adjoint_pairing_constant():
             (x,) = st.mesh.coords()
             hist = run_flow(st, IntegratorConfig(t_end=0.01, mode=mode))
             u_T = np.exp(0.1 * np.cos(2 * np.pi * x))
-            traj = solve_backward(hist, u_T=u_T)[::-1]
+            traj = solve_backward(hist, u_T=u_T)
             phi = 1.0 + 0.3 * np.sin(2 * np.pi * x)
 
             def rate(y, bg):
@@ -119,7 +119,7 @@ def test_walks_are_fourth_order_in_time():
             st = modulated_heisenberg_s1(32)
             (x,) = st.mesh.coords()
             hist = run_flow(st, IntegratorConfig(t_end=0.01, mode=mode, fixed_dt=dt))
-            u_0 = solve_backward(hist, u_T=np.exp(0.1 * np.cos(2 * np.pi * x)))[-1].u
+            u_0 = solve_backward(hist, u_T=np.exp(0.1 * np.cos(2 * np.pi * x)))[0].u
 
             def rate(y, bg):
                 return (forward_heat_rhs(y[0], bg, st.mesh, mode),)
@@ -131,7 +131,7 @@ def test_walks_are_fourth_order_in_time():
         for j in range(2):  # the backward density, the forward solution
             coarse, fine = (np.max(np.abs(a[j] - b[j]))
                             for a, b in zip(ends, ends[1:]))
-            assert coarse >= 12 * fine, (mode, j, coarse, fine)
+            assert coarse >= 12 * fine > 0, (mode, j, coarse, fine)
 
 
 def modulated_heisenberg_s1(N):
@@ -199,7 +199,36 @@ def test_backward_solve_runs_in_the_flow_gauge(mode):
     assert hist.mode == mode
     traj = solve_backward(hist, u_T=np.exp(0.1 * np.cos(2 * np.pi * x)))
     masses = np.array([c.mass for c in traj])
-    assert np.max(np.abs(masses - masses[0])) / masses[0] < 1e-6
+    assert np.max(np.abs(masses - masses[-1])) / masses[-1] < 1e-6
+
+
+@pytest.mark.parametrize("mode", GAUGES)
+def test_the_walk_returns_its_densities_by_stored_index(mode):
+    # the walk runs down the history, and its i-th density is the one at
+    # hist.times[i]: the last is u_T, and each mass is taken on its own
+    # state; a homogeneous history lives on 8 points, an inhomogeneous one
+    # on its own mesh
+    for st in (presets.build("heisenberg-s1", 16), modulated_heisenberg_s1(16)):
+        hist = run_flow(st, IntegratorConfig(t_end=3e-3, fixed_dt=1e-3, mode=mode))
+        (x,) = hist.states[-1].mesh.coords()
+        u_T = np.exp(0.1 * np.cos(2 * np.pi * x))
+        traj = solve_backward(hist, u_T=u_T)
+        assert len(traj) == len(hist.times) == 4
+        assert np.array_equal(traj[-1].u, u_T)
+        assert not np.array_equal(traj[0].u, u_T)
+        for c, state in zip(traj, hist.states, strict=True):
+            assert c.mass == mass_of(c.u, state)
+
+
+def test_a_backward_stage_failure_names_the_step(monkeypatch):
+    # a potential this large drives the density negative within the second
+    # stage of the first step, from the last stored time down
+    monkeypatch.setattr(conjugate, "dilaton_potential",
+                        lambda state, der: np.full(state.mesh.shape, 1e6))
+    hist = static_history(presets.build("flat-abelian", 16))
+    with pytest.raises(DomainError, match=r"^density must be strictly positive "
+                                          r"in the step down from t = 0\.05$"):
+        solve_backward(hist)
 
 
 def test_unknown_gauge_rejected():
@@ -228,7 +257,7 @@ def test_backward_maximum_principle_static():
     for c in traj:
         assert np.min(c.u) > 0.49
         assert np.max(c.u) < 1.51
-        assert c.mass == pytest.approx(traj[0].mass, abs=1e-12)
+        assert c.mass == pytest.approx(traj[-1].mass, abs=1e-12)
 
 
 def test_a_terminal_density_off_the_history_mesh_is_refused():

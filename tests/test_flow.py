@@ -421,6 +421,10 @@ def test_transport_needs_a_stored_time():
             transport_map_1d(hu, t)
     with pytest.raises(ValueError, match="not a stored time"):
         gauge_equivalence_report(hu, hc, 0.0055)
+    # and a history on a 2-torus has no transport map, at any time
+    st2 = random_state(np.random.default_rng(8), algebra.heisenberg3(), 8, 2)
+    with pytest.raises(ValueError, match="1-D bases only"):
+        transport_map_1d(FlowHistory(times=[0.0], states=[st2]), 0.0)
 
 
 # --- homogeneous runs ---------------------------------------------------------

@@ -175,6 +175,11 @@ def test_spd_guard():
     assert check_spd_field(field, "test") == np.linalg.eigvalsh(field)[..., 0].min()
     with pytest.raises(DomainError):
         check_spd_field(-np.broadcast_to(np.eye(2), (4, 2, 2)), "test")
+    # derive refuses a base metric with a non-positive determinant
+    st = heisenberg_state()
+    st.g[3, 0, 0] = 0.0
+    with pytest.raises(DomainError, match="^base metric not positive definite$"):
+        derive(st)
 
 
 def test_state_copy_is_deep():

@@ -122,7 +122,7 @@ def test_h_contractions_kept_per_derived_geometry():
     calH, Hsq = torsion.h_contractions(st, der)
     again = torsion.h_contractions(st, der)
     assert again[0] is calH and again[1] is Hsq
-    assert der.H_zero is False  # H scanned once, beside calH
+    assert der.H_zero is False  # H scanned once, by derive
     assert np.max(np.abs(calH)) > 0.1
     fresh = derive(st)
     full = st.H
