@@ -45,26 +45,24 @@ class LieAlgebra:
 
 
 def _lower_central_series_vanishes(alg: LieAlgebra) -> bool:
-    """Iterate spans of [g, g_i] until the dimension stops dropping, and
-    return whether it reaches zero.
+    """Iterate spans of [g, g_i] until the span is empty or its dimension
+    stops dropping, and return whether it emptied; at most k passes.
 
-    Span dimensions are measured by matrix rank with tolerance RANK_TOL so
+    Span dimensions are measured by _column_span with tolerance RANK_TOL so
     that float noise in user-supplied constants does not create phantom
     directions.
     """
     k, c = alg.k, alg.c
-    # g_1 = [g, g]; columns span the current term of the series.
+    # g_0 = g; columns span the current term of the series.
     basis = np.eye(k)
-    for _ in range(k + 1):
+    while basis.shape[1]:
         # images [x_i, v] for all basis x_i and current spanning vectors v
         imgs = np.einsum("mij,jv->miv", c, basis).reshape(k, -1)
-        if np.linalg.matrix_rank(imgs, tol=RANK_TOL) == 0:
-            return True
         prev = basis.shape[1]
         basis = _column_span(imgs)
         if basis.shape[1] >= prev:
             return False
-    return False
+    return True
 
 
 def _column_span(mat: np.ndarray) -> np.ndarray:

@@ -131,13 +131,10 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         state = cfg.build_state()
         algebra.require_valid(state.alg)
-        state.validate()
     except GridError as exc:
         raise ConfigError(f"{path}: invalid mesh: {exc}") from exc
     except algebra.AlgebraValidationError as exc:
         raise ConfigError(f"{path}: /algebra: {exc}") from exc
-    except DomainError as exc:
-        raise ConfigError(f"{path}: initial state invalid: {exc}") from exc
     except (MemoryError, ValueError) as exc:
         if not _too_large(exc):
             raise
@@ -267,17 +264,19 @@ def _abort(out_dir: str, manifest: dict, reason: str) -> int:
 
 def run_pipeline(cfg: ScenarioConfig) -> int:
     """Check the start, run the forward flow, walk the density backward and
-    write the report to the output directory.  Raises ConfigError when that
-    directory cannot be created.  A start whose torsion is not closed is
-    refused before the forward stage; it and every other aborted run print
-    the reason to stderr."""
+    write the report to the output directory, which a start that cannot be
+    built or has an invalid algebra raises before creating.  Raises
+    ConfigError when that directory cannot be created.  A start whose
+    torsion is not closed is refused before the forward stage; it and every
+    other aborted run print the reason to stderr."""
+    state = cfg.build_state()
+    algebra.require_valid(state.alg)
     out_dir = resolve_output_dir(cfg.output_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: an embedded null byte
         raise ConfigError(f"/output_dir: cannot create {out_dir!r}: "
                           f"{getattr(exc, 'strerror', None) or exc}") from exc
-    state = cfg.build_state()
     manifest = {"preset": cfg.preset, "mode": cfg.mode,
                 "t_end": float(cfg.t_end), "stages": [], "status": "started"}
     if state.H.any():  # a torsion-free start is closed and needs no derivation
@@ -376,15 +375,16 @@ def random_state(rng: np.random.Generator, alg: LieAlgebra, N: int, d: int,
         H[..., cols, rows, k:] = w[..., 1:1 + rows.size, None]
         if d == 2:
             H[..., :k, k, k + 1] = w[..., 1 + rows.size:]
-        H = torsion.pack_full(H, k)
+        H = torsion.pack_full(H)
     return GeometryState(0.0, mesh, alg, G, g, A, H)
 
 
 def random_direction(rng: np.random.Generator, state: GeometryState,
-                     amp: float = 0.12) -> functionals.VariationDirection:
-    """A seeded smooth random variation of state: symmetric dG and dg filled
-    row by row below and on the diagonal, dA, a 2-form B written at its
-    increasing pairs column by column and spread, and the potential's rate."""
+                     amp: float = 0.12) -> tuple[flow.Velocity, np.ndarray]:
+    """A seeded smooth random variation of state, a velocity and the
+    potential's rate: symmetric dG and dg filled row by row below and on
+    the diagonal, dA, and a 2-form B written at its increasing pairs column
+    by column and spread."""
     mesh, k, d = state.mesh, state.k, state.d
     K = k + d
     sizes = (k * (k + 1) // 2, d * (d + 1) // 2, d * k, K * (K - 1) // 2, 1)
@@ -393,9 +393,9 @@ def random_direction(rng: np.random.Generator, state: GeometryState,
     rows, cols = np.tril_indices(K, -1)
     B = np.zeros(mesh.shape + (K, K))
     B[..., cols, rows] = wB
-    return functionals.VariationDirection(
+    return flow.Velocity(
         _mirrored(wG, *np.tril_indices(k), k), _mirrored(wg, *np.tril_indices(d), d),
-        wA.reshape(mesh.shape + (d, k)), torsion.pack_full(B, k, 2), wf[..., 0])
+        wA.reshape(mesh.shape + (d, k)), torsion.pack_full(B, 2)), wf[..., 0]
 
 
 def _gap_and_scale(a, b) -> tuple[float, float]:
@@ -483,7 +483,8 @@ def verify_variation(seed: int, N: int, count: int = 5) -> list:
     der = derive(st)
     rt = functionals.residual_tensors(st, f, der)
     for trial in range(count):
-        res = functionals.variation_check_F(st, f, random_direction(rng, st), der, rt)
+        v, df = random_direction(rng, st)
+        res = functionals.variation_check_F(st, f, v, df, der, rt)
         rows.append((f"variation trial {trial}", res["rel_gap"], res["rel_gap"] < tol))
     return rows
 

@@ -3,8 +3,9 @@ checks, and soliton detection.
 
 The residual tensors are the flow's own velocity read in the gauge of
 X = q - grad f: flow.ungauged_rates moved by flow.along_lift along X, a
-flow.Velocity like the first four fields of a VariationDirection.  dF/dt is
-their e^-f-weighted squared norm.
+flow.Velocity.  dF/dt is their e^-f-weighted squared norm.  A variation
+direction is a flow.Velocity and the potential's rate, so the flow's own
+velocity is one.
 
 All squared norms are full contractions with the appropriate metrics, one
 inverse metric factor per slot pair and no combinatorial weights, matching
@@ -12,8 +13,6 @@ the convention used for |H|^2 elsewhere in the package.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,11 +97,11 @@ def residual_tensors(state: GeometryState, f: np.ndarray,
 
 def _weighted_pairings(state: GeometryState, f: np.ndarray,
                        der: DerivedGeometry, x: flow.Velocity,
-                       y: flow.Velocity, scale: float):
+                       y: flow.Velocity):
     """Integrals R1..R4 of the slot-by-slot pairings of two velocities, in
     the slot order (G, A, g, B), with the G-metric, the connection metric
-    g^{ab} G_mn, the g-metric and the frame metric, weighted 1/2, 1, 1/2,
-    1/2 and each multiplied by scale."""
+    g^{ab} G_mn, the g-metric and the frame metric, weighted 1/2, 1, 1/2
+    and 1/2."""
     Gi, gi = der.Gi, der.gi
     gEi = torsion.inverse_frame_metric(der)
     metrics = ((Gi, Gi), (gi, state.G), (gi, gi), (gEi, gEi))
@@ -110,7 +109,7 @@ def _weighted_pairings(state: GeometryState, f: np.ndarray,
     # m1^{ac} m2^{bd} x_ab y_cd = sum_cd (m1 x m2)_cd y_cd
     dens = tuple(np.einsum("...cd,...cd->...", m1 @ xs @ m2, ys)
                  for (m1, m2), xs, ys in zip(metrics, *slots))
-    return tuple(c * scale * _weighted_integral(p, f, state)
+    return tuple(c * _weighted_integral(p, f, state)
                  for c, p in zip((0.5, 1.0, 0.5, 0.5), dens))
 
 
@@ -123,7 +122,7 @@ def residuals_F(state: GeometryState, f: np.ndarray, der: DerivedGeometry,
     along the ungauged flow coupled to the conjugate density u = e^-f
     (der: the state's derive(); rt: residual_tensors(state, f, der)).
     """
-    return _weighted_pairings(state, f, der, rt, rt, 1.0)
+    return _weighted_pairings(state, f, der, rt, rt)
 
 
 def residuals_W(state: GeometryState, f: np.ndarray, t: float,
@@ -136,7 +135,8 @@ def residuals_W(state: GeometryState, f: np.ndarray, t: float,
         raise DomainError("entropy residuals need t > 0")
     k = state.k
     x = rt._replace(dg=rt.dg - state.g / t)
-    R1, R2, R3, R4 = _weighted_pairings(state, f, der, x, x, t)
+    # t (c I) rounds as (c t) I does: each weight c is 1/2 or 1
+    R1, R2, R3, R4 = (t * r for r in _weighted_pairings(state, f, der, x, x))
     calH, Hsq = torsion.h_contractions(state, der)
     trG_ff = np.einsum("...ij,...ij->...", der.Gi, calH[..., :k, :k])
     extra_dens = (0.25 * norm_sq_F(state, der)
@@ -148,56 +148,50 @@ def residuals_W(state: GeometryState, f: np.ndarray, t: float,
 
 # --- variation check ---------------------------------------------------------
 
-class VariationDirection(NamedTuple):
-    """A first-order deformation of (G, g, A, H, f): a velocity (its first
-    four fields) and the rate of the potential.  The torsion moves by the
-    exterior derivative of the 2-form B, keeping its class fixed."""
-
-    dG: np.ndarray
-    dg: np.ndarray
-    dA: np.ndarray
-    B: np.ndarray
-    df: np.ndarray
-
-
-def variation_formula_F(state: GeometryState, f: np.ndarray,
-                        direction: VariationDirection,
-                        der: DerivedGeometry, rt: flow.Velocity) -> tuple:
+def variation_formula_F(state: GeometryState, f: np.ndarray, v: flow.Velocity,
+                        df: np.ndarray, der: DerivedGeometry,
+                        rt: flow.Velocity) -> tuple:
     """The five integrals that sum to the closed-form first variation of the
-    energy along the direction: four pairings with the residual tensors, and
-    I5 (der: the state's derive(); rt: residual_tensors(state, f, der))."""
-    ints = _weighted_pairings(state, f, der, direction, rt, 1.0)
+    energy along the velocity v with the potential moving at rate df: four
+    pairings with the residual tensors, and I5 (der: the state's derive();
+    rt: residual_tensors(state, f, der))."""
+    ints = _weighted_pairings(state, f, der, v, rt)
     lam = (2.0 * (laplacian(f, der.gi, der.Gamma, state.mesh)
                   - grad_norm_sq(f, state, der))
            + _energy_density(state, f, der))
-    trdg = 0.5 * np.einsum("...ab,...ab->...", der.gi, direction.dg)
-    I5 = _weighted_integral((trdg - direction.df) * lam, f, state)
+    trdg = 0.5 * np.einsum("...ab,...ab->...", der.gi, v.dg)
+    I5 = _weighted_integral((trdg - df) * lam, f, state)
     return ints + (I5,)
 
 
 def perturbed_state(state: GeometryState, der: DerivedGeometry,
-                    direction: VariationDirection, eps: float) -> GeometryState:
-    """First-order deformation of the stored fields along the direction's
-    stored-field rates (der: the state's derive())."""
-    rates = flow.stored_rates(state, der, direction)
+                    v: flow.Velocity, eps: float) -> GeometryState:
+    """First-order deformation of the stored fields along the stored-field
+    rates of the velocity v (der: the state's derive())."""
+    rates = flow.stored_rates(state, der, v)
     return state.with_fields(
         state.t, [f + eps * r for f, r in zip(state.fields, rates)])
 
 
-def variation_check_F(state: GeometryState, f: np.ndarray,
-                      direction: VariationDirection, der: DerivedGeometry,
-                      rt: flow.Velocity, eps: float = 1e-4) -> dict:
-    """Compare the closed-form first variation with a centered finite
-    difference of the energy along the deformation path (der: the state's
-    derive(); rt: residual_tensors(state, f, der), shared by every direction
-    at the same state and potential).  rel_gap is the gap over the sum of
-    the five integrals' absolute values, not small when they cancel."""
-    terms = variation_formula_F(state, f, direction, der, rt)
+VARIATION_EPS = 1e-4  # the centred difference step of variation_check_F
+
+
+def variation_check_F(state: GeometryState, f: np.ndarray, v: flow.Velocity,
+                      df: np.ndarray, der: DerivedGeometry,
+                      rt: flow.Velocity) -> dict:
+    """Compare the closed-form first variation along (v, df) with a centred
+    finite difference of the energy along the deformation path, step
+    VARIATION_EPS (der: the state's derive(); rt: residual_tensors(state,
+    f, der), shared by every direction at the same state and potential).
+    rel_gap is the gap over the sum of the five integrals' absolute values,
+    not small when they cancel."""
+    eps = VARIATION_EPS
+    terms = variation_formula_F(state, f, v, df, der, rt)
     formula = sum(terms)
-    plus = perturbed_state(state, der, direction, eps)
-    minus = perturbed_state(state, der, direction, -eps)
-    Fp = eval_F(plus, f + eps * direction.df, derive(plus))
-    Fm = eval_F(minus, f - eps * direction.df, derive(minus))
+    plus = perturbed_state(state, der, v, eps)
+    minus = perturbed_state(state, der, v, -eps)
+    Fp = eval_F(plus, f + eps * df, derive(plus))
+    Fm = eval_F(minus, f - eps * df, derive(minus))
     fd = (Fp - Fm) / (2.0 * eps)
     scale = max(sum(abs(x) for x in terms), 1e-14)
     return {"fd": fd, "formula": formula,

@@ -31,7 +31,7 @@ def _curving_connection(st: GeometryState) -> None:
 def _fiber_torsion(st: GeometryState) -> None:
     """Constant fiber 3-form torsion, so the vertical component is active."""
     st.H[..., 0, 1, 2] = 0.5
-    st.H = torsion.pack_full(st.H, st.k)
+    st.H = torsion.pack_full(st.H)
 
 
 class Preset(NamedTuple):

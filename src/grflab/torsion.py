@@ -42,13 +42,13 @@ from .geometry import (DerivedGeometry, GeometryState, as_matrices,
 
 # --- full-frame packing ------------------------------------------------------
 
-def pack_full(full: np.ndarray, k: int, degree: int = 3) -> np.ndarray:
+def pack_full(full: np.ndarray, degree: int = 3) -> np.ndarray:
     """The antisymmetric (..., K, ..., K) array of a degree-form with full's
     entries at the strictly increasing index tuples, spread by antisymmetry
     over every slot ordering; the identity on an exactly antisymmetric
     array."""
     K = full.shape[-1]
-    tables = _d_tables(K, k, degree - 1)
+    tables = _d_tables(K, K, degree - 1)
     comps = full.reshape(full.shape[:-degree] + (K ** degree,))[..., tables.tuples]
     return _spread(comps, tables, K, degree)
 

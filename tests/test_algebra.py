@@ -90,6 +90,12 @@ def test_jacobi_defect_detected():
 
 def test_so3_rejected_for_nilpotency():
     assert validate_algebra(so3()) == ("nilpotency",)
+    # e(1,1): [x2, x0] = x0 and [x2, x1] = -x1, so the series drops once, to
+    # span(x0, x1), and then stalls there
+    c = np.zeros((3, 3, 3))
+    c[0, 2, 0], c[0, 0, 2] = 1.0, -1.0
+    c[1, 2, 1], c[1, 1, 2] = -1.0, 1.0
+    assert validate_algebra(LieAlgebra(k=3, c=c)) == ("nilpotency",)
 
 
 def test_bad_shape_rejected():

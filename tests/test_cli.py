@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 
 from conftest import GENERATOR_CASES, generated_state
+from test_algebra import so3
 from test_flow import same_bits
 from grflab import cli, functionals, presets, torsion
-from grflab.algebra import algebra_from_spec
+from grflab.algebra import AlgebraValidationError, algebra_from_spec
 from grflab.cli import CSV_COLUMNS, ConfigError, load_config, run_pipeline
+from grflab.fields import GridError
 from grflab.geometry import GeometryState, derive
 
 
@@ -216,6 +218,19 @@ def test_a_config_built_in_code_is_refused_as_from_a_file(
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "dH" in err
     assert_refused_before_the_forward_flow(out)
+
+
+def test_a_start_that_cannot_be_built_leaves_no_output_dir(tmp_path):
+    # the loader refuses both from a file; built in code, each raises before
+    # the output directory exists
+    cases = ((dict(mesh_n=4), GridError),
+             (dict(algebra={"k": 3, "c": so3().c.tolist()}), AlgebraValidationError))
+    for n, (fields, error) in enumerate(cases):
+        out = tmp_path / f"out{n}"
+        with pytest.raises(error):
+            run_pipeline(cli.ScenarioConfig(preset="heisenberg-s1",
+                                            output_dir=str(out), **fields))
+        assert not out.exists(), fields
 
 
 def test_uncreatable_output_dir_fails_before_the_forward_stage(
@@ -741,9 +756,10 @@ def test_random_states_and_directions_are_seeded_symmetric_and_definite():
     for case in GENERATOR_CASES:
         seed, d, alg, opts = case
         st, again = generated_state(*case), generated_state(*case)
-        drawn = [*st.fields, *cli.random_direction(np.random.default_rng(seed), st)]
-        redrawn = [*again.fields,
-                   *cli.random_direction(np.random.default_rng(seed), again)]
+        v, df = cli.random_direction(np.random.default_rng(seed), st)
+        drawn = [*st.fields, *v, df]
+        v, df = cli.random_direction(np.random.default_rng(seed), again)
+        redrawn = [*again.fields, *v, df]
         assert all(np.array_equal(a, b) for a, b in zip(drawn, redrawn)), case
         G, g, _, H, dG, dg = drawn[:6]
         for M in (G, g, dG, dg):

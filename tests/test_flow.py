@@ -577,7 +577,7 @@ def test_a_homogeneous_pipeline_runs_on_8_points_as_on_the_full_mesh(
     st2 = random_constant_state(rng, algebra.heisenberg3(), 16, 2)
     k, K = st2.k, st2.k + st2.d
     beta = np.broadcast_to(0.3 * rng.normal(size=(K, K)), st2.mesh.shape + (K, K))
-    st2.H = torsion.algebroid_d(torsion.pack_full(beta, k, 2), 2,
+    st2.H = torsion.algebroid_d(torsion.pack_full(beta, 2), 2,
                                 torsion.bracket_pairs(st2, derive(st2).F), st2.mesh, k)
     assert st2.homogeneous() and st2.A.any() and st2.H[..., k:].any()
 

@@ -7,9 +7,8 @@ from conftest import flat_abelian_state, heisenberg_state
 from grflab import algebra
 from grflab.cli import random_direction, random_state
 from grflab.fields import DomainError, integrate_values
-from grflab.flow import blowdown_rescale
-from grflab.functionals import (VariationDirection, eval_F, eval_Wplus,
-                                residual_tensors, residuals_F, residuals_W,
+from grflab.flow import Velocity, blowdown_rescale
+from grflab.functionals import (eval_F, eval_Wplus, residual_tensors, residuals_F, residuals_W,
                                 soliton_detect, variation_check_F)
 from grflab.geometry import derive, hessian
 
@@ -147,12 +146,12 @@ def test_W_extra_signs():
 
 def test_variation_zero_direction():
     st = heisenberg_state(N=32)
-    zero = VariationDirection(
+    zero = Velocity(
         np.zeros(st.mesh.shape + (3, 3)), np.zeros(st.mesh.shape + (1, 1)),
-        np.zeros(st.mesh.shape + (1, 3)), np.zeros(st.mesh.shape + (4, 4)),
-        np.zeros(st.mesh.shape))
+        np.zeros(st.mesh.shape + (1, 3)), np.zeros(st.mesh.shape + (4, 4)))
     f, der = zeros_f(st), derive(st)
-    res = variation_check_F(st, f, zero, der, residual_tensors(st, f, der))
+    res = variation_check_F(st, f, zero, zeros_f(st), der,
+                            residual_tensors(st, f, der))
     assert abs(res["fd"]) < 1e-10
     assert abs(res["formula"]) < 1e-10
 
@@ -162,11 +161,10 @@ def test_variation_pure_potential_direction():
     (x,) = st.mesh.coords()
     df = 0.2 * np.sin(2 * np.pi * x)
     zero = lambda *shape: np.zeros(st.mesh.shape + shape)
-    direction = VariationDirection(zero(2, 2), zero(1, 1), zero(1, 2),
-                                   zero(3, 3), df)
+    v = Velocity(zero(2, 2), zero(1, 1), zero(1, 2), zero(3, 3))
     f = 0.1 * np.sin(2 * np.pi * x) + 0.05 * np.cos(4 * np.pi * x)
     der = derive(st)
-    res = variation_check_F(st, f, direction, der, residual_tensors(st, f, der))
+    res = variation_check_F(st, f, v, df, der, residual_tensors(st, f, der))
     assert abs(res["fd"]) > 1e-3  # the direction actually moves the energy
     assert res["rel_gap"] < 1e-5
 
@@ -179,8 +177,8 @@ def test_variation_random_directions():
     der = derive(st)
     rt = residual_tensors(st, f, der)
     for _ in range(3):
-        res = variation_check_F(st, f, random_direction(rng, st, amp=0.1),
-                                der, rt)
+        v, df = random_direction(rng, st, amp=0.1)
+        res = variation_check_F(st, f, v, df, der, rt)
         assert res["rel_gap"] < 1e-4
 
 

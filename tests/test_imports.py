@@ -1,7 +1,8 @@
 """Every module of the package, the tests and the benchmark reads each name
 it imports, no module of the package takes a private name from another,
-and every function, class and method of the package and every top-level
-helper of the tests is read by name somewhere."""
+every function, class and method of the package and every top-level
+helper of the tests is read by name somewhere, and every default of a
+package function is overridden by some call."""
 
 import ast
 import re
@@ -122,3 +123,51 @@ def test_no_unreferenced_definitions():
               if not any(where != path or not node.lineno <= line <= node.end_lineno
                          for where, line in read.get(node.name, []))]
     assert not unread, unread
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position) of every parameter with a default of a
+    function or method of a module; position counts the positional
+    parameters a call passes before it (None for a keyword-only one), a
+    method's self not among them."""
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, DEFINITIONS[:2]):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if id(node) in methods else 0
+            for n in range(len(positional) - len(args.defaults), len(positional)):
+                yield node, positional[n].arg, n - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node, arg.arg, None
+
+
+def passes(call: ast.Call, parameter: str, position) -> bool:
+    """Whether call passes the parameter: by keyword, at its position, or
+    through a starred argument, which may hold any of them."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg in (None, parameter) for kw in call.keywords)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    # a default that no call in the package, the tests or the benchmark
+    # overrides is a setting with one value in use: a constant, not a
+    # parameter
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never = [f"{path.relative_to(ROOT)}:{fn.lineno}: {fn.name}({parameter})"
+             for path, tree in trees.items() if path.parent.name == "grflab"
+             for fn, parameter, position in defaulted_parameters(tree)
+             if not any(passes(call, parameter, position)
+                        for call in calls.get(fn.name, []))]
+    assert not never, never

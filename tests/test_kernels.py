@@ -678,7 +678,7 @@ def test_torsion_source_differential_is_its_own_pack():
     for case, _, state in case_states():
         der = geometry.derive(state)
         dB = _algebroid_d(torsion.b_dot(state, der), 2, state, der)
-        assert np.array_equal(torsion.pack_full(dB, state.k), dB), case
+        assert np.array_equal(torsion.pack_full(dB), dB), case
 
 
 # sums of up to ~30 products, taken in two orders, agree to a few eps
@@ -694,7 +694,7 @@ def test_torsion_rate_and_source_match_the_full_array_composition():
         rate = torsion.torsion_rate(state, der, v.B, v.dA)
         ref = full_torsion_rate(state, der, v.B, v.dA)
         assert np.max(np.abs(rate - ref)) <= FULL_REL_TOL * np.max(np.abs(ref)), case
-        assert np.array_equal(torsion.pack_full(rate, state.k), rate), case
+        assert np.array_equal(torsion.pack_full(rate), rate), case
 
 
 def test_packing_matches_the_permuted_sum_reference():
@@ -710,7 +710,7 @@ def test_packing_matches_the_permuted_sum_reference():
         base = np.arange(K) >= k
         n_base = base[:, None, None].astype(int) + base[:, None] + base
         mixed = (n_base > 0) & (n_base < 3)
-        assert np.array_equal(torsion.pack_full(X, k)[..., mixed],
+        assert np.array_equal(torsion.pack_full(X)[..., mixed],
                               ref_pack_full(X, k)[..., mixed]), case
 
 

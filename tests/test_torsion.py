@@ -43,12 +43,12 @@ def test_torsion_of_new_states_is_its_own_pack():
     new_states += [(case, generated_state(*case)) for case in GENERATOR_CASES]
     for label, st in new_states:
         assert _exactly_antisymmetric(st.H), label
-        assert np.array_equal(st.H, torsion.pack_full(st.H, st.k)), label
+        assert np.array_equal(st.H, torsion.pack_full(st.H)), label
     for case in PACK_CASES:
         seed, d, mode = case
         rng = np.random.default_rng(seed)
         state = random_state(rng, algebra.heisenberg3(), 8, d)
-        k, K = state.k, state.k + d
+        K = state.k + d
         states = [state]
         for _ in range(3):
             states.append(flow.rk4_step(states[-1], 1e-3, mode))
@@ -57,23 +57,21 @@ def test_torsion_of_new_states_is_its_own_pack():
             hist.append(st, background(st, derive(st)), st.validate())
         mid = hist.state_at(0.5 * (hist.times[1] + hist.times[2]))
         B = rng.normal(size=state.mesh.shape + (K, K)) * 0.1
-        direction = functionals.VariationDirection(
+        v = flow.Velocity(
             np.zeros_like(state.G), np.zeros_like(state.g),
-            rng.normal(size=state.A.shape) * 0.1, B - np.swapaxes(B, -1, -2),
-            np.zeros(state.mesh.shape))
-        perturbed = functionals.perturbed_state(state, derive(state),
-                                                direction, 1e-2)
+            rng.normal(size=state.A.shape) * 0.1, B - np.swapaxes(B, -1, -2))
+        perturbed = functionals.perturbed_state(state, derive(state), v, 1e-2)
         for H in (state.H, *(s.H for s in hist.states[1:]), mid.H, perturbed.H):
-            assert np.array_equal(H, torsion.pack_full(H, k)), case
+            assert np.array_equal(H, torsion.pack_full(H)), case
             assert _exactly_antisymmetric(H), case
 
 
 def test_pack_full_antisymmetric():
     st = random_full_state(d=2)
-    full = torsion.pack_full(st.H, st.k)
+    full = torsion.pack_full(st.H)
     assert _exactly_antisymmetric(full)
     # the identity on an exactly antisymmetric array
-    assert np.array_equal(torsion.pack_full(full, st.k), full)
+    assert np.array_equal(torsion.pack_full(full), full)
 
 
 def test_variation_direction_2form_is_its_own_pack():
@@ -85,10 +83,10 @@ def test_variation_direction_2form_is_its_own_pack():
         random_waves(rng, circle.mesh, 1, 0.12, 2)  # the suite's potential
         torus = random_state(rng, algebra.abelian(3), 8, 2)
         for st in (circle,) * 5 + (torus,) * 2:
-            B = random_direction(rng, st).B
+            B = random_direction(rng, st)[0].B
             assert B.shape[-1] == st.k + st.d
             assert np.array_equal(B, -np.swapaxes(B, -1, -2)), seed
-            assert np.array_equal(torsion.pack_full(B, st.k, 2), B), seed
+            assert np.array_equal(torsion.pack_full(B, 2), B), seed
 
 
 def test_inverse_frame_metric():
@@ -238,7 +236,7 @@ def test_torsion_rate_on_zero_torsion_is_dB():
         rng = np.random.default_rng(60 + d)
         st = random_state(rng, algebra.heisenberg3(), 12, d, with_H=False)
         der = derive(st)
-        v = random_direction(rng, st)
+        v, _ = random_direction(rng, st)
         assert v.B.any()
         rate = torsion.torsion_rate(st, der, v.B, v.dA)
         dB = torsion.algebroid_d(v.B, 2, torsion.bracket_pairs(st, der.F),
