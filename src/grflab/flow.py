@@ -10,13 +10,12 @@ stored_rates turns a velocity into the rates of the stored fields.
 Integration is classical RK4 with a parabolic CFL step size.  rk4 is the
 one RK4 step for every time march: the forward flow here, and
 FlowHistory.march, the one walk along a stored flow, which the backward
-density solve in conjugate and the particle transport of the gauge check
-take.  run_flow derives each state once: the derivation serves the first
-stage of the state's next step and the state's stored conjugate.Background
-record, which is all the walk reads.  Given a report stride, run_flow keeps
-the derivations of the states a report reads, with the velocity of the
-first stage of their steps, and every stored state keeps the smallest
-metric eigenvalues its SPD check found.
+density solve in conjugate takes.  run_flow derives each state once: the
+derivation serves the first stage of the state's next step and the state's
+stored conjugate.Background record, which is all the walk reads.  Given a
+report stride, run_flow keeps the derivations of the states a report reads,
+with the velocity of the first stage of their steps, and every stored state
+keeps the smallest metric eigenvalues its SPD check found.
 A homogeneous state, each field equal at every grid point to its value at
 the first, stays homogeneous bit for bit: its grid derivatives are exact
 zeros and the rest of a step is pointwise.  So run_flow runs such a state
@@ -39,11 +38,11 @@ import numpy as np
 
 from .algebra import require_valid
 from .conjugate import Background, background, check_gauge
-from .fields import MIN_POINTS, DomainError, Mesh, deriv_array, derivs
+from .fields import MIN_POINTS, DomainError, Mesh, derivs
 from .geometry import DerivedGeometry, GeometryState, derive, ricci_blocks
 from . import torsion
 
-# flow times closer than this are one stored time (run end, lookup, transport)
+# flow times closer than this are one stored time (run end, lookup)
 TIME_TOL = 1e-14
 
 
@@ -189,11 +188,6 @@ def rk4_step(state: GeometryState, dt: float, mode: str,
     return state.with_fields(state.t + dt, rk4(state.fields, dt, rate))
 
 
-def _weighted_sum(ws: np.ndarray, nodes: list) -> list:
-    """sum_i ws[i] * nodes[i][m] for each slot m of the array tuples nodes."""
-    return [sum(w * f for w, f in zip(ws, node)) for node in zip(*nodes)]
-
-
 @dataclass
 class FlowHistory:
     """Dense in-memory record of a flow run in one gauge mode: every stored
@@ -220,10 +214,10 @@ class FlowHistory:
         self.records.append(record)
         self.min_eigs.append(min_eigs)
 
-    def _weights(self, t: float) -> tuple[list, np.ndarray | None]:
-        """The stored indices and weights of the cubic Lagrange interpolant
-        at time t, on fewer nodes when the history holds fewer than four
-        snapshots; at a stored time, its one index and weights None.
+    def background_at(self, t: float) -> Background:
+        """The Background record at time t by cubic Lagrange interpolation
+        of the stored records, on fewer nodes when the history holds fewer
+        than four; the stored record itself at a stored time.
 
         Raises ValueError for a t outside the stored span.
         """
@@ -233,35 +227,18 @@ class FlowHistory:
                              f"[{times[0]!r}, {times[-1]!r}]")
         n = len(times)
         j = min(max(bisect.bisect_left(times, t), 1), n - 1)
-        if abs(times[j] - t) < TIME_TOL:
-            return [j], None
-        if abs(times[j - 1] - t) < TIME_TOL:
-            return [j - 1], None
+        for i in (j, j - 1):
+            if abs(times[i] - t) < TIME_TOL:
+                return self.records[i]
         lo = max(0, min(j - 2, n - 4))
-        idx = list(range(lo, min(lo + 4, n)))
+        idx = range(lo, min(lo + 4, n))
         ws = np.ones(len(idx))
         for a, ia in enumerate(idx):
             for ib in idx:
                 if ib != ia:
                     ws[a] *= (t - times[ib]) / (times[ia] - times[ib])
-        return idx, ws
-
-    def state_at(self, t: float) -> GeometryState:
-        """The fields at time t by cubic Lagrange interpolation, the stored
-        state itself at a stored time."""
-        idx, ws = self._weights(t)
-        if ws is None:
-            return self.states[idx[0]]
-        return self.states[idx[0]].with_fields(
-            t, _weighted_sum(ws, [self.states[i].fields for i in idx]))
-
-    def background_at(self, t: float) -> Background:
-        """The Background record at time t by cubic Lagrange interpolation
-        of the stored records, the stored record itself at a stored time."""
-        idx, ws = self._weights(t)
-        if ws is None:
-            return self.records[idx[0]]
-        return Background(*_weighted_sum(ws, [self.records[i] for i in idx]))
+        return Background(*(sum(w * f for w, f in zip(ws, node))
+                            for node in zip(*(self.records[i] for i in idx))))
 
     def march(self, indices, y: tuple, rate):
         """Walk the tuple y along the stored flow: one rk4 step over each
@@ -361,7 +338,7 @@ def run_flow(state: GeometryState, config: IntegratorConfig,
     return hist
 
 
-# --- rescaling and gauge checks ----------------------------------------------
+# --- rescaling ---------------------------------------------------------------
 
 def blowdown_rescale(state: GeometryState, s: float) -> GeometryState:
     """Parabolic rescaling: metrics and torsion scale by 1/s, the connection
@@ -370,94 +347,3 @@ def blowdown_rescale(state: GeometryState, s: float) -> GeometryState:
         raise ValueError("rescale factor must be positive")
     return state.with_fields(state.t / s,
                              (state.G / s, state.g / s, state.A.copy(), state.H / s))
-
-
-def _fourier_interp_1d(values: np.ndarray, x: np.ndarray, L: float) -> np.ndarray:
-    """Trigonometric interpolation of periodic samples at arbitrary points.
-
-    values has the grid axis first; x holds evaluation points in [0, L).
-    """
-    N = values.shape[0]
-    coef = np.fft.rfft(values, axis=0)
-    ks = 2.0 * np.pi * np.arange(coef.shape[0]) / L
-    phases = np.exp(1j * np.outer(x, ks))  # (npts, nmodes)
-    weights = np.ones(coef.shape[0])
-    weights[1:] = 2.0
-    if N % 2 == 0:
-        weights[-1] = 1.0
-    flat = coef.reshape(coef.shape[0], -1)
-    out = (phases * weights) @ flat
-    return (out.real / N).reshape((x.shape[0],) + values.shape[1:])
-
-
-def transport_map_1d(hist: FlowHistory, t_end: float) -> np.ndarray:
-    """Integrate particle positions along q from the run's start to t_end,
-    which must be a stored time of the run.
-
-    Only for 1-D bases.  Returns the final positions of the grid points of
-    the history's mesh, fields.MIN_POINTS of them for a homogeneous run,
-    giving the diffeomorphism that relates the ungauged and canonical runs.
-    """
-    mesh = hist.states[0].mesh
-    if mesh.d != 1:
-        raise ValueError("transport map implemented for 1-D bases only")
-    (stored,) = np.nonzero(np.abs(np.asarray(hist.times) - t_end) < TIME_TOL)
-    if not stored.size:
-        raise ValueError(f"t_end = {t_end!r} is not a stored time of the run")
-    L = mesh.lengths[0]
-    x = np.arange(mesh.sizes[0]) * mesh.spacings[0]
-
-    def velocity(y, bg):
-        return (_fourier_interp_1d(bg.q[:, 0], y[0] % L, L),)
-
-    for _, (x,) in hist.march(range(stored[0] + 1), (x,), velocity):
-        pass
-    return x % L
-
-
-def pullback_state_1d(state: GeometryState, phi: np.ndarray) -> GeometryState:
-    """Pull a 1-D state back along the diffeomorphism x -> phi(x).
-
-    Fields are evaluated spectrally at phi; base slots pick up phi' factors
-    (one per lower base index).
-    """
-    mesh = state.mesh
-    L = mesh.lengths[0]
-    x = np.arange(mesh.sizes[0]) * mesh.spacings[0]
-    disp = np.unwrap((phi - x) * (2 * np.pi / L)) * (L / (2 * np.pi))
-    dphi = 1.0 + deriv_array(disp, 0, mesh)
-
-    def ev(arr):
-        return _fourier_interp_1d(arr, phi % L, L)
-
-    base = (np.arange(state.H.shape[-1]) >= state.k).astype(int)
-    n_base = base[:, None, None] + base[:, None] + base
-    return state.with_fields(state.t, (
-        ev(state.G), ev(state.g) * (dphi ** 2)[:, None, None],
-        ev(state.A) * dphi[:, None, None],
-        ev(state.H) * dphi[:, None, None, None] ** n_base))
-
-
-def gauge_equivalence_report(hist_ungauged: FlowHistory,
-                             hist_canonical: FlowHistory,
-                             t: float) -> dict:
-    """Max-norm gaps between the canonical run and the transported ungauged run.
-
-    The ungauged final state is pulled back along the particle map of its own
-    divergence vector and compared with the canonical state at the same time.
-    The connection form is compared through its circle integrals only: the two
-    gauges also differ by a fiber gauge transformation, which shifts A by an
-    exact form without touching its holonomy.
-    """
-    fu = hist_ungauged.state_at(t)
-    fc = hist_canonical.state_at(t)
-    phi = transport_map_1d(hist_ungauged, t)
-    pulled = pullback_state_1d(fu, phi)
-    h = fu.mesh.spacings[0]
-    gaps = {
-        "G": float(np.max(np.abs(pulled.G - fc.G))),
-        "g": float(np.max(np.abs(pulled.g - fc.g))),
-        "A_holonomy": float(np.max(np.abs(np.sum(pulled.A - fc.A, axis=0) * h))),
-        "H": float(np.max(np.abs(pulled.H - fc.H))),
-    }
-    return gaps

@@ -1,4 +1,5 @@
-"""Coupled evolution: right-hand sides, stepping, rescaling, gauge transport."""
+"""Coupled evolution: right-hand sides, stepping, the stored history and its
+lookups, rescaling."""
 
 import csv
 import dataclasses
@@ -14,9 +15,7 @@ from grflab.cli import ScenarioConfig, random_state, run_pipeline
 from grflab.conjugate import GAUGES, Background, background, dilaton_potential
 from grflab.fields import MIN_POINTS, DomainError, Mesh
 from grflab.flow import (FlowHistory, IntegratorConfig, blowdown_rescale,
-                         cfl_dt, evaluate_rhs, gauge_equivalence_report,
-                         pullback_state_1d, rk4_step, run_flow,
-                         transport_map_1d)
+                         cfl_dt, evaluate_rhs, rk4_step, run_flow)
 from grflab.geometry import GeometryState, derive
 
 
@@ -178,63 +177,32 @@ def test_blowdown_scales_fields():
     assert np.max(np.abs(resc.g - 0.5 * st.g)) < 1e-14
 
 
-def test_pullback_identity_map():
-    rng = np.random.default_rng(2)
-    st = random_state(rng, algebra.heisenberg3(), 32, 1)
-    x = np.arange(32) * st.mesh.spacings[0]
-    back = pullback_state_1d(st, x)
-    assert np.max(np.abs(back.G - st.G)) < 1e-10
-    assert np.max(np.abs(back.g - st.g)) < 1e-10
-    assert np.max(np.abs(back.A - st.A)) < 1e-10
-
-
-def test_transport_map_zero_q():
-    st = presets.build("heisenberg-s1", 16)
-    hist = run_flow(st, IntegratorConfig(t_end=0.01))
-    phi = transport_map_1d(hist, 0.01)
-    mesh = hist.states[0].mesh
-    x = np.arange(mesh.sizes[0]) * mesh.spacings[0]
-    L = mesh.lengths[0]
-    circle_gap = np.minimum(np.abs(phi - x), L - np.abs(phi - x))
-    assert np.max(circle_gap) < 1e-12
-
-
-def test_gauge_check_trivial_on_homogeneous_data():
-    st = presets.build("heisenberg-s1", 16)
-    hu = run_flow(st, IntegratorConfig(t_end=0.01, mode="ungauged"))
-    hc = run_flow(st, IntegratorConfig(t_end=0.01, mode="canonical"))
-    gaps = gauge_equivalence_report(hu, hc, 0.01)
-    assert max(gaps.values()) < 1e-10
-
-
 # uneven stored times, as a CFL-limited run stores
 LOOKUP_TIMES = [0.0, 0.11, 0.19, 0.32, 0.4, 0.53, 0.61, 0.72, 0.86, 0.93, 1.05, 1.2]
 
 
-def history_of(arrays_at):
-    """A FlowHistory at LOOKUP_TIMES on flat_abelian_state's mesh whose state
-    at time t holds the first four arrays of arrays_at(t) as its fields and
-    whose record holds the last four."""
+def history_of(record_at):
+    """A FlowHistory at LOOKUP_TIMES on flat_abelian_state's mesh whose
+    record at time t holds the arrays of record_at(t)."""
     st = flat_abelian_state()
     hist = FlowHistory()
     for t in LOOKUP_TIMES:
-        arrays = arrays_at(t)
-        hist.append(st.with_fields(t, arrays[:4]), Background(*arrays[4:]),
+        hist.append(st.with_fields(t, st.fields), Background(*record_at(t)),
                     (1.0, 1.0))
     return hist
 
 
 def test_history_state_at():
-    # state_at and background_at are the centred cubic Lagrange interpolant
+    # background_at is the centred cubic Lagrange interpolant of the records
     st = flat_abelian_state()
-    shapes = [f.shape for f in (*st.fields, *background(st, derive(st)))]
+    shapes = [f.shape for f in background(st, derive(st))]
     times = np.array(LOOKUP_TIMES)
     # 5e-15 off a stored time a lookup snaps to it, 1e-12 off it interpolates
     snaps = [t + off for t in times for off in (-5e-15, 5e-15)]
     off_node = np.hstack([times[1:-1] - 1e-12, times[1:-1] + 1e-12,
                           *(times[:-1] + c * np.diff(times) for c in (0.1, 0.5, 0.8))])
 
-    # a cubic in t on every field and record entry is reproduced to round-off
+    # a cubic in t on every record entry is reproduced to round-off
     coeffs = [np.random.default_rng(n).normal(size=(4,) + s)
               for n, s in enumerate(shapes)]
 
@@ -243,29 +211,25 @@ def test_history_state_at():
 
     cubic = history_of(cubic_at)
     for t in off_node:
-        state = cubic.state_at(t)
-        assert state.t == t
-        for a, want in zip([*state.fields, *cubic.background_at(t)], cubic_at(t)):
+        for a, want in zip(cubic.background_at(t), cubic_at(t)):
             assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want)), t
 
     # a unit impulse at interior index m enters the four intervals nearest
-    # it, two on each side; a snapped lookup returns the stored objects
+    # it, two on each side; a snapped lookup returns the stored record
     for m in range(4, len(times) - 4):
         hist = history_of(lambda t: [np.full(s, float(t == times[m]))
                                      for s in shapes])
         for t in (*times, *snaps, *off_node):
             i = int(np.argmin(np.abs(times - t)))
-            state, bg = hist.state_at(t), hist.background_at(t)
+            bg = hist.background_at(t)
             snapped = abs(times[i] - t) < 1e-14
-            assert (state is hist.states[i] and bg is hist.records[i]) == snapped, t
-            assert state.t == (times[i] if snapped else t)
+            assert (bg is hist.records[i]) == snapped, t
             seen = i == m if snapped else times[m - 2] < t < times[m + 2]
-            assert all(a.any() == seen for a in (*state.fields, *bg)), (m, t)
+            assert all(a.any() == seen for a in bg), (m, t)
     # the cubic is not extrapolated past either end
     for t in (-1e-3, -1e-12, times[-1] + 1e-12, times[-1] + 0.1):
-        for lookup in (hist.state_at, hist.background_at):
-            with pytest.raises(ValueError, match="outside the stored span"):
-                lookup(t)
+        with pytest.raises(ValueError, match="outside the stored span"):
+            hist.background_at(t)
 
 
 def test_two_state_history_interpolates_linearly():
@@ -409,22 +373,6 @@ def test_circle_runs_never_form_the_curvature_2_form(monkeypatch):
     run_flow(random_state(np.random.default_rng(8), algebra.heisenberg3(), 8, 2),
              IntegratorConfig(t_end=0.002, fixed_dt=1e-3))
     assert {"compute_F", "compute_DF"} <= set(calls)
-
-
-def test_transport_needs_a_stored_time():
-    st = presets.build("heisenberg-s1", 16)
-    hu = run_flow(st, IntegratorConfig(t_end=0.01, fixed_dt=1e-3))
-    hc = run_flow(st, IntegratorConfig(t_end=0.01, fixed_dt=1e-3,
-                                       mode="canonical"))
-    for t in (0.0055, 0.02, -1e-3):
-        with pytest.raises(ValueError, match="not a stored time"):
-            transport_map_1d(hu, t)
-    with pytest.raises(ValueError, match="not a stored time"):
-        gauge_equivalence_report(hu, hc, 0.0055)
-    # and a history on a 2-torus has no transport map, at any time
-    st2 = random_state(np.random.default_rng(8), algebra.heisenberg3(), 8, 2)
-    with pytest.raises(ValueError, match="1-D bases only"):
-        transport_map_1d(FlowHistory(times=[0.0], states=[st2]), 0.0)
 
 
 # --- homogeneous runs ---------------------------------------------------------
